@@ -14,7 +14,7 @@ two hostile phases —
   another is SIGKILLed outright, and a deterministic schedule drops
   pinned messages on both pipe directions; hedged requests, hang
   detection and restart-with-re-send must recover every request;
-* **overload**: 2x-saturation open-loop load with a seeded
+* **overload**: a non-blocking saturation burst with a seeded
   HIGH/NORMAL/LOW priority mix against a bounded queue with a HIGH
   reserve and LOW brownout; HIGH availability must stay >= 0.99 while
   shedding concentrates on the low classes.
@@ -83,7 +83,7 @@ def main(argv=None):
           f"restarts {chaos['worker_restarts']}, "
           f"requeued {chaos['requeued']}")
     print(f"  overload: capacity {overload['capacity_rps']:.1f} plans/s, "
-          f"offered {overload['offered_rps']:.1f}, "
+          f"burst of {overload['burst_requests']} requests, "
           f"HIGH availability {overload['high_availability']:.4f}")
     for name, summary in sorted(overload["by_priority"].items()):
         print(f"    {name:>6}: {summary['requests']} requests, "

@@ -56,7 +56,7 @@ class EstimatorCache:
 
 
 def featurize_records(records, dbs, cards="exact", estimator_cache=None,
-                      storage_formats=None, feat_cache=None):
+                      storage_formats=None, feat_cache=None, keys=None):
     """Build query graphs for trace records.
 
     ``dbs`` maps database names to :class:`~repro.storage.Database` objects;
@@ -68,29 +68,33 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
     :class:`~repro.featurization.FeaturizationCache` as ``feat_cache``,
     plans whose content fingerprint was featurized before — equal but
     possibly distinct objects — are served from the cache and skip
-    annotation and construction entirely.
+    annotation and construction entirely.  Callers that already hold the
+    records' :func:`~repro.featurization.plan_fingerprint` digests (same
+    ``cards`` and ``storage_formats``) pass them as ``keys``, so no plan is
+    hashed twice; ``keys`` is ignored without a ``feat_cache``.
     """
     if cards not in CARD_SOURCES:
         raise ValueError(f"unknown cardinality source {cards!r}")
     estimator_cache = estimator_cache or EstimatorCache()
     records = list(records)
     graphs = [None] * len(records)
-    keys = [None] * len(records)
     pending = []
     duplicates = []
     if feat_cache is not None:
+        if keys is None:
+            db_fingerprints = {}
+            keys = []
+            for record in records:
+                db_fingerprint = db_fingerprints.get(record.db_name)
+                if db_fingerprint is None:
+                    db_fingerprint = dbs[record.db_name].fingerprint()
+                    db_fingerprints[record.db_name] = db_fingerprint
+                keys.append(feat_cache.key(None, record.plan, cards,
+                                           storage_formats,
+                                           db_fingerprint=db_fingerprint))
         first_of_key = {}
-        db_fingerprints = {}
-        cache_key, cache_get = feat_cache.key, feat_cache.get
-        for position, record in enumerate(records):
-            db_name = record.db_name
-            db_fingerprint = db_fingerprints.get(db_name)
-            if db_fingerprint is None:
-                db_fingerprint = dbs[db_name].fingerprint()
-                db_fingerprints[db_name] = db_fingerprint
-            key = cache_key(None, record.plan, cards, storage_formats,
-                            db_fingerprint=db_fingerprint)
-            keys[position] = key
+        cache_get = feat_cache.get
+        for position, key in enumerate(keys):
             cached = cache_get(key)
             if cached is not None:
                 graphs[position] = cached

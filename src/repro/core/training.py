@@ -217,7 +217,8 @@ def predict_runtimes(model, graphs, feature_scalers, target_scaler,
         return np.array([])
     if batch_cache is None:
         batch_cache = _PREDICT_BATCH_CACHE
-    model.eval()
+    if model.training:  # eval() walks the whole module tree
+        model.eval()
     outputs = []
     with no_grad():
         if batch_cache is False:

@@ -20,12 +20,23 @@ request mix, a ``DONE`` value is bit-identical to a direct
 ``predict_runtimes`` call on the same model, and every departure from the
 model path (degraded, failed, deadline-expired) is typed and flagged.
 
+The unit of model work is the *deployment*, not the database: a
+micro-batch is grouped by resolved route, and each group costs one
+``featurize_records`` call (which splits per database internally) and one
+``predict_runtimes`` call.  Under zero-shot routing every unseen database
+falls back to the default deployment, so a micro-batch spanning many
+databases is still one model call.  Each request carries its own database
+and its plan digest, computed once at submit (or shipped by the fleet
+router) and reused as the featurization-cache key.
+
 Thread-safety: one internal lock guards the result cache, the digest memo,
 the routes and the counters.  Featurization and inference run outside it.
 The featurization/batch caches, the breakers and the analytical fallbacks
 are touched only by the processing thread (the batcher thread in the
 server; the worker main loop in the fleet), so they need no locking of
-their own.
+their own.  A request's ``digest`` is set once (at submit, from the fleet
+wire, or by the processing thread for a request that arrived without one)
+and never changes afterwards.
 """
 
 from __future__ import annotations
@@ -192,14 +203,15 @@ class PredictionRequest:
     crossed a worker pipe.
     """
 
-    __slots__ = ("db_name", "plan", "status", "value", "error", "served_by",
-                 "submitted_at", "completed_at", "retries", "priority",
-                 "deadline_ms", "trace", "_event")
+    __slots__ = ("db_name", "plan", "digest", "status", "value", "error",
+                 "served_by", "submitted_at", "completed_at", "retries",
+                 "priority", "deadline_ms", "trace", "_event")
 
     def __init__(self, db_name, plan, priority=RequestPriority.NORMAL,
-                 deadline_ms=None):
+                 deadline_ms=None, digest=None):
         self.db_name = db_name
         self.plan = plan
+        self.digest = digest  # plan content fingerprint; None = not yet
         self.priority = RequestPriority(priority)
         self.deadline_ms = deadline_ms  # per-request age cap (ms), or None
         self.status = RequestStatus.PENDING
@@ -433,6 +445,11 @@ class ServingCore:
         observer.record(Observation(db_name, plan, digest, float(value),
                                     route.served_by, trace_id))
 
+    def _observe_request(self, request, value, route):
+        trace = request.trace
+        self._observe(request.db_name, request.plan, request.digest, value,
+                      route, trace.trace_id if trace is not None else None)
+
     # ------------------------------------------------------------------
     # Routing / hot-swap
     # ------------------------------------------------------------------
@@ -452,8 +469,17 @@ class ServingCore:
         checkpoints instead of wedging.
         """
         generation = self.registry.generation
-        routes = {db_name: self._resolve_one(digest)
-                  for db_name, digest in self._db_digests.items()}
+        # Databases resolving to one deployment share one route object: it
+        # is the group key of process_batch.  Deployments are compared by
+        # value, so two names publishing one checkpoint stay two groups
+        # (each keeps its own served_by).
+        shared = {}
+        routes = {}
+        for db_name, digest in self._db_digests.items():
+            route = self._resolve_one(digest)
+            if route is not None:
+                route = shared.setdefault(route.deployment, route)
+            routes[db_name] = route
         with self._lock:
             for db_name, route in routes.items():
                 previous = self._routes.get(db_name)
@@ -563,21 +589,32 @@ class ServingCore:
     def process_batch(self, batch):
         """Serve one micro-batch of :class:`PredictionRequest` objects.
 
-        Groups by database, routes each group, enforces deadlines, retries
-        with backoff, bisects poisoned groups, degrades behind the circuit
-        breaker — and completes every request in ``batch`` exactly once.
+        Groups by resolved deployment (not by database: every database
+        routed to one deployment shares one model call), enforces
+        deadlines, retries with backoff, bisects poisoned groups, degrades
+        behind the circuit breaker — and completes every request in
+        ``batch`` exactly once.
         """
         self.maybe_swap()
         perfstats.increment("serve.batch.count")
         perfstats.increment("serve.batch.requests", len(batch))
         with self._lock:
             self._batch_sizes[len(batch)] += 1
+            routes = self._routes
         started = time.perf_counter()
-        by_db = {}
+        by_route = {}
         for request in batch:
-            by_db.setdefault(request.db_name, []).append(request)
-        for db_name, requests in by_db.items():
-            self._process_group(db_name, requests)
+            by_route.setdefault(routes.get(request.db_name), []).append(
+                request)
+        unroutable = by_route.pop(None, ())
+        if unroutable:
+            with self._lock:
+                self._counts["failed"] += len(unroutable)
+            for request in unroutable:
+                request._finish(RequestStatus.FAILED, error=RoutingError(
+                    f"no deployment serves {request.db_name!r}"))
+        for route, requests in by_route.items():
+            self._process_group(route, requests)
         finished = time.perf_counter()
         REGISTRY.observe("serve.batch_ms", (finished - started) * 1e3)
         for request in batch:
@@ -588,24 +625,18 @@ class ServingCore:
                     "serve.latency_ms",
                     (request.completed_at - request.submitted_at) * 1e3)
 
-    def _process_group(self, db_name, requests):
-        route = self.route_for(db_name)
-        if route is None:
-            error = RoutingError(f"no deployment serves {db_name!r}")
-            with self._lock:
-                self._counts["failed"] += len(requests)
-            for request in requests:
-                request._finish(RequestStatus.FAILED, error=error)
-            return
-        digests = [self.plan_digest(db_name, request.plan)
-                   for request in requests]
+    def _process_group(self, route, requests):
+        for request in requests:
+            if request.digest is None:  # not hashed at submit
+                request.digest = self.plan_digest(request.db_name,
+                                                  request.plan)
         # Late cache probe: a duplicate that was queued before its twin's
         # batch completed is answered here instead of re-predicted.
-        pending, keys, hits = [], [], []
+        pending, hits = [], []
         with self._lock:
-            for request, digest in zip(requests, digests):
-                key = (route.checkpoint_key, digest)
-                value = self._cache_get_locked(key)
+            for request in requests:
+                value = self._cache_get_locked(
+                    (route.checkpoint_key, request.digest))
                 if value is not None:
                     self._counts["cached"] += 1
                     perfstats.increment("serve.cache.hit")
@@ -613,30 +644,26 @@ class ServingCore:
                         request.trace.annotate("cache.hit")
                     request._finish(RequestStatus.CACHED, value=value,
                                     served_by=route.served_by)
-                    hits.append((request, digest, value))
+                    hits.append((request, value))
                 else:
                     pending.append(request)
-                    keys.append(key)
-        for request, digest, value in hits:  # observe outside the lock
-            self._observe(db_name, request.plan, digest, value, route,
-                          trace_id=(request.trace.trace_id
-                                    if request.trace is not None else None))
+        for request, value in hits:  # observe outside the lock
+            self._observe_request(request, value, route)
         if not pending:
             return
         perfstats.increment("serve.cache.miss", len(pending))
-        digests = [key[1] for key in keys]
         breaker = self._breakers.setdefault(route.checkpoint_key, _Breaker())
         if not breaker.allows_model_path(self.config.breaker_reset_ms / 1e3):
             # Breaker open: the model path is known-bad; answer from the
             # analytical baseline (or fail typed) without touching it.
-            self._finish_degraded(db_name, route, pending)
+            self._finish_degraded(route, pending)
             return
-        self._predict_group(db_name, route, breaker, pending, digests)
+        self._predict_group(route, breaker, pending)
 
-    def _predict_group(self, db_name, route, breaker, requests, digests):
+    def _predict_group(self, route, breaker, requests):
         """Retry with backoff; on persistent failure bisect until the
         poisoned request is isolated; enforce per-request deadlines."""
-        requests, digests = self._enforce_deadlines(requests, digests)
+        requests = self._enforce_deadlines(requests)
         if not requests:
             return
         last_error = None
@@ -658,31 +685,26 @@ class ServingCore:
                     if request.trace is not None:
                         request.trace.add_stage("backoff", backoff_start,
                                                 backoff_end, self.proc_label)
-                requests, digests = self._enforce_deadlines(requests,
-                                                            digests)
+                requests = self._enforce_deadlines(requests)
                 if not requests:
                     return
             try:
-                values = self._attempt(db_name, requests, digests,
-                                       route.model)
+                values = self._attempt(requests, route.model)
             except Exception as exc:  # noqa: BLE001 — injected or real
                 perfstats.increment("serve.fault.model_path")
                 last_error = exc
                 continue
             breaker.record_success()
+            values = [float(value) for value in values]
             with self._lock:
                 self._counts["completed"] += len(requests)
-                for digest, value in zip(digests, values):
-                    self._cache_put_locked((route.checkpoint_key, digest),
-                                           float(value))
-            for request, digest, value in zip(requests, digests, values):
-                request._finish(RequestStatus.DONE, value=float(value),
+                for request, value in zip(requests, values):
+                    self._cache_put_locked(
+                        (route.checkpoint_key, request.digest), value)
+            for request, value in zip(requests, values):
+                request._finish(RequestStatus.DONE, value=value,
                                 served_by=route.served_by)
-                self._observe(db_name, request.plan, digest, float(value),
-                              route,
-                              trace_id=(request.trace.trace_id
-                                        if request.trace is not None
-                                        else None))
+                self._observe_request(request, value, route)
             return
         if len(requests) > 1:
             # Poisoned-batch bisection: the halves retry independently, so
@@ -694,23 +716,25 @@ class ServingCore:
                 if request.trace is not None:
                     request.trace.annotate("bisect")
             mid = len(requests) // 2
-            self._predict_group(db_name, route, breaker,
-                                requests[:mid], digests[:mid])
-            self._predict_group(db_name, route, breaker,
-                                requests[mid:], digests[mid:])
+            self._predict_group(route, breaker, requests[:mid])
+            self._predict_group(route, breaker, requests[mid:])
             return
         # A single request exhausted its retries: it fails alone — and the
         # breaker counts it; past the threshold the deployment degrades.
         breaker.record_failure(self.config.breaker_threshold)
         if breaker.state == "open" and self.config.degraded_fallback:
-            self._finish_degraded(db_name, route, requests)
+            self._finish_degraded(route, requests)
             return
         with self._lock:
             self._counts["failed"] += 1
         requests[0]._finish(RequestStatus.FAILED, error=last_error)
 
-    def _attempt(self, db_name, requests, digests, model):
+    def _attempt(self, requests, model):
         """One model-path attempt over a group (featurize + predict).
+
+        The group may span databases: ``featurize_records`` splits per
+        database internally, and the submit-time digests double as its
+        cache keys, so no plan is hashed again here.
 
         Traced requests record the group's featurize and infer intervals:
         a batched request waits through the whole group operation, so the
@@ -720,15 +744,16 @@ class ServingCore:
         """
         traced = [request for request in requests
                   if request.trace is not None]
+        digests = [request.digest for request in requests]
         faults.check("serve.featurize", keys=digests)
-        records = [ServingRecord(db_name, request.plan)
+        records = [ServingRecord(request.db_name, request.plan)
                    for request in requests]
         if traced:
             feat_start = time.perf_counter()
         graphs = featurize_records(
             records, self._dbs, cards=self.config.cards,
             estimator_cache=self._estimator_cache,
-            feat_cache=self._feat_cache)
+            feat_cache=self._feat_cache, keys=digests)
         if traced:
             feat_end = time.perf_counter()
             for request in traced:
@@ -747,8 +772,8 @@ class ServingCore:
                                         self.proc_label)
         return values
 
-    def _enforce_deadlines(self, requests, digests):
-        """Fail requests whose age exceeds their deadline.
+    def _enforce_deadlines(self, requests):
+        """Fail requests whose age exceeds their deadline; return the rest.
 
         A request's own ``deadline_ms`` (which crosses the fleet pipe with
         it) takes precedence over the config-wide ``request_timeout_ms``;
@@ -758,10 +783,10 @@ class ServingCore:
         config_ms = self.config.request_timeout_ms
         if config_ms is None and not any(
                 request.deadline_ms is not None for request in requests):
-            return requests, digests
+            return requests
         now = time.perf_counter()
-        alive, alive_digests, expired = [], [], []
-        for request, digest in zip(requests, digests):
+        alive, expired = [], []
+        for request in requests:
             timeout_ms = (request.deadline_ms
                           if request.deadline_ms is not None else config_ms)
             if (timeout_ms is not None
@@ -769,7 +794,6 @@ class ServingCore:
                 expired.append((request, timeout_ms))
             else:
                 alive.append(request)
-                alive_digests.append(digest)
         if expired:
             perfstats.increment("serve.fault.deadline", len(expired))
             with self._lock:
@@ -782,14 +806,15 @@ class ServingCore:
                                 error=DeadlineExceededError(
                                     f"request exceeded its "
                                     f"{timeout_ms:.0f} ms deadline"))
-        return alive, alive_digests
+        return alive
 
-    def _finish_degraded(self, db_name, route, requests):
+    def _finish_degraded(self, route, requests):
         """Answer requests from the analytical cost model, flagged DEGRADED.
 
-        Degraded values never enter the result cache — a recovered model
-        must never replay them — and ``served_by`` names the fallback, not
-        the deployment.
+        Each request is answered by its own database's analytical model
+        (a group may span databases).  Degraded values never enter the
+        result cache — a recovered model must never replay them — and
+        ``served_by`` names the fallback, not the deployment.
         """
         if not self.config.degraded_fallback:
             error = RoutingError(
@@ -800,10 +825,6 @@ class ServingCore:
             for request in requests:
                 request._finish(RequestStatus.FAILED, error=error)
             return
-        analytical = self._analytical.get(db_name)
-        if analytical is None:
-            analytical = AnalyticalCostModel(self._dbs[db_name])
-            self._analytical[db_name] = analytical
         served_by = ("analytical", route.deployment.name)
         perfstats.increment("serve.degraded.count", len(requests))
         with self._lock:
@@ -811,6 +832,10 @@ class ServingCore:
         for request in requests:
             if request.trace is not None:
                 request.trace.annotate("degraded")
+            analytical = self._analytical.get(request.db_name)
+            if analytical is None:
+                analytical = AnalyticalCostModel(self._dbs[request.db_name])
+                self._analytical[request.db_name] = analytical
             try:
                 value = analytical.predict_plan(request.plan)
             except Exception as exc:  # noqa: BLE001 — even fallbacks fail

@@ -28,9 +28,15 @@ BRAD-style front-end/worker split that removes the cap:
   ordered and both sides apply identical insert/touch/evict sequences), so
   a hot plan is pickled once per worker, not once per request.  Each
   request also carries its ``submitted_at`` timestamp, its per-request
-  ``deadline_ms`` and its :class:`~repro.serving.core.RequestPriority`
-  across the pipe, so a worker drops already-expired requests *before*
-  featurizing them (typed ``DeadlineExceededError``, counted).
+  ``deadline_ms``, its :class:`~repro.serving.core.RequestPriority` and
+  its plan digest across the pipe, so a worker drops already-expired
+  requests *before* featurizing them (typed ``DeadlineExceededError``,
+  counted) and never re-hashes a plan the router already hashed.
+* **One worker, one core.**  Each worker pins BLAS to a single thread at
+  spawn (:func:`~repro.nn.limit_blas_threads`): with merged micro-batches
+  the workers' matmuls would otherwise cross OpenBLAS's multithreading
+  threshold and oversubscribe the CPUs the pool is sized to.  The router
+  process keeps default BLAS threading.
 * **Exactly-once completion across worker death — and worker hangs.**
   The router supervises its workers two ways.  A *dead* worker (crash,
   kill -9) is detected through its pipe; a *hung* worker — wedged in
@@ -113,6 +119,7 @@ import numpy as np
 from .. import perfstats
 from ..bench.parallel import WorkerProcess
 from ..featurization import database_digest, plan_fingerprint
+from ..nn import blas_threads, limit_blas_threads
 from ..obs.metrics import REGISTRY, snapshot_delta
 from ..obs.trace import TraceContext, Tracer
 from ..optimizer.cost_model import AnalyticalCostModel
@@ -171,7 +178,14 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
     inherited — each worker owns independent seeded streams.  When it is
     ``None``, a schedule installed process-wide before the fork stays
     active inside the worker: that is the chaos-propagation path.
+
+    A worker is one core by design: BLAS runs single-threaded here, so
+    merged micro-batches crossing OpenBLAS's threading threshold cannot
+    oversubscribe the machine (the router resolved the symbol pre-fork).
+    Each request's plan digest arrives on the wire from the router, so a
+    worker never re-hashes a plan.
     """
+    limit_blas_threads(1)
     perfstats.reset()  # worker-local counters (fault.injected.* reporting)
     if fault_schedule is not None:
         faults.uninstall()  # replace anything inherited through the fork
@@ -290,11 +304,12 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
         requests, req_ids = [], []
         for message, recv_ts in zip(batch, recv_times):
             (_, req_id, db_name, token, _payload, submitted_at,
-             deadline_ms, priority, trace_send_ts) = message
+             deadline_ms, priority, trace_send_ts, digest) = message
             apply_tokens(message)
             request = PredictionRequest(db_name, plans[token],
                                         priority=RequestPriority(priority),
-                                        deadline_ms=deadline_ms)
+                                        deadline_ms=deadline_ms,
+                                        digest=digest)
             # The router's submit timestamp: deadlines and latency count
             # pipe time (perf_counter is system-wide on this platform).
             request.submitted_at = submitted_at
@@ -335,13 +350,11 @@ class _PendingEntry:
     nothing to complete.
     """
 
-    __slots__ = ("req_id", "request", "digest", "slots", "hedges",
-                 "last_send")
+    __slots__ = ("req_id", "request", "slots", "hedges", "last_send")
 
-    def __init__(self, req_id, request, digest):
+    def __init__(self, req_id, request):
         self.req_id = req_id
         self.request = request
-        self.digest = digest
         self.slots = []
         self.hedges = 0
         self.last_send = time.perf_counter()
@@ -388,7 +401,7 @@ class _WorkerSlot:
             self.tokens.popitem(last=False)
         return token, plan
 
-    def send_locked(self, req_id, request, digest):
+    def send_locked(self, req_id, request):
         """Encode and send one request (caller holds ``send_lock``).
 
         The ``fleet.pipe.send`` fault point is consulted *before* the
@@ -402,7 +415,7 @@ class _WorkerSlot:
             # A raised send fault models a failed write: the request stays
             # registered in `pending`, so hedging or a restart re-sends it.
             return
-        token, payload = self.token_for(digest, request.plan)
+        token, payload = self.token_for(request.digest, request.plan)
         trace = request.trace
         send_ts = None
         if trace is not None:
@@ -416,15 +429,15 @@ class _WorkerSlot:
             self.wp.conn.send(("req", req_id, request.db_name, token,
                                payload, request.submitted_at,
                                request.deadline_ms, request.priority.value,
-                               send_ts))
+                               send_ts, request.digest))
         except (OSError, BrokenPipeError):
             # Worker died under us: the request is registered in
             # `pending`, so the supervisor's restart will re-send it.
             pass
 
-    def send(self, req_id, request, digest):
+    def send(self, req_id, request):
         with self.send_lock:
-            self.send_locked(req_id, request, digest)
+            self.send_locked(req_id, request)
 
     def send_control(self, message):
         """Send a control message through the send fault point; swallows
@@ -480,7 +493,7 @@ class _WorkerSlot:
             self.send_lock.release()
         return True
 
-    def send_nowait(self, req_id, request, digest):
+    def send_nowait(self, req_id, request):
         """Best-effort request send (the hedging path); never waits for a
         contended lock or a full pipe.  On ``False`` the request stays
         registered in ``pending``, so a later hedge scan or a restart
@@ -490,7 +503,7 @@ class _WorkerSlot:
         try:
             if not self.writable():
                 return False
-            self.send_locked(req_id, request, digest)
+            self.send_locked(req_id, request)
         finally:
             self.send_lock.release()
         return True
@@ -625,6 +638,7 @@ class PredictorFleet:
     def start(self):
         if self._running:
             raise RuntimeError("fleet already started")
+        blas_threads()  # resolve the BLAS symbols once, before forking
         self._slots = []
         for index in range(self.n_workers):
             wp = WorkerProcess(
@@ -731,9 +745,11 @@ class PredictorFleet:
                            "this fleet")
         self._maybe_swap()
         priority = RequestPriority(priority)
-        request = PredictionRequest(db_name, plan, priority=priority,
-                                    deadline_ms=deadline_ms)
+        # The digest keys the plan tokens and crosses the pipe with the
+        # request, so workers never re-hash the plan.
         digest = self._plan_digest(db_name, plan)
+        request = PredictionRequest(db_name, plan, priority=priority,
+                                    deadline_ms=deadline_ms, digest=digest)
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             with self._seq_lock:
@@ -774,7 +790,7 @@ class PredictorFleet:
                 req_id = self._req_seq
                 self._req_seq += 1
                 slot = self._route_locked(db_name)
-                entry = _PendingEntry(req_id, request, digest)
+                entry = _PendingEntry(req_id, request)
                 entry.slots.append(slot)
                 self._pending[req_id] = entry
                 slot.pending[req_id] = entry
@@ -787,7 +803,7 @@ class PredictorFleet:
         if brownout:
             self._finish_brownout(request)
             return request
-        slot.send(req_id, request, digest)
+        slot.send(req_id, request)
         return request
 
     def submit_many(self, plans, db_name, block=False, timeout=None,
@@ -1027,7 +1043,7 @@ class PredictorFleet:
             # Best-effort: a send that cannot proceed without blocking is
             # skipped — the entry stays registered on the target, so the
             # next scan (or the target's restart) re-ships it.
-            target.send_nowait(entry.req_id, entry.request, entry.digest)
+            target.send_nowait(entry.req_id, entry.request)
 
     # ------------------------------------------------------------------
     # Collection + supervision
@@ -1155,7 +1171,7 @@ class PredictorFleet:
                     entry.last_send = now
                     if entry.request.trace is not None:
                         entry.request.trace.annotate("requeued")
-                    slot.send_locked(req_id, entry.request, entry.digest)
+                    slot.send_locked(req_id, entry.request)
             self._spawn_collector(slot)
 
     def kill_worker(self, index):

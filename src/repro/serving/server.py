@@ -4,8 +4,9 @@ Clients — any number of threads — submit plans for any registered database
 and get a :class:`PredictionRequest` handle back immediately.  A single
 *supervised* batcher thread coalesces queued requests into micro-batches on
 a deadline/size trigger (whichever fires first), routes every request to a
-compatible model deployment by database fingerprint, featurizes each batch
-through the shared vectorized pipeline and predicts through
+compatible model deployment by database fingerprint, featurizes each
+deployment's share of the batch in one call through the shared vectorized
+pipeline and predicts through
 ``predict_runtimes`` — i.e. the PR-1 graph-free ``forward_inference`` fast
 path.  The design follows what learned-cost-model serving needs in systems
 like BRAD: multi-model routing, bounded latency, bounded memory — and,
@@ -252,8 +253,9 @@ class PredictorServer:
             return request
         # The content hash is a pure function of the plan: compute it
         # outside the locks so concurrent first-seen submits don't serialize
-        # behind each other's O(plan) digest walks.
-        digest = core.plan_digest(db_name, plan)
+        # behind each other's O(plan) digest walks.  The request carries it
+        # to the batcher, which reuses it as the featurization-cache key.
+        digest = request.digest = core.plan_digest(db_name, plan)
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             with self._seq_lock:

@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serving.core as serving_core
 from repro import perfstats
 from repro.bench import ArtifactStore
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
@@ -73,12 +74,35 @@ def _registry(world, tmp_path):
     return registry
 
 
-def _server(world, registry, **overrides):
+def _server(world, registry, dbs=None, **overrides):
     defaults = dict(max_batch_size=4, max_delay_ms=1.0,
                     retry_backoff_ms=0.2)
     defaults.update(overrides)
-    return PredictorServer(registry, world["dbs"],
+    return PredictorServer(registry, dbs or world["dbs"],
                            ServerConfig(**defaults))
+
+
+@pytest.fixture(scope="module")
+def cross_db(world):
+    """A second, unseen database routed to the same (default) deployment,
+    plus an interleaved two-database request mix with direct values."""
+    spec = random_database_spec("chaos_db2", seed=32, layout="snowflake",
+                                base_rows=400, n_tables=4, complexity=0.6)
+    db2 = generate_database(spec)
+    queries = WorkloadGenerator(db2, WorkloadConfig(max_joins=2),
+                                seed=8).generate(4)
+    records2 = list(generate_trace(db2, queries, seed=8))
+    dbs = {**world["dbs"], db2.name: db2}
+    model = world["model"]
+    direct2 = predict_runtimes(
+        model.model, featurize_records(records2, dbs, cards="exact"),
+        model.feature_scalers, model.target_scaler, batch_cache=False)
+    mix = []
+    for i, record in enumerate(records2):
+        mix.append((world["db"].name, world["records"][i].plan,
+                    float(world["direct"][i])))
+        mix.append((db2.name, record.plan, float(direct2[i])))
+    return {"dbs": dbs, "mix": mix}
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +393,35 @@ class TestServerRetryAndBisection:
                 assert handle.value == float(world["direct"][i])
         assert server.stats()["bisects"] >= 1
 
+    def test_poisoned_request_in_cross_database_group_fails_alone(
+            self, world, cross_db, tmp_path):
+        """Both databases route to one deployment, so the batch is one
+        group; bisection still isolates the poisoned request."""
+        registry = _registry(world, tmp_path)
+        mix = cross_db["mix"]
+        server = _server(world, registry, dbs=cross_db["dbs"],
+                         max_batch_size=len(mix), max_retries=1)
+        poisoned = 3
+        db_name, plan, _ = mix[poisoned]
+        schedule = FaultSchedule(
+            [FaultSpec("serve.featurize",
+                       keys={server._plan_digest(db_name, plan)})], seed=0)
+        with inject(schedule):
+            handles = [server.submit(p, name) for name, p, _ in mix]
+            with server:
+                for handle in handles:
+                    handle.wait(30.0)
+        for i, (handle, (_, _, expected)) in enumerate(zip(handles, mix)):
+            if i == poisoned:
+                assert handle.status is RequestStatus.FAILED
+                assert isinstance(handle.error, InjectedFault)
+            else:
+                assert handle.status is RequestStatus.DONE
+                assert handle.value == expected
+        stats = server.stats()
+        assert stats["batch_size_hist"] == {len(mix): 1}
+        assert stats["bisects"] >= 1
+
     def test_deadline_enforced(self, world, tmp_path):
         registry = _registry(world, tmp_path)
         server = _server(world, registry, request_timeout_ms=1.0,
@@ -529,6 +582,50 @@ class TestCircuitBreaker:
                                     allow_degraded=True)
         analytical = AnalyticalCostModel(world["db"])
         assert list(values) == [analytical.predict_plan(p) for p in plans]
+
+    def test_cross_database_group_degrades_per_database(
+            self, world, cross_db, tmp_path, monkeypatch):
+        """With the breaker open, a group spanning two databases is
+        answered by each request's *own* database's analytical model."""
+
+        class PerDatabaseFallback:
+            """Answers with a value that names the database it was built
+            for (the real model's estimates can coincide across them)."""
+
+            def __init__(self, db):
+                self.db = db
+
+            def predict_plan(self, plan):
+                return float(len(self.db.name))
+
+        monkeypatch.setattr(serving_core, "AnalyticalCostModel",
+                            PerDatabaseFallback)
+        registry = _registry(world, tmp_path)
+        mix = cross_db["mix"]
+        server = _server(world, registry, dbs=cross_db["dbs"],
+                         max_batch_size=len(mix), max_retries=0,
+                         breaker_threshold=1, breaker_reset_ms=10_000.0)
+        schedule = FaultSchedule(
+            [FaultSpec("serve.infer", rate=1.0)], seed=0)
+        with inject(schedule):
+            with server:  # one failure opens the breaker
+                opener = server.submit(mix[0][1], mix[0][0])
+                assert opener.wait(30.0)
+                assert opener.status is RequestStatus.DEGRADED
+            # A fresh transport over the same core (and breaker): the
+            # queued mix is one group behind the open breaker.
+            server = PredictorServer(registry, cross_db["dbs"],
+                                     core=server.core)
+            handles = [server.submit(p, name) for name, p, _ in mix[1:]]
+            with server:
+                for handle in handles:
+                    assert handle.wait(30.0)
+        assert len({len(name) for name in cross_db["dbs"]}) == 2
+        for handle, (name, _, _) in zip(handles, mix[1:]):
+            assert handle.status is RequestStatus.DEGRADED
+            assert handle.served_by == ("analytical", "chaos")
+            assert handle.value == float(len(name))
+        assert server.stats()["batch_size_hist"] == {1: 1, len(mix) - 1: 1}
 
     def test_degradation_disabled_fails_typed(self, world, tmp_path):
         registry = _registry(world, tmp_path)

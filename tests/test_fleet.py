@@ -18,12 +18,15 @@ import os
 import numpy as np
 import pytest
 
+import repro.featurization.fingerprint as fingerprint
+import repro.serving.fleet as fleet_module
 from repro.bench.parallel import WorkerProcess
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
 from repro.featurization import FeatureScalers, TargetScaler, database_digest
+from repro.nn import blas_threads
 from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
                            RequestStatus, ServerConfig, run_load,
                            skewed_requests)
@@ -264,6 +267,81 @@ class TestFleetEquivalence:
         with PredictorFleet(registry, world["dbs"], n_workers=1) as fleet:
             with pytest.raises(KeyError):
                 fleet.submit(world["records_a"][0].plan, "nope")
+
+
+def _log_calls(monkeypatch, module, name, log):
+    """Wrap ``module.name`` so every call — in this process or a forked
+    worker — appends ``"<pid> <result>"`` to ``log``."""
+    original = getattr(module, name)
+
+    def logged(*args):
+        result = original(*args)
+        line = f"{os.getpid()} {result!r}\n".encode()
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, line)
+        finally:
+            os.close(fd)
+        return result
+
+    monkeypatch.setattr(module, name, logged)
+
+
+class TestFleetWorkerCost:
+    def test_router_hashes_each_plan_once_workers_never(self, world,
+                                                        tmp_path,
+                                                        monkeypatch):
+        """The router's digest crosses the pipe: every fresh plan is
+        hashed once in the router and zero times in any worker."""
+        log = tmp_path / "digests.log"
+        _log_calls(monkeypatch, fingerprint, "_digest", log)
+        registry = _registry_with(world, tmp_path / "registry")
+        plans_a = [r.plan for r in world["records_a"]]
+        plans_b = [r.plan for r in world["records_b"]]
+        config = ServerConfig(result_cache_size=0)
+        with PredictorFleet(registry, world["dbs"], config,
+                            n_workers=2) as fleet:
+            got_a = fleet.predict(plans_a, world["db_a"].name)
+            got_b = fleet.predict(plans_b, world["db_b"].name)
+        np.testing.assert_array_equal(got_a, world["expected_a"])
+        np.testing.assert_array_equal(got_b, world["expected_b"])
+        pids = [line.split()[0] for line in log.read_text().splitlines()]
+        assert pids == [str(os.getpid())] * (len(plans_a) + len(plans_b))
+
+    @pytest.mark.skipif(blas_threads() is None,
+                        reason="no OpenBLAS thread setter loaded")
+    def test_workers_pin_blas_to_one_thread(self, world, tmp_path,
+                                            monkeypatch):
+        """Each worker is one core: it pins BLAS to one thread at spawn,
+        while the router keeps its own BLAS threading."""
+        log = tmp_path / "blas.log"
+        _log_calls(monkeypatch, fleet_module, "limit_blas_threads", log)
+        before = blas_threads()
+        registry = _registry_with(world, tmp_path / "registry")
+        with PredictorFleet(registry, world["dbs"], n_workers=2) as fleet:
+            fleet.predict([world["records_a"][0].plan], world["db_a"].name)
+            pids = fleet.worker_pids()
+        calls = [line.split()[0] for line in log.read_text().splitlines()]
+        assert sorted(calls) == sorted(str(pid) for pid in pids)
+        assert blas_threads() == before
+
+
+def _report_blas(conn):
+    conn.send((fleet_module.limit_blas_threads(1), blas_threads()))
+
+
+@pytest.mark.skipif(blas_threads() is None,
+                    reason="no OpenBLAS thread setter loaded")
+def test_limit_blas_threads_in_a_forked_child():
+    """The pin takes effect in the child and leaves the parent alone."""
+    before = blas_threads()
+    wp = WorkerProcess(_report_blas).start()
+    try:
+        previous, pinned = wp.recv()
+    finally:
+        wp.stop()
+    assert (previous, pinned) == (before, 1)
+    assert blas_threads() == before
 
 
 # ----------------------------------------------------------------------

@@ -209,7 +209,7 @@ class TestFleetChaosSmoke:
         """bench_fleet_chaos must drive every PR-9 mechanism: the hang is
         detected and killed (``fleet.hang.*``), stragglers are hedged
         (``fleet.hedge.*``), and the priority-classed overload plane
-        sheds or browns out under 2x saturation
+        sheds or browns out under a saturation burst
         (``serve.shed.priority.*`` / ``fleet.brownout.count``)."""
         db, records = harness.build_plan_corpus(n_queries=48, seed=3,
                                                 base_rows=400)

@@ -13,6 +13,8 @@ import threading
 import numpy as np
 import pytest
 
+import repro.featurization.fingerprint as fingerprint
+import repro.serving.core as serving_core
 from repro import perfstats
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
@@ -461,6 +463,120 @@ class TestPredictorServer:
             server.predict(plans, world["db_a"].name)
             stats = server.stats()
         assert stats["result_cache_entries"] <= 4
+
+
+# ----------------------------------------------------------------------
+# The deployment is the unit of model work
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def four_dbs(world):
+    """Four databases with six executed plans each, keyed by name."""
+    dbs = dict(world["dbs"])
+    records = {world["db_a"].name: world["records_a"][:6],
+               world["db_b"].name: world["records_b"][:6]}
+    for name, seed in (("grouped_c", 33), ("grouped_d", 44)):
+        dbs[name] = _make_db(name, seed=seed, base_rows=300)
+        records[name] = _make_trace(dbs[name], 6, seed=seed)
+    return dbs, records
+
+
+def _round_robin(records):
+    """(db_name, plan) pairs alternating over the databases, like live
+    traffic."""
+    return [(name, plans[i].plan) for i in range(6)
+            for name, plans in records.items()]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so every call is recorded; returns the log."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestDeploymentGrouping:
+    def test_cross_database_batch_is_one_model_call(self, world, four_dbs,
+                                                    tmp_path, monkeypatch):
+        """Four unseen databases all route to the default deployment: one
+        micro-batch over them costs one featurize and one predict call,
+        and every value equals the per-database direct prediction."""
+        dbs, records = four_dbs
+        registry = ModelRegistry(tmp_path)
+        model = _make_model(world["graphs_a"], world["runtimes_a"], seed=0)
+        registry.publish("main", model, default=True)
+        mix = _round_robin(records)
+        server = PredictorServer(registry, dbs, ServerConfig(
+            max_batch_size=len(mix), result_cache_size=0))
+        # Queued before start: the whole mix is one micro-batch.
+        handles = [server.submit(plan, name) for name, plan in mix]
+        featurize_calls = _count_calls(monkeypatch, serving_core,
+                                       "featurize_records")
+        predict_calls = _count_calls(monkeypatch, serving_core,
+                                     "predict_runtimes")
+        with server:
+            values = [handle.result(30) for handle in handles]
+        assert server.stats()["batch_size_hist"] == {len(mix): 1}
+        assert len(featurize_calls) == 1
+        assert len(predict_calls) == 1
+        for name, db_records in records.items():
+            expected = _direct(model, featurize_records(db_records, dbs,
+                                                        cards="exact"))
+            got = [value for (db_name, _), value in zip(mix, values)
+                   if db_name == name]
+            np.testing.assert_array_equal(got, expected)
+
+    def test_each_fresh_plan_is_hashed_once(self, world, four_dbs, tmp_path,
+                                            monkeypatch):
+        """The submit-time digest is the result-cache key *and* the
+        featurization-cache key: no plan is hashed a second time."""
+        dbs, records = four_dbs
+        registry = ModelRegistry(tmp_path)
+        model = _make_model(world["graphs_a"], world["runtimes_a"], seed=0)
+        registry.publish("main", model, default=True)
+        mix = _round_robin(records)
+        digest_calls = _count_calls(monkeypatch, fingerprint, "_digest")
+        config = ServerConfig(max_batch_size=8, max_delay_ms=1.0,
+                              result_cache_size=0)
+        with PredictorServer(registry, dbs, config) as server:
+            handles = [server.submit(plan, name) for name, plan in mix]
+            for handle in handles:
+                handle.result(30)
+        assert len(digest_calls) == len(mix)
+
+    def test_deployments_sharing_a_checkpoint_keep_their_served_by(
+            self, world, tmp_path, monkeypatch):
+        """Two deployment names publishing one checkpoint are two groups:
+        each request is attributed to its own deployment."""
+        registry = ModelRegistry(tmp_path)
+        model = _make_model(world["graphs_a"], world["runtimes_a"], seed=0)
+        d_a = registry.publish("model_a", model, dbs=[world["db_a"]])
+        d_b = registry.publish("model_b", model, dbs=[world["db_b"]])
+        assert d_a.checkpoint_key == d_b.checkpoint_key
+        plans_a = [r.plan for r in world["records_a"][:5]]
+        plans_b = [r.plan for r in world["records_b"][:5]]
+        server = PredictorServer(registry, world["dbs"], ServerConfig(
+            max_batch_size=10, result_cache_size=0))
+        handles_a = [server.submit(p, world["db_a"].name) for p in plans_a]
+        handles_b = [server.submit(p, world["db_b"].name) for p in plans_b]
+        predict_calls = _count_calls(monkeypatch, serving_core,
+                                     "predict_runtimes")
+        with server:
+            got_a = [handle.result(30) for handle in handles_a]
+            got_b = [handle.result(30) for handle in handles_b]
+        assert server.stats()["batch_size_hist"] == {10: 1}
+        assert len(predict_calls) == 2  # one per deployment
+        assert {h.served_by for h in handles_a} == {("model_a", 1)}
+        assert {h.served_by for h in handles_b} == {("model_b", 1)}
+        np.testing.assert_array_equal(got_a,
+                                      _direct(model, world["graphs_a"][:5]))
+        np.testing.assert_array_equal(got_b,
+                                      _direct(model, world["graphs_b"][:5]))
 
 
 # ----------------------------------------------------------------------
