@@ -729,15 +729,18 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
     when the hang/hedge/restart counters show the machinery did not fire.
 
     **Phase B — overload control.**  A clean fleet whose workers stall
-    their first batch is hit with a non-blocking saturation burst — one
-    queue's worth of requests submitted back to back, never waiting —
-    carrying a seeded 20/30/50 HIGH/NORMAL/LOW priority mix against a
-    bounded queue with a HIGH reserve and LOW brownout.  The burst
-    overloads the queue by construction, whatever the machine's speed; the
-    fleet's closed-loop capacity is measured afterwards and reported only.
-    The phase **fails** when HIGH availability drops below 0.99 or when
-    shedding does not concentrate on the low-priority classes (per-class
-    numbers from ``LoadReport.by_priority``).
+    their first batch is hit with a non-blocking saturation burst — twice
+    the queue depth, submitted back to back, never waiting — against a
+    bounded queue with a HIGH reserve and LOW brownout.  A seeded shuffle
+    of a queue's worth of NORMAL and the LOW remainder comes first, then
+    exactly the HIGH reserve's worth of HIGH, so the reserve meets its
+    worst case.  The burst overloads the queue by construction, whatever
+    the machine's speed; the fleet's closed-loop capacity is measured
+    afterwards and reported only.  The phase **fails** when HIGH
+    availability drops below 0.99 (a NORMAL cap that leaks into the
+    reserve sheds every HIGH request) or when shedding does not
+    concentrate on the low-priority classes (per-class numbers from
+    ``LoadReport.by_priority``).
 
     Returns a dict with both phases' reports, the relevant perfstats
     deltas, and a ``failures`` list (empty means the run passed).
@@ -748,6 +751,7 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
     from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
                                RequestPriority, RequestStatus, ServerConfig,
                                run_load)
+    from repro.serving.core import admission_limit
 
     dbs = {db.name: db}
     graphs = featurize_records(records, dbs, cards="exact")
@@ -845,19 +849,28 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
                                 high_reserve_fraction=0.25,
                                 brownout_fraction=0.5,
                                 brownout_degraded=True)
-        rng = np.random.default_rng(seed)
-        mix = []
-        for db_name, plan in requests[:overload_queue_depth]:
-            draw = rng.random()
-            priority = (RequestPriority.HIGH if draw < 0.2
-                        else RequestPriority.NORMAL if draw < 0.5
-                        else RequestPriority.LOW)
-            mix.append((db_name, plan, priority))
         # Overload by construction, not by racing a measured rate: every
-        # worker stalls its first batch while the burst (one queue's worth,
-        # so HIGH always fits) is submitted back to back.  Nothing completes
-        # mid-burst, so every LOW request arriving once the queue is
-        # brownout_fraction full is browned out, on every run.
+        # worker stalls its first batch while one client submits a burst of
+        # twice the queue depth back to back.  The class counts follow the
+        # admission ladder: a queue's worth of NORMAL (so NORMAL sheds past
+        # its cap, and would fill the HIGH reserve if the cap were broken),
+        # exactly the reserve's worth of HIGH, LOW for the rest.  HIGH
+        # arrives last, when LOW and NORMAL have filled all they may: that
+        # is the reserve's worst case, and a correct ladder admits every
+        # HIGH request in it, since only HIGH can raise the queue past the
+        # NORMAL cap.  LOW is capped at brownout_fraction of the queue, so
+        # all but that many LOW requests are browned out.
+        n_burst = 2 * overload_queue_depth
+        n_high = admission_limit(RequestPriority.HIGH, overload_queue_depth,
+                                 config_b) - admission_limit(
+            RequestPriority.NORMAL, overload_queue_depth, config_b)
+        n_normal = overload_queue_depth
+        head = ([RequestPriority.NORMAL] * n_normal
+                + [RequestPriority.LOW] * (n_burst - n_normal - n_high))
+        np.random.default_rng(seed).shuffle(head)
+        priorities = head + [RequestPriority.HIGH] * n_high
+        mix = [requests[i % len(requests)] + (priority,)
+               for i, priority in enumerate(priorities)]
         stall = FaultSchedule([
             FaultSpec("fleet.worker.hang", rate=1.0, max_faults=1,
                       action="delay", delay_ms=250.0),
@@ -866,8 +879,7 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
                                fault_schedule=stall)
         with _gc_paused(), fleet:
             report_b = run_load(fleet, mix, LoadConfig(
-                n_clients=n_clients, rate_per_s=None, seed=seed,
-                block=False))
+                n_clients=1, rate_per_s=None, seed=seed, block=False))
             # Reported only: no gate depends on the measured capacity.
             capacity = run_load(fleet, requests, LoadConfig(
                 n_clients=n_clients, rate_per_s=None, seed=seed,

@@ -71,12 +71,15 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
     annotation and construction entirely.  Callers that already hold the
     records' :func:`~repro.featurization.plan_fingerprint` digests (same
     ``cards`` and ``storage_formats``) pass them as ``keys``, so no plan is
-    hashed twice; ``keys`` is ignored without a ``feat_cache``.
+    hashed twice; ``keys`` is ignored without a ``feat_cache``, and must
+    hold one key per record.
     """
     if cards not in CARD_SOURCES:
         raise ValueError(f"unknown cardinality source {cards!r}")
     estimator_cache = estimator_cache or EstimatorCache()
     records = list(records)
+    if keys is not None and len(keys) != len(records):
+        raise ValueError(f"{len(keys)} keys for {len(records)} records")
     graphs = [None] * len(records)
     pending = []
     duplicates = []

@@ -16,7 +16,7 @@ from .optim import (SGD, Adam, Adam_reference, clip_grad_norm,
                     clip_grad_norm_reference)
 from .losses import q_error, q_error_metrics, QErrorLoss, mse_loss, huber_loss
 from .serialize import save_state, load_state
-from .blas import blas_threads, limit_blas_threads
+from .blas import openblas, pin_blas_to_one_thread
 
 __all__ = [
     "Tensor", "concat", "maximum", "scatter_sum", "linear",
@@ -29,5 +29,5 @@ __all__ = [
     "SGD", "Adam", "Adam_reference", "clip_grad_norm",
     "clip_grad_norm_reference",
     "q_error", "q_error_metrics", "QErrorLoss", "mse_loss", "huber_loss",
-    "save_state", "load_state", "blas_threads", "limit_blas_threads",
+    "save_state", "load_state", "openblas", "pin_blas_to_one_thread",
 ]

@@ -4,9 +4,8 @@ numpy's ``@`` hands large products to OpenBLAS, which spreads them over a
 thread per core.  A process that is itself one of several busy workers
 (one fleet worker per core) oversubscribes the machine that way, so such
 a worker pins BLAS to one thread.  The library is found through ``ctypes``
-among the shared objects already mapped into this process, and every call
-is a no-op where no OpenBLAS setter exists (another BLAS, or no
-``/proc/self/maps``).
+among the shared objects already mapped into this process; without an
+OpenBLAS (another BLAS, or no ``/proc/self/maps``) the pin is a no-op.
 
 Symbol resolution is memoized: resolving once in a parent process before
 ``fork`` leaves each child a single store or C call.
@@ -18,7 +17,7 @@ import ctypes
 import functools
 from collections import namedtuple
 
-__all__ = ["blas_threads", "limit_blas_threads"]
+__all__ = ["openblas", "pin_blas_to_one_thread"]
 
 # (setter, getter) symbol pairs: the reference OpenBLAS build, then the
 # 64-bit-integer build numpy's wheels ship as scipy-openblas.
@@ -35,8 +34,10 @@ _OpenBLAS = namedtuple("_OpenBLAS", ["set_threads", "get_threads",
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas():
-    """The loaded OpenBLAS's thread controls, or ``None``."""
+def openblas():
+    """The loaded OpenBLAS's thread controls — ``set_threads``,
+    ``get_threads`` and ``cpu_number`` — or ``None``.  Memoized: the first
+    call resolves the symbols."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps
@@ -65,31 +66,18 @@ def _openblas():
     return None
 
 
-def blas_threads():
-    """OpenBLAS's current thread count, or ``None`` without OpenBLAS.
+def pin_blas_to_one_thread():
+    """Run OpenBLAS single-threaded in this process (no-op without it).
 
-    Also resolves (and memoizes) the library symbols.
+    Where the build exports OpenBLAS's count variable, this is a plain
+    store to it.  The public setter first restarts the thread pool that
+    ``fork`` shut down, and those idle threads spin for about 0.1 s in
+    every freshly forked worker, slowing its start-up.
     """
-    blas = _openblas()
-    return None if blas is None else blas.get_threads()
-
-
-def limit_blas_threads(n):
-    """Set OpenBLAS to ``n`` threads; returns the previous count, or
-    ``None`` (nothing changed) when no OpenBLAS setter is loaded.
-
-    Lowering the count is a plain store to OpenBLAS's count variable where
-    the build exports it.  The public setter first restarts the thread
-    pool that ``fork`` shut down, and those idle threads spin for about
-    0.1 s in every freshly forked worker, slowing its start-up.  Raising
-    the count always goes through the setter, which grows the pool.
-    """
-    blas = _openblas()
+    blas = openblas()
     if blas is None:
-        return None
-    previous = blas.get_threads()
-    if blas.cpu_number is not None and 1 <= n <= previous:
-        blas.cpu_number.value = n
+        return
+    if blas.cpu_number is not None:
+        blas.cpu_number.value = 1
     else:
-        blas.set_threads(int(n))
-    return previous
+        blas.set_threads(1)

@@ -33,10 +33,10 @@ BRAD-style front-end/worker split that removes the cap:
   requests *before* featurizing them (typed ``DeadlineExceededError``,
   counted) and never re-hashes a plan the router already hashed.
 * **One worker, one core.**  Each worker pins BLAS to a single thread at
-  spawn (:func:`~repro.nn.limit_blas_threads`): with merged micro-batches
-  the workers' matmuls would otherwise cross OpenBLAS's multithreading
-  threshold and oversubscribe the CPUs the pool is sized to.  The router
-  process keeps default BLAS threading.
+  spawn (:func:`~repro.nn.pin_blas_to_one_thread`): with merged
+  micro-batches the workers' matmuls would otherwise cross OpenBLAS's
+  multithreading threshold and oversubscribe the CPUs the pool is sized
+  to.  The router process keeps default BLAS threading.
 * **Exactly-once completion across worker death — and worker hangs.**
   The router supervises its workers two ways.  A *dead* worker (crash,
   kill -9) is detected through its pipe; a *hung* worker — wedged in
@@ -119,7 +119,7 @@ import numpy as np
 from .. import perfstats
 from ..bench.parallel import WorkerProcess
 from ..featurization import database_digest, plan_fingerprint
-from ..nn import blas_threads, limit_blas_threads
+from ..nn import openblas, pin_blas_to_one_thread
 from ..obs.metrics import REGISTRY, snapshot_delta
 from ..obs.trace import TraceContext, Tracer
 from ..optimizer.cost_model import AnalyticalCostModel
@@ -185,7 +185,7 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
     Each request's plan digest arrives on the wire from the router, so a
     worker never re-hashes a plan.
     """
-    limit_blas_threads(1)
+    pin_blas_to_one_thread()
     perfstats.reset()  # worker-local counters (fault.injected.* reporting)
     if fault_schedule is not None:
         faults.uninstall()  # replace anything inherited through the fork
@@ -638,7 +638,7 @@ class PredictorFleet:
     def start(self):
         if self._running:
             raise RuntimeError("fleet already started")
-        blas_threads()  # resolve the BLAS symbols once, before forking
+        openblas()  # resolve the BLAS symbols once, before forking
         self._slots = []
         for index in range(self.n_workers):
             wp = WorkerProcess(

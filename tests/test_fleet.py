@@ -26,7 +26,7 @@ from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
 from repro.featurization import FeatureScalers, TargetScaler, database_digest
-from repro.nn import blas_threads
+from repro.nn import openblas
 from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
                            RequestStatus, ServerConfig, run_load,
                            skewed_requests)
@@ -308,40 +308,39 @@ class TestFleetWorkerCost:
         pids = [line.split()[0] for line in log.read_text().splitlines()]
         assert pids == [str(os.getpid())] * (len(plans_a) + len(plans_b))
 
-    @pytest.mark.skipif(blas_threads() is None,
-                        reason="no OpenBLAS thread setter loaded")
+    @pytest.mark.skipif(openblas() is None, reason="no OpenBLAS loaded")
     def test_workers_pin_blas_to_one_thread(self, world, tmp_path,
                                             monkeypatch):
         """Each worker is one core: it pins BLAS to one thread at spawn,
         while the router keeps its own BLAS threading."""
         log = tmp_path / "blas.log"
-        _log_calls(monkeypatch, fleet_module, "limit_blas_threads", log)
-        before = blas_threads()
+        _log_calls(monkeypatch, fleet_module, "pin_blas_to_one_thread", log)
+        before = openblas().get_threads()
         registry = _registry_with(world, tmp_path / "registry")
         with PredictorFleet(registry, world["dbs"], n_workers=2) as fleet:
             fleet.predict([world["records_a"][0].plan], world["db_a"].name)
             pids = fleet.worker_pids()
         calls = [line.split()[0] for line in log.read_text().splitlines()]
         assert sorted(calls) == sorted(str(pid) for pid in pids)
-        assert blas_threads() == before
+        assert openblas().get_threads() == before
 
 
 def _report_blas(conn):
-    conn.send((fleet_module.limit_blas_threads(1), blas_threads()))
+    fleet_module.pin_blas_to_one_thread()
+    conn.send(openblas().get_threads())
 
 
-@pytest.mark.skipif(blas_threads() is None,
-                    reason="no OpenBLAS thread setter loaded")
-def test_limit_blas_threads_in_a_forked_child():
+@pytest.mark.skipif(openblas() is None, reason="no OpenBLAS loaded")
+def test_pin_blas_to_one_thread_in_a_forked_child():
     """The pin takes effect in the child and leaves the parent alone."""
-    before = blas_threads()
+    before = openblas().get_threads()
     wp = WorkerProcess(_report_blas).start()
     try:
-        previous, pinned = wp.recv()
+        pinned = wp.recv()
     finally:
         wp.stop()
-    assert (previous, pinned) == (before, 1)
-    assert blas_threads() == before
+    assert pinned == 1
+    assert openblas().get_threads() == before
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,9 @@ from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
-from repro.featurization import (FeatureScalers, TargetScaler,
-                                 database_digest, plan_fingerprint)
+from repro.featurization import (FeatureScalers, FeaturizationCache,
+                                 TargetScaler, database_digest,
+                                 plan_fingerprint)
 from repro.nn import row_stable_matmul
 from repro.serving import (LoadConfig, ModelRegistry, PredictorServer,
                            RequestShedError, RequestStatus, RoutingError,
@@ -548,6 +549,13 @@ class TestDeploymentGrouping:
             for handle in handles:
                 handle.result(30)
         assert len(digest_calls) == len(mix)
+
+    def test_featurize_records_rejects_keys_of_another_length(self, world):
+        records = world["records_a"][:3]
+        with pytest.raises(ValueError, match="2 keys for 3 records"):
+            featurize_records(records, world["dbs"],
+                              feat_cache=FeaturizationCache(),
+                              keys=["k0", "k1"])
 
     def test_deployments_sharing_a_checkpoint_keep_their_served_by(
             self, world, tmp_path, monkeypatch):
