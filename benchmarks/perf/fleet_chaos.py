@@ -14,10 +14,10 @@ two hostile phases —
   another is SIGKILLed outright, and a deterministic schedule drops
   pinned messages on both pipe directions; hedged requests, hang
   detection and restart-with-re-send must recover every request;
-* **overload**: a non-blocking saturation burst with a seeded
-  HIGH/NORMAL/LOW priority mix against a bounded queue with a HIGH
-  reserve and LOW brownout; HIGH availability must stay >= 0.99 while
-  shedding concentrates on the low classes.
+* **overload**: a non-blocking burst of twice the queue depth against
+  stalled workers, with a HIGH/NORMAL/LOW priority mix sized to a
+  bounded queue with a HIGH reserve and LOW brownout; HIGH availability
+  must stay >= 0.99 while shedding concentrates on the low classes.
 
 The run **fails** (non-zero exit) on any wrong value, any lost or
 duplicated request, chaos availability < 0.99, missing hang/hedge/restart
