@@ -88,9 +88,7 @@ def main(argv=None):
         print(line)
     print(f"  wrong values: 0 (audited against direct predict_runtimes)")
     counters = extras.get("fleet_counters", {})
-    print(f"  router: hits {counters.get('fleet.route.hit', 0)}, "
-          f"rebalances {counters.get('fleet.route.rebalance', 0)}, "
-          f"spawns {counters.get('fleet.worker.spawn', 0)}, "
+    print(f"  router: spawns {counters.get('fleet.worker.spawn', 0)}, "
           f"restarts {counters.get('fleet.worker.restart', 0)}")
 
     top_scaling = rates[top] / rates[1] if rates.get(1) else 0.0

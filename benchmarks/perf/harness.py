@@ -609,8 +609,7 @@ def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
 
 def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                 worker_counts=(1, 2, 4), rounds=2, repeats=2,
-                max_batch_size=64, max_delay_ms=2.0, spill_threshold=16,
-                seed=0):
+                max_batch_size=64, max_delay_ms=2.0, seed=0):
     """Fleet throughput vs worker count, with a full value audit.
 
     Publishes one model to a throwaway registry, pre-computes the
@@ -620,11 +619,11 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     is disabled so every request pays the real mmap-hydrated inference path
     in a worker process, and **every** delivered value is audited against
     the direct prediction — the fleet equivalence contract says the wrong
-    value count must be zero at any worker count, any placement.
+    value count must be zero at any worker count, any batch placement.
 
     Returns ``(rates, extras)``: ``rates`` maps worker count to the best
     plans/s over ``repeats`` passes; ``extras`` carries per-count latency
-    percentiles, mean batch size, spill/restart counts, and the ``fleet.*``
+    percentiles, mean batch size, restart counts, and the ``fleet.*``
     perfstats counters.  Scaling beyond one worker needs real cores — on a
     single-CPU machine the honest numbers simply show ~1x.
     """
@@ -664,8 +663,7 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                 # cache warm-up are all inside the measured window — the
                 # cost a real scale-out/restart pays.
                 fleet = PredictorFleet(registry, dbs, config,
-                                       n_workers=n_workers,
-                                       spill_threshold=spill_threshold)
+                                       n_workers=n_workers)
                 with _gc_paused(), fleet:
                     report = run_load(fleet, requests, load)
                     stats = fleet.stats()
@@ -687,21 +685,20 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                     best_extras = {
                         "mean_batch_size": report.mean_batch_size,
                         "latency_ms": report.latency_ms,
-                        "spills": stats["spills"],
                         "worker_restarts": stats["worker_restarts"],
                     }
             rates[n_workers] = best_rate
             extras[f"{n_workers}w"] = best_extras
     extras["fleet_counters"] = perfstats.snapshot(
         ["fleet.worker.spawn", "fleet.worker.restart",
-         "fleet.route.hit", "fleet.route.rebalance", "fleet.queue.depth"])
+         "serve.queue.depth"])
     return rates, extras
 
 
 _FLEET_CHAOS_COUNTERS = (
     "fleet.hang.detected", "fleet.hang.killed", "fleet.hedge.sent",
     "fleet.hedge.won", "fleet.hedge.wasted", "fleet.worker.restart",
-    "fleet.brownout.count", "serve.shed.priority.high",
+    "serve.brownout.count", "serve.shed.priority.high",
     "serve.shed.priority.normal", "serve.shed.priority.low",
 )
 
@@ -1413,6 +1410,5 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
              "serve.cache.hit", "serve.cache.miss",
              "serve.shed.count", "serve.swap.count",
              "fleet.worker.spawn", "fleet.worker.restart",
-             "fleet.route.hit", "fleet.route.rebalance",
-             "fleet.queue.depth"]),
+             "serve.queue.depth"]),
     }

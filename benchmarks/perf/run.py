@@ -159,8 +159,7 @@ def main(argv=None):
         counters = fleet_extras.get("fleet_counters", {})
         print(f"  fleet_scaling_4w: {fleet_scaling:.2f}x "
               f"(spawns {counters.get('fleet.worker.spawn', 0)}, "
-              f"route hits {counters.get('fleet.route.hit', 0)}, "
-              f"rebalances {counters.get('fleet.route.rebalance', 0)})")
+              f"restarts {counters.get('fleet.worker.restart', 0)})")
     print(f"  cache_stats: {results['cache_stats']}")
     print(f"  dispatch: {results['dispatch_counters']}")
 

@@ -5,12 +5,13 @@ The scale-out serving story in one script:
 1. generate benchmark databases and train a zero-shot cost model on all of
    them *except* one,
 2. publish it to a :class:`~repro.serving.ModelRegistry`,
-3. start a :class:`~repro.serving.PredictorFleet` — a sharding router over
-   forked worker processes whose checkpoints are hydrated via mmap: one
-   page-cache copy of the model for the whole fleet,
+3. start a :class:`~repro.serving.PredictorFleet` — the server's front
+   end handing whole micro-batches to idle forked workers whose
+   checkpoints are hydrated via mmap: one page-cache copy of the model
+   for the whole fleet,
 4. fire a *skewed* open-loop mix (one hot database, one cold) at 1, 2 and
-   4 workers and print the per-count throughput, the per-database latency
-   breakdown and the router's shard/spill counters,
+   4 workers and print the per-count throughput, mean batch size and the
+   per-database latency breakdown,
 5. hot-swap: publish a v2 and watch the whole fleet pick it up with zero
    downtime.
 
@@ -59,8 +60,8 @@ def main():
               f"(checkpoint {deployment.checkpoint_key[:12]}...)")
 
         # 3. A skewed online mix: the UNSEEN imdb database is hot (85% of
-        #    traffic), accidents is cold — the shape that exercises the
-        #    router's preferred-shard + least-loaded-spill placement.
+        #    traffic), accidents is cold; both share one deployment, so
+        #    they share micro-batches and model calls.
         pools = {}
         for name, share in (("imdb", 0.85), ("accidents", 0.15)):
             generator = WorkloadGenerator(dbs[name],
@@ -81,7 +82,7 @@ def main():
         rows, reports = [], {}
         for n_workers in (1, 2, 4):
             fleet = PredictorFleet(registry, dbs, fleet_config,
-                                   n_workers=n_workers, spill_threshold=16)
+                                   n_workers=n_workers)
             with fleet:
                 report = run_load(fleet, mix,
                                   LoadConfig(n_clients=4, block=True,
@@ -92,7 +93,7 @@ def main():
                 "workers": n_workers,
                 "throughput (req/s)": report.throughput_rps,
                 "p99 (ms)": report.latency_ms["p99"],
-                "spills": stats["spills"],
+                "mean batch": stats["mean_batch_size"],
                 "restarts": stats["worker_restarts"],
             })
         print(format_table(rows))
@@ -102,7 +103,7 @@ def main():
                           f"{row['throughput (req/s)'] / base:.2f}x"
                           for row in rows[1:]))
 
-        print("\nPer-database breakdown at 4 workers (hot vs cold shard):")
+        print("\nPer-database breakdown at 4 workers (hot vs cold):")
         print(format_table([
             {"database": name, "requests": summary["requests"],
              "p50 (ms)": summary["p50"], "p99 (ms)": summary["p99"],
@@ -122,7 +123,7 @@ def main():
             after = fleet.predict([mix[0][1]], mix[0][0])[0]
             swaps = fleet.stats()["swaps"]
         print(f"\nHot swap: same plan predicted {before:.2f} ms on v1, "
-              f"{after:.2f} ms on v2 ({swaps} worker swaps, zero downtime)")
+              f"{after:.2f} ms on v2 ({swaps} route swaps, zero downtime)")
 
 
 if __name__ == "__main__":

@@ -79,7 +79,6 @@ def main():
         print(f"\nServing {len(mix)} traced requests "
               "(2 workers, hedging after 25 ms, shallow queue) ...")
         with PredictorFleet(registry, dbs, config, n_workers=2,
-                            spill_threshold=8,
                             hedge_after_ms=25.0) as fleet:
             report = run_load(fleet, mix,
                               LoadConfig(n_clients=6, block=True,

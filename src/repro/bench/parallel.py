@@ -163,7 +163,8 @@ class WorkerProcess:
     # ------------------------------------------------------------------
     @property
     def alive(self):
-        return self.process is not None and self.process.is_alive()
+        process = self.process  # one read: restart() swaps it concurrently
+        return process is not None and process.is_alive()
 
     @property
     def sentinel(self):

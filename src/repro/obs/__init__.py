@@ -11,13 +11,13 @@ Three pieces, each usable on its own:
     typed counter here.
 
 ``obs.trace``
-    Per-request spans (submit → queue wait → pipe send → worker recv →
+    Per-request spans (submit → queue wait → worker recv (fleet) →
     featurize → infer → deliver) with trace ids derived from
     ``(plan fingerprint, request seq)``, so a replayed chaos schedule
     produces the *same span structure* run over run.  Span context rides
-    the existing fleet wire tuples; the router assembles fleet-wide traces
-    hang-safely because span data only travels on messages that already
-    flow (results, stats payloads).
+    the fleet's batch and result messages; the router assembles fleet-wide
+    traces hang-safely because span data only travels on messages that
+    already flow (results, stats payloads).
 
 ``obs.export``
     JSONL span export, Chrome trace-event (Perfetto-loadable) timelines,

@@ -30,6 +30,8 @@ COUNTERS = [
     ("serve.shed.count", "requests shed by admission control"),
     ("serve.shed.priority.<priority>",
      "sheds by priority class (high/normal/low)"),
+    ("serve.brownout.count", "LOW-priority brownout fallbacks under overload"),
+    ("serve.queue.depth", "admitted-request high-water increments"),
     ("serve.swap.count", "model hot-swaps picked up by the core"),
     ("serve.retry.count", "per-request inference retries after faults"),
     ("serve.registry.publish", "checkpoints published to the registry"),
@@ -50,15 +52,12 @@ COUNTERS = [
     # -- fleet router / workers -----------------------------------------
     ("fleet.worker.spawn", "worker processes spawned"),
     ("fleet.worker.restart", "worker processes restarted after exit/kill"),
-    ("fleet.route.hit", "requests routed to their sticky shard"),
-    ("fleet.route.rebalance", "routing decisions that moved a shard"),
-    ("fleet.queue.depth", "outstanding-request high-water increments"),
     ("fleet.hang.detected", "workers declared hung by missed heartbeats"),
     ("fleet.hang.killed", "hung workers killed for restart"),
-    ("fleet.hedge.sent", "hedged duplicate requests sent"),
+    ("fleet.hedge.sent", "hedged duplicate batches sent"),
     ("fleet.hedge.won", "hedges that beat the primary"),
     ("fleet.hedge.wasted", "hedges that lost the race"),
-    ("fleet.brownout.count", "LOW-priority brownout fallbacks under overload"),
+    ("fleet.pipe.corrupt", "undecodable frames that tore a worker pipe"),
     ("fleet.stats.unresponsive", "stats polls a worker failed to answer"),
     # -- continuous-learning controller ---------------------------------
     ("controller.tick.count", "controller ticks executed"),

@@ -26,10 +26,8 @@ deterministic request seq) bounds the cost when on.
 
 Stage vocabulary used by the serving path::
 
-    queue       submit -> batch dispatch (batcher pop / pipe send)
-    pipe.send   router -> worker pipe write (fleet only)
-    worker.recv pipe send -> worker picked the message up (fleet only)
-    coalesce    worker recv -> batch assembled (fleet only)
+    queue       submit -> micro-batch dispatch (batcher pop)
+    worker.recv batch pipe send -> worker picked it up (fleet only)
     featurize   plan-graph featurization (per attempt)
     infer       model forward pass (per attempt)
     cache       submit-time or late result-cache probe that hit

@@ -79,7 +79,7 @@ POINTS = (
     "controller.observe",  # control-plane observation ingest (per record)
     "controller.retrain",  # drift retrain: train start + pre-publish
     "controller.shadow",   # shadow evaluation of an unactivated candidate
-    "fleet.pipe.send",     # router<->worker pipe sends (drop/delay/raise)
+    "fleet.pipe.send",     # router<->worker pipe sends (+ corrupt frames)
     "fleet.pipe.recv",     # router<->worker pipe receives (drop/delay/raise)
     "fleet.worker.hang",   # worker compute loop: wedge before a batch
 )
@@ -264,9 +264,10 @@ def check(point, keys=()):
     ``keys`` are opaque request identifiers a targeted spec can poison.
     Returns the fired action name (``"delay"``, ``"drop"``, ``"hang"``)
     after performing any sleep, so pipe call sites can honor ``drop`` by
-    discarding the message; ``raise`` raises.  A ``corrupt`` decision is
-    ignored here (only byte-stream call sites honor it via
-    :func:`corrupt`).  No fault — or no schedule installed, a single
+    discarding the message; ``raise`` raises.  A ``corrupt`` decision
+    returns ``"corrupt"`` at ``fleet.pipe.send`` (the sender writes a
+    garbage frame) and raises anywhere else (byte-stream call sites honor
+    it via :func:`corrupt`).  No fault — or no schedule installed, a single
     attribute read — returns ``None``.
     """
     schedule = _active
@@ -287,8 +288,10 @@ def check(point, keys=()):
     if spec.action == "raise":
         raise spec.error(spec.message
                          or f"injected fault at {point!r}")
-    # "corrupt" at a non-byte call site: treated as a raise so schedules
-    # stay meaningful wherever they are pointed.
+    if point == "fleet.pipe.send":
+        return "corrupt"
+    # "corrupt" at any other non-byte call site: treated as a raise so
+    # schedules stay meaningful wherever they are pointed.
     raise InjectedFault(f"injected corruption at non-byte point {point!r}")
 
 

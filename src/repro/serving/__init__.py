@@ -11,29 +11,22 @@ engine into that online service:
   checksum-verified hydration, checkpoint quarantine (corrupt deployments
   are moved aside — never deleted blind — and the manifest re-resolves to
   the previous good version) and a :meth:`~ModelRegistry.verify` audit.
-* :class:`PredictorServer` (``server.py``) — an in-process, thread-based
-  predictor that coalesces concurrent single-plan and bulk requests into
-  micro-batches (deadline/size trigger) feeding the graph-free inference
-  fast path, routes each request to a compatible deployment by database
-  fingerprint, answers repeat plans from a bounded fingerprint-keyed result
-  cache and sheds load via bounded-queue admission control.  The batcher is
-  *supervised* (crash detection, thread restart, exactly-once re-enqueue of
-  in-flight requests); the model path retries with exponential backoff,
-  bisects poisoned batches, enforces per-request deadlines, and degrades
-  gracefully to the analytical cost model behind a per-deployment circuit
-  breaker — degraded responses are explicitly flagged ``DEGRADED``, never
-  silently substituted.
-* :class:`PredictorFleet` (``fleet.py``) — the scale-out version: a
-  router in the client process shards requests by database fingerprint
-  (with least-loaded spill for hot shards) across long-lived *forked*
-  worker processes, each running the shared serving core
-  (:class:`~repro.serving.core.ServingCore`, ``core.py`` — the
-  transport-agnostic half of the server) over checkpoints hydrated via
-  the registry's mmap path: one page-cache copy of every model for the
-  whole fleet.  Handles keep the exact server semantics; worker death is
-  supervised (fork-restart + exactly-once re-send of unanswered
-  requests); promote/rollback broadcasts on ``registry.generation``
-  changes, zero downtime fleet-wide.
+* :class:`PredictorServer` (``server.py``) — the one serving front end:
+  priority-classed admission with LOW brownout, a fingerprint-keyed
+  result cache probed at submit, and a supervised batcher that coalesces
+  concurrent requests into micro-batches (deadline/size trigger).  Each
+  batch runs through :class:`~repro.serving.core.ServingCore`
+  (``core.py``): routing by database fingerprint, one graph-free model
+  call per deployment, retry with backoff, poisoned-batch bisection,
+  deadlines, and a circuit breaker that degrades to the analytical cost
+  model — always flagged ``DEGRADED``, never silently substituted.
+* :class:`PredictorFleet` (``fleet.py``) — the same front end over a pool
+  of long-lived *forked* workers: an idle worker takes the next whole
+  micro-batch (one pipe message, one result message) and runs the core
+  over checkpoints hydrated via the registry's mmap path.  Worker death,
+  hangs and torn pipes are supervised (fork-restart + exactly-once
+  completion of re-sent batches); stragglers are hedged; promote/rollback
+  broadcasts on ``registry.generation`` changes.
 * :class:`ContinuousLearningController` (``controller.py``) — the
   drift-aware control plane: an :class:`~repro.serving.core.
   ObservationTap` on the serving core feeds delivered predictions to a

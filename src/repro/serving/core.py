@@ -6,37 +6,30 @@ processing, the hardened model path (retry with backoff, poisoned-batch
 bisection, per-request deadlines), the per-deployment circuit breaker with
 analytical degradation, and hot-swap route resolution against the registry.
 
-Two transports drive it today:
-
-* :class:`~repro.serving.server.PredictorServer` — the in-process,
-  thread-based micro-batcher (bounded queue, supervised batcher thread).
-* :mod:`repro.serving.fleet` — forked worker processes whose loop feeds
-  pipe-delivered request batches straight into :meth:`ServingCore.
-  process_batch`, no thread transport at all.
-
-Both inherit every robustness and equivalence guarantee documented on
-:mod:`repro.serving.server`, because those guarantees live *here*: for any
-request mix, a ``DONE`` value is bit-identical to a direct
-``predict_runtimes`` call on the same model, and every departure from the
-model path (degraded, failed, deadline-expired) is typed and flagged.
+It runs behind the one front end,
+:class:`~repro.serving.server.PredictorServer`: on the server's batcher
+thread, and inside each :class:`~repro.serving.fleet.PredictorFleet`
+worker, which feeds every pipe-delivered micro-batch straight into
+:meth:`ServingCore.process_batch`.  The guarantees documented on
+:mod:`repro.serving.server` live *here*: a ``DONE`` value is bit-identical
+to a direct ``predict_runtimes`` call on the same model, and every
+departure from the model path (degraded, failed, deadline-expired) is
+typed and flagged.
 
 The unit of model work is the *deployment*, not the database: a
 micro-batch is grouped by resolved route, and each group costs one
 ``featurize_records`` call (which splits per database internally) and one
-``predict_runtimes`` call.  Under zero-shot routing every unseen database
-falls back to the default deployment, so a micro-batch spanning many
-databases is still one model call.  Each request carries its own database
-and its plan digest, computed once at submit (or shipped by the fleet
-router) and reused as the featurization-cache key.
+``predict_runtimes`` call, so under zero-shot routing a micro-batch
+spanning many unseen databases is still one model call.  Each request
+carries its plan digest, computed once at submit and reused as the
+featurization-cache key.
 
 Thread-safety: one internal lock guards the result cache, the digest memo,
 the routes and the counters.  Featurization and inference run outside it.
-The featurization/batch caches, the breakers and the analytical fallbacks
-are touched only by the processing thread (the batcher thread in the
-server; the worker main loop in the fleet), so they need no locking of
-their own.  A request's ``digest`` is set once (at submit, from the fleet
-wire, or by the processing thread for a request that arrived without one)
-and never changes afterwards.
+The featurization/batch caches and the breakers are touched only by the
+processing thread (the batcher thread, or a fleet worker's main loop).
+Brownout also reaches the analytical fallbacks from client threads;
+``setdefault`` keeps their creation race-free.
 """
 
 from __future__ import annotations
@@ -299,7 +292,7 @@ class ServerConfig:
     high_reserve_fraction: float = 0.0  # queue headroom reserved for HIGH
     brownout_fraction: float = 0.5      # LOW admission cap (x queue_depth)
     brownout_degraded: bool = True      # LOW over the cap: analytical answer
-    #    (honored by the fleet router; the thread server sheds LOW instead)
+    #    (flagged DEGRADED) instead of SHED, on the server and the fleet
     # -- observability ---------------------------------------------------
     trace: bool = False          # per-request spans (obs.trace); off = free
     trace_sample_every: int = 1  # trace every N-th request when tracing
@@ -383,8 +376,8 @@ class ServingCore:
                                  for name, db in self._dbs.items()}
         # One lock guards the result cache, the digest memo, the routes
         # and the counters.  Featurization and inference run outside it;
-        # the featurization/batch caches, the breakers and the analytical
-        # fallbacks are touched only by the processing thread.
+        # the featurization/batch caches and the breakers are touched only
+        # by the processing thread.
         self._lock = threading.Lock()
         self._result_cache = OrderedDict()
         self._digest_memo = OrderedDict()  # (id(plan), db) -> (plan, digest)
@@ -410,10 +403,6 @@ class ServingCore:
 
     def has_db(self, db_name):
         return db_name in self._dbs
-
-    def db_digest(self, db_name):
-        """Hex database fingerprint digest (the sharding/routing key)."""
-        return self._db_digests[db_name]
 
     def count(self, name, n=1):
         with self._lock:
@@ -454,8 +443,11 @@ class ServingCore:
     # Routing / hot-swap
     # ------------------------------------------------------------------
     def maybe_swap(self):
-        if self.registry.generation != self._seen_generation:
-            self.resolve_routes()
+        """Re-resolve routes if the registry changed; True when it did."""
+        if self.registry.generation == self._seen_generation:
+            return False
+        self.resolve_routes()
+        return True
 
     def resolve_routes(self):
         """Re-resolve every database's deployment from the registry.
@@ -567,6 +559,13 @@ class ServingCore:
             if plan is not None:
                 self._observe(db_name, plan, digest, value, route, trace_id)
         return value
+
+    def cache_results(self, entries):
+        """Store ``(checkpoint_key, digest, value)`` model answers produced
+        elsewhere (fleet workers) so repeats hit at submit."""
+        with self._lock:
+            for key, digest, value in entries:
+                self._cache_put_locked((key, digest), value)
 
     def _cache_get_locked(self, key):
         if self.config.result_cache_size <= 0:
@@ -832,12 +831,9 @@ class ServingCore:
         for request in requests:
             if request.trace is not None:
                 request.trace.annotate("degraded")
-            analytical = self._analytical.get(request.db_name)
-            if analytical is None:
-                analytical = AnalyticalCostModel(self._dbs[request.db_name])
-                self._analytical[request.db_name] = analytical
             try:
-                value = analytical.predict_plan(request.plan)
+                value = self.analytical_for(request.db_name).predict_plan(
+                    request.plan)
             except Exception as exc:  # noqa: BLE001 — even fallbacks fail
                 with self._lock:
                     self._counts["degraded"] -= 1
@@ -846,6 +842,15 @@ class ServingCore:
                 continue
             request._finish(RequestStatus.DEGRADED, value=value,
                             served_by=served_by)
+
+    def analytical_for(self, db_name):
+        """The database's analytical fallback model, created on first use
+        (``setdefault`` keeps concurrent first uses to one instance)."""
+        analytical = self._analytical.get(db_name)
+        if analytical is None:
+            analytical = self._analytical.setdefault(
+                db_name, AnalyticalCostModel(self._dbs[db_name]))
+        return analytical
 
     # ------------------------------------------------------------------
     def stats(self):
@@ -862,6 +867,7 @@ class ServingCore:
                 "completed": self._counts["completed"],
                 "cached": self._counts["cached"],
                 "degraded": self._counts["degraded"],
+                "brownouts": self._counts["brownouts"],
                 "shed": self._counts["shed"],
                 "failed": self._counts["failed"],
                 "swaps": self._counts["swaps"],

@@ -1,81 +1,61 @@
-"""In-process micro-batching predictor server, hardened for chaos.
+"""The serving front end: a micro-batching predictor, hardened for chaos.
 
 Clients — any number of threads — submit plans for any registered database
 and get a :class:`PredictionRequest` handle back immediately.  A single
 *supervised* batcher thread coalesces queued requests into micro-batches on
-a deadline/size trigger (whichever fires first), routes every request to a
-compatible model deployment by database fingerprint, featurizes each
-deployment's share of the batch in one call through the shared vectorized
-pipeline and predicts through
-``predict_runtimes`` — i.e. the PR-1 graph-free ``forward_inference`` fast
-path.  The design follows what learned-cost-model serving needs in systems
-like BRAD: multi-model routing, bounded latency, bounded memory — and,
-since the fleet is only as deployable as its worst failure mode, explicit
-handling for everything the fault plane (:mod:`repro.robustness.faults`)
-can throw.
+a deadline/size trigger (whichever fires first).  The transport-agnostic
+:class:`~repro.serving.core.ServingCore` routes each request to a
+compatible deployment by database fingerprint and serves each deployment's
+share of a batch with one featurization call and one graph-free
+``predict_runtimes`` call.
 
-The request/route/cache/hardening logic lives in the transport-agnostic
-:class:`~repro.serving.core.ServingCore`; this module owns only the thread
-transport around it (bounded queue, deadline/size trigger, supervised
-batcher thread).  :mod:`repro.serving.fleet` drives the same core from
-forked worker processes.
+This class is the only front end: submit, admission, brownout, tracing,
+the result-cache probe, the micro-batcher and shutdown live here.  A
+backend decides only what happens to a formed micro-batch: this class runs
+it on the batcher thread; :class:`~repro.serving.fleet.PredictorFleet`
+ships it to a forked worker with room for it.
 
 Guarantees:
 
-* **Bit-identical predictions** — for any request mix, the value a ``DONE``
-  request receives equals a direct ``predict_runtimes`` call on the same
-  model for that plan, bit for bit, regardless of which other requests
-  shared its micro-batch — and regardless of retries, bisections, batcher
-  restarts or hot-swaps along the way.  This rests on the row-stable
-  inference kernels (:func:`repro.nn.row_stable_matmul`): per-plan outputs
-  are a pure function of the plan, so micro-batch composition — and
-  therefore scheduling nondeterminism — cannot leak into results, and
-  cached values stay exact under every later composition.
-* **One bad plan fails alone** — a model-path failure (featurization or
-  inference) is retried with exponential backoff (``max_retries`` /
-  ``retry_backoff_ms``); a group that keeps failing is *bisected* until
-  the poisoned request is isolated, so its micro-batch neighbours complete
-  normally.  ``request_timeout_ms`` bounds how long any request may be
-  retried before it fails with a typed :class:`DeadlineExceededError`.
-* **The batcher survives crashes** — the batcher thread runs under
-  supervision: an unexpected crash of the loop machinery is detected, the
+* **Bit-identical predictions** — a ``DONE`` value equals a direct
+  ``predict_runtimes`` call on the same model for that plan, whatever
+  shared its micro-batch and across retries, bisections, batcher restarts
+  and hot-swaps.  This rests on the row-stable inference kernels
+  (:func:`repro.nn.row_stable_matmul`): per-plan outputs are a pure
+  function of the plan.
+* **One bad plan fails alone** — model-path failures retry with
+  exponential backoff; a group that keeps failing is *bisected* until the
+  poisoned request is isolated.  Deadlines (``request_timeout_ms`` or a
+  request's ``deadline_ms``) fail typed with
+  :class:`DeadlineExceededError`.
+* **The batcher survives crashes** — on a crash of the loop machinery the
   in-flight micro-batch is re-enqueued **exactly once** (unfinished
-  requests return to the queue head in order; finished ones are never
-  duplicated) and a replacement thread takes over.  No request is lost, no
-  request is answered twice.
+  requests return to the queue head in order) and a replacement thread
+  takes over.
 * **Graceful degradation, never silent** — a per-deployment circuit
-  breaker counts consecutive model-path failures; past
-  ``breaker_threshold`` it opens and requests are answered by the
-  analytical :class:`~repro.optimizer.AnalyticalCostModel` baseline,
-  explicitly flagged ``DEGRADED`` (degraded values never enter the result
-  cache, and blocking :meth:`predict` refuses them unless the caller opts
-  in).  After ``breaker_reset_ms`` the breaker half-opens and probes the
-  model path; a success closes it.
+  breaker answers from the analytical
+  :class:`~repro.optimizer.AnalyticalCostModel` while open, flagged
+  ``DEGRADED``, never cached; :meth:`predict` refuses degraded values
+  unless the caller opts in.
 * **Repeat plans are cache hits** — a bounded result cache keyed on
-  ``(checkpoint, plan fingerprint)`` (the PR-2 content fingerprints, so
-  equal-but-distinct plan objects hit) answers repeats without touching
-  the queue.  Keys include the serving checkpoint, so a hot-swap can never
-  serve a stale model's value.
-* **Zero-downtime hot-swap** — the batcher compares the registry's
-  generation counter before each batch (one int read) and re-resolves its
-  routes only when the registry changed; in-flight batches finish on the
-  model they started with.  A deployment whose checkpoint fails hydration
-  is quarantined by the registry and the route re-resolves to the previous
-  good version (see :mod:`repro.serving.registry`).
-* **Bounded queue, explicit shedding** — when the queue is full, a
-  non-blocking submit returns a request in ``SHED`` state instead of
-  queueing unboundedly (``block=True`` opts into backpressure instead).
-* **Clean shutdown** — :meth:`stop` drains the queue (every pending handle
-  resolves) or, with ``drain=False``, fails queued requests with a typed
-  :class:`ServerClosedError`.  Handles never hang.
+  ``(checkpoint, plan fingerprint)`` answers repeats at submit; keys carry
+  the checkpoint, so a hot-swap never serves a stale value.
+* **Zero-downtime hot-swap** — routes re-resolve only when
+  ``registry.generation`` moves; in-flight batches finish on the model
+  they started with.
+* **Bounded, priority-classed admission** — admission counts requests
+  admitted and not yet completed; each :class:`RequestPriority` has its
+  own bound (:func:`~repro.serving.core.admission_limit`).  Over it a
+  non-blocking submit is ``SHED`` — except LOW traffic under
+  ``brownout_degraded``, which is *browned out*: answered at once by the
+  analytical model, flagged ``DEGRADED`` with ``served_by
+  ("analytical", "brownout")``.  ``block=True`` opts into backpressure.
+* **Clean shutdown** — :meth:`stop` drains, or with ``drain=False`` fails
+  queued requests with a typed :class:`ServerClosedError`.  Handles never
+  hang.
 
-Observability: ``serve.batch.*`` / ``serve.cache.*`` / ``serve.shed.*`` /
-``serve.swap.*`` counters as before, plus ``serve.fault.*`` (model-path
-failures, bisections, batcher crashes, re-enqueues, deadline expiries),
-``serve.retry.*`` (backoff retries) and ``serve.degraded.*`` (degraded
-responses, breaker opens/half-opens/closes), and
-:meth:`PredictorServer.stats` (batch-size histogram, queue high-water mark,
-per-status request counts, breaker states).
+Observability: the ``serve.*`` counters (see :mod:`repro.obs.catalog`)
+and :meth:`PredictorServer.stats`.
 """
 
 from __future__ import annotations
@@ -113,6 +93,8 @@ class PredictorServer:
             runtime_ms = request.result()
     """
 
+    _name = "server"  # how shutdown errors name this transport
+
     def __init__(self, registry, dbs, config=None, estimator_cache=None,
                  core=None):
         self.core = core or ServingCore(registry, dbs, config=config,
@@ -120,12 +102,14 @@ class PredictorServer:
         self.registry = self.core.registry
         self.config = self.core.config
         # The transport lock guards the queue, the in-flight batch and the
-        # high-water mark; all serving state lives behind the core's lock.
+        # admission count; all serving state lives behind the core's lock.
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
+        # Wakes the batcher: work was queued, or (fleet) a worker has room.
+        self._wakeup = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._queue = deque()
         self._inflight = []
+        self._outstanding = 0   # admitted and not yet completed
         self._running = False
         self._accepting = True  # False only after stop(); start() restores
         self._thread = None
@@ -154,7 +138,7 @@ class PredictorServer:
     # ------------------------------------------------------------------
     def start(self):
         if self._thread is not None:
-            raise RuntimeError("server already started")
+            raise RuntimeError(f"{self._name} already started")
         self._running = True
         self._accepting = True
         self._thread = threading.Thread(target=self._batcher_main,
@@ -176,19 +160,14 @@ class PredictorServer:
                 return
             self._running = False
             self._accepting = False
-            if not drain:
-                error = ServerClosedError(
-                    "server stopped without draining")
-                dropped = list(self._queue)
+            dropped = [] if drain else list(self._queue)
+            if dropped:
                 self._queue.clear()
-            else:
-                dropped = []
-            self._not_empty.notify_all()
+                self._outstanding -= len(dropped)
+            self._wakeup.notify_all()
             self._not_full.notify_all()
-        if dropped:
-            self.core.count("failed", len(dropped))
-        for request in dropped:
-            request._finish(RequestStatus.FAILED, error=error)
+        self._fail(dropped, ServerClosedError(
+            f"{self._name} stopped without draining"))
         # The batcher may crash and be replaced while we wait: join
         # whatever thread is current until it is both dead and current.
         while True:
@@ -203,7 +182,7 @@ class PredictorServer:
                     return
 
     def close(self, drain=True):
-        """Alias for :meth:`stop` (the satellite shutdown contract)."""
+        """Alias for :meth:`stop`."""
         self.stop(drain=drain)
 
     def __enter__(self):
@@ -221,25 +200,24 @@ class PredictorServer:
         """Submit one plan; returns a :class:`PredictionRequest` handle.
 
         Repeat plans (by content fingerprint, under the currently routed
-        checkpoint) complete immediately from the result cache.  When the
-        bounded queue is full, ``block=False`` sheds the request
-        (``status == SHED``); ``block=True`` waits for space
-        (backpressure), shedding only once ``timeout`` (a total bound, not
-        per-wakeup) elapses.  Admission is priority-classed: each
-        :class:`RequestPriority` sheds at its own queue bound (see
-        :func:`~repro.serving.core.admission_limit`; with the default
-        config NORMAL and HIGH share the full queue).  Unlike the fleet
-        router, the thread server sheds over-limit LOW traffic rather
-        than browning it out.  ``deadline_ms`` sets this request's age
-        cap, overriding ``request_timeout_ms``.  Submissions after
-        :meth:`stop` are shed (nothing would ever process them);
-        submissions *before* :meth:`start` queue up normally.
+        checkpoint) complete immediately from the result cache.  Admission
+        is priority-classed over the requests admitted and not yet
+        completed (see :func:`~repro.serving.core.admission_limit`; with
+        the default config NORMAL and HIGH share the full queue).  Over
+        its bound, ``block=False`` sheds the request (``status == SHED``)
+        — or browns a LOW request out (see the module docstring);
+        ``block=True`` waits for space (backpressure), shedding only once
+        ``timeout`` (a total bound, not per-wakeup) elapses.
+        ``deadline_ms`` sets this request's age cap, overriding
+        ``request_timeout_ms``.  Submissions after :meth:`stop` are shed
+        (nothing would ever process them); submissions *before*
+        :meth:`start` queue up normally.
         """
         core = self.core
         if not core.has_db(db_name):
             raise KeyError(f"database {db_name!r} is not registered with "
-                           "this server")
-        core.maybe_swap()
+                           f"this {self._name}")
+        self._maybe_swap()
         priority = RequestPriority(priority)
         request = PredictionRequest(db_name, plan, priority=priority,
                                     deadline_ms=deadline_ms)
@@ -283,27 +261,35 @@ class PredictorServer:
                     admission_limit(priority, self.config.queue_depth,
                                     self.config))
         with self._lock:
-            while self._accepting and len(self._queue) >= limit:
+            while self._accepting and self._outstanding >= limit:
                 remaining = (None if deadline is None
                              else deadline - time.monotonic())
                 if (not block
                         or (remaining is not None and remaining <= 0)
                         or not self._not_full.wait(remaining)):
                     break
-            if not self._accepting or len(self._queue) >= limit:
-                shed = True
-            else:
-                shed = False
+            accepting = self._accepting
+            admitted = accepting and self._outstanding < limit
+            if admitted:
                 self._queue.append(request)
-                self._queue_high_water = max(self._queue_high_water,
-                                             len(self._queue))
-                self._not_empty.notify()
-        if shed:
-            core.count("shed")
-            perfstats.increment("serve.shed.count")
-            perfstats.increment(
-                f"serve.shed.priority.{priority.name.lower()}")
-            request._finish(RequestStatus.SHED)
+                self._outstanding += 1
+                if self._outstanding > self._queue_high_water:
+                    perfstats.increment(
+                        "serve.queue.depth",
+                        self._outstanding - self._queue_high_water)
+                    self._queue_high_water = self._outstanding
+                self._wakeup.notify_all()
+        if admitted:
+            return request
+        if (accepting and priority is RequestPriority.LOW
+                and self.config.brownout_degraded
+                and self.config.degraded_fallback):
+            self._brownout(request)
+            return request
+        core.count("shed")
+        perfstats.increment("serve.shed.count")
+        perfstats.increment(f"serve.shed.priority.{priority.name.lower()}")
+        request._finish(RequestStatus.SHED)
         return request
 
     def submit_many(self, plans, db_name, block=False, timeout=None,
@@ -312,7 +298,8 @@ class PredictorServer:
                             priority=priority, deadline_ms=deadline_ms)
                 for plan in plans]
 
-    def predict(self, plans, db_name, timeout=None, allow_degraded=False):
+    def predict(self, plans, db_name, timeout=None, allow_degraded=False,
+                priority=RequestPriority.NORMAL):
         """Blocking bulk prediction (backpressure, never sheds).
 
         Returns runtimes (ms) aligned with ``plans``; raises if any request
@@ -322,7 +309,7 @@ class PredictorServer:
         out silently.
         """
         requests = self.submit_many(plans, db_name, block=True,
-                                    timeout=timeout)
+                                    timeout=timeout, priority=priority)
         values = [request.result(timeout) for request in requests]
         if not allow_degraded:
             degraded = sum(request.degraded for request in requests)
@@ -334,9 +321,41 @@ class PredictorServer:
         return np.array(values)
 
     def refresh(self):
-        """Force re-resolution of routes from the registry (e.g. after a
-        cross-process registry change plus ``registry.refresh()``)."""
-        self.core.resolve_routes()
+        """Re-read the registry from disk and re-resolve routes (after an
+        out-of-band registry change)."""
+        self.registry.refresh()
+        self._maybe_swap()
+
+    def _maybe_swap(self):
+        self.core.maybe_swap()
+
+    def _brownout(self, request):
+        """Answer an over-cap LOW request from the analytical model.
+
+        Same contract as the core's circuit-breaker degradation: flagged
+        ``DEGRADED``, never cached, ``served_by`` names the fallback —
+        here ``("analytical", "brownout")`` so the two degradation causes
+        stay distinguishable.
+        """
+        if request.trace is not None:
+            request.trace.annotate("brownout")
+        try:
+            value = self.core.analytical_for(request.db_name).predict_plan(
+                request.plan)
+        except Exception as exc:  # noqa: BLE001 — even fallbacks fail
+            self._fail([request], exc)
+            return
+        perfstats.increment("serve.brownout.count")
+        self.core.count("brownouts")
+        self.core.count("degraded")
+        request._finish(RequestStatus.DEGRADED, value=value,
+                        served_by=("analytical", "brownout"))
+
+    def _fail(self, requests, error):
+        if requests:
+            self.core.count("failed", len(requests))
+        for request in requests:
+            request._finish(RequestStatus.FAILED, error=error)
 
     # ------------------------------------------------------------------
     # Batcher (supervised)
@@ -365,7 +384,7 @@ class PredictorServer:
                                                name="repro-predictor",
                                                daemon=True)
                 self._thread = replacement
-                self._not_empty.notify_all()
+                self._wakeup.notify_all()
             self.core.count("requeued", len(pending))
             # Started outside the lock; stop() joins whichever thread is
             # current, so the handover is always observed.
@@ -375,10 +394,12 @@ class PredictorServer:
         max_delay_s = self.config.max_delay_ms / 1e3
         while True:
             with self._lock:
-                while not self._queue and self._running:
-                    self._not_empty.wait()
-                if not self._queue:
-                    break  # stopped and drained
+                # A batch forms only when the backend can take it, so while
+                # every worker is busy the queue grows into larger batches.
+                while not (self._queue and self._ready_locked()):
+                    if not self._queue and not self._running:
+                        return  # stopped and drained
+                    self._wakeup.wait()
                 # Deadline/size trigger: dispatch when the oldest request
                 # has waited max_delay_ms or max_batch_size are queued.
                 deadline = self._queue[0].submitted_at + max_delay_s
@@ -387,11 +408,12 @@ class PredictorServer:
                     remaining = deadline - time.perf_counter()
                     if remaining <= 0:
                         break
-                    self._not_empty.wait(remaining)
+                    self._wakeup.wait(remaining)
                 count = min(len(self._queue), self.config.max_batch_size)
                 batch = [self._queue.popleft() for _ in range(count)]
                 self._inflight = batch
-                self._not_full.notify_all()
+            if not batch:
+                continue  # stop(drain=False) emptied the queue meanwhile
             if self._tracer is not None:
                 dispatched = time.perf_counter()
                 for request in batch:
@@ -402,47 +424,49 @@ class PredictorServer:
             # _batcher_main's crash handler with the batch still in-flight
             # — exactly the torn state the supervisor must recover.
             faults.check("serve.batcher")
-            try:
-                self.core.process_batch(batch)
-            except Exception as exc:  # noqa: BLE001 — the loop must survive
-                # A surprise error outside the hardened group path fails
-                # this batch's requests instead of killing the batcher and
-                # stranding every future request.
-                unfinished = [request for request in batch
-                              if not request.done()]
-                self.core.count("failed", len(unfinished))
-                for request in unfinished:
-                    request._finish(RequestStatus.FAILED, error=exc)
-            finally:
-                with self._lock:
-                    self._inflight = []
+            self._dispatch(batch)
+
+    # ------------------------------------------------------------------
+    # Backend: what happens to a formed micro-batch
+    # ------------------------------------------------------------------
+    def _ready_locked(self):
+        """True when the backend can take a batch now (caller holds the
+        lock).  The batcher thread itself is this backend's only worker,
+        and it is free whenever it asks."""
+        return True
+
+    def _dispatch(self, batch):
+        """Run one micro-batch on the batcher thread."""
+        try:
+            self.core.process_batch(batch)
+        except Exception as exc:  # noqa: BLE001 — the loop must survive
+            # A surprise error outside the hardened group path fails this
+            # batch's requests instead of killing the batcher and
+            # stranding every future request.
+            self._fail([r for r in batch if not r.done()], exc)
+        with self._lock:
+            self._inflight = []
+            self._retire_locked(len(batch))
+
+    def _retire_locked(self, n):
+        """``n`` admitted requests completed: free their admission slots
+        (caller holds the lock)."""
+        self._outstanding -= n
+        self._not_full.notify_all()
+        self._wakeup.notify_all()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _plan_digest(self, db_name, plan):
-        return self.core.plan_digest(db_name, plan)
-
     def stats(self):
         """Request/batch/cache/swap/fault counters, batch-size histogram,
         and per-deployment breaker states."""
         stats = self.core.stats()
         with self._lock:
-            queue_high_water = self._queue_high_water
-        # Keep the key order stable: queue_high_water sits between
-        # mean_batch_size and result_cache_entries, as it always has.
-        breakers = stats.pop("breakers")
-        cache_entries = stats.pop("result_cache_entries")
-        stats["queue_high_water"] = queue_high_water
-        stats["result_cache_entries"] = cache_entries
-        stats["breakers"] = breakers
+            stats["queue_high_water"] = self._queue_high_water
         return stats
 
-    @property
-    def _dbs(self):
-        return self.core.dbs
-
     def __repr__(self):
-        return (f"PredictorServer(dbs={sorted(self.core.dbs)}, "
+        return (f"{type(self).__name__}(dbs={sorted(self.core.dbs)}, "
                 f"max_batch={self.config.max_batch_size}, "
                 f"running={self._thread is not None})")

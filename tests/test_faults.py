@@ -375,7 +375,7 @@ class TestServerRetryAndBisection:
         server = _server(world, registry, max_batch_size=8, max_retries=1)
         db_name = world["db"].name
         plans = [r.plan for r in world["records"][:6]]
-        poison_digest = server._plan_digest(db_name, plans[2])
+        poison_digest = server.core.plan_digest(db_name, plans[2])
         schedule = FaultSchedule(
             [FaultSpec("serve.featurize", keys={poison_digest})], seed=0)
         with inject(schedule):
@@ -405,7 +405,7 @@ class TestServerRetryAndBisection:
         db_name, plan, _ = mix[poisoned]
         schedule = FaultSchedule(
             [FaultSpec("serve.featurize",
-                       keys={server._plan_digest(db_name, plan)})], seed=0)
+                       keys={server.core.plan_digest(db_name, plan)})], seed=0)
         with inject(schedule):
             handles = [server.submit(p, name) for name, p, _ in mix]
             with server:

@@ -1,25 +1,29 @@
-"""Fleet serving: sharding router, forked workers, mmap-shared checkpoints.
+"""Fleet serving: the server's front end over forked, batch-fed workers.
 
 The load-bearing contract is *fleet equivalence*: for any request mix, any
-shard placement and any worker count, every ``DONE``/``CACHED`` value is
+batch placement and any worker count, every ``DONE``/``CACHED`` value is
 bit-identical to a direct ``predict_runtimes`` call on the same model —
 including across worker kills and restarts.  These tests pin that down,
 plus the transport underneath it: the long-lived ``WorkerProcess`` pipe
-protocol, the registry's mmap hydration path (one page-cache copy per
-checkpoint, content-address verified, safe under concurrent
-materialization from many processes), supervision (SIGKILL a worker
-mid-load — no handle lost, none answered twice), and cross-process
-hot-swap on ``registry.generation`` changes.
+protocol, one pipe message per micro-batch, the registry's mmap hydration
+path (one page-cache copy per checkpoint, content-address verified, safe
+under concurrent materialization from many processes), supervision
+(SIGKILL a worker mid-load, or tear its pipe with a garbage frame — no
+handle lost, none answered twice), and cross-process hot-swap on
+``registry.generation`` changes.
 """
 
 import multiprocessing
 import os
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.featurization.fingerprint as fingerprint
 import repro.serving.fleet as fleet_module
+from repro import perfstats
 from repro.bench.parallel import WorkerProcess
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
@@ -27,7 +31,10 @@ from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
 from repro.featurization import FeatureScalers, TargetScaler, database_digest
 from repro.nn import openblas
-from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
+from repro.robustness import faults
+from repro.robustness.faults import FaultSchedule, FaultSpec
+from repro.serving import (DeadlineExceededError, LoadConfig, ModelRegistry,
+                           PredictorFleet, PredictorServer, RequestPriority,
                            RequestStatus, ServerConfig, run_load,
                            skewed_requests)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
@@ -231,19 +238,6 @@ class TestFleetEquivalence:
         assert stats["cached"] > 0
         assert stats["failed"] == 0 and stats["shed"] == 0
 
-    def test_spill_keeps_values_identical(self, world, tmp_path):
-        """spill_threshold=1 forces nearly every request off its preferred
-        shard — placement must never change a value."""
-        registry = _registry_with(world, tmp_path)
-        plans_a = [r.plan for r in world["records_a"]]
-        config = ServerConfig(result_cache_size=0)
-        with PredictorFleet(registry, world["dbs"], config, n_workers=3,
-                            spill_threshold=1) as fleet:
-            got = fleet.predict(plans_a, world["db_a"].name)
-            stats = fleet.stats()
-        np.testing.assert_array_equal(got, world["expected_a"])
-        assert stats["spills"] > 0
-
     def test_shed_when_queue_full(self, world, tmp_path):
         registry = _registry_with(world, tmp_path)
         config = ServerConfig(queue_depth=1, max_delay_ms=50.0)
@@ -325,6 +319,99 @@ class TestFleetWorkerCost:
         assert openblas().get_threads() == before
 
 
+def _hold_first_batch(delay_ms):
+    """Worker schedule that holds the worker's first batch for
+    ``delay_ms`` at ``fleet.worker.hang`` before serving it."""
+    return FaultSchedule([
+        FaultSpec("fleet.worker.hang", rate=1.0, max_faults=1,
+                  action="delay", delay_ms=delay_ms),
+    ], seed=0)
+
+
+class TestFleetBatchWire:
+    def test_one_pipe_message_per_micro_batch(self, world, tmp_path,
+                                              monkeypatch):
+        """Under saturation the router ships each micro-batch as exactly
+        one pipe message, each is answered by exactly one result message,
+        and batches carry more than one request on average."""
+        log = tmp_path / "sends.log"
+        original = fleet_module._pipe_send
+
+        def logged(conn, message):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{os.getpid()} {message[0]}\n".encode())
+            finally:
+                os.close(fd)
+            return original(conn, message)
+
+        monkeypatch.setattr(fleet_module, "_pipe_send", logged)
+        registry = _registry_with(world, tmp_path / "registry")
+        requests = [(world["db_a"].name, r.plan)
+                    for r in world["records_a"]] * 4
+        expected = {id(r.plan): float(v) for r, v in
+                    zip(world["records_a"], world["expected_a"])}
+        config = ServerConfig(result_cache_size=0, queue_depth=10_000)
+        fleet = PredictorFleet(registry, world["dbs"], config, n_workers=2,
+                               hang_timeout_ms=None)
+        with fleet:
+            report = run_load(fleet, requests,
+                              LoadConfig(n_clients=4, seed=5))
+        stats = fleet.stats()  # after stop: the workers' final answers
+        assert report.completed == len(requests)
+        for handle in report.handles:
+            assert handle.value == expected[id(handle.plan)]
+        sends = Counter(tuple(line.split())
+                        for line in log.read_text().splitlines())
+        router = str(os.getpid())
+        batches = sum(n for (pid, kind), n in sends.items()
+                      if pid == router and kind == "batch")
+        replies = sum(n for (pid, kind), n in sends.items()
+                      if pid != router and kind == "done")
+        assert batches == replies == stats["batches"]
+        assert stats["mean_batch_size"] > 1.0
+
+    @pytest.mark.parametrize("side", ["worker", "router"])
+    def test_corrupt_frame_restarts_the_slot(self, world, tmp_path, side):
+        """A garbage frame on a worker pipe — written by a ``corrupt``
+        action at ``fleet.pipe.send`` on either side — tears that
+        connection down: the slot restarts, its batch is re-sent, and every
+        request is answered exactly once with the right value."""
+        registry = _registry_with(world, tmp_path)
+        plans = [r.plan for r in world["records_a"]]
+        schedule = FaultSchedule([
+            FaultSpec("fleet.pipe.send", rate=1.0, max_faults=1,
+                      action="corrupt"),
+        ], seed=3)
+        config = ServerConfig(result_cache_size=0)
+        before = perfstats.snapshot(["fleet.pipe.corrupt"])
+        fleet = PredictorFleet(
+            registry, world["dbs"], config, n_workers=1,
+            fault_schedule=schedule if side == "worker" else None,
+            hang_timeout_ms=None)
+        with fleet:
+            if side == "router":  # after the fork: the router alone
+                faults.install(schedule)
+            try:
+                handles = fleet.submit_many(plans, world["db_a"].name,
+                                            block=True)
+                values = [handle.result(60) for handle in handles]
+            finally:
+                faults.uninstall()
+            stats = fleet.stats()
+        after = perfstats.snapshot(["fleet.pipe.corrupt"])
+        assert [h.status for h in handles] == [RequestStatus.DONE] * len(
+            plans)
+        np.testing.assert_array_equal(values, world["expected_a"])
+        assert stats["worker_restarts"] == 1
+        assert stats["requeued"] >= 1
+        assert stats["outstanding"] == 0 and stats["failed"] == 0
+        assert stats["requests"] == len(plans)
+        corrupt = (after["fleet.pipe.corrupt"]
+                   - before["fleet.pipe.corrupt"])
+        assert corrupt == (1 if side == "worker" else 0)
+
+
 def _report_blas(conn):
     fleet_module.pin_blas_to_one_thread()
     conn.send(openblas().get_threads())
@@ -351,17 +438,18 @@ class TestFleetSupervision:
                                                        tmp_path):
         registry = _registry_with(world, tmp_path)
         db_a = world["db_a"]
-        # Large coalescing delay: results are still pending when the kill
-        # lands, so the supervisor must re-send them to the replacement.
-        config = ServerConfig(max_delay_ms=200.0, max_batch_size=256,
-                              result_cache_size=0)
+        # Worker 0 takes the first batch and holds it: its results are
+        # still pending when the kill lands, so the supervisor must re-send
+        # the batch to the replacement.
+        config = ServerConfig(max_batch_size=256, result_cache_size=0)
         plans = [r.plan for r in world["records_a"]] * 2
         expected = np.concatenate([world["expected_a"]] * 2)
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=2, spill_threshold=10_000) as fleet:
-            target = fleet._preferred[db_a.name]  # every request lands here
+        with PredictorFleet(registry, world["dbs"], config, n_workers=2,
+                            fault_schedule={0: _hold_first_batch(2000.0)}
+                            ) as fleet:
             handles = fleet.submit_many(plans, db_a.name, block=True)
-            assert fleet.kill_worker(target) is not None
+            time.sleep(0.2)
+            assert fleet.kill_worker(0) is not None
             completions = []
             for handle in handles:
                 # Exactly-once: result() returns the single final value;
@@ -386,7 +474,7 @@ class TestFleetSupervision:
         expected = {id(r.plan): float(v) for r, v in
                     zip(world["records_a"], world["expected_a"])}
         with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=2, spill_threshold=4) as fleet:
+                            n_workers=2) as fleet:
             fleet.submit(requests[0][1], requests[0][0], block=True)
             fleet.kill_worker(0)
             report = run_load(fleet, requests,
@@ -499,8 +587,8 @@ class TestFleetLoadgen:
             for record, value in zip(records, values):
                 expected[id(record.plan)] = float(value)
         config = ServerConfig(result_cache_size=0, queue_depth=10_000)
-        with PredictorFleet(registry, world["dbs"], config, n_workers=2,
-                            spill_threshold=4) as fleet:
+        with PredictorFleet(registry, world["dbs"], config,
+                            n_workers=2) as fleet:
             report = run_load(fleet, mix,
                               LoadConfig(n_clients=3, block=True, seed=2))
         assert report.completed == len(mix)
@@ -518,26 +606,19 @@ class TestFleetLiveness:
     def _run_hang_scenario(self, world, root, fault_seed=11):
         """One full hang-recovery pass; returns (per-handle outcomes,
         counter signature) for replay comparison."""
-        from repro.robustness.faults import FaultSchedule, FaultSpec
-
         registry = _registry_with(world, root)
         db_a = world["db_a"]
         plans = [r.plan for r in world["records_a"]]
-        config = ServerConfig(result_cache_size=0, max_delay_ms=20.0,
+        # The batch delay outlasts the submits, so the first batch — the
+        # one worker 0 (the first idle worker) takes — holds every plan.
+        config = ServerConfig(result_cache_size=0, max_delay_ms=100.0,
                               max_batch_size=256)
-        schedule = None
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=2, spill_threshold=10_000,
-                            hang_timeout_ms=300.0, ping_interval_ms=60.0,
-                            hedge_after_ms=None) as probe:
-            target = probe._preferred[db_a.name]
-        schedule = {target: FaultSchedule([
+        schedule = {0: FaultSchedule([
             FaultSpec("fleet.worker.hang", rate=1.0, max_faults=1,
                       action="hang"),
         ], seed=fault_seed)}
         with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=2, spill_threshold=10_000,
-                            fault_schedule=schedule,
+                            n_workers=2, fault_schedule=schedule,
                             hang_timeout_ms=300.0, ping_interval_ms=60.0,
                             hedge_after_ms=None) as fleet:
             handles = fleet.submit_many(plans, db_a.name, block=True)
@@ -577,11 +658,6 @@ class TestFleetLiveness:
     def test_stats_is_hang_safe(self, world, tmp_path):
         """stats() on a fleet with a wedged worker returns promptly with
         an ``unresponsive`` row instead of blocking the caller."""
-        import time as _time
-
-        from repro import perfstats
-        from repro.robustness.faults import FaultSchedule, FaultSpec
-
         registry = _registry_with(world, tmp_path)
         config = ServerConfig(result_cache_size=0, max_delay_ms=1.0)
         schedule = FaultSchedule([
@@ -597,10 +673,10 @@ class TestFleetLiveness:
                             hang_timeout_ms=None) as fleet:
             handle = fleet.submit(world["records_a"][0].plan,
                                   world["db_a"].name, block=True)
-            _time.sleep(0.2)  # let the worker enter the hang
-            start = _time.perf_counter()
+            time.sleep(0.2)  # let the worker enter the hang
+            start = time.perf_counter()
             stats = fleet.stats(timeout_s=0.3)
-            elapsed = _time.perf_counter() - start
+            elapsed = time.perf_counter() - start
             assert elapsed < 1.0
             assert stats["unresponsive_workers"] == 1
             assert {"unresponsive": True, "worker": 0} in \
@@ -617,23 +693,20 @@ class TestFleetLiveness:
 class TestFleetHedging:
     def test_hedge_dedup_late_loser_cannot_double_complete(self, world,
                                                            tmp_path):
-        """A hedge fires while the original worker is still coalescing;
-        whichever copy answers second finds the entry already completed.
-        The late duplicate must not double-complete the handle, corrupt
-        the outstanding count, or poison a later round."""
-        import time as _time
-
+        """A hedge fires while the original worker still holds the batch;
+        whichever copy answers second finds the batch already completed.
+        The late duplicate must not double-complete a handle, corrupt the
+        outstanding count, or poison a later round."""
         registry = _registry_with(world, tmp_path)
         db_a = world["db_a"]
         plans = [r.plan for r in world["records_a"]]
         expected = world["expected_a"]
-        # 250 ms coalescing delay on a small batch: the original worker
-        # sits on the requests long past the 40 ms hedge threshold, so
-        # every request hedges and both workers eventually answer.
-        config = ServerConfig(result_cache_size=0, max_delay_ms=250.0,
-                              max_batch_size=256)
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=2, spill_threshold=10_000,
+        # Worker 0 holds its first batch for 250 ms, long past the 40 ms
+        # hedge threshold, so the batch hedges to worker 1 and both
+        # workers eventually answer it.
+        config = ServerConfig(result_cache_size=0, max_batch_size=256)
+        with PredictorFleet(registry, world["dbs"], config, n_workers=2,
+                            fault_schedule={0: _hold_first_batch(250.0)},
                             hang_timeout_ms=None,
                             hedge_after_ms=40.0, max_hedges=1) as fleet:
             handles = fleet.submit_many(plans, db_a.name, block=True)
@@ -641,13 +714,13 @@ class TestFleetHedging:
                 assert handle.result(60) == float(want)
                 assert handle.status is RequestStatus.DONE
             # Let the losing duplicates arrive and be dropped.
-            deadline = _time.monotonic() + 5.0
-            while _time.monotonic() < deadline:
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
                 stats = fleet.stats()
                 if (stats["hedge_wins"] + stats["hedge_wasted"] >= 1
                         and stats["outstanding"] == 0):
                     break
-                _time.sleep(0.05)
+                time.sleep(0.05)
             assert stats["hedges"] >= 1
             assert stats["hedge_wins"] + stats["hedge_wasted"] >= 1
             assert stats["outstanding"] == 0
@@ -674,19 +747,29 @@ class TestFleetHedging:
 
 
 # ----------------------------------------------------------------------
-# Priorities: classed admission, brownout, shed concentration
+# Priorities: classed admission, brownout, shed concentration — one front
+# end, so the thread server and the fleet must behave identically
 # ----------------------------------------------------------------------
+@pytest.fixture(params=["server", "fleet"])
+def transport(request):
+    """Builds either transport over the same front end."""
+    def make(registry, dbs, config):
+        if request.param == "fleet":
+            return PredictorFleet(registry, dbs, config, n_workers=1)
+        return PredictorServer(registry, dbs, config)
+    return make
+
+
 class TestFleetPriorities:
-    def test_brownout_and_priority_classed_shedding(self, world, tmp_path):
-        from repro import perfstats
+    def test_brownout_and_priority_classed_shedding(self, world, tmp_path,
+                                                    transport):
         from repro.optimizer import AnalyticalCostModel
-        from repro.serving import RequestPriority
 
         registry = _registry_with(world, tmp_path)
         db_a = world["db_a"]
         plans = [r.plan for r in world["records_a"]]
         # queue_depth=8 with a 25% HIGH reserve: LOW admits under 4,
-        # NORMAL under 6, HIGH under 8.  A 400 ms coalescing delay keeps
+        # NORMAL under 6, HIGH under 8.  A 400 ms batching delay keeps
         # everything outstanding while the admission ladder is probed.
         config = ServerConfig(result_cache_size=0, max_delay_ms=400.0,
                               max_batch_size=256, queue_depth=8,
@@ -694,9 +777,8 @@ class TestFleetPriorities:
                               brownout_fraction=0.5)
         before = perfstats.snapshot(
             ["serve.shed.priority.normal", "serve.shed.priority.high",
-             "serve.shed.priority.low", "fleet.brownout.count"])
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=1) as fleet:
+             "serve.shed.priority.low", "serve.brownout.count"])
+        with transport(registry, world["dbs"], config) as fleet:
             normals = [fleet.submit(plans[i], db_a.name,
                                     priority=RequestPriority.NORMAL)
                        for i in range(6)]
@@ -727,20 +809,18 @@ class TestFleetPriorities:
             stats = fleet.stats()
         after = perfstats.snapshot(
             ["serve.shed.priority.normal", "serve.shed.priority.high",
-             "serve.shed.priority.low", "fleet.brownout.count"])
+             "serve.shed.priority.low", "serve.brownout.count"])
         delta = {key: after[key] - before[key] for key in after}
         assert delta["serve.shed.priority.normal"] == 1
         assert delta["serve.shed.priority.high"] == 1
         assert delta["serve.shed.priority.low"] == 0  # browned out instead
-        assert delta["fleet.brownout.count"] == 1
+        assert delta["serve.brownout.count"] == 1
         assert stats["brownouts"] == 1
         assert stats["shed"] == 2
         assert stats["degraded"] >= 1  # includes the brownout
 
-    def test_low_sheds_when_brownout_disabled(self, world, tmp_path):
-        from repro import perfstats
-        from repro.serving import RequestPriority
-
+    def test_low_sheds_when_brownout_disabled(self, world, tmp_path,
+                                              transport):
         registry = _registry_with(world, tmp_path)
         db_a = world["db_a"]
         plans = [r.plan for r in world["records_a"]]
@@ -749,8 +829,7 @@ class TestFleetPriorities:
                               brownout_fraction=0.5,
                               brownout_degraded=False)
         before = perfstats.snapshot(["serve.shed.priority.low"])
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=1) as fleet:
+        with transport(registry, world["dbs"], config) as fleet:
             for i in range(2):  # LOW bound is int(4 * 0.5) = 2
                 fleet.submit(plans[i], db_a.name,
                              priority=RequestPriority.LOW)
@@ -761,19 +840,16 @@ class TestFleetPriorities:
         assert after["serve.shed.priority.low"] == \
             before["serve.shed.priority.low"] + 1
 
-    def test_deadline_crosses_the_pipe(self, world, tmp_path):
-        """A request whose deadline expires while queued is dropped
-        worker-side before featurization, with the typed error."""
-        from repro.serving import DeadlineExceededError
-
+    def test_deadline_crosses_the_pipe(self, world, tmp_path, transport):
+        """A request whose deadline expires while queued is dropped before
+        featurization (worker-side on the fleet), with the typed error."""
         registry = _registry_with(world, tmp_path)
         db_a = world["db_a"]
-        # Coalescing delay far past the request deadline: by the time the
+        # Batching delay far past the request deadline: by the time the
         # batch forms, the deadline has long expired.
         config = ServerConfig(result_cache_size=0, max_delay_ms=150.0,
                               max_batch_size=256)
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=1) as fleet:
+        with transport(registry, world["dbs"], config) as fleet:
             doomed = fleet.submit(world["records_a"][0].plan, db_a.name,
                                   deadline_ms=1.0)
             fine = fleet.submit(world["records_a"][1].plan, db_a.name)
@@ -794,8 +870,6 @@ class TestFleetFaultPropagation:
         """A schedule passed to the fleet is installed inside the forked
         worker at spawn: the injected fault fires in the worker process
         and shows up in its reported ``fault_injected`` counters."""
-        from repro.robustness.faults import FaultSchedule, FaultSpec
-
         registry = _registry_with(world, tmp_path)
         schedule = FaultSchedule([
             FaultSpec("serve.infer", rate=1.0, max_faults=1,
@@ -818,9 +892,6 @@ class TestFleetFaultPropagation:
                                                           tmp_path):
         """A schedule installed process-wide before start() is inherited
         by the forked workers when no explicit schedule overrides it."""
-        from repro.robustness import faults
-        from repro.robustness.faults import FaultSchedule, FaultSpec
-
         registry = _registry_with(world, tmp_path)
         schedule = FaultSchedule([
             FaultSpec("serve.infer", rate=1.0, max_faults=1,

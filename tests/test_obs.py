@@ -337,8 +337,8 @@ fleet_only = pytest.mark.skipif(
 @fleet_only
 class TestFleetTracing:
     def test_worker_stages_ride_the_wire(self, world, tmp_path):
-        """Fleet spans include worker-side stages (recv/coalesce/
-        featurize/infer) tagged with the worker's proc label, values stay
+        """Fleet spans include worker-side stages (recv/featurize/infer)
+        tagged with the worker's proc label, values stay
         bit-identical, and worker metric deltas merge exactly."""
         from repro.obs.metrics import REGISTRY
         from repro.serving import PredictorFleet
@@ -356,8 +356,7 @@ class TestFleetTracing:
             fleet.stats()  # polls workers -> ships metric deltas
             spans = fleet.tracer.drain()
         names = {s.name for s in spans}
-        assert {"queue", "worker.recv", "coalesce", "featurize",
-                "infer"} <= names
+        assert {"queue", "worker.recv", "featurize", "infer"} <= names
         worker_procs = {s.proc for s in spans if s.name == "infer"}
         assert worker_procs == {"worker-0"}
         overall = latency_attribution(spans)["overall"]

@@ -210,7 +210,7 @@ class TestFleetChaosSmoke:
         detected and killed (``fleet.hang.*``), stragglers are hedged
         (``fleet.hedge.*``), and the priority-classed overload plane
         sheds or browns out under a saturation burst
-        (``serve.shed.priority.*`` / ``fleet.brownout.count``)."""
+        (``serve.shed.priority.*`` / ``serve.brownout.count``)."""
         db, records = harness.build_plan_corpus(n_queries=48, seed=3,
                                                 base_rows=400)
         perfstats.reset()
@@ -225,7 +225,7 @@ class TestFleetChaosSmoke:
             counters.get("serve.shed.priority.high", 0)
             + counters.get("serve.shed.priority.normal", 0)
             + counters.get("serve.shed.priority.low", 0)
-            + counters.get("fleet.brownout.count", 0))
+            + counters.get("serve.brownout.count", 0))
         assert shed_or_brownout >= 1
         assert results["chaos"]["availability"] >= 0.99
         assert results["overload"]["high_availability"] >= 0.99
