@@ -212,14 +212,15 @@ def _serve_batch(core, message):
                 request._finish(RequestStatus.FAILED, error=exc)
     results = []
     for request in requests:
-        error = request.error
+        error, trace = request.error, request.trace
+        # Routes change only between batches here: this is the batch's.
         key = (core.route_for(request.db_name).checkpoint_key
                if request.status is RequestStatus.DONE else None)
         results.append((
             request.status.value, request.value,
             None if error is None else (type(error).__name__, str(error)),
             request.served_by, request.retries, key,
-            request.trace.export_remote() if request.trace else None))
+            None if trace is None else trace.export_remote()))
     return ("done", batch_id, results)
 
 
