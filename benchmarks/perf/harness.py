@@ -1,6 +1,10 @@
-"""Engine microbenchmark harness: corpus generation, trace execution, SPN
-learning, runtime simulation, featurization, annotation, batching, training,
-inference.
+"""Bench harness: engine microbenchmarks (corpus generation, trace
+execution, SPN learning, runtime simulation, featurization, annotation,
+batching, training, inference) and the serving benches (server, chaos,
+fleet, fleet chaos, controller, tracing overhead).
+
+Every function here only measures and returns numbers; pass/fail is the
+``GATES`` table in ``run.py``, the one entry point.
 
 All benchmarks use only the public API of the *current* revision
 (``execute_trace``, ``simulate_runtime_ms_batch``, ``learn_spn``,
@@ -27,9 +31,11 @@ import cProfile
 import gc
 import inspect
 import io
+import os
 import pstats
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -52,9 +58,10 @@ __all__ = ["build_plan_corpus", "build_corpus", "build_exec_corpus",
            "bench_featurization", "bench_annotation",
            "bench_featurization_cached", "bench_batch_construction",
            "bench_training_step", "bench_train_epoch",
-           "bench_experiment_warm_start", "bench_inference", "bench_serving",
-           "bench_chaos", "bench_fleet", "bench_controller", "bench_obs",
-           "run_all", "run_pipeline_reference"]
+           "bench_experiment_warm_start", "bench_inference", "served_model",
+           "audit", "bench_serving", "bench_chaos", "bench_fleet",
+           "bench_fleet_chaos", "bench_controller", "bench_obs",
+           "OBS_LATENCY_P95_BUDGET_MS", "run_all", "run_pipeline_reference"]
 
 
 def build_plan_corpus(n_queries=192, seed=0, max_joins=3, base_rows=1200):
@@ -444,6 +451,62 @@ def bench_inference(graphs, runtimes, hidden_dim=64, batch_size=256,
     return rate
 
 
+@contextmanager
+def served_model(db, records, hidden_dim=64, seed=0):
+    """One untrained model over ``records``, published to a throwaway
+    registry as the default deployment.
+
+    Yields ``(registry, dbs, oracle)``: ``oracle()`` maps each record's
+    plan (by identity) to its direct ``predict_runtimes`` value.  The
+    row-stable kernels make a plan's prediction independent of batch
+    composition, so one direct call is the oracle for every micro-batch,
+    retry, bisection, hedge and worker placement a bench produces.  Only
+    the auditing benches call it: the direct call runs the model and fills
+    the shared predict batch cache, which the throughput benches measure.
+    """
+    from repro.bench import ArtifactStore
+    from repro.core import ZeroShotCostModel
+    from repro.serving import ModelRegistry
+
+    dbs = {db.name: db}
+    graphs = featurize_records(records, dbs, cards="exact")
+    runtimes = np.array([r.runtime_ms for r in records])
+    model = ZeroShotCostModel(
+        ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval(),
+        FeatureScalers().fit(graphs), TargetScaler().fit(runtimes),
+        TrainingConfig(hidden_dim=hidden_dim))
+
+    def oracle():
+        truth = predict_runtimes(model.model, graphs, model.feature_scalers,
+                                 model.target_scaler)
+        return {id(record.plan): float(value)
+                for record, value in zip(records, truth)}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        registry = ModelRegistry(ArtifactStore(tmp))
+        registry.publish("bench", model, dbs=[db], default=True)
+        yield registry, dbs, oracle
+
+
+def audit(report, expected):
+    """Wrong, lost and duplicated counts of one load run.
+
+    A model-path answer (``DONE``/``CACHED``) that differs bit-for-bit
+    from ``expected`` is wrong; ``DEGRADED`` answers are the flagged
+    analytical fallback and are not compared.  A handle still ``PENDING``
+    after the run is lost; a handle reported twice is duplicated.
+    """
+    from repro.serving import RequestStatus
+
+    wrong = sum(1 for handle in report.handles
+                if handle.status in (RequestStatus.DONE, RequestStatus.CACHED)
+                and handle.value != expected[id(handle.plan)])
+    lost = sum(1 for handle in report.handles
+               if handle.status is RequestStatus.PENDING)
+    duplicated = len(report.handles) - len({id(h) for h in report.handles})
+    return {"wrong_values": wrong, "lost": lost, "duplicated": duplicated}
+
+
 def bench_serving(db, records, hidden_dim=64, n_clients=4, repeats=3,
                   max_batch_size=64, max_delay_ms=2.0, seed=0):
     """Plans/second through the online predictor, single vs micro-batched.
@@ -458,18 +521,9 @@ def bench_serving(db, records, hidden_dim=64, n_clients=4, repeats=3,
     Returns ``(single_rate, batched_rate, extras)`` where ``extras`` holds
     the batched run's batch-size histogram and latency percentiles.
     """
-    from repro.bench import ArtifactStore
-    from repro.core import TrainingConfig, ZeroShotCostModel
-    from repro.serving import (LoadConfig, ModelRegistry, PredictorServer,
-                               ServerConfig, run_load)
+    from repro.serving import (LoadConfig, PredictorServer, ServerConfig,
+                               run_load)
 
-    dbs = {db.name: db}
-    graphs = featurize_records(records, dbs, cards="exact")
-    runtimes = np.array([r.runtime_ms for r in records])
-    model = ZeroShotCostModel(
-        ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval(),
-        FeatureScalers().fit(graphs), TargetScaler().fit(runtimes),
-        TrainingConfig(hidden_dim=hidden_dim))
     requests = [(db.name, record.plan) for record in records]
     load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
                       block=True)
@@ -496,9 +550,7 @@ def bench_serving(db, records, hidden_dim=64, n_clients=4, repeats=3,
                           "latency_ms": report.latency_ms}
         return best_rate, extras
 
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(ArtifactStore(tmp))
-        registry.publish("bench", model, dbs=[db], default=True)
+    with served_model(db, records, hidden_dim, seed) as (registry, dbs, _):
         single_rate, _ = measure(1)
         batched_rate, extras = measure(max_batch_size)
     return single_rate, batched_rate, extras
@@ -509,46 +561,23 @@ def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
                 trace=False):
     """Availability, correctness and tail latency under injected faults.
 
-    Publishes one model, pre-computes the ground-truth predictions with a
-    direct ``predict_runtimes`` call, then drives the server through the
-    load generator's chaos mode: a deterministic seeded
-    :class:`~repro.robustness.faults.FaultSchedule` raises transient errors
-    in featurization and inference, injects inference delays, and crashes
-    the batcher thread mid-load.  The result cache is disabled so **every**
-    request pays the hardened model path, and every delivered value is
-    audited:
+    Drives the server through the load generator's chaos mode: a
+    deterministic seeded :class:`~repro.robustness.faults.FaultSchedule`
+    raises transient errors in featurization and inference, injects
+    inference delays, and crashes the batcher thread mid-load.  The result
+    cache is disabled so **every** request pays the hardened model path,
+    and every delivered value is audited against the direct-prediction
+    oracle (:func:`audit`).
 
-    * a ``DONE`` response whose value differs bit-for-bit from the direct
-      prediction is a **wrong value** (the headline count; must be zero);
-    * ``DEGRADED`` responses are counted separately — they are the explicit
-      analytical fallback, never checked against (or confused with) model
-      predictions.
-
-    Returns a dict with availability (delivered / submitted), the wrong
-    value count, per-status counts, batcher crash/re-enqueue counts,
-    latency percentiles under faults, and the schedule's per-point
-    injection totals.
+    Returns a dict with availability (delivered / submitted), the audit
+    counts, per-status counts, batcher crash/re-enqueue counts, latency
+    percentiles under faults, and the schedule's per-point injection
+    totals.
     """
-    from repro.bench import ArtifactStore
-    from repro.core import TrainingConfig, ZeroShotCostModel
     from repro.robustness.faults import FaultSchedule, FaultSpec
-    from repro.serving import (LoadConfig, ModelRegistry, PredictorServer,
-                               RequestStatus, ServerConfig, run_load)
+    from repro.serving import (LoadConfig, PredictorServer, ServerConfig,
+                               run_load)
 
-    dbs = {db.name: db}
-    graphs = featurize_records(records, dbs, cards="exact")
-    runtimes = np.array([r.runtime_ms for r in records])
-    model = ZeroShotCostModel(
-        ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval(),
-        FeatureScalers().fit(graphs), TargetScaler().fit(runtimes),
-        TrainingConfig(hidden_dim=hidden_dim))
-    # Ground truth: the row-stable kernels make per-plan predictions
-    # independent of batch composition, so one direct call is the oracle
-    # for every micro-batch, retry and bisection the chaos run produces.
-    truth = predict_runtimes(model.model, graphs, model.feature_scalers,
-                             model.target_scaler)
-    expected = {id(record.plan): float(value)
-                for record, value in zip(records, truth)}
     requests = [(db.name, record.plan) for record in records] * rounds
     schedule = FaultSchedule([
         # Guaranteed events, pinned mid-run by skip_calls so every chaos
@@ -575,23 +604,18 @@ def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
                           trace=trace)
     load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
                       block=True, faults=schedule, trace=trace)
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(ArtifactStore(tmp))
-        registry.publish("chaos-bench", model, dbs=[db], default=True)
+    with served_model(db, records, hidden_dim, seed) as (registry, dbs,
+                                                         oracle):
+        expected = oracle()
         server = PredictorServer(registry, dbs, config)
         with _gc_paused(), server:
             report = run_load(server, requests, load)
 
-    wrong = 0
-    for handle in report.handles:
-        if handle.status in (RequestStatus.DONE, RequestStatus.CACHED):
-            if handle.value != expected[id(handle.plan)]:
-                wrong += 1
     stats = report.server_stats
     return {
         "n_requests": report.n_requests,
         "availability": report.availability,
-        "wrong_values": wrong,
+        **audit(report, expected),
         "completed": report.completed,
         "degraded": report.degraded,
         "shed": report.shed,
@@ -612,39 +636,24 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                 max_batch_size=64, max_delay_ms=2.0, seed=0):
     """Fleet throughput vs worker count, with a full value audit.
 
-    Publishes one model to a throwaway registry, pre-computes the
-    ground-truth predictions with a direct ``predict_runtimes`` call, then
-    drives a fresh :class:`~repro.serving.PredictorFleet` at each worker
+    Drives a fresh :class:`~repro.serving.PredictorFleet` at each worker
     count through the load generator in saturation mode.  The result cache
     is disabled so every request pays the real mmap-hydrated inference path
-    in a worker process, and **every** delivered value is audited against
-    the direct prediction — the fleet equivalence contract says the wrong
-    value count must be zero at any worker count, any batch placement.
+    in a worker process, and **every** delivered value of every pass is
+    audited against the direct-prediction oracle — the fleet equivalence
+    contract holds at any worker count, any batch placement.
 
-    Returns ``(rates, extras)``: ``rates`` maps worker count to the best
-    plans/s over ``repeats`` passes; ``extras`` carries per-count latency
-    percentiles, mean batch size, restart counts, and the ``fleet.*``
+    Returns the best plans/s over ``repeats`` passes per worker count, the
+    scaling of each count over one worker (``top_scaling`` for the largest
+    count), the CPU count, the audit counts summed over all passes,
+    ``incomplete`` (requests a pass did not predict), and per-count latency
+    percentiles, mean batch size, restart counts and the ``fleet.*``
     perfstats counters.  Scaling beyond one worker needs real cores — on a
     single-CPU machine the honest numbers simply show ~1x.
     """
-    from repro.bench import ArtifactStore
-    from repro.core import TrainingConfig, ZeroShotCostModel
-    from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
-                               RequestStatus, ServerConfig, run_load)
+    from repro.serving import (LoadConfig, PredictorFleet, ServerConfig,
+                               run_load)
 
-    dbs = {db.name: db}
-    graphs = featurize_records(records, dbs, cards="exact")
-    runtimes = np.array([r.runtime_ms for r in records])
-    model = ZeroShotCostModel(
-        ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval(),
-        FeatureScalers().fit(graphs), TargetScaler().fit(runtimes),
-        TrainingConfig(hidden_dim=hidden_dim))
-    # Row-stable kernels: one direct call is the oracle for every value
-    # the fleet produces, regardless of batch composition or placement.
-    truth = predict_runtimes(model.model, graphs, model.feature_scalers,
-                             model.target_scaler)
-    expected = {id(record.plan): float(value)
-                for record, value in zip(records, truth)}
     requests = [(db.name, record.plan) for record in records] * rounds
     load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
                       block=True)
@@ -652,10 +661,10 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                           max_delay_ms=max_delay_ms,
                           queue_depth=len(requests) + n_clients,
                           result_cache_size=0)
-    rates, extras = {}, {}
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(ArtifactStore(tmp))
-        registry.publish("fleet-bench", model, dbs=[db], default=True)
+    rates, extras, audited = {}, {}, Counter()
+    with served_model(db, records, hidden_dim, seed) as (registry, dbs,
+                                                         oracle):
+        expected = oracle()
         for n_workers in worker_counts:
             best_rate, best_extras = 0.0, {}
             for _ in range(repeats):
@@ -667,19 +676,8 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                 with _gc_paused(), fleet:
                     report = run_load(fleet, requests, load)
                     stats = fleet.stats()
-                if report.completed != len(requests):
-                    raise RuntimeError(
-                        f"fleet bench lost requests at {n_workers} "
-                        f"workers: {report.as_dict()}")
-                wrong = sum(
-                    1 for handle in report.handles
-                    if handle.status in (RequestStatus.DONE,
-                                         RequestStatus.CACHED)
-                    and handle.value != expected[id(handle.plan)])
-                if wrong:
-                    raise RuntimeError(
-                        f"fleet bench produced {wrong} wrong values at "
-                        f"{n_workers} workers")
+                audited.update(audit(report, expected),
+                               incomplete=len(requests) - report.completed)
                 if report.throughput_rps > best_rate:
                     best_rate = report.throughput_rps
                     best_extras = {
@@ -692,7 +690,18 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     extras["fleet_counters"] = perfstats.snapshot(
         ["fleet.worker.spawn", "fleet.worker.restart",
          "serve.queue.depth"])
-    return rates, extras
+    scaling = {f"{count}w": rates[count] / rates[1]
+               for count in worker_counts if rates.get(1)}
+    return {
+        "n_queries": len(records),
+        "rounds": rounds,
+        "cpu_count": os.cpu_count() or 1,
+        "plans_per_s": {f"{count}w": rates[count] for count in worker_counts},
+        "scaling_vs_1w": scaling,
+        "top_scaling": scaling.get(f"{max(worker_counts)}w", 0.0),
+        **audited,
+        "extras": extras,
+    }
 
 
 _FLEET_CHAOS_COUNTERS = (
@@ -721,9 +730,7 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
     delays; the last worker is SIGKILLed outright before the load starts.
     Recovery must come from the new liveness plane: hedged re-sends after
     ``hedge_after_ms``, hang detection + kill after ``hang_timeout_ms``,
-    and restart-with-re-send for both corpses.  The phase **fails** on any
-    wrong value, any lost or duplicated request, availability < 0.99, or
-    when the hang/hedge/restart counters show the machinery did not fire.
+    and restart-with-re-send for both corpses.
 
     **Phase B — overload control.**  A clean fleet whose workers stall
     their first batch is hit with a non-blocking saturation burst — twice
@@ -733,57 +740,21 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
     exactly the HIGH reserve's worth of HIGH, so the reserve meets its
     worst case.  The burst overloads the queue by construction, whatever
     the machine's speed; the fleet's closed-loop capacity is measured
-    afterwards and reported only.  The phase **fails** when HIGH
-    availability drops below 0.99 (a NORMAL cap that leaks into the
-    reserve sheds every HIGH request) or when shedding does not
-    concentrate on the low-priority classes (per-class numbers from
-    ``LoadReport.by_priority``).
+    afterwards and reported only.  Per-class numbers come from
+    ``LoadReport.by_priority``.
 
-    Returns a dict with both phases' reports, the relevant perfstats
-    deltas, and a ``failures`` list (empty means the run passed).
+    Returns a dict with both phases' reports and audit counts, and the
+    relevant perfstats deltas.
     """
-    from repro.bench import ArtifactStore
-    from repro.core import TrainingConfig, ZeroShotCostModel
     from repro.robustness.faults import FaultSchedule, FaultSpec
-    from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
-                               RequestPriority, RequestStatus, ServerConfig,
-                               run_load)
+    from repro.serving import (LoadConfig, PredictorFleet, RequestPriority,
+                               ServerConfig, run_load)
     from repro.serving.core import admission_limit
 
-    dbs = {db.name: db}
-    graphs = featurize_records(records, dbs, cards="exact")
-    runtimes = np.array([r.runtime_ms for r in records])
-    model = ZeroShotCostModel(
-        ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval(),
-        FeatureScalers().fit(graphs), TargetScaler().fit(runtimes),
-        TrainingConfig(hidden_dim=hidden_dim))
-    truth = predict_runtimes(model.model, graphs, model.feature_scalers,
-                             model.target_scaler)
-    expected = {id(record.plan): float(value)
-                for record, value in zip(records, truth)}
     requests = [(db.name, record.plan) for record in records] * rounds
-    failures = []
-
-    def audit(report, phase):
-        wrong = sum(1 for handle in report.handles
-                    if handle.status in (RequestStatus.DONE,
-                                         RequestStatus.CACHED)
-                    and handle.value != expected[id(handle.plan)])
-        if wrong:
-            failures.append(f"{phase}: {wrong} wrong values (equivalence "
-                            "contract broken)")
-        lost = sum(1 for handle in report.handles
-                   if handle.status is RequestStatus.PENDING)
-        if lost:
-            failures.append(f"{phase}: {lost} requests never completed")
-        if len(report.handles) != len(set(id(h) for h in report.handles)):
-            failures.append(f"{phase}: duplicated handles in report")
-        return wrong
-
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(ArtifactStore(tmp))
-        registry.publish("fleet-chaos-bench", model, dbs=[db], default=True)
-
+    with served_model(db, records, hidden_dim, seed) as (registry, dbs,
+                                                         oracle):
+        expected = oracle()
         # -- Phase A: hang + SIGKILL + IPC drops under saturation --------
         worker_faults = {0: FaultSchedule([
             FaultSpec("fleet.worker.hang", rate=1.0, skip_calls=1,
@@ -823,20 +794,6 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
             stats_a = fleet.stats()
         counters = {name: value - before.get(name, 0) for name, value
                     in perfstats.snapshot(_FLEET_CHAOS_COUNTERS).items()}
-        audit(report_a, "chaos")
-        if report_a.availability < 0.99:
-            failures.append(
-                f"chaos: availability {report_a.availability:.4f} < 0.99")
-        if counters["fleet.hang.detected"] < 1:
-            failures.append("chaos: hung worker was never detected")
-        if counters["fleet.hang.killed"] < 1:
-            failures.append("chaos: hung worker was never killed")
-        if counters["fleet.hedge.sent"] < 1:
-            failures.append("chaos: no hedged requests were sent")
-        if counters["fleet.worker.restart"] < 2:
-            failures.append(
-                f"chaos: {counters['fleet.worker.restart']} restarts "
-                "(expected >= 2: one SIGKILL, one hang-kill)")
 
         # -- Phase B: saturation-burst overload with mixed priorities -----
         config_b = ServerConfig(max_batch_size=max_batch_size,
@@ -881,28 +838,13 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
             capacity = run_load(fleet, requests, LoadConfig(
                 n_clients=n_clients, rate_per_s=None, seed=seed,
                 block=True)).throughput_rps
-        audit(report_b, "overload")
-        by_priority = report_b.by_priority
-        high = by_priority.get("high", {"availability": 0.0, "shed": 0})
-        low = by_priority.get("low", {"shed": 0, "degraded": 0,
-                                      "requests": 1})
-        normal = by_priority.get("normal", {"shed": 0})
-        low_pressure = low.get("shed", 0) + low.get("degraded", 0)
-        if high["availability"] < 0.99:
-            failures.append(f"overload: HIGH availability "
-                            f"{high['availability']:.4f} < 0.99")
-        if low_pressure + normal.get("shed", 0) < 1:
-            failures.append("overload: the saturation burst never shed or "
-                            "browned out a single request")
-        if high.get("shed", 0) > low_pressure:
-            failures.append(
-                f"overload: shedding hit HIGH ({high.get('shed', 0)}) "
-                f"harder than LOW ({low_pressure})")
 
     return {
+        "n_queries": len(records),
         "n_requests": len(requests),
         "chaos": {
             "availability": report_a.availability,
+            **audit(report_a, expected),
             "completed": report_a.completed,
             "degraded": report_a.degraded,
             "failed": report_a.failed,
@@ -916,16 +858,17 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
             "worker_restarts": stats_a.get("worker_restarts", 0),
             "requeued": stats_a.get("requeued", 0),
             "latency_attribution": report_a.latency_attribution,
-            "spans": report_a.spans,
         },
         "overload": {
+            **audit(report_b, expected),
             "capacity_rps": capacity,
             "burst_requests": len(mix),
-            "high_availability": high.get("availability", 0.0),
-            "by_priority": by_priority,
+            "high_availability": report_b.by_priority.get(
+                "high", {}).get("availability", 0.0),
+            "by_priority": report_b.by_priority,
         },
         "counters": counters,
-        "failures": failures,
+        "spans": report_a.spans,
     }
 
 
@@ -955,7 +898,9 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
     cross-process training jitter), so ``quick`` runs measure the identical
     workload — the flag only bounds the daemon graduation pump.
 
-    Returns a flat metrics dict: detect/promote/graduate ticks,
+    Returns a flat metrics dict: the happy path's event kinds (expected:
+    drift-detected, candidate-published, promoted, probation-passed),
+    detect/promote/graduate ticks (``None`` when the event never came),
     ``ticks_to_recover``, ``wrong_promotions``, ``replay_identical``,
     per-phase Q-error summaries (the recovery curve), the regression
     rollback audit, ``availability_during_retrain``, and the happy-path
@@ -1060,16 +1005,10 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
         _, first, q_by_phase, spans = run_scenario(tmp / "happy1", phases)
         _, second, _, _ = run_scenario(tmp / "happy2", phases)
         happy = first.journal.events()
-        kinds = [e.kind for e in happy]
-        expected_kinds = ["drift-detected", "candidate-published",
-                          "promoted", "probation-passed"]
-        if kinds != expected_kinds:
-            raise RuntimeError(
-                f"happy path produced {kinds}, expected {expected_kinds}")
         replay_identical = happy == second.journal.events()
-        detect_tick = happy[0].tick
-        promote_tick = happy[2].tick
-        graduate_tick = happy[3].tick
+        ticks = {e.kind: e.tick for e in happy}
+        detect_tick = ticks.get("drift-detected")
+        promote_tick = ticks.get("promoted")
         wrong_promotions = len(first.journal.events("rolled-back"))
 
         # Regression: promote, then shift to the heavy database.
@@ -1111,13 +1050,17 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
         wrong_promotions += len(daemon.journal.events("rolled-back"))
 
     return {
+        "happy_kinds": [e.kind for e in happy],
         "detect_tick": detect_tick,
         "promote_tick": promote_tick,
-        "graduate_tick": graduate_tick,
-        "ticks_to_recover": promote_tick - detect_tick,
+        "graduate_tick": ticks.get("probation-passed"),
+        "ticks_to_recover": (promote_tick - detect_tick
+                             if None not in (detect_tick, promote_tick)
+                             else None),
         "wrong_promotions": wrong_promotions,
         "replay_identical": replay_identical,
-        "candidate_digest": happy[1].digest,
+        "candidate_digest": next((e.digest for e in happy
+                                  if e.kind == "candidate-published"), None),
         "q_error_by_phase": q_by_phase,
         "regression": {
             "rolled_back": len(rollbacks) == 1,
@@ -1140,64 +1083,61 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
             "active_version": registry_d.active("zs").version,
         },
         "events": [e.as_dict() for e in happy],
+        "n_spans": len(spans),
         "spans": spans,
     }
 
 
+# The SLO latency budget bench_obs reports against (not gated): fixed, so
+# the report can fail.  A saturating 4-client burst over the perf corpus
+# spends most of its latency queued behind the batcher: on 2 vCPUs the
+# traced arm's p95 read 9.5-29 ms (--quick, 64 plans) and 28.5 ms (full,
+# 192 plans).  100 ms leaves ~3x headroom over the worst of those.
+OBS_LATENCY_P95_BUDGET_MS = 100.0
+
+
 def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
-              max_batch_size=16, max_delay_ms=1.0, seed=0,
-              sample_every=1):
+              max_batch_size=16, max_delay_ms=1.0, seed=0):
     """Tracing overhead: saturation throughput with spans off vs on.
 
     Same shape as :func:`bench_serving` — one published model, open-loop
     saturating clients, result cache off so every request pays the model
     path — run ``repeats`` times in *interleaved* off/on pairs so machine
-    drift within the bench hits both arms equally.  The traced arm samples
-    every ``sample_every``-th request (1 = trace everything, the worst
-    case).  Reports the median throughput of each arm, the overhead ratio
-    ``1 - traced/untraced``, and the traced arm's span yield: span count,
-    per-stage latency attribution (with its coverage fraction — the share
-    of end-to-end latency the stages explain) and an SLO report.
+    drift within the bench hits both arms equally.  The traced arm traces
+    every request (the worst case).  Reports the median throughput of each
+    arm, the overhead ratio ``1 - traced/untraced``, ``incomplete``
+    (requests some pass did not predict), and the traced arm's span yield:
+    span count, per-stage latency attribution (with its coverage fraction
+    — the share of end-to-end latency the stages explain) and an SLO
+    report against :data:`OBS_LATENCY_P95_BUDGET_MS`.
     """
     import statistics
 
-    from repro.bench import ArtifactStore
-    from repro.core import TrainingConfig, ZeroShotCostModel
     from repro.obs.export import latency_attribution, slo_report
-    from repro.serving import (LoadConfig, ModelRegistry, PredictorServer,
-                               ServerConfig, run_load)
+    from repro.serving import (LoadConfig, PredictorServer, ServerConfig,
+                               run_load)
 
-    dbs = {db.name: db}
-    graphs = featurize_records(records, dbs, cards="exact")
-    runtimes = np.array([r.runtime_ms for r in records])
-    model = ZeroShotCostModel(
-        ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval(),
-        FeatureScalers().fit(graphs), TargetScaler().fit(runtimes),
-        TrainingConfig(hidden_dim=hidden_dim))
     requests = [(db.name, record.plan) for record in records]
     load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
                       block=True)
+    incomplete = 0
 
     def one_pass(traced):
+        nonlocal incomplete
         config = ServerConfig(max_batch_size=max_batch_size,
                               max_delay_ms=max_delay_ms,
                               queue_depth=len(requests) + n_clients,
                               result_cache_size=0,
-                              trace=traced,
-                              trace_sample_every=sample_every)
+                              trace=traced)
         server = PredictorServer(registry, dbs, config)
         with _gc_paused(), server:
             report = run_load(server, requests, load, trace=traced)
-        if report.completed != len(requests):
-            raise RuntimeError(
-                f"obs bench lost requests: {report.as_dict()}")
+        incomplete += len(requests) - report.completed
         return report
 
     off_rates, on_rates = [], []
     spans, traced_report = [], None
-    with tempfile.TemporaryDirectory() as tmp:
-        registry = ModelRegistry(ArtifactStore(tmp))
-        registry.publish("obs-bench", model, dbs=[db], default=True)
+    with served_model(db, records, hidden_dim, seed) as (registry, dbs, _):
         one_pass(False)  # warm-up: model mmap + first-touch costs
         for _ in range(repeats):
             off_rates.append(one_pass(False).throughput_rps)
@@ -1208,12 +1148,11 @@ def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
     on_med = statistics.median(on_rates)
     attribution = latency_attribution(spans) if spans else {}
     coverage = attribution.get("overall", {}).get("coverage", 0.0)
-    p95 = traced_report.latency_ms.get("p95", 0.0)
     return {
         "untraced_rps": off_med,
         "traced_rps": on_med,
         "overhead_frac": (1.0 - on_med / off_med) if off_med else 0.0,
-        "sample_every": sample_every,
+        "incomplete": incomplete,
         "n_spans": len(spans),
         "attribution_coverage": coverage,
         "latency_attribution": attribution,
@@ -1222,8 +1161,8 @@ def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
                        + traced_report.degraded),
             submitted=traced_report.n_requests,
             availability_floor=0.99,
-            latency_p95_ms=p95,
-            latency_p95_floor_ms=max(p95 * 2.0, 1.0)),
+            latency_p95_ms=traced_report.latency_ms.get("p95", 0.0),
+            latency_p95_floor_ms=OBS_LATENCY_P95_BUDGET_MS),
         "spans": spans,
     }
 
@@ -1352,13 +1291,6 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
     serving_single, serving_batched, serving_extras = _stage(
         "serving", lambda: bench_serving(db, records, hidden_dim=hidden_dim,
                                          seed=seed), profile)
-    fleet_rates, fleet_extras = _stage(
-        "fleet", lambda: bench_fleet(db, records, hidden_dim=hidden_dim,
-                                     seed=seed), profile)
-    fleet_metrics = {f"fleet_{count}w_plans_per_s": rate
-                     for count, rate in fleet_rates.items()}
-    fleet_scaling = (fleet_rates.get(4, 0.0) / fleet_rates[1]
-                     if fleet_rates.get(1) else 0.0)
     return {
         "datagen_tables_per_s": datagen,
         "trace_exec_plans_per_s": trace_exec,
@@ -1386,9 +1318,6 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
         "serving_batched_plans_per_s": serving_batched,
         "serving_microbatch_speedup": serving_batched / serving_single,
         "serving_extras": serving_extras,
-        **fleet_metrics,
-        "fleet_scaling_4w": fleet_scaling,
-        "fleet_extras": fleet_extras,
         "n_queries": n_queries,
         "hidden_dim": hidden_dim,
         "cache_stats": {
@@ -1409,6 +1338,5 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
              "serve.batch.count", "serve.batch.requests",
              "serve.cache.hit", "serve.cache.miss",
              "serve.shed.count", "serve.swap.count",
-             "fleet.worker.spawn", "fleet.worker.restart",
              "serve.queue.depth"]),
     }

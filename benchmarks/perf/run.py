@@ -1,40 +1,59 @@
-"""Entry point: run the engine microbenchmarks and write ``BENCH_engine.json``.
+"""The one entry point for the perf benches: ``run.py <bench> [--quick]``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf/run.py                 # full run
-    PYTHONPATH=src python benchmarks/perf/run.py --quick         # smaller corpus
-    PYTHONPATH=src python benchmarks/perf/run.py --save-baseline # refresh baseline
-    PYTHONPATH=src python benchmarks/perf/run.py --save-loop-baseline
-        # re-record ONLY the loop-baseline metrics (featurize / annotate /
-        # trace_exec / simulate / spn_learn) by timing the executable
-        # reference implementations (annotate_cardinalities_reference,
-        # build_query_graph_reference, per-plan execute_plan and
-        # simulate_runtime_ms, learn_spn_reference); other baseline entries
-        # are left untouched.
+    PYTHONPATH=src python benchmarks/perf/run.py engine          # full run
+    PYTHONPATH=src python benchmarks/perf/run.py engine --quick  # smaller corpus
+    PYTHONPATH=src python benchmarks/perf/run.py chaos --quick   # what CI runs
+    PYTHONPATH=src python benchmarks/perf/run.py engine --save-baseline
+    PYTHONPATH=src python benchmarks/perf/run.py engine --save-loop-baseline
 
-The output JSON records the current numbers, the recorded loop/seed-engine
-baseline (``benchmarks/perf/baseline_seed.json``), and the speedup of each
-metric, so the perf trajectory is visible PR over PR.  Cache hit/miss
-counters and fast-path dispatch counters ride along so a regression to a
-loop fallback is visible even when throughput noise hides it.
+Benches (the ``harness`` function each one drives):
+
+* ``engine`` — engine microbenchmarks (``run_all``): current rates, the
+  recorded seed-engine baseline (``baseline_seed.json``) and the speedup
+  of each metric, same-run speedups over the executable loop references
+  (immune to machine drift), and cache and fast-path dispatch counters.
+  ``--save-baseline`` re-records the whole baseline;
+  ``--save-loop-baseline`` re-times only the loop references
+  (featurize / annotate / trace_exec / simulate / spn_learn) and leaves
+  the other baseline entries untouched; ``--profile`` prints a cProfile
+  top-20 per stage.
+* ``chaos`` — the server under a seeded fault schedule (``bench_chaos``).
+* ``fleet`` — fleet plans/s per worker count (``bench_fleet``).
+* ``controller`` — the calibrated drift scenario through the
+  continuous-learning controller (``bench_controller``).
+* ``fleet_chaos`` — fleet liveness under a hang, a SIGKILL and pipe
+  drops, then a priority-mixed overload burst (``bench_fleet_chaos``).
+* ``obs`` — tracing overhead and latency attribution (``bench_obs``).
+
+Each bench writes ``BENCH_<bench>.json`` to ``--output-dir`` (default: the
+repository root).  The traced benches (chaos, controller, fleet_chaos,
+obs) also write their spans as ``BENCH_<bench>_spans.jsonl`` and as a
+Chrome trace-event / Perfetto timeline, ``BENCH_<bench>_trace.json``.
+Pass/fail is the ``GATES`` table: one row per check, each with a fixed
+threshold and its reason.  A bench exits non-zero iff one of its rows
+trips, and prints the rows that tripped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(HERE))
 
+import harness  # noqa: E402  (benchmarks/perf/harness.py)
+
 BASELINE_PATH = HERE / "baseline_seed.json"
-DEFAULT_OUTPUT = REPO / "BENCH_engine.json"
 
 RATE_KEYS = ("datagen_tables_per_s", "trace_exec_plans_per_s",
              "simulate_plans_per_s", "spn_learn_tables_per_s",
@@ -43,9 +62,7 @@ RATE_KEYS = ("datagen_tables_per_s", "trace_exec_plans_per_s",
              "batch_construction_plans_per_s", "train_step_plans_per_s",
              "train_epoch_plans_per_s",
              "inference_plans_per_s", "inference_cached_plans_per_s",
-             "serving_single_plans_per_s", "serving_batched_plans_per_s",
-             "fleet_1w_plans_per_s", "fleet_2w_plans_per_s",
-             "fleet_4w_plans_per_s")
+             "serving_single_plans_per_s", "serving_batched_plans_per_s")
 
 # Metrics with an in-run executable reference implementation (loop specs /
 # per-parameter optimizer): reported as machine-drift-immune ratios.
@@ -56,45 +73,179 @@ SAME_RUN_KEYS = {"trace_exec": "plans_per_s", "simulate": "plans_per_s",
                  "train_epoch": "plans_per_s"}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller corpus (96 queries) for a fast signal")
-    parser.add_argument("--save-baseline", action="store_true",
-                        help="write results to baseline_seed.json instead of "
-                             "comparing against it")
-    parser.add_argument("--save-loop-baseline", action="store_true",
-                        help="re-record the loop-baseline entries (featurize/"
-                             "annotate/trace_exec/simulate/spn_learn) from "
-                             "the reference implementations")
-    parser.add_argument("--profile", action="store_true",
-                        help="print a cProfile top-20 per benchmark stage")
-    args = parser.parse_args(argv)
+# ----------------------------------------------------------------------
+# Gates
+# ----------------------------------------------------------------------
+class Gate(NamedTuple):
+    bench: str
+    name: str
+    measure: Callable[[dict], object]  # None: the row does not apply
+    op: str                            # value must be `op` threshold
+    threshold: object
+    reason: str
 
-    from harness import run_all, run_pipeline_reference
 
+OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
+HAPPY_PATH = ["drift-detected", "candidate-published", "promoted",
+              "probation-passed"]
+
+
+def _audit_rows(bench, phase=None):
+    """The equivalence and exactly-once rows of one audited load run."""
+    part = (lambda r: r[phase]) if phase else (lambda r: r)
+    prefix = f"{phase}: " if phase else ""
+    return (
+        Gate(bench, prefix + "wrong values",
+             lambda r: part(r)["wrong_values"], "==", 0,
+             "a served value must be bit-identical to predict_runtimes"),
+        Gate(bench, prefix + "lost requests",
+             lambda r: part(r)["lost"], "==", 0,
+             "completion is exactly-once: every request resolves"),
+        Gate(bench, prefix + "duplicated requests",
+             lambda r: part(r)["duplicated"], "==", 0,
+             "completion is exactly-once: no request resolves twice"),
+    )
+
+
+def _by_priority(r, name, key):
+    return r["overload"]["by_priority"].get(name, {}).get(key, 0)
+
+
+def _low_pressure(r):
+    return _by_priority(r, "low", "shed") + _by_priority(r, "low", "degraded")
+
+
+def _drift_traced(r):
+    """Whether some drift event of a traced run carries a trace id."""
+    drift = [e for e in r["events"] if e["kind"] == "drift-detected"]
+    if not (r["n_spans"] and drift):
+        return None
+    return any(e["detail"].get("trace_id") for e in drift)
+
+
+GATES = (
+    *_audit_rows("chaos"),
+    Gate("chaos", "availability", lambda r: r["availability"], ">=", 0.99,
+         "retry, bisection and supervision absorb transient faults"),
+    Gate("chaos", "faults fired",
+         lambda r: sum(point.get("faults", 0)
+                       for point in r["fault_stats"].values()), ">=", 1,
+         "a schedule that never fired makes the run vacuous"),
+    Gate("chaos", "batcher crashes", lambda r: r["batcher_crashes"], ">=", 1,
+         "the pinned batcher crash must exercise supervision"),
+    Gate("chaos", "retries", lambda r: r["retries"], ">=", 1,
+         "the pinned inference faults must exercise backoff"),
+
+    *_audit_rows("fleet"),
+    Gate("fleet", "unpredicted requests", lambda r: r["incomplete"], "==", 0,
+         "with no faults and no result cache, a worker predicts each one"),
+    Gate("fleet", "scaling over 1 worker",
+         lambda r: r["top_scaling"] if r["cpu_count"] >= 2 else None,
+         ">=", 1.3,
+         "more workers must pay off where there are cores to scale onto"),
+
+    Gate("controller", "happy path", lambda r: r["happy_kinds"], "==",
+         HAPPY_PATH, "drift must be detected, retrained, promoted, graduated"),
+    Gate("controller", "wrong promotions", lambda r: r["wrong_promotions"],
+         "==", 0, "a rollback on the happy path means the shadow gate erred"),
+    Gate("controller", "replay identical", lambda r: r["replay_identical"],
+         "==", True, "the control plane is seeded end to end"),
+    Gate("controller", "rollback within probation",
+         lambda r: (r["regression"]["rolled_back"]
+                    and r["regression"]["within_probation"]), "==", True,
+         "a regressed promotion must roll back before probation ends"),
+    Gate("controller", "daemon availability",
+         lambda r: r["availability_during_retrain"], ">=", 0.99,
+         "serving keeps its SLO while the daemon fine-tunes"),
+    Gate("controller", "daemon crashes", lambda r: r["daemon"]["crashes"],
+         "==", 0, "no faults are injected, so the daemon never crashes"),
+    Gate("controller", "daemon graduated", lambda r: r["daemon"]["graduated"],
+         "==", True, "the daemon run must close the loop, probation included"),
+    Gate("controller", "ticks to recover", lambda r: r["ticks_to_recover"],
+         "<=", 8, "the calibrated scenario promotes within a few ticks"),
+    Gate("controller", "drift trace ids", _drift_traced, "==", True,
+         "a traced promotion leads back to the request that drifted"),
+
+    *_audit_rows("fleet_chaos", "chaos"),
+    *_audit_rows("fleet_chaos", "overload"),
+    Gate("fleet_chaos", "chaos: availability",
+         lambda r: r["chaos"]["availability"], ">=", 0.99,
+         "hedging, hang-kill and re-send recover the requests"),
+    Gate("fleet_chaos", "chaos: hangs detected",
+         lambda r: r["counters"]["fleet.hang.detected"], ">=", 1,
+         "the pinned hang must be detected"),
+    Gate("fleet_chaos", "chaos: hangs killed",
+         lambda r: r["counters"]["fleet.hang.killed"], ">=", 1,
+         "the detected hang must be killed into the crash path"),
+    Gate("fleet_chaos", "chaos: hedges sent",
+         lambda r: r["counters"]["fleet.hedge.sent"], ">=", 1,
+         "the pinned pipe drops must be recovered by hedging"),
+    Gate("fleet_chaos", "chaos: worker restarts",
+         lambda r: r["counters"]["fleet.worker.restart"], ">=", 2,
+         "one restart for the SIGKILL, one for the hang-kill"),
+    Gate("fleet_chaos", "overload: HIGH availability",
+         lambda r: r["overload"]["high_availability"], ">=", 0.99,
+         "the reserve admits the HIGH burst, sent at its worst case"),
+    Gate("fleet_chaos", "overload: shed or browned out",
+         lambda r: _low_pressure(r) + _by_priority(r, "normal", "shed"),
+         ">=", 1, "a burst of twice the queue depth must overload it"),
+    Gate("fleet_chaos", "overload: HIGH shed beyond LOW pressure",
+         lambda r: _by_priority(r, "high", "shed") - _low_pressure(r),
+         "<=", 0, "shedding must land on low priority first"),
+
+    Gate("obs", "spans", lambda r: r["n_spans"], ">=", 1,
+         "a traced arm without spans makes the overhead vacuous"),
+    Gate("obs", "tracing overhead", lambda r: r["overhead_frac"], "<=", 0.05,
+         "tracing every request may cost at most 5% of throughput"),
+    Gate("obs", "attribution coverage", lambda r: r["attribution_coverage"],
+         ">=", 0.95, "the stages must explain end-to-end latency"),
+    Gate("obs", "unpredicted requests", lambda r: r["incomplete"], "==", 0,
+         "with no faults and no result cache, every request is predicted"),
+)
+
+
+def evaluate(bench, results):
+    """``(gate, measured value, tripped)`` for each GATES row of ``bench``."""
+    rows = []
+    for gate in GATES:
+        if gate.bench == bench:
+            value = gate.measure(results)
+            rows.append((gate, value, value is not None
+                         and not OPS[gate.op](value, gate.threshold)))
+    return rows
+
+
+def tripped(bench, results):
+    """The GATES rows of ``bench`` that ``results`` trips."""
+    return [gate for gate, _, trips in evaluate(bench, results) if trips]
+
+
+# ----------------------------------------------------------------------
+# Benches
+# ----------------------------------------------------------------------
+def run_engine(args):
+    """Engine microbenchmarks; ``None`` when a baseline was re-recorded."""
     n_queries = 96 if args.quick else 192
-
     if args.save_loop_baseline:
         baseline = (json.loads(BASELINE_PATH.read_text())
                     if BASELINE_PATH.exists() else {})
-        reference = run_pipeline_reference(n_queries=n_queries)
+        reference = harness.run_pipeline_reference(n_queries=n_queries)
         baseline.update(reference)
         BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
         print(f"loop baseline updated in {BASELINE_PATH}")
         for key, value in reference.items():
             print(f"  {key}: {value:.1f}")
-        return 0
+        return None
 
-    results = run_all(n_queries=n_queries, profile=args.profile)
+    results = harness.run_all(n_queries=n_queries, profile=args.profile)
 
     if args.save_baseline:
         BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
         print(f"baseline written to {BASELINE_PATH}")
         for key in RATE_KEYS:
             print(f"  {key}: {results[key]:.1f}")
-        return 0
+        return None
 
     baseline = None
     if BASELINE_PATH.exists():
@@ -131,12 +282,7 @@ def main(argv=None):
     serving = results.get("serving_microbatch_speedup")
     if serving:
         report["serving_microbatch_speedup"] = serving
-    fleet_scaling = results.get("fleet_scaling_4w")
-    if fleet_scaling:
-        report["fleet_scaling_4w"] = fleet_scaling
 
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"report written to {args.output}")
     for key in RATE_KEYS:
         line = f"  {key}: {results[key]:.1f}"
         if baseline and baseline.get(key):
@@ -154,12 +300,6 @@ def main(argv=None):
         print(f"  serving_microbatch_speedup: {serving:.2f}x "
               f"(mean batch {extras.get('mean_batch_size', 0):.1f}, "
               f"p99 {extras.get('latency_ms', {}).get('p99', 0):.2f} ms)")
-    if fleet_scaling:
-        fleet_extras = results.get("fleet_extras", {})
-        counters = fleet_extras.get("fleet_counters", {})
-        print(f"  fleet_scaling_4w: {fleet_scaling:.2f}x "
-              f"(spawns {counters.get('fleet.worker.spawn', 0)}, "
-              f"restarts {counters.get('fleet.worker.restart', 0)})")
     print(f"  cache_stats: {results['cache_stats']}")
     print(f"  dispatch: {results['dispatch_counters']}")
 
@@ -177,6 +317,127 @@ def main(argv=None):
         rows.append(row)
     print_experiment("Engine Microbenchmarks — fast path vs seed engine",
                      format_table(rows))
+    return report
+
+
+def run_chaos(args):
+    db, records = harness.build_plan_corpus(
+        n_queries=64 if args.quick else 192, seed=args.seed)
+    return harness.bench_chaos(db, records, rounds=2 if args.quick else 4,
+                               seed=args.seed, fault_seed=args.fault_seed,
+                               trace=True)
+
+
+def run_fleet(args):
+    if args.quick:
+        n_queries, worker_counts, repeats = 64, (1, 2), 1
+    else:
+        n_queries, worker_counts, repeats = 192, (1, 2, 4), 2
+    db, records = harness.build_plan_corpus(n_queries=n_queries,
+                                            seed=args.seed)
+    return harness.bench_fleet(db, records, worker_counts=worker_counts,
+                               rounds=2, repeats=repeats, seed=args.seed)
+
+
+def run_controller(args):
+    # The drift scenario is calibration-pinned: no seed reaches it.
+    return harness.bench_controller(quick=args.quick, trace=True)
+
+
+def run_fleet_chaos(args):
+    db, records = harness.build_plan_corpus(
+        n_queries=64 if args.quick else 160, seed=args.seed)
+    return harness.bench_fleet_chaos(db, records, rounds=2, seed=args.seed,
+                                     fault_seed=args.fault_seed, trace=True)
+
+
+def run_obs(args):
+    db, records = harness.build_plan_corpus(
+        n_queries=64 if args.quick else 192, seed=args.seed)
+    return harness.bench_obs(db, records, repeats=3 if args.quick else 5,
+                             seed=args.seed)
+
+
+BENCHES = {"engine": run_engine, "chaos": run_chaos, "fleet": run_fleet,
+           "controller": run_controller, "fleet_chaos": run_fleet_chaos,
+           "obs": run_obs}
+
+
+# ----------------------------------------------------------------------
+# Output
+# ----------------------------------------------------------------------
+def write_artifacts(bench, results, output_dir):
+    """Write ``BENCH_<bench>.json``, plus the span files of a traced bench
+    (its ``spans`` entry is moved out of the JSON report)."""
+    from repro.obs.export import write_chrome_trace, write_spans_jsonl
+
+    stem = output_dir / f"BENCH_{bench}"
+    spans = results.pop("spans", None)
+    if spans is not None:
+        write_spans_jsonl(spans, f"{stem}_spans.jsonl")
+        write_chrome_trace(spans, f"{stem}_trace.json")
+        print(f"{len(spans)} spans written to {stem}_spans.jsonl and "
+              f"{stem}_trace.json")
+    Path(f"{stem}.json").write_text(json.dumps(results, indent=2) + "\n")
+    print(f"report written to {stem}.json")
+
+
+def parse_args(argv=None):
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--quick", action="store_true",
+                        help="smaller corpus and fewer rounds for a fast "
+                             "signal (what CI runs)")
+    common.add_argument("--output-dir", type=Path, default=REPO,
+                        help="where BENCH_<bench>*.json(l) go "
+                             "(default: the repository root)")
+    # Only the benches a seed reaches take one: the engine corpus and the
+    # controller's drift scenario are pinned.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="corpus/load seed")
+    faulted = argparse.ArgumentParser(add_help=False)
+    faulted.add_argument("--fault-seed", type=int, default=1,
+                         help="fault-schedule seed")
+    parents = {"engine": [], "chaos": [seeded, faulted], "fleet": [seeded],
+               "controller": [], "fleet_chaos": [seeded, faulted],
+               "obs": [seeded]}
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    benches = parser.add_subparsers(dest="bench", required=True)
+    for name in BENCHES:
+        benches.add_parser(name, parents=[common, *parents[name]])
+    engine = benches.choices["engine"]
+    engine.add_argument("--save-baseline", action="store_true",
+                        help="write results to baseline_seed.json instead "
+                             "of comparing against it")
+    engine.add_argument("--save-loop-baseline", action="store_true",
+                        help="re-record the loop-baseline entries (featurize"
+                             "/annotate/trace_exec/simulate/spn_learn) from "
+                             "the reference implementations")
+    engine.add_argument("--profile", action="store_true",
+                        help="print a cProfile top-20 per benchmark stage")
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    results = BENCHES[args.bench](args)
+    if results is None:
+        return 0
+    write_artifacts(args.bench, results, args.output_dir)
+    rows = evaluate(args.bench, results)
+    for gate, value, trips in rows:
+        status = "n/a" if value is None else "TRIPPED" if trips else "ok"
+        shown = f"{value:.4g}" if isinstance(value, float) else value
+        print(f"  [{status}] {gate.name}: {shown} "
+              f"(gate {gate.op} {gate.threshold})")
+    failed = [gate for gate, _, trips in rows if trips]
+    for gate in failed:
+        print(f"{args.bench.upper()} FAILURE: {gate.name} — {gate.reason}")
+    if failed:
+        return 1
+    print(f"{args.bench} run passed")
     return 0
 
 

@@ -4,10 +4,10 @@ Drives a :class:`~repro.serving.PredictorServer` — or a
 :class:`~repro.serving.PredictorFleet`, whose ``submit``/``stats`` surface
 is identical — with concurrent client threads and measures what "How Good
 are Learned Cost Models, Really?" argues offline Q-error misses:
-prediction *latency under load*.  :func:`skewed_requests` builds the
-hot-database mixes the fleet's sharding experiments use, and every report
-carries a per-database latency/degraded breakdown (``latency_by_db``) so
-hot-shard tails are visible directly.
+prediction *latency under load*.  :func:`skewed_requests` builds
+hot-database mixes, and every report carries a per-database
+latency/degraded breakdown (``latency_by_db``) so a hot database's tail
+is visible directly.
 
 Open-loop means arrivals follow a seeded schedule (Poisson by default)
 regardless of completions — the standard way to expose queueing delay: a
@@ -53,14 +53,14 @@ __all__ = ["LoadConfig", "LoadReport", "run_load", "skewed_requests"]
 
 
 def skewed_requests(requests_by_db, weights, n, seed=0):
-    """A seeded hot-database request mix for fleet skew experiments.
+    """A seeded hot-database request mix for skewed-load experiments.
 
     ``requests_by_db`` maps database names to lists of ``(db_name, plan)``
     pairs; ``weights`` maps the same names to relative arrival weights
     (e.g. ``{"hot": 0.9, "cold": 0.1}``).  Returns ``n`` requests drawn
     with replacement on the weighted mix, interleaved in one seeded
-    arrival order — what a hot shard sees in production, and what the
-    fleet's per-database latency breakdown is for.
+    arrival order — the skew a production workload has, and what the
+    per-database latency breakdown is for.
     """
     names = sorted(requests_by_db)
     probabilities = np.array([float(weights[name]) for name in names])
@@ -326,8 +326,8 @@ def run_load(server, requests, config=None, trace=None):
     served = sum(by_status[status] for status in delivered_statuses)
     duration = max(last_complete - first_submit, 0.0) if served else 0.0
     latency_summary = _latency_summary(latencies)
-    # Per-database breakdown: the hot-shard tails the fleet benchmarks
-    # watch, plus how often each database fell back to the analytical model.
+    # Per-database breakdown: each database's latency tail under a skewed
+    # mix, plus how often it fell back to the analytical model.
     latency_by_db = {}
     for db_name in sorted(per_db):
         bucket = per_db[db_name]
