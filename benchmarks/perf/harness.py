@@ -600,16 +600,15 @@ def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
                           queue_depth=len(requests) + n_clients,
                           result_cache_size=0,
                           max_retries=3, retry_backoff_ms=0.5,
-                          breaker_threshold=3, breaker_reset_ms=20.0,
-                          trace=trace)
+                          breaker_threshold=3, breaker_reset_ms=20.0)
     load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
-                      block=True, faults=schedule, trace=trace)
+                      block=True, faults=schedule)
     with served_model(db, records, hidden_dim, seed) as (registry, dbs,
                                                          oracle):
         expected = oracle()
         server = PredictorServer(registry, dbs, config)
         with _gc_paused(), server:
-            report = run_load(server, requests, load)
+            report = run_load(server, requests, load, trace=trace)
 
     stats = report.server_stats
     return {
@@ -715,8 +714,8 @@ _FLEET_CHAOS_COUNTERS = (
 def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
                       n_workers=2, seed=0, fault_seed=1, max_batch_size=16,
                       max_delay_ms=1.0, hang_timeout_ms=500.0,
-                      ping_interval_ms=100.0, hedge_after_ms=60.0,
-                      overload_queue_depth=32, trace=False):
+                      hedge_after_ms=60.0, overload_queue_depth=32,
+                      trace=False):
     """Fleet liveness and overload control under IPC chaos, fully audited.
 
     Two phases against one published model, both audited against a direct
@@ -773,15 +772,13 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
         config = ServerConfig(max_batch_size=max_batch_size,
                               max_delay_ms=max_delay_ms,
                               queue_depth=len(requests) + n_clients,
-                              result_cache_size=0,
-                              trace=trace)
+                              result_cache_size=0)
         load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
-                          block=True, faults=router_faults, trace=trace)
+                          block=True, faults=router_faults)
         before = perfstats.snapshot(_FLEET_CHAOS_COUNTERS)
         fleet = PredictorFleet(registry, dbs, config, n_workers=n_workers,
                                fault_schedule=worker_faults,
                                hang_timeout_ms=hang_timeout_ms,
-                               ping_interval_ms=ping_interval_ms,
                                hedge_after_ms=hedge_after_ms)
         with _gc_paused(), fleet:
             # Warm the fleet with one audited request, then murder the
@@ -790,7 +787,7 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
             warm = fleet.submit(records[0].plan, db.name, block=True)
             warm.wait(30.0)
             fleet.kill_worker(n_workers - 1)
-            report_a = run_load(fleet, requests, load)
+            report_a = run_load(fleet, requests, load, trace=trace)
             stats_a = fleet.stats()
         counters = {name: value - before.get(name, 0) for name, value
                     in perfstats.snapshot(_FLEET_CHAOS_COUNTERS).items()}
@@ -801,8 +798,7 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
                                 queue_depth=overload_queue_depth,
                                 result_cache_size=0,
                                 high_reserve_fraction=0.25,
-                                brownout_fraction=0.5,
-                                brownout_degraded=True)
+                                brownout_fraction=0.5)
         # Overload by construction, not by racing a measured rate: every
         # worker stalls its first batch while one client submits a burst of
         # twice the queue depth back to back.  The class counts follow the
@@ -914,6 +910,7 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
     from repro.core import TrainingConfig, ZeroShotCostModel
     from repro.datagen import generate_database, random_database_spec
     from repro.executor import simulate_runtime_ms_batch
+    from repro.obs import Tracer
     from repro.serving import (ContinuousLearningController, ControllerConfig,
                                LoadConfig, ModelRegistry, PredictorServer,
                                ServerConfig, run_load)
@@ -969,8 +966,9 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
         registry.publish("zs", base, dbs=list(dbs.values()), default=True)
         server = PredictorServer(
             registry, dbs, ServerConfig(max_batch_size=8, max_delay_ms=1.0,
-                                        result_cache_size=0,
-                                        trace=trace)).start()
+                                        result_cache_size=0)).start()
+        if trace:
+            server.attach_tracer(Tracer())
         controller = ContinuousLearningController(registry, server,
                                                   ctl_config)
         return registry, server, controller
@@ -1127,8 +1125,7 @@ def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
         config = ServerConfig(max_batch_size=max_batch_size,
                               max_delay_ms=max_delay_ms,
                               queue_depth=len(requests) + n_clients,
-                              result_cache_size=0,
-                              trace=traced)
+                              result_cache_size=0)
         server = PredictorServer(registry, dbs, config)
         with _gc_paused(), server:
             report = run_load(server, requests, load, trace=traced)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from repro.core import TrainingConfig, ZeroShotCostModel
 from repro.datagen import make_benchmark_databases
-from repro.obs import latency_attribution, slo_report
+from repro.obs import Tracer, slo_report
 from repro.obs.export import (format_attribution, write_chrome_trace,
                               write_spans_jsonl)
 from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
@@ -73,16 +73,17 @@ def main():
         mix = skewed_requests(pools, {"imdb": 0.8, "accidents": 0.2},
                               n=240, seed=7)
 
-        config = ServerConfig(trace=True, result_cache_size=0,
-                              max_batch_size=16, max_delay_ms=1.0,
-                              queue_depth=24, brownout_degraded=True)
+        config = ServerConfig(result_cache_size=0, max_batch_size=16,
+                              max_delay_ms=1.0, queue_depth=24)
         print(f"\nServing {len(mix)} traced requests "
               "(2 workers, hedging after 25 ms, shallow queue) ...")
         with PredictorFleet(registry, dbs, config, n_workers=2,
                             hedge_after_ms=25.0) as fleet:
+            # Tracing stays on for the overload burst below too.
+            fleet.attach_tracer(Tracer())
             report = run_load(fleet, mix,
-                              LoadConfig(n_clients=6, block=True,
-                                         seed=7, trace=True))
+                              LoadConfig(n_clients=6, block=True, seed=7),
+                              trace=True)
 
             # A deliberate overload burst on top: fill the queue with
             # non-blocking NORMAL traffic, then fire a LOW burst — over

@@ -20,9 +20,10 @@ values or RNG streams, so every bit-identity contract holds with tracing
 enabled.
 
 **Zero cost when off.**  An untraced request has ``trace = None`` and
-every instrumentation site is a single ``is not None`` check.  Sampling
-(``sample_every=N`` traces every N-th request, decided from the
-deterministic request seq) bounds the cost when on.
+every instrumentation site is a single ``is not None`` check.  Tracing is
+on while a :class:`Tracer` is attached to a server; sampling
+(``Tracer(sample_every=N)`` traces every N-th request, decided from the
+deterministic request seq) bounds the cost.
 
 Stage vocabulary used by the serving path::
 
@@ -45,6 +46,9 @@ from collections import deque
 from hashlib import blake2b
 
 __all__ = ["Span", "TraceContext", "Tracer", "trace_id_for", "span_structure"]
+
+# Spans a tracer keeps; past it the oldest are dropped.
+_MAX_SPANS = 200_000
 
 
 def trace_id_for(digest, seq):
@@ -186,18 +190,17 @@ class TraceContext:
 class Tracer:
     """Span sink with deterministic sampling and a bounded buffer."""
 
-    def __init__(self, enabled=True, sample_every=1, max_spans=200_000):
+    def __init__(self, sample_every=1):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        self.enabled = enabled
         self.sample_every = sample_every
-        self._spans = deque(maxlen=max_spans)
+        self._spans = deque(maxlen=_MAX_SPANS)
         self._lock = threading.Lock()
 
     def context_for(self, digest, seq, db_name=None, priority=None,
                     submitted_at=None):
         """A TraceContext for this request, or None if not sampled."""
-        if not self.enabled or (seq % self.sample_every) != 0:
+        if seq % self.sample_every:
             return None
         return TraceContext(trace_id_for(digest, seq), seq, tracer=self,
                             db_name=db_name, priority=priority,

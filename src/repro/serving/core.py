@@ -25,11 +25,11 @@ carries its plan digest, computed once at submit and reused as the
 featurization-cache key.
 
 Thread-safety: one internal lock guards the result cache, the digest memo,
-the routes and the counters.  Featurization and inference run outside it.
-The featurization/batch caches and the breakers are touched only by the
-processing thread (the batcher thread, or a fleet worker's main loop).
-Brownout also reaches the analytical fallbacks from client threads;
-``setdefault`` keeps their creation race-free.
+the routes, the breaker table and the counters.  Featurization and
+inference run outside it.  The featurization cache and each breaker's
+state are touched only by the processing thread (the batcher thread, or a
+fleet worker's main loop).  Brownout also reaches the analytical fallbacks
+from client threads; ``setdefault`` keeps their creation race-free.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .. import perfstats
 from ..obs.metrics import REGISTRY
 from ..core.api import EstimatorCache, featurize_records
 from ..core.training import predict_runtimes
-from ..featurization import (BatchCache, FeaturizationCache, database_digest,
+from ..featurization import (FeaturizationCache, database_digest,
                              plan_fingerprint)
 from ..optimizer.cost_model import AnalyticalCostModel
 from ..robustness import faults
@@ -140,8 +140,8 @@ class RequestPriority(Enum):
 
     Lower values are more important.  Priorities gate *admission*, not
     execution order: a LOW request stops being admitted once the queue is
-    ``brownout_fraction`` full (and, under brownout, may be answered by
-    the analytical fallback instead of shed), a NORMAL request once the
+    ``brownout_fraction`` full (and is then answered by the analytical
+    fallback instead of queueing), a NORMAL request once the
     ``high_reserve_fraction`` headroom is all that remains, and only HIGH
     traffic may fill the queue to ``queue_depth``.  Already-admitted
     requests are served identically regardless of class — values never
@@ -272,30 +272,23 @@ class PredictionRequest:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Micro-batching, admission-control, routing and robustness knobs."""
+    """Micro-batching, admission-control, featurization and robustness
+    settings (the README's "Serving options" table lists each one)."""
 
     max_batch_size: int = 64     # size trigger: dispatch when this many queue
     max_delay_ms: float = 2.0    # deadline trigger: oldest request's max wait
     queue_depth: int = 1024      # admission control: shed beyond this
     result_cache_size: int = 4096  # 0 disables the result cache
-    predict_batch_size: int = 256  # inference chunking inside one batch
     cards: str = "exact"         # cardinality source for featurization
-    model_name: str | None = None  # pin every database to one model name
     # -- robustness ----------------------------------------------------
-    request_timeout_ms: float | None = None  # per-request deadline (age cap)
     max_retries: int = 2         # extra model-path attempts per group
     retry_backoff_ms: float = 1.0  # backoff base; doubles per retry
     breaker_threshold: int = 3   # consecutive failures that open the breaker
     breaker_reset_ms: float = 50.0  # open -> half-open probe delay
-    degraded_fallback: bool = True  # serve analytical predictions when open
     # -- priority-aware overload control --------------------------------
     high_reserve_fraction: float = 0.0  # queue headroom reserved for HIGH
-    brownout_fraction: float = 0.5      # LOW admission cap (x queue_depth)
-    brownout_degraded: bool = True      # LOW over the cap: analytical answer
-    #    (flagged DEGRADED) instead of SHED, on the server and the fleet
-    # -- observability ---------------------------------------------------
-    trace: bool = False          # per-request spans (obs.trace); off = free
-    trace_sample_every: int = 1  # trace every N-th request when tracing
+    brownout_fraction: float = 0.5      # LOW admission cap (x queue_depth);
+    #    LOW over the cap is answered by the analytical fallback, DEGRADED
 
 
 class _Route:
@@ -374,15 +367,14 @@ class ServingCore:
                             for name, db in self._dbs.items()}
         self._db_fingerprints = {name: db.fingerprint()
                                  for name, db in self._dbs.items()}
-        # One lock guards the result cache, the digest memo, the routes
-        # and the counters.  Featurization and inference run outside it;
-        # the featurization/batch caches and the breakers are touched only
-        # by the processing thread.
+        # One lock guards the result cache, the digest memo, the routes,
+        # the breaker table and the counters.  Featurization and inference
+        # run outside it; the featurization cache and breaker states are
+        # touched only by the processing thread.
         self._lock = threading.Lock()
         self._result_cache = OrderedDict()
         self._digest_memo = OrderedDict()  # (id(plan), db) -> (plan, digest)
         self._feat_cache = FeaturizationCache()
-        self._batch_cache = BatchCache(max_entries=64)
         self._estimator_cache = estimator_cache or EstimatorCache()
         self._counts = Counter()
         self._batch_sizes = Counter()
@@ -493,10 +485,7 @@ class ServingCore:
         routable remains."""
         for _ in range(8):  # bounded: each retry consumed a quarantine
             try:
-                if self.config.model_name is not None:
-                    deployment = self.registry.active(self.config.model_name)
-                else:
-                    deployment = self.registry.route(digest)
+                deployment = self.registry.route(digest)
             except RoutingError:
                 return None
             if deployment is None:
@@ -651,13 +640,17 @@ class ServingCore:
         if not pending:
             return
         perfstats.increment("serve.cache.miss", len(pending))
-        breaker = self._breakers.setdefault(route.checkpoint_key, _Breaker())
+        breaker = self._breaker_for(route.checkpoint_key)
         if not breaker.allows_model_path(self.config.breaker_reset_ms / 1e3):
             # Breaker open: the model path is known-bad; answer from the
-            # analytical baseline (or fail typed) without touching it.
+            # analytical baseline without touching it.
             self._finish_degraded(route, pending)
             return
         self._predict_group(route, breaker, pending)
+
+    def _breaker_for(self, checkpoint_key):
+        with self._lock:  # stats() reads the table from client threads
+            return self._breakers.setdefault(checkpoint_key, _Breaker())
 
     def _predict_group(self, route, breaker, requests):
         """Retry with backoff; on persistent failure bisect until the
@@ -721,7 +714,7 @@ class ServingCore:
         # A single request exhausted its retries: it fails alone — and the
         # breaker counts it; past the threshold the deployment degrades.
         breaker.record_failure(self.config.breaker_threshold)
-        if breaker.state == "open" and self.config.degraded_fallback:
+        if breaker.state == "open":
             self._finish_degraded(route, requests)
             return
         with self._lock:
@@ -759,11 +752,11 @@ class ServingCore:
                 request.trace.add_stage("featurize", feat_start, feat_end,
                                         self.proc_label)
         faults.check("serve.infer", keys=digests)
+        # No batch cache: it hits only when a run of the very same graphs
+        # repeats in order, and a micro-batch's mix of plans does not.
         values = predict_runtimes(
             model.model, graphs, model.feature_scalers,
-            model.target_scaler,
-            batch_size=self.config.predict_batch_size,
-            batch_cache=self._batch_cache)
+            model.target_scaler, batch_cache=False)
         if traced:
             infer_end = time.perf_counter()
             for request in traced:
@@ -774,23 +767,20 @@ class ServingCore:
     def _enforce_deadlines(self, requests):
         """Fail requests whose age exceeds their deadline; return the rest.
 
-        A request's own ``deadline_ms`` (which crosses the fleet pipe with
-        it) takes precedence over the config-wide ``request_timeout_ms``;
-        either way expiry is checked *before* featurization, so an
-        already-dead request never costs model-path work.
+        The deadline is the request's own ``deadline_ms`` (it crosses the
+        fleet pipe with the request).  Expiry is checked *before*
+        featurization, so an already-dead request never costs model-path
+        work.
         """
-        config_ms = self.config.request_timeout_ms
-        if config_ms is None and not any(
-                request.deadline_ms is not None for request in requests):
+        if not any(request.deadline_ms is not None for request in requests):
             return requests
         now = time.perf_counter()
         alive, expired = [], []
         for request in requests:
-            timeout_ms = (request.deadline_ms
-                          if request.deadline_ms is not None else config_ms)
-            if (timeout_ms is not None
-                    and (now - request.submitted_at) * 1e3 > timeout_ms):
-                expired.append((request, timeout_ms))
+            age_ms = (now - request.submitted_at) * 1e3
+            if (request.deadline_ms is not None
+                    and age_ms > request.deadline_ms):
+                expired.append(request)
             else:
                 alive.append(request)
         if expired:
@@ -798,13 +788,13 @@ class ServingCore:
             with self._lock:
                 self._counts["failed"] += len(expired)
                 self._counts["deadline_expired"] += len(expired)
-            for request, timeout_ms in expired:
+            for request in expired:
                 if request.trace is not None:
                     request.trace.annotate("deadline")
                 request._finish(RequestStatus.FAILED,
                                 error=DeadlineExceededError(
                                     f"request exceeded its "
-                                    f"{timeout_ms:.0f} ms deadline"))
+                                    f"{request.deadline_ms:.0f} ms deadline"))
         return alive
 
     def _finish_degraded(self, route, requests):
@@ -815,15 +805,6 @@ class ServingCore:
         result cache — a recovered model must never replay them — and
         ``served_by`` names the fallback, not the deployment.
         """
-        if not self.config.degraded_fallback:
-            error = RoutingError(
-                f"deployment {route.deployment.name!r} is circuit-broken "
-                "and degraded fallback is disabled")
-            with self._lock:
-                self._counts["failed"] += len(requests)
-            for request in requests:
-                request._finish(RequestStatus.FAILED, error=error)
-            return
         served_by = ("analytical", route.deployment.name)
         perfstats.increment("serve.degraded.count", len(requests))
         with self._lock:
@@ -856,9 +837,9 @@ class ServingCore:
     def stats(self):
         """Core request/batch/cache/swap/fault counters, the batch-size
         histogram, and per-deployment breaker states."""
-        breakers = {key: breaker.state
-                    for key, breaker in self._breakers.items()}
         with self._lock:
+            breakers = {key: breaker.state
+                        for key, breaker in self._breakers.items()}
             batches = sum(self._batch_sizes.values())
             sizes = sum(size * count
                         for size, count in self._batch_sizes.items())

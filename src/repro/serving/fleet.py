@@ -24,12 +24,12 @@ front-end/worker split with the batching boundary at the router.
   dead worker (crash, kill -9, a torn or undecodable frame) is seen
   through its pipe; a hung one misses heartbeats for ``hang_timeout_ms``
   and is SIGKILLed into the same path.  A replacement is forked and every
-  unanswered batch re-sent.  A batch pending past ``hedge_after_ms`` (a
-  float, or ``"auto"`` for 3x the rolling p99) is re-sent to another
-  worker.  Whichever answer arrives first completes the batch; later
-  copies are dropped.  Execution is at-least-once, completion exactly
-  once, and duplicates are harmless because values are bit-identical
-  wherever and however often a plan runs.
+  unanswered batch re-sent.  A batch pending past ``hedge_after_ms`` is
+  re-sent to another worker, at most three times.  Whichever answer
+  arrives first completes the batch; later copies are dropped.
+  Execution is at-least-once, completion exactly once, and duplicates are
+  harmless because values are bit-identical wherever and however often a
+  plan runs.
 * **Zero-downtime promote/rollback.**  When ``registry.generation``
   moves, the router re-resolves its routes and broadcasts ``refresh``;
   workers re-read the on-disk manifests between batches.
@@ -55,9 +55,7 @@ import select
 import signal
 import threading
 import time
-from collections import Counter, OrderedDict, deque
-
-import numpy as np
+from collections import Counter, OrderedDict
 
 from .. import perfstats
 from ..bench.parallel import WorkerProcess
@@ -76,12 +74,11 @@ __all__ = ["PredictorFleet"]
 # Batches one worker may hold: the second hides the pipe round trip
 # (fleet_fresh throughput +8% over one, 6 of 7 paired runs on 2 vCPUs).
 _IN_FLIGHT = 2
+# Re-sends one batch may get past its straggler threshold.
+_MAX_HEDGES = 3
 # Completed-hedge memory: how many hedged batch ids we remember so a
 # loser's late duplicate is counted as hedge waste.
 _HEDGED_DONE_BOUND = 4096
-# Rolling latency window for the "auto" hedge threshold.
-_LATENCY_WINDOW = 512
-_HEDGE_MIN_SAMPLES = 32
 # What a "corrupt" action at fleet.pipe.send writes: a length-prefixed
 # frame whose payload no unpickler accepts.
 _GARBAGE_FRAME = b"\x00not a pickle"
@@ -323,11 +320,9 @@ class PredictorFleet(PredictorServer):
     * ``hang_timeout_ms`` — a worker silent this long while pinged is
       SIGKILLed and restarted, its unanswered batches re-sent.  Must
       exceed the worst-case batch time; ``None`` disables hang detection.
-    * ``ping_interval_ms`` — heartbeat period (default: a quarter of the
-      hang timeout).
-    * ``hedge_after_ms`` — straggler threshold for re-sending a batch to
-      another worker: a float, ``"auto"`` or ``None`` (off, the default).
-    * ``max_hedges`` — re-send budget per batch.
+      Heartbeats go out every quarter of it.
+    * ``hedge_after_ms`` — straggler threshold (ms) for re-sending a batch
+      to another worker, or ``None`` (off, the default).
     * ``fault_schedule`` — see the module docstring.
     """
 
@@ -335,7 +330,7 @@ class PredictorFleet(PredictorServer):
 
     def __init__(self, registry, dbs, config=None, n_workers=2,
                  fault_schedule=None, hang_timeout_ms=10_000.0,
-                 ping_interval_ms=None, hedge_after_ms=None, max_hedges=3):
+                 hedge_after_ms=None):
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
         super().__init__(registry, dbs, core=ServingCore(
@@ -344,23 +339,16 @@ class PredictorFleet(PredictorServer):
         self._fault_schedule = fault_schedule
         self._hang_timeout_s = (None if hang_timeout_ms is None
                                 else max(hang_timeout_ms, 1.0) / 1e3)
-        if ping_interval_ms is not None:
-            self._ping_interval_s = max(ping_interval_ms, 10.0) / 1e3
-        elif self._hang_timeout_s is not None:
-            self._ping_interval_s = max(self._hang_timeout_s / 4.0, 0.01)
-        else:
-            self._ping_interval_s = None
-        if hedge_after_ms is not None and hedge_after_ms != "auto":
-            hedge_after_ms = float(hedge_after_ms)
-        self._hedge_after_ms = hedge_after_ms
-        self.max_hedges = max(0, int(max_hedges))
+        self._ping_interval_s = (None if hang_timeout_ms is None
+                                 else max(self._hang_timeout_s / 4.0, 0.01))
+        self._hedge_after_s = (None if hedge_after_ms is None
+                               else float(hedge_after_ms) / 1e3)
         self._registry_root = str(registry.store.root)
         self._slots = []
         self._pool_running = False
         self._batches = {}              # batch_id -> _Batch (router lock)
         self._batch_seq = 0
         self._hedged_done = OrderedDict()
-        self._latencies = deque(maxlen=_LATENCY_WINDOW)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -392,7 +380,7 @@ class PredictorFleet(PredictorServer):
         # kill, so the two must never share a thread.
         if self._hang_timeout_s is not None:
             self._spawn_loop(self._ping_and_detect, "liveness")
-        if self._hedge_after_ms is not None:
+        if self._hedge_after_s is not None:
             self._spawn_loop(self._maybe_hedge, "hedge")
         return super().start()
 
@@ -545,11 +533,9 @@ class PredictorFleet(PredictorServer):
             (result[5], request.digest, result[1])
             for request, result in zip(entry.requests, results)
             if result[5] is not None)
-        now = time.perf_counter()
         for request, result in zip(entry.requests, results):
             status, value, error, served_by, retries, _, trace = result
             request.retries = retries
-            self._latencies.append(now - request.submitted_at)
             if request.trace is not None and trace is not None:
                 # Fold the winning worker's stages in before _finish
                 # finalizes the trace.
@@ -601,8 +587,8 @@ class PredictorFleet(PredictorServer):
         candidates = [0.25]
         if self._ping_interval_s is not None:
             candidates.append(self._ping_interval_s)
-        if isinstance(self._hedge_after_ms, float):
-            candidates.append(self._hedge_after_ms / 2e3)
+        if self._hedge_after_s is not None:
+            candidates.append(self._hedge_after_s / 2)
         interval = max(min(candidates), 0.01)
 
         def loop():
@@ -640,16 +626,6 @@ class PredictorFleet(PredictorServer):
                 slot.last_ping = now
                 slot.send_nowait(("ping",))
 
-    def hedge_threshold_ms(self):
-        """The effective straggler threshold, or ``None`` when hedging is
-        off (or ``"auto"`` has not seen enough completions yet)."""
-        if self._hedge_after_ms != "auto":
-            return self._hedge_after_ms
-        latencies = list(self._latencies)
-        if len(latencies) < _HEDGE_MIN_SAMPLES:
-            return None
-        return max(3e3 * float(np.percentile(latencies, 99)), 20.0)
-
     def _maybe_hedge(self):
         """Re-send batches pending past the straggler threshold.
 
@@ -658,18 +634,14 @@ class PredictorFleet(PredictorServer):
         pipe is what a hung worker looks like from here, so it is never a
         target.
         """
-        threshold_ms = self.hedge_threshold_ms()
-        if threshold_ms is None or self.max_hedges == 0:
-            return
-        threshold = threshold_ms / 1e3
         now = time.perf_counter()
         sends = []
         with self._lock:
             live = [slot for slot in self._slots
                     if not slot.closing and slot.writable()]
             for entry in self._batches.values():
-                if (entry.hedges >= self.max_hedges
-                        or now - entry.last_send <= threshold):
+                if (entry.hedges >= _MAX_HEDGES
+                        or now - entry.last_send <= self._hedge_after_s):
                     continue
                 candidates = ([slot for slot in live
                                if slot not in entry.slots] or live)

@@ -79,7 +79,8 @@ def skewed_requests(requests_by_db, weights, n, seed=0):
 
 @dataclass(frozen=True)
 class LoadConfig:
-    """Client count, arrival process, seed and chaos for one load run."""
+    """Client count, arrival process, seed and chaos for one load run
+    (tracing is :func:`run_load`'s ``trace`` argument)."""
 
     n_clients: int = 4
     rate_per_s: float | None = None  # aggregate arrival rate; None = saturate
@@ -87,7 +88,6 @@ class LoadConfig:
     timeout_s: float = 120.0  # wait bound for stragglers after arrivals end
     block: bool = False       # True: backpressure instead of shedding
     faults: object | None = None  # FaultSchedule to install for the run
-    trace: bool = False       # record per-request spans for the run
 
 
 @dataclass
@@ -193,7 +193,7 @@ def _arrival_offsets(n, rate_per_s, rng):
     return np.cumsum(rng.exponential(1.0 / rate_per_s, size=n))
 
 
-def run_load(server, requests, config=None, trace=None):
+def run_load(server, requests, config=None, trace=False):
     """Fire ``requests`` — ``(db_name, plan)`` pairs — at ``server``.
 
     A request may also be a ``(db_name, plan, priority)`` triple
@@ -210,23 +210,18 @@ def run_load(server, requests, config=None, trace=None):
 
     ``trace`` opts the run into per-request spans: pass ``True`` (a
     :class:`~repro.obs.trace.Tracer` is attached to the server for the
-    run and detached after), or a ``Tracer`` to use.  ``None`` defers to
-    ``config.trace``.  A traced report carries ``spans`` and the
+    run and detached after, unless the server already has one), or a
+    ``Tracer`` to use.  A traced report carries ``spans`` and the
     per-stage ``latency_attribution`` breakdown.
     """
     config = config or LoadConfig()
-    if trace is None:
-        trace = config.trace
     tracer = attached = None
     if trace:
-        tracer = trace if isinstance(trace, Tracer) else None
-        if tracer is None:
-            tracer = getattr(server, "tracer", None)
+        tracer = trace if isinstance(trace, Tracer) else server.tracer
         if tracer is None:
             tracer = Tracer()
-        if getattr(server, "tracer", None) is not tracer:
-            server.attach_tracer(tracer)
-            attached = tracer
+        if server.tracer is not tracer:
+            attached = server.attach_tracer(tracer)
     requests = list(requests)
     per_client = [requests[i::config.n_clients]
                   for i in range(config.n_clients)]

@@ -70,6 +70,8 @@ __all__ = ["ModelRegistry", "ModelDeployment", "RoutingError",
 _DEPLOY_KIND = "deploy"
 _MANIFEST_KIND = "manifest"
 _REGISTRY_META = "__registry__"
+# Hydrated checkpoints a registry keeps in memory (LRU).
+_MAX_LOADED = 8
 
 
 class RoutingError(RuntimeError):
@@ -118,7 +120,7 @@ class ModelRegistry:
     :meth:`refresh`.
     """
 
-    def __init__(self, store, max_loaded=8):
+    def __init__(self, store):
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.store = store
@@ -127,7 +129,6 @@ class ModelRegistry:
         # checkpoint_key -> ZeroShotCostModel; bounded LRU so repeated
         # swap/rollback cycles between a few versions never re-read disk.
         self._loaded = OrderedDict()
-        self._max_loaded = int(max_loaded)
         self._manifests = {}
         meta = store.load(_MANIFEST_KIND, store.key(_REGISTRY_META))
         self._names = list(meta["names"]) if meta else []
@@ -593,7 +594,7 @@ class ModelRegistry:
         self.generation += 1
 
     def _trim_loaded(self):
-        while len(self._loaded) > self._max_loaded:
+        while len(self._loaded) > _MAX_LOADED:
             self._loaded.popitem(last=False)
 
     def __repr__(self):

@@ -25,9 +25,8 @@ Guarantees:
   function of the plan.
 * **One bad plan fails alone** — model-path failures retry with
   exponential backoff; a group that keeps failing is *bisected* until the
-  poisoned request is isolated.  Deadlines (``request_timeout_ms`` or a
-  request's ``deadline_ms``) fail typed with
-  :class:`DeadlineExceededError`.
+  poisoned request is isolated.  A request's ``deadline_ms`` fails it
+  typed with :class:`DeadlineExceededError`.
 * **The batcher survives crashes** — on a crash of the loop machinery the
   in-flight micro-batch is re-enqueued **exactly once** (unfinished
   requests return to the queue head in order) and a replacement thread
@@ -46,16 +45,17 @@ Guarantees:
 * **Bounded, priority-classed admission** — admission counts requests
   admitted and not yet completed; each :class:`RequestPriority` has its
   own bound (:func:`~repro.serving.core.admission_limit`).  Over it a
-  non-blocking submit is ``SHED`` — except LOW traffic under
-  ``brownout_degraded``, which is *browned out*: answered at once by the
-  analytical model, flagged ``DEGRADED`` with ``served_by
-  ("analytical", "brownout")``.  ``block=True`` opts into backpressure.
+  non-blocking submit is ``SHED`` — except LOW traffic, which is *browned
+  out*: answered at once by the analytical model, flagged ``DEGRADED``
+  with ``served_by ("analytical", "brownout")``.  ``block=True`` opts
+  into backpressure.
 * **Clean shutdown** — :meth:`stop` drains, or with ``drain=False`` fails
   queued requests with a typed :class:`ServerClosedError`.  Handles never
   hang.
 
-Observability: the ``serve.*`` counters (see :mod:`repro.obs.catalog`)
-and :meth:`PredictorServer.stats`.
+Observability: the ``serve.*`` counters (see :mod:`repro.obs.catalog`),
+:meth:`PredictorServer.stats`, and per-request spans once a
+:class:`~repro.obs.trace.Tracer` is attached (:meth:`attach_tracer`).
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from collections import deque
 import numpy as np
 
 from .. import perfstats
-from ..obs.trace import Tracer
 from ..robustness import faults
 from .core import (DeadlineExceededError, DegradedResponseError,
                    PredictionRequest, RequestPriority, RequestShedError,
@@ -117,8 +116,7 @@ class PredictorServer:
         # Observability: submit-order seq feeds deterministic trace ids.
         self._seq_lock = threading.Lock()
         self._submit_seq = 0
-        self._tracer = (Tracer(sample_every=self.config.trace_sample_every)
-                        if self.config.trace else None)
+        self._tracer = None
 
     # ------------------------------------------------------------------
     # Observability
@@ -128,8 +126,9 @@ class PredictorServer:
         return self._tracer
 
     def attach_tracer(self, tracer):
-        """Attach (or detach with ``None``) a span sink; overrides the
-        config-driven tracer.  Per-request cost is zero when detached."""
+        """Attach (or detach with ``None``) a span sink: an
+        :class:`~repro.obs.trace.Tracer`, whose ``sample_every`` sets the
+        sampling rate.  Per-request cost is zero when detached."""
         self._tracer = tracer
         return tracer
 
@@ -181,10 +180,6 @@ class PredictorServer:
                     self._thread = None
                     return
 
-    def close(self, drain=True):
-        """Alias for :meth:`stop`."""
-        self.stop(drain=drain)
-
     def __enter__(self):
         return self.start()
 
@@ -208,8 +203,8 @@ class PredictorServer:
         — or browns a LOW request out (see the module docstring);
         ``block=True`` waits for space (backpressure), shedding only once
         ``timeout`` (a total bound, not per-wakeup) elapses.
-        ``deadline_ms`` sets this request's age cap, overriding
-        ``request_timeout_ms``.  Submissions after :meth:`stop` are shed
+        ``deadline_ms`` sets this request's age cap; past it the request
+        fails typed.  Submissions after :meth:`stop` are shed
         (nothing would ever process them); submissions *before*
         :meth:`start` queue up normally.
         """
@@ -235,7 +230,7 @@ class PredictorServer:
         # to the batcher, which reuses it as the featurization-cache key.
         digest = request.digest = core.plan_digest(db_name, plan)
         tracer = self._tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             with self._seq_lock:
                 seq = self._submit_seq
                 self._submit_seq += 1
@@ -281,9 +276,7 @@ class PredictorServer:
                 self._wakeup.notify_all()
         if admitted:
             return request
-        if (accepting and priority is RequestPriority.LOW
-                and self.config.brownout_degraded
-                and self.config.degraded_fallback):
+        if accepting and priority is RequestPriority.LOW:
             self._brownout(request)
             return request
         core.count("shed")

@@ -17,6 +17,8 @@ The chaos contract under test, end to end:
 """
 
 import pickle
+import sys
+import threading
 import time
 
 import numpy as np
@@ -424,13 +426,13 @@ class TestServerRetryAndBisection:
 
     def test_deadline_enforced(self, world, tmp_path):
         registry = _registry(world, tmp_path)
-        server = _server(world, registry, request_timeout_ms=1.0,
-                         max_retries=5, retry_backoff_ms=5.0)
+        server = _server(world, registry, max_retries=5,
+                         retry_backoff_ms=5.0)
         schedule = FaultSchedule(
             [FaultSpec("serve.infer", rate=1.0)], seed=0)
         with inject(schedule), server:
             handle = server.submit(world["records"][0].plan,
-                                   world["db"].name)
+                                   world["db"].name, deadline_ms=1.0)
             handle.wait(30.0)
         assert handle.status is RequestStatus.FAILED
         assert isinstance(handle.error, DeadlineExceededError)
@@ -627,19 +629,39 @@ class TestCircuitBreaker:
             assert handle.value == float(len(name))
         assert server.stats()["batch_size_hist"] == {1: 1, len(mix) - 1: 1}
 
-    def test_degradation_disabled_fails_typed(self, world, tmp_path):
-        registry = _registry(world, tmp_path)
-        server = _server(world, registry, max_retries=0,
-                         breaker_threshold=1, breaker_reset_ms=10_000.0,
-                         degraded_fallback=False)
-        schedule = FaultSchedule(
-            [FaultSpec("serve.infer", rate=1.0)], seed=0)
-        with inject(schedule), server:
-            for _ in range(2):
-                handle = server.submit(world["records"][0].plan,
-                                       world["db"].name)
-                handle.wait(30.0)
-                assert handle.status is RequestStatus.FAILED
+    def test_stats_while_breakers_are_created(self):
+        """stats() reads the breaker table while the processing thread
+        creates a breaker on each new checkpoint's first batch (after every
+        promote); the two must not race."""
+
+        class NoRoutes:
+            generation = 0
+
+        core = serving_core.ServingCore(NoRoutes(), {})
+        n_keys = 20_000
+        errors = []
+
+        def create_breakers():
+            for i in range(n_keys):
+                core._breaker_for(f"checkpoint-{i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            creator = threading.Thread(target=create_breakers)
+            creator.start()
+            while creator.is_alive():
+                try:
+                    core.stats()
+                except RuntimeError as exc:  # dict changed size
+                    errors.append(exc)
+                    break
+            creator.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not creator.is_alive()
+        assert not errors
+        assert len(core.stats()["breakers"]) == n_keys
 
 
 # ----------------------------------------------------------------------

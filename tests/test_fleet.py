@@ -491,7 +491,7 @@ class TestFleetSupervision:
                                n_workers=1).start()
         handles = fleet.submit_many([r.plan for r in world["records_a"]],
                                     world["db_a"].name, block=True)
-        fleet.close(drain=False)
+        fleet.stop(drain=False)
         for handle in handles:
             handle.wait(10)
             assert handle.status in (RequestStatus.FAILED,
@@ -619,7 +619,7 @@ class TestFleetLiveness:
         ], seed=fault_seed)}
         with PredictorFleet(registry, world["dbs"], config,
                             n_workers=2, fault_schedule=schedule,
-                            hang_timeout_ms=300.0, ping_interval_ms=60.0,
+                            hang_timeout_ms=300.0,
                             hedge_after_ms=None) as fleet:
             handles = fleet.submit_many(plans, db_a.name, block=True)
             outcomes = []
@@ -708,7 +708,7 @@ class TestFleetHedging:
         with PredictorFleet(registry, world["dbs"], config, n_workers=2,
                             fault_schedule={0: _hold_first_batch(250.0)},
                             hang_timeout_ms=None,
-                            hedge_after_ms=40.0, max_hedges=1) as fleet:
+                            hedge_after_ms=40.0) as fleet:
             handles = fleet.submit_many(plans, db_a.name, block=True)
             for handle, want in zip(handles, expected):
                 assert handle.result(60) == float(want)
@@ -733,17 +733,6 @@ class TestFleetHedging:
             final = fleet.stats()
         assert final["failed"] == 0 and final["shed"] == 0
         assert final["outstanding"] == 0
-
-    def test_auto_threshold_needs_samples(self, world, tmp_path):
-        registry = _registry_with(world, tmp_path)
-        with PredictorFleet(registry, world["dbs"], n_workers=1,
-                            hedge_after_ms="auto") as fleet:
-            assert fleet.hedge_threshold_ms() is None  # no samples yet
-            fleet.predict([r.plan for r in world["records_a"]],
-                          world["db_a"].name)
-        with PredictorFleet(registry, world["dbs"], n_workers=1,
-                            hedge_after_ms=75.0) as fleet:
-            assert fleet.hedge_threshold_ms() == 75.0
 
 
 # ----------------------------------------------------------------------
@@ -819,27 +808,6 @@ class TestFleetPriorities:
         assert stats["shed"] == 2
         assert stats["degraded"] >= 1  # includes the brownout
 
-    def test_low_sheds_when_brownout_disabled(self, world, tmp_path,
-                                              transport):
-        registry = _registry_with(world, tmp_path)
-        db_a = world["db_a"]
-        plans = [r.plan for r in world["records_a"]]
-        config = ServerConfig(result_cache_size=0, max_delay_ms=400.0,
-                              max_batch_size=256, queue_depth=4,
-                              brownout_fraction=0.5,
-                              brownout_degraded=False)
-        before = perfstats.snapshot(["serve.shed.priority.low"])
-        with transport(registry, world["dbs"], config) as fleet:
-            for i in range(2):  # LOW bound is int(4 * 0.5) = 2
-                fleet.submit(plans[i], db_a.name,
-                             priority=RequestPriority.LOW)
-            low = fleet.submit(plans[2], db_a.name,
-                               priority=RequestPriority.LOW)
-            assert low.status is RequestStatus.SHED
-        after = perfstats.snapshot(["serve.shed.priority.low"])
-        assert after["serve.shed.priority.low"] == \
-            before["serve.shed.priority.low"] + 1
-
     def test_deadline_crosses_the_pipe(self, world, tmp_path, transport):
         """A request whose deadline expires while queued is dropped before
         featurization (worker-side on the fleet), with the typed error."""
@@ -911,7 +879,7 @@ class TestFleetFaultPropagation:
                                 world["db_a"].name)
             stats = fleet.stats()
         finally:
-            fleet.close()
+            fleet.stop()
         np.testing.assert_array_equal(got, world["expected_a"])
         injected = stats["worker_fault_injected"]
         assert injected.get("fault.injected.serve.infer", 0) >= 1

@@ -242,11 +242,11 @@ class TestServedTracing:
                                                           tmp_path):
         registry = _publish(world, tmp_path)
         requests = [(world["db"].name, r.plan) for r in world["records"]] * 2
-        config = ServerConfig(trace=True, result_cache_size=0)
+        config = ServerConfig(result_cache_size=0)
         with PredictorServer(registry, world["dbs"], config) as server:
             report = run_load(server, requests,
-                              LoadConfig(n_clients=2, block=True,
-                                         trace=True))
+                              LoadConfig(n_clients=2, block=True),
+                              trace=True)
         assert report.completed == len(requests)
         for handle in report.handles:
             assert handle.status is RequestStatus.DONE
@@ -268,9 +268,9 @@ class TestServedTracing:
 
     def test_sampling_traces_every_nth_request(self, world, tmp_path):
         registry = _publish(world, tmp_path)
-        config = ServerConfig(trace=True, trace_sample_every=2,
-                              result_cache_size=0)
+        config = ServerConfig(result_cache_size=0)
         with PredictorServer(registry, world["dbs"], config) as server:
+            server.attach_tracer(Tracer(sample_every=2))
             for record in world["records"]:
                 server.submit(record.plan, world["db"].name,
                               block=True).result()
@@ -280,8 +280,8 @@ class TestServedTracing:
 
     def test_cache_hit_annotated(self, world, tmp_path):
         registry = _publish(world, tmp_path)
-        config = ServerConfig(trace=True)  # result cache on
-        with PredictorServer(registry, world["dbs"], config) as server:
+        with PredictorServer(registry, world["dbs"]) as server:  # cache on
+            server.attach_tracer(Tracer())
             first = server.submit(world["records"][0].plan,
                                   world["db"].name, block=True)
             first.result()
@@ -302,14 +302,14 @@ class TestServedTracing:
             FaultSpec("serve.infer", rate=1.0, skip_calls=2, max_faults=2,
                       message="obs chaos"),
         ], seed=5)
-        config = ServerConfig(trace=True, result_cache_size=0,
-                              max_batch_size=1, max_retries=3,
-                              retry_backoff_ms=0.25)
+        config = ServerConfig(result_cache_size=0, max_batch_size=1,
+                              max_retries=3, retry_backoff_ms=0.25)
         requests = [(world["db"].name, r.plan) for r in world["records"]]
         with PredictorServer(registry, world["dbs"], config) as server:
             report = run_load(server, requests,
                               LoadConfig(n_clients=1, block=True,
-                                         faults=schedule, trace=True))
+                                         faults=schedule),
+                              trace=True)
         assert report.completed == len(requests)
         return report.spans
 
@@ -344,10 +344,11 @@ class TestFleetTracing:
         from repro.serving import PredictorFleet
 
         registry = _publish(world, tmp_path)
-        config = ServerConfig(trace=True, result_cache_size=0)
+        config = ServerConfig(result_cache_size=0)
         before = REGISTRY.histogram("serve.latency_ms").total
         with PredictorFleet(registry, world["dbs"], config,
                             n_workers=1) as fleet:
+            fleet.attach_tracer(Tracer())
             for record in world["records"]:
                 handle = fleet.submit(record.plan, world["db"].name,
                                       block=True)
@@ -375,11 +376,11 @@ class TestFleetTracing:
             FaultSpec("serve.infer", rate=1.0, skip_calls=2, max_faults=2,
                       message="obs fleet chaos"),
         ], seed=7)
-        config = ServerConfig(trace=True, result_cache_size=0,
-                              max_batch_size=1, max_retries=3,
-                              retry_backoff_ms=0.25)
+        config = ServerConfig(result_cache_size=0, max_batch_size=1,
+                              max_retries=3, retry_backoff_ms=0.25)
         with PredictorFleet(registry, world["dbs"], config, n_workers=1,
                             fault_schedule=schedule) as fleet:
+            fleet.attach_tracer(Tracer())
             for record in world["records"]:
                 fleet.submit(record.plan, world["db"].name,
                              block=True).result(60)

@@ -8,7 +8,11 @@ inference kernels are row-stable (``row_stable_matmul``), which the first
 test class pins down at the numpy level.
 """
 
+import dataclasses
+import inspect
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +28,13 @@ from repro.featurization import (FeatureScalers, FeaturizationCache,
                                  TargetScaler, database_digest,
                                  plan_fingerprint)
 from repro.nn import row_stable_matmul
-from repro.serving import (LoadConfig, ModelRegistry, PredictorServer,
-                           RequestShedError, RequestStatus, RoutingError,
-                           ServerClosedError, ServerConfig, run_load)
+from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
+                           PredictorServer, RequestShedError, RequestStatus,
+                           RoutingError, ServerClosedError, ServerConfig,
+                           run_load)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +634,7 @@ class TestShutdown:
         assert any(h.status is RequestStatus.FAILED for h in handles)
 
     def test_close_under_concurrent_submitters(self, world, registry_a):
-        """close() races against live client threads: after it returns,
+        """stop() races against live client threads: after it returns,
         every handle anyone got back has resolved — DONE, CACHED, SHED or
         typed-FAILED — and waiting on one never hangs."""
         registry, _ = registry_a
@@ -652,7 +659,7 @@ class TestShutdown:
                    for bucket in collected]
         for thread in threads:
             thread.start()
-        server.close(drain=False)
+        server.stop(drain=False)
         stop_flag.set()
         for thread in threads:
             thread.join(10.0)
@@ -742,3 +749,42 @@ class TestServingFingerprints:
         plan = world["records_a"][0].plan
         assert plan_fingerprint(db, plan, "exact") == plan_fingerprint(
             db, plan, "exact", db_fingerprint=db.fingerprint())
+
+
+# ----------------------------------------------------------------------
+# README "Serving options" table <-> ServerConfig / PredictorFleet
+# ----------------------------------------------------------------------
+def _options_in_code():
+    """``{(option, owner): repr(default)}`` for every ServerConfig field
+    and every PredictorFleet keyword (its ServerConfig aside)."""
+    options = {(field.name, "ServerConfig"): repr(field.default)
+               for field in dataclasses.fields(ServerConfig)}
+    parameters = inspect.signature(PredictorFleet.__init__).parameters
+    for name, parameter in parameters.items():
+        if parameter.default is not parameter.empty and name != "config":
+            options[(name, "PredictorFleet")] = repr(parameter.default)
+    return options
+
+
+def _options_in_readme():
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Serving options\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]*)` \|", section,
+                      flags=re.MULTILINE)
+    return {(name, owner): default for name, owner, default in rows}
+
+
+class TestServingOptionsTable:
+    def test_every_option_has_a_row(self):
+        missing = set(_options_in_code()) - set(_options_in_readme())
+        assert not missing, f"options missing from README: {sorted(missing)}"
+
+    def test_every_row_names_an_option(self):
+        stale = set(_options_in_readme()) - set(_options_in_code())
+        assert not stale, f"README rows naming no option: {sorted(stale)}"
+
+    def test_documented_defaults_match(self):
+        code, readme = _options_in_code(), _options_in_readme()
+        wrong = {key: (readme[key], code[key]) for key in code
+                 if key in readme and readme[key] != code[key]}
+        assert not wrong, f"README default != code default: {wrong}"
