@@ -508,7 +508,7 @@ def audit(report, expected):
 
 
 def bench_serving(db, records, hidden_dim=64, n_clients=4, repeats=3,
-                  max_batch_size=64, max_delay_ms=2.0, seed=0):
+                  max_batch_size=64, seed=0):
     """Plans/second through the online predictor, single vs micro-batched.
 
     Publishes one model to a throwaway registry and drives the server with
@@ -534,7 +534,6 @@ def bench_serving(db, records, hidden_dim=64, n_clients=4, repeats=3,
             # Fresh server per pass: cold featurization/batch caches, as a
             # first encounter with this request stream would pay.
             config = ServerConfig(max_batch_size=batch_size,
-                                  max_delay_ms=max_delay_ms,
                                   queue_depth=len(requests) + n_clients,
                                   result_cache_size=0)
             server = PredictorServer(registry, dbs, config)
@@ -557,8 +556,7 @@ def bench_serving(db, records, hidden_dim=64, n_clients=4, repeats=3,
 
 
 def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
-                fault_seed=1, max_batch_size=16, max_delay_ms=1.0,
-                trace=False):
+                fault_seed=1, max_batch_size=16, trace=False):
     """Availability, correctness and tail latency under injected faults.
 
     Drives the server through the load generator's chaos mode: a
@@ -596,7 +594,6 @@ def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
         FaultSpec("serve.infer", rate=0.02, action="delay", delay_ms=4.0),
     ], seed=fault_seed)
     config = ServerConfig(max_batch_size=max_batch_size,
-                          max_delay_ms=max_delay_ms,
                           queue_depth=len(requests) + n_clients,
                           result_cache_size=0,
                           max_retries=3, retry_backoff_ms=0.5,
@@ -632,7 +629,7 @@ def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
 
 def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                 worker_counts=(1, 2, 4), rounds=2, repeats=2,
-                max_batch_size=64, max_delay_ms=2.0, seed=0):
+                max_batch_size=64, seed=0):
     """Fleet throughput vs worker count, with a full value audit.
 
     Drives a fresh :class:`~repro.serving.PredictorFleet` at each worker
@@ -657,7 +654,6 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
                       block=True)
     config = ServerConfig(max_batch_size=max_batch_size,
-                          max_delay_ms=max_delay_ms,
                           queue_depth=len(requests) + n_clients,
                           result_cache_size=0)
     rates, extras, audited = {}, {}, Counter()
@@ -713,9 +709,8 @@ _FLEET_CHAOS_COUNTERS = (
 
 def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
                       n_workers=2, seed=0, fault_seed=1, max_batch_size=16,
-                      max_delay_ms=1.0, hang_timeout_ms=500.0,
-                      hedge_after_ms=60.0, overload_queue_depth=32,
-                      trace=False):
+                      hang_timeout_ms=500.0, hedge_after_ms=60.0,
+                      overload_queue_depth=32, trace=False):
     """Fleet liveness and overload control under IPC chaos, fully audited.
 
     Two phases against one published model, both audited against a direct
@@ -770,7 +765,6 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
                       delay_ms=2.0),
         ], seed=fault_seed)
         config = ServerConfig(max_batch_size=max_batch_size,
-                              max_delay_ms=max_delay_ms,
                               queue_depth=len(requests) + n_clients,
                               result_cache_size=0)
         load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
@@ -794,7 +788,6 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
 
         # -- Phase B: saturation-burst overload with mixed priorities -----
         config_b = ServerConfig(max_batch_size=max_batch_size,
-                                max_delay_ms=max_delay_ms,
                                 queue_depth=overload_queue_depth,
                                 result_cache_size=0,
                                 high_reserve_fraction=0.25,
@@ -965,7 +958,7 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
         registry = ModelRegistry(ArtifactStore(tmp))
         registry.publish("zs", base, dbs=list(dbs.values()), default=True)
         server = PredictorServer(
-            registry, dbs, ServerConfig(max_batch_size=8, max_delay_ms=1.0,
+            registry, dbs, ServerConfig(max_batch_size=8,
                                         result_cache_size=0)).start()
         if trace:
             server.attach_tracer(Tracer())
@@ -1095,7 +1088,7 @@ OBS_LATENCY_P95_BUDGET_MS = 100.0
 
 
 def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
-              max_batch_size=16, max_delay_ms=1.0, seed=0):
+              max_batch_size=16, seed=0):
     """Tracing overhead: saturation throughput with spans off vs on.
 
     Same shape as :func:`bench_serving` — one published model, open-loop
@@ -1123,7 +1116,6 @@ def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
     def one_pass(traced):
         nonlocal incomplete
         config = ServerConfig(max_batch_size=max_batch_size,
-                              max_delay_ms=max_delay_ms,
                               queue_depth=len(requests) + n_clients,
                               result_cache_size=0)
         server = PredictorServer(registry, dbs, config)

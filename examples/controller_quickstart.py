@@ -82,7 +82,7 @@ def drive(dbs, base, phases, registry_dir):
     registry = ModelRegistry(registry_dir)
     registry.publish("zs", base, dbs=list(dbs.values()), default=True)
     server = PredictorServer(
-        registry, dbs, ServerConfig(max_batch_size=8, max_delay_ms=1.0,
+        registry, dbs, ServerConfig(max_batch_size=8,
                                     result_cache_size=0)).start()
     controller = ContinuousLearningController(registry, server, CONFIG)
 

@@ -74,7 +74,7 @@ def main():
 
         # 4. Saturation load at 1 / 2 / 4 workers.  Result cache off so
         #    every request pays the real inference path in a worker.
-        fleet_config = ServerConfig(max_batch_size=32, max_delay_ms=2.0,
+        fleet_config = ServerConfig(max_batch_size=32,
                                     queue_depth=len(mix) + 8,
                                     result_cache_size=0)
         print(f"\nServing {len(mix)} skewed requests "

@@ -74,7 +74,7 @@ def main():
                               n=240, seed=7)
 
         config = ServerConfig(result_cache_size=0, max_batch_size=16,
-                              max_delay_ms=1.0, queue_depth=24)
+                              queue_depth=24)
         print(f"\nServing {len(mix)} traced requests "
               "(2 workers, hedging after 25 ms, shallow queue) ...")
         with PredictorFleet(registry, dbs, config, n_workers=2,

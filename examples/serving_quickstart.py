@@ -63,7 +63,7 @@ def main():
         requests = [("imdb", record.plan) for record in unseen]
 
         # 4. Serve it: micro-batching predictor + open-loop load.
-        server_config = ServerConfig(max_batch_size=32, max_delay_ms=2.0)
+        server_config = ServerConfig(max_batch_size=32)
         print(f"\nServing {len(requests)} requests from 4 concurrent "
               "clients (open loop, ~2000 req/s offered) ...")
         with PredictorServer(registry, dbs, server_config) as server:

@@ -275,8 +275,7 @@ class ServerConfig:
     """Micro-batching, admission-control, featurization and robustness
     settings (the README's "Serving options" table lists each one)."""
 
-    max_batch_size: int = 64     # size trigger: dispatch when this many queue
-    max_delay_ms: float = 2.0    # deadline trigger: oldest request's max wait
+    max_batch_size: int = 64     # largest micro-batch (what is queued)
     queue_depth: int = 1024      # admission control: shed beyond this
     result_cache_size: int = 4096  # 0 disables the result cache
     cards: str = "exact"         # cardinality source for featurization

@@ -8,9 +8,11 @@ runs: on a worker from a pool of long-lived forked processes
 (:class:`~repro.bench.parallel.WorkerProcess`), the BRAD-style
 front-end/worker split with the batching boundary at the router.
 
-* **Batches, not requests, cross the pipe.**  The batcher forms a batch
-  only when some worker has room (fewer than two batches in flight), so
-  batches grow while every worker is busy.  A batch is one pipe message
+* **Batches, not requests, cross the pipe.**  The batcher is
+  work-conserving: the moment some worker has room (fewer than two
+  batches in flight) it ships everything queued, up to
+  ``max_batch_size``, so a lone request goes at once and batches grow
+  while every worker is busy.  A batch is one pipe message
   carrying each request's plan, digest (workers never re-hash),
   deadline, priority and submit time; the worker runs
   :meth:`~repro.serving.core.ServingCore.process_batch` on it and answers

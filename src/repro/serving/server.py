@@ -2,12 +2,13 @@
 
 Clients — any number of threads — submit plans for any registered database
 and get a :class:`PredictionRequest` handle back immediately.  A single
-*supervised* batcher thread coalesces queued requests into micro-batches on
-a deadline/size trigger (whichever fires first).  The transport-agnostic
-:class:`~repro.serving.core.ServingCore` routes each request to a
-compatible deployment by database fingerprint and serves each deployment's
-share of a batch with one featurization call and one graph-free
-``predict_runtimes`` call.
+*supervised* batcher thread is work-conserving: whenever the backend is
+free it takes every queued request (up to ``max_batch_size``) as one
+micro-batch, so batches grow with load and a lone request never waits on a
+timer.  The transport-agnostic :class:`~repro.serving.core.ServingCore`
+routes each request to a compatible deployment by database fingerprint and
+serves each deployment's share of a batch with one featurization call and
+one graph-free ``predict_runtimes`` call.
 
 This class is the only front end: submit, admission, brownout, tracing,
 the result-cache probe, the micro-batcher and shutdown live here.  A
@@ -384,29 +385,19 @@ class PredictorServer:
             replacement.start()
 
     def _serve_loop(self):
-        max_delay_s = self.config.max_delay_ms / 1e3
         while True:
             with self._lock:
-                # A batch forms only when the backend can take it, so while
-                # every worker is busy the queue grows into larger batches.
+                # Work-conserving: the moment the backend can take a batch
+                # it takes everything queued, up to max_batch_size.  While
+                # the backend is busy arrivals queue, so batches grow with
+                # load and a lone request never waits on a timer.
                 while not (self._queue and self._ready_locked()):
                     if not self._queue and not self._running:
                         return  # stopped and drained
                     self._wakeup.wait()
-                # Deadline/size trigger: dispatch when the oldest request
-                # has waited max_delay_ms or max_batch_size are queued.
-                deadline = self._queue[0].submitted_at + max_delay_s
-                while (self._running
-                       and len(self._queue) < self.config.max_batch_size):
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(remaining)
                 count = min(len(self._queue), self.config.max_batch_size)
                 batch = [self._queue.popleft() for _ in range(count)]
                 self._inflight = batch
-            if not batch:
-                continue  # stop(drain=False) emptied the queue meanwhile
             if self._tracer is not None:
                 dispatched = time.perf_counter()
                 for request in batch:

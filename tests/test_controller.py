@@ -100,7 +100,7 @@ def _stack(world, tmp_path, config=CTL_CONFIG, **server_overrides):
     registry = ModelRegistry(ArtifactStore(tmp_path))
     registry.publish("zs", world["base"],
                      dbs=list(world["dbs"].values()), default=True)
-    defaults = dict(max_batch_size=8, max_delay_ms=1.0, result_cache_size=0)
+    defaults = dict(max_batch_size=8, result_cache_size=0)
     defaults.update(server_overrides)
     server = PredictorServer(registry, world["dbs"],
                              ServerConfig(**defaults)).start()

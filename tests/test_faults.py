@@ -77,8 +77,7 @@ def _registry(world, tmp_path):
 
 
 def _server(world, registry, dbs=None, **overrides):
-    defaults = dict(max_batch_size=4, max_delay_ms=1.0,
-                    retry_backoff_ms=0.2)
+    defaults = dict(max_batch_size=4, retry_backoff_ms=0.2)
     defaults.update(overrides)
     return PredictorServer(registry, dbs or world["dbs"],
                            ServerConfig(**defaults))

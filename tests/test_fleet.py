@@ -240,10 +240,12 @@ class TestFleetEquivalence:
 
     def test_shed_when_queue_full(self, world, tmp_path):
         registry = _registry_with(world, tmp_path)
-        config = ServerConfig(queue_depth=1, max_delay_ms=50.0)
+        config = ServerConfig(queue_depth=1)
         plans_a = [r.plan for r in world["records_a"]]
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=1) as fleet:
+        # The worker holds the first request past the submits, so it stays
+        # outstanding and fills the one-deep queue.
+        with PredictorFleet(registry, world["dbs"], config, n_workers=1,
+                            fault_schedule=_hold_first_batch(100.0)) as fleet:
             handles = [fleet.submit(plan, world["db_a"].name)
                        for plan in plans_a]
             for handle in handles:
@@ -319,12 +321,15 @@ class TestFleetWorkerCost:
         assert openblas().get_threads() == before
 
 
-def _hold_first_batch(delay_ms):
-    """Worker schedule that holds the worker's first batch for
-    ``delay_ms`` at ``fleet.worker.hang`` before serving it."""
+def _hold_first_batch(delay_ms, point="fleet.worker.hang"):
+    """Schedule that holds the first batch for ``delay_ms`` at ``point``
+    before serving it.  ``fleet.worker.hang`` fires only in fleet
+    workers; ``serve.infer``, installed process-wide before start, stalls
+    the thread server's batcher or, inherited through the fork, the
+    worker."""
     return FaultSchedule([
-        FaultSpec("fleet.worker.hang", rate=1.0, max_faults=1,
-                  action="delay", delay_ms=delay_ms),
+        FaultSpec(point, rate=1.0, max_faults=1, action="delay",
+                  delay_ms=delay_ms),
     ], seed=0)
 
 
@@ -467,8 +472,7 @@ class TestFleetSupervision:
         """The bench-shaped scenario: saturation load, a worker dies
         mid-run, every delivered value still matches the direct call."""
         registry = _registry_with(world, tmp_path)
-        config = ServerConfig(result_cache_size=0,
-                              queue_depth=10_000, max_delay_ms=20.0)
+        config = ServerConfig(result_cache_size=0, queue_depth=10_000)
         requests = ([(world["db_a"].name, r.plan)
                      for r in world["records_a"]] * 3)
         expected = {id(r.plan): float(v) for r, v in
@@ -486,9 +490,12 @@ class TestFleetSupervision:
 
     def test_close_without_drain_fails_pending_typed(self, world, tmp_path):
         registry = _registry_with(world, tmp_path)
-        config = ServerConfig(max_delay_ms=500.0, max_batch_size=256)
-        fleet = PredictorFleet(registry, world["dbs"], config,
-                               n_workers=1).start()
+        config = ServerConfig(max_batch_size=256)
+        # The worker holds its first batch past the stop: every request is
+        # still queued or unanswered when the fleet closes.
+        fleet = PredictorFleet(registry, world["dbs"], config, n_workers=1,
+                               fault_schedule=_hold_first_batch(100.0)
+                               ).start()
         handles = fleet.submit_many([r.plan for r in world["records_a"]],
                                     world["db_a"].name, block=True)
         fleet.stop(drain=False)
@@ -497,6 +504,7 @@ class TestFleetSupervision:
             assert handle.status in (RequestStatus.FAILED,
                                      RequestStatus.DONE)
         failed = [h for h in handles if h.status is RequestStatus.FAILED]
+        assert failed
         for handle in failed:
             with pytest.raises(Exception) as err:
                 handle.result(0)
@@ -609,19 +617,18 @@ class TestFleetLiveness:
         registry = _registry_with(world, root)
         db_a = world["db_a"]
         plans = [r.plan for r in world["records_a"]]
-        # The batch delay outlasts the submits, so the first batch — the
-        # one worker 0 (the first idle worker) takes — holds every plan.
-        config = ServerConfig(result_cache_size=0, max_delay_ms=100.0,
-                              max_batch_size=256)
+        # Every plan is queued before start, so the first batch — the one
+        # worker 0 (the first idle worker) takes — holds every plan.
+        config = ServerConfig(result_cache_size=0, max_batch_size=256)
         schedule = {0: FaultSchedule([
             FaultSpec("fleet.worker.hang", rate=1.0, max_faults=1,
                       action="hang"),
         ], seed=fault_seed)}
-        with PredictorFleet(registry, world["dbs"], config,
-                            n_workers=2, fault_schedule=schedule,
-                            hang_timeout_ms=300.0,
-                            hedge_after_ms=None) as fleet:
-            handles = fleet.submit_many(plans, db_a.name, block=True)
+        fleet = PredictorFleet(registry, world["dbs"], config, n_workers=2,
+                               fault_schedule=schedule,
+                               hang_timeout_ms=300.0, hedge_after_ms=None)
+        handles = fleet.submit_many(plans, db_a.name, block=True)
+        with fleet:
             outcomes = []
             for handle in handles:
                 value = handle.result(60)  # waits; then status is final
@@ -659,7 +666,7 @@ class TestFleetLiveness:
         """stats() on a fleet with a wedged worker returns promptly with
         an ``unresponsive`` row instead of blocking the caller."""
         registry = _registry_with(world, tmp_path)
-        config = ServerConfig(result_cache_size=0, max_delay_ms=1.0)
+        config = ServerConfig(result_cache_size=0)
         schedule = FaultSchedule([
             # Finite hang: long enough to straddle the stats call, short
             # enough that the fleet drains cleanly afterwards (hang
@@ -758,16 +765,18 @@ class TestFleetPriorities:
         db_a = world["db_a"]
         plans = [r.plan for r in world["records_a"]]
         # queue_depth=8 with a 25% HIGH reserve: LOW admits under 4,
-        # NORMAL under 6, HIGH under 8.  A 400 ms batching delay keeps
-        # everything outstanding while the admission ladder is probed.
-        config = ServerConfig(result_cache_size=0, max_delay_ms=400.0,
-                              max_batch_size=256, queue_depth=8,
-                              high_reserve_fraction=0.25,
+        # NORMAL under 6, HIGH under 8.  The backend stalls on the first
+        # batch, so everything admitted stays outstanding while the
+        # admission ladder is probed.
+        config = ServerConfig(result_cache_size=0, max_batch_size=256,
+                              queue_depth=8, high_reserve_fraction=0.25,
                               brownout_fraction=0.5)
         before = perfstats.snapshot(
             ["serve.shed.priority.normal", "serve.shed.priority.high",
              "serve.shed.priority.low", "serve.brownout.count"])
-        with transport(registry, world["dbs"], config) as fleet:
+        stall = _hold_first_batch(200.0, "serve.infer")
+        with faults.inject(stall), transport(registry, world["dbs"],
+                                             config) as fleet:
             normals = [fleet.submit(plans[i], db_a.name,
                                     priority=RequestPriority.NORMAL)
                        for i in range(6)]
@@ -813,14 +822,15 @@ class TestFleetPriorities:
         featurization (worker-side on the fleet), with the typed error."""
         registry = _registry_with(world, tmp_path)
         db_a = world["db_a"]
-        # Batching delay far past the request deadline: by the time the
-        # batch forms, the deadline has long expired.
-        config = ServerConfig(result_cache_size=0, max_delay_ms=150.0,
-                              max_batch_size=256)
-        with transport(registry, world["dbs"], config) as fleet:
-            doomed = fleet.submit(world["records_a"][0].plan, db_a.name,
-                                  deadline_ms=1.0)
-            fine = fleet.submit(world["records_a"][1].plan, db_a.name)
+        config = ServerConfig(result_cache_size=0, max_batch_size=256)
+        fleet = transport(registry, world["dbs"], config)
+        doomed = fleet.submit(world["records_a"][0].plan, db_a.name,
+                              deadline_ms=1.0)
+        fine = fleet.submit(world["records_a"][1].plan, db_a.name)
+        # Queued before start() and held far past the request deadline: by
+        # the time the batch forms, the deadline has long expired.
+        time.sleep(0.05)
+        with fleet:
             doomed.wait(30)
             assert doomed.status is RequestStatus.FAILED
             with pytest.raises(DeadlineExceededError):
@@ -828,6 +838,50 @@ class TestFleetPriorities:
             assert fine.result(30) == float(world["expected_a"][1])
             stats = fleet.stats()
         assert stats["deadline_expired"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Work-conserving batching: coalescing comes from backpressure alone
+# ----------------------------------------------------------------------
+def _wait_dispatched(transport, timeout_s=10.0):
+    """Block until the batcher has taken everything queued."""
+    deadline = time.monotonic() + timeout_s
+    while transport._queue:
+        assert time.monotonic() < deadline, "the batcher never took it"
+        time.sleep(0.001)
+
+
+class TestCoalescingUnderLoad:
+    def test_backlog_behind_a_busy_backend_is_one_batch(self, world,
+                                                        tmp_path,
+                                                        transport):
+        """A free backend takes a lone request at once; while it is busy,
+        arrivals queue and the next batch takes them all.  Single-plan
+        batches fill every in-flight place (the thread server's batcher,
+        each fleet worker's two), the first stalls, and the N plans
+        submitted meanwhile go as one batch of N, bit-identical to
+        direct prediction."""
+        registry = _registry_with(world, tmp_path)
+        db_a, db_b = world["db_a"], world["db_b"]
+        plans = [r.plan for r in world["records_a"]]
+        config = ServerConfig(result_cache_size=0, max_batch_size=256)
+        stall = _hold_first_batch(150.0, "serve.infer")
+        with faults.inject(stall), transport(registry, world["dbs"],
+                                             config) as fleet:
+            places = (fleet_module._IN_FLIGHT * fleet.n_workers
+                      if isinstance(fleet, PredictorFleet) else 1)
+            lone = []
+            for record in world["records_b"][:places]:
+                lone.append(fleet.submit(record.plan, db_b.name))
+                _wait_dispatched(fleet)
+            handles = fleet.submit_many(plans, db_a.name)
+            values = [handle.result(30) for handle in handles]
+            lone_values = [handle.result(30) for handle in lone]
+            stats = fleet.stats()
+        assert stats["batch_size_hist"] == {1: places, len(plans): 1}
+        np.testing.assert_array_equal(values, world["expected_a"])
+        np.testing.assert_array_equal(lone_values,
+                                      world["expected_b"][:places])
 
 
 # ----------------------------------------------------------------------

@@ -253,8 +253,7 @@ class TestPredictorServer:
         registry, model = registry_a
         expected = _direct(model, world["graphs_a"])
         plans = [r.plan for r in world["records_a"]]
-        config = ServerConfig(max_batch_size=4, max_delay_ms=0.5,
-                              result_cache_size=0)
+        config = ServerConfig(max_batch_size=4, result_cache_size=0)
         results = {}
         with PredictorServer(registry, world["dbs"], config) as server:
             def client(offset):
@@ -549,8 +548,7 @@ class TestDeploymentGrouping:
         registry.publish("main", model, default=True)
         mix = _round_robin(records)
         digest_calls = _count_calls(monkeypatch, fingerprint, "_digest")
-        config = ServerConfig(max_batch_size=8, max_delay_ms=1.0,
-                              result_cache_size=0)
+        config = ServerConfig(max_batch_size=8, result_cache_size=0)
         with PredictorServer(registry, dbs, config) as server:
             handles = [server.submit(plan, name) for name, plan in mix]
             for handle in handles:
@@ -691,7 +689,7 @@ class TestLoadHarness:
         registry, model = registry_a
         requests = [(world["db_a"].name, r.plan)
                     for r in world["records_a"]] * 2
-        config = ServerConfig(max_batch_size=8, max_delay_ms=1.0)
+        config = ServerConfig(max_batch_size=8)
         with PredictorServer(registry, world["dbs"], config) as server:
             report = run_load(server, requests,
                               LoadConfig(n_clients=3, rate_per_s=3000,
@@ -720,8 +718,7 @@ class TestLoadHarness:
         expected = _direct(model, world["graphs_a"])
         requests = [(world["db_a"].name, r.plan)
                     for r in world["records_a"]]
-        config = ServerConfig(max_batch_size=16, max_delay_ms=2.0,
-                              result_cache_size=0,
+        config = ServerConfig(max_batch_size=16, result_cache_size=0,
                               queue_depth=len(requests) + 4)
         with PredictorServer(registry, world["dbs"], config) as server:
             report = run_load(server, requests,
