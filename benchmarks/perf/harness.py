@@ -33,6 +33,7 @@ import inspect
 import io
 import os
 import pstats
+import resource
 import tempfile
 import time
 from collections import Counter
@@ -58,7 +59,8 @@ __all__ = ["build_plan_corpus", "build_corpus", "build_exec_corpus",
            "bench_featurization", "bench_annotation",
            "bench_featurization_cached", "bench_batch_construction",
            "bench_training_step", "bench_train_epoch",
-           "bench_experiment_warm_start", "bench_inference", "served_model",
+           "bench_experiment_warm_start", "bench_inference",
+           "bench_inference_single_plan", "served_model",
            "audit", "bench_serving", "bench_chaos", "bench_fleet",
            "bench_fleet_chaos", "bench_controller", "bench_obs",
            "OBS_LATENCY_P95_BUDGET_MS", "run_all", "run_pipeline_reference"]
@@ -122,6 +124,12 @@ def build_corpus(n_queries=192, seed=0, max_joins=3):
     graphs = featurize_records(records, {db.name: db}, cards="exact")
     runtimes = np.array([r.runtime_ms for r in records])
     return graphs, runtimes
+
+
+def _cpu_s(who):
+    """User + system CPU seconds of ``getrusage(who)``."""
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _best_rate(n_plans, timings):
@@ -451,6 +459,26 @@ def bench_inference(graphs, runtimes, hidden_dim=64, batch_size=256,
     return rate
 
 
+def bench_inference_single_plan(graphs, runtimes, hidden_dim=64, seed=0):
+    """Median ms of one ``predict_runtimes`` call on one fresh graph.
+
+    The optimizer-loop shape: each call batches and predicts a single plan
+    with ``batch_cache=False``, so it pays the fixed per-call cost of
+    ``make_batch`` + ``forward_inference`` that per-plan rates amortize.
+    """
+    model = ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval()
+    scalers = FeatureScalers().fit(graphs)
+    target = TargetScaler().fit(runtimes)
+    timings = []
+    with _gc_paused():
+        for graph in graphs:
+            start = time.perf_counter()
+            predict_runtimes(model, [graph], scalers, target,
+                             batch_cache=False)
+            timings.append(time.perf_counter() - start)
+    return float(np.median(timings)) * 1e3
+
+
 @contextmanager
 def served_model(db, records, hidden_dim=64, seed=0):
     """One untrained model over ``records``, published to a throwaway
@@ -644,8 +672,11 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     count), the CPU count, the audit counts summed over all passes,
     ``incomplete`` (requests a pass did not predict), and per-count latency
     percentiles, mean batch size, restart counts and the ``fleet.*``
-    perfstats counters.  Scaling beyond one worker needs real cores — on a
-    single-CPU machine the honest numbers simply show ~1x.
+    perfstats counters.  ``cpu_ms_per_plan`` holds, per count, the serving
+    process's user+sys CPU over the load (``RUSAGE_SELF``) and the workers'
+    lifetime CPU (``RUSAGE_CHILDREN`` once ``stop()`` has reaped them), each
+    per requested plan of the best pass.  Scaling beyond one worker needs
+    real cores — on a single-CPU machine the honest numbers simply show ~1x.
     """
     from repro.serving import (LoadConfig, PredictorFleet, ServerConfig,
                                run_load)
@@ -656,21 +687,26 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     config = ServerConfig(max_batch_size=max_batch_size,
                           queue_depth=len(requests) + n_clients,
                           result_cache_size=0)
-    rates, extras, audited = {}, {}, Counter()
+    rates, extras, cpu, audited = {}, {}, {}, Counter()
     with served_model(db, records, hidden_dim, seed) as (registry, dbs,
                                                          oracle):
         expected = oracle()
         for n_workers in worker_counts:
-            best_rate, best_extras = 0.0, {}
+            best_rate, best_extras, best_cpu = 0.0, {}, {}
             for _ in range(repeats):
                 # Fresh fleet per pass: fork, mmap hydration and worker
                 # cache warm-up are all inside the measured window — the
                 # cost a real scale-out/restart pays.
                 fleet = PredictorFleet(registry, dbs, config,
                                        n_workers=n_workers)
+                children_cpu = _cpu_s(resource.RUSAGE_CHILDREN)
                 with _gc_paused(), fleet:
+                    server_cpu = _cpu_s(resource.RUSAGE_SELF)
                     report = run_load(fleet, requests, load)
+                    server_cpu = _cpu_s(resource.RUSAGE_SELF) - server_cpu
                     stats = fleet.stats()
+                # stop() has joined the workers, so their CPU is reaped.
+                children_cpu = _cpu_s(resource.RUSAGE_CHILDREN) - children_cpu
                 audited.update(audit(report, expected),
                                incomplete=len(requests) - report.completed)
                 if report.throughput_rps > best_rate:
@@ -680,8 +716,11 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                         "latency_ms": report.latency_ms,
                         "worker_restarts": stats["worker_restarts"],
                     }
+                    best_cpu = {"server": server_cpu * 1e3 / len(requests),
+                                "workers": children_cpu * 1e3 / len(requests)}
             rates[n_workers] = best_rate
             extras[f"{n_workers}w"] = best_extras
+            cpu[f"{n_workers}w"] = best_cpu
     extras["fleet_counters"] = perfstats.snapshot(
         ["fleet.worker.spawn", "fleet.worker.restart",
          "serve.queue.depth"])
@@ -694,6 +733,7 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
         "plans_per_s": {f"{count}w": rates[count] for count in worker_counts},
         "scaling_vs_1w": scaling,
         "top_scaling": scaling.get(f"{max(worker_counts)}w", 0.0),
+        "cpu_ms_per_plan": cpu,
         **audited,
         "extras": extras,
     }
@@ -1247,6 +1287,9 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
     batch_construction = _stage(
         "batch_construction", lambda: bench_batch_construction(graphs),
         profile)
+    batch_construction_single = _stage(
+        "batch_construction_single",
+        lambda: bench_batch_construction(graphs, batch_size=1), profile)
     train_step_reference = _stage(
         "train_step_reference",
         lambda: bench_training_step(graphs, runtimes, hidden_dim=hidden_dim,
@@ -1275,6 +1318,11 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
         "inference_cached",
         lambda: bench_inference(graphs, runtimes, hidden_dim=hidden_dim,
                                 seed=seed, use_cache=True), profile)
+    inference_single_plan = _stage(
+        "inference_single_plan",
+        lambda: bench_inference_single_plan(graphs, runtimes,
+                                            hidden_dim=hidden_dim, seed=seed),
+        profile)
     warm_cold_s, warm_warm_s, warm_store_stats = _stage(
         "experiment_warm_start", bench_experiment_warm_start, profile)
     serving_single, serving_batched, serving_extras = _stage(
@@ -1294,12 +1342,14 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
         "featurize_reference_plans_per_s": featurize_reference,
         "annotate_reference_plans_per_s": annotate_reference,
         "batch_construction_plans_per_s": batch_construction,
+        "batch_construction_single_plans_per_s": batch_construction_single,
         "train_step_plans_per_s": train_step,
         "train_step_reference_plans_per_s": train_step_reference,
         "train_epoch_plans_per_s": train_epoch,
         "train_epoch_reference_plans_per_s": train_epoch_reference,
         "inference_plans_per_s": inference,
         "inference_cached_plans_per_s": inference_cached,
+        "inference_single_plan_ms": inference_single_plan,
         "experiment_cold_s": warm_cold_s,
         "experiment_warm_s": warm_warm_s,
         "experiment_warm_start_speedup": warm_cold_s / warm_warm_s,

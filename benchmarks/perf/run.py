@@ -59,7 +59,8 @@ RATE_KEYS = ("datagen_tables_per_s", "trace_exec_plans_per_s",
              "simulate_plans_per_s", "spn_learn_tables_per_s",
              "featurize_plans_per_s", "annotate_plans_per_s",
              "featurize_cached_plans_per_s",
-             "batch_construction_plans_per_s", "train_step_plans_per_s",
+             "batch_construction_plans_per_s",
+             "batch_construction_single_plans_per_s", "train_step_plans_per_s",
              "train_epoch_plans_per_s",
              "inference_plans_per_s", "inference_cached_plans_per_s",
              "serving_single_plans_per_s", "serving_batched_plans_per_s")
@@ -292,6 +293,8 @@ def run_engine(args):
     if same_run:
         for key, value in same_run.items():
             print(f"  {key} vs same-run reference: {value:.2f}x")
+    print(f"  inference_single_plan_ms: "
+          f"{results['inference_single_plan_ms']:.3f}")
     if warm:
         print(f"  experiment_warm_start: cold {results['experiment_cold_s']:.2f}s"
               f" -> warm {results['experiment_warm_s']:.2f}s ({warm:.1f}x)")
@@ -335,8 +338,14 @@ def run_fleet(args):
         n_queries, worker_counts, repeats = 192, (1, 2, 4), 2
     db, records = harness.build_plan_corpus(n_queries=n_queries,
                                             seed=args.seed)
-    return harness.bench_fleet(db, records, worker_counts=worker_counts,
-                               rounds=2, repeats=repeats, seed=args.seed)
+    results = harness.bench_fleet(db, records, worker_counts=worker_counts,
+                                  rounds=2, repeats=repeats, seed=args.seed)
+    for count, rate in results["plans_per_s"].items():
+        cpu = results["cpu_ms_per_plan"].get(count, {})
+        print(f"  {count}: {rate:.0f} plans/s, CPU ms/plan: serving "
+              f"process {cpu.get('server', 0):.3f}, "
+              f"workers {cpu.get('workers', 0):.3f}")
+    return results
 
 
 def run_controller(args):

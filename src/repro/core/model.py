@@ -22,9 +22,11 @@ Two execution paths share the same parameters:
   (``GraphBatch.mp_positions``), instead of adding a dense
   ``O(n_nodes × hidden)`` scatter per group.
 * :meth:`ZeroShotModel.forward_inference` is the graph-free fast path: pure
-  numpy, zero ``Tensor``/closure allocation, hidden states written in place
-  into one preallocated buffer.  ``forward`` dispatches to it automatically
-  under ``no_grad``.
+  numpy, zero ``Tensor``/closure allocation.  Every node's combiner input
+  sits in one preallocated buffer in message-passing order, so each group
+  reads one contiguous slice of at least two rows (no per-layer pad) and
+  writes its updated states as one block.  ``forward`` dispatches to it
+  automatically under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -207,41 +209,63 @@ class ZeroShotModel(Module):
 
         Semantically identical to :meth:`forward` in eval mode (dropout
         consumes the same rng stream when active); used automatically under
-        ``no_grad`` and by ``predict_runtimes``.
+        ``no_grad`` and by ``predict_runtimes``.  Every MLP reads at least
+        two rows (see :func:`_two_rows`), so each ``Linear`` goes straight
+        to gemm and a one-plan batch pays no per-layer pad.
         """
         perfstats.increment("model.graph_free_inference")
         dtype = self.param_dtype()
         features = batch.features_as(dtype)
+        hidden = self.hidden_dim
+        n_nodes = batch.n_nodes
 
-        initial = np.empty((batch.n_nodes, self.hidden_dim), dtype=dtype)
+        # Row r holds [sum of children's updated states | initial state] of
+        # the node at mp position r, so a group's combiner input is one
+        # contiguous slice.  Zeros stand for leaves' empty child sums, and
+        # the trailing row lets a one-node group read two rows.
+        combined = np.zeros((n_nodes + 1, 2 * hidden), dtype=dtype)
         for node_type in NODE_TYPES:
             count = batch.type_counts.get(node_type, 0)
             if count:
                 offset = batch.type_offsets[node_type]
-                initial[offset:offset + count] = \
-                    self.encoders[node_type].forward_numpy(features[node_type])
+                rows = batch.mp_positions[offset:offset + count]
+                combined[rows, hidden:] = self.encoders[node_type] \
+                    .forward_numpy(_two_rows(features[node_type]),
+                                   rows=count)[:count]
 
-        # Each node is updated exactly once and gathers only read finished
-        # lower levels, so one preallocated buffer indexed by global id
-        # replaces the autograd block assembly.
-        updated = np.empty((batch.n_nodes, self.hidden_dim), dtype=dtype)
+        # Groups run in mp order, so each writes one contiguous block of
+        # ``updated`` and its children (finished lower levels) are gathered
+        # through their mp positions.
+        updated = np.empty((n_nodes, hidden), dtype=dtype)
+        start = 0
         for level_groups in batch.levels:
             for group in level_groups:
-                n_group = len(group.node_indices)
-                if group.edge_children.size:
-                    # Parent slots are emitted sorted by the batcher, so the
-                    # reduceat-based segmented sum applies (bit-identical to
-                    # the np.add.at scatter it replaces).
-                    child_sum = segment_sum(
-                        updated[group.edge_children],
-                        group.edge_parent_slots, n_group)
-                else:
-                    child_sum = np.zeros((n_group, self.hidden_dim),
-                                         dtype=dtype)
-                combined = np.concatenate(
-                    (child_sum, initial[group.node_indices]), axis=1)
-                updated[group.node_indices] = \
-                    self.combiners[group.node_type].forward_numpy(combined)
+                stop = start + len(group.node_indices)
+                children = group.child_positions
+                if len(group.edge_starts) < len(children):
+                    # Sums each parent's run in edge order: the values the
+                    # np.add.at scatter would give.
+                    np.add.reduceat(updated[children], group.edge_starts,
+                                    axis=0, out=combined[start:stop, :hidden])
+                elif children.size:  # one child per parent
+                    combined[start:stop, :hidden] = updated[children]
+                updated[start:stop] = self.combiners[group.node_type] \
+                    .forward_numpy(combined[start:max(stop, start + 2)],
+                                   rows=stop - start)[:stop - start]
+                start = stop
 
-        root_states = updated[batch.roots]
-        return self.estimator.forward_numpy(root_states).reshape(-1)
+        n_graphs = len(batch.root_positions)
+        return self.estimator.forward_numpy(
+            _two_rows(updated[batch.root_positions]),
+            rows=n_graphs)[:n_graphs].reshape(-1)
+
+
+def _two_rows(x):
+    """``x``, with a zero row appended when it has only one.
+
+    BLAS runs a one-row matmul on a gemv kernel whose low-order bits differ
+    from gemm's; a second row keeps the layers on gemm, whose per-row
+    results do not depend on the row count (the property
+    :func:`~repro.nn.row_stable_matmul` pads for, per call).
+    """
+    return np.concatenate((x, np.zeros_like(x))) if len(x) == 1 else x

@@ -8,20 +8,27 @@ forward pass needs:
   node (nodes are grouped by type, so a global hidden-state matrix is the
   concatenation of per-type blocks),
 * message-passing *levels*: for each level and node type, the node indices
-  at that level plus the (child, parent-slot) edge arrays feeding them,
+  at that level plus the edge arrays feeding them (children, parent slots,
+  the children's rows in message-passing order and where each parent's run
+  of children starts),
 * a *message-passing order*: the position every node's updated state takes
   in the concatenation of per-group combiner outputs, which lets the model
   assemble hidden states by gather/concat instead of dense accumulation,
 * root indices (one per graph).
 
-``make_batch`` is fully vectorized (argsort over type codes for global ids,
-``searchsorted``/``bincount`` for level grouping); each graph contributes
-cached :class:`~repro.featurization.graph.PackedGraph` arrays, so batching
-costs no per-node python loops.  ``make_batch_reference`` keeps the original
-loop-based construction as an executable specification for tests and
-benchmarks.  :class:`BatchCache` memoizes whole batches by graph identity for
-callers that featurize the same graphs repeatedly (repeated evaluation in
-``bench/experiments.py``, ``predict_runtimes`` in the public API).
+``make_batch`` builds all of it in one vectorized pass: an argsort over type
+codes assigns global ids, one stable argsort of the ``(level, type)`` keys
+gives the message-passing order (groups are the runs of equal keys), edges
+are sorted once by their parent's position in that order, and batched
+``searchsorted`` calls cut every group's edge range at once.  Each graph
+contributes cached :class:`~repro.featurization.graph.PackedGraph` arrays,
+so batching costs no per-node python loops and the per-group loop only
+slices.  ``make_batch_reference`` keeps the original loop-based construction
+(its own per-node traversal for every field) as an executable specification
+for tests and benchmarks.  :class:`BatchCache` memoizes whole batches by
+graph identity for callers that featurize the same graphs repeatedly
+(repeated evaluation in ``bench/experiments.py``, ``predict_runtimes`` in
+the public API).
 """
 
 from __future__ import annotations
@@ -47,10 +54,13 @@ class LevelGroup:
     node_indices: np.ndarray       # global indices of the nodes updated here
     edge_children: np.ndarray      # global indices of their children
     edge_parent_slots: np.ndarray  # position of each child's parent inside
-                                   # ``node_indices`` (for scatter_sum)
-    child_positions: np.ndarray = None  # positions of ``edge_children`` in
-                                        # message-passing order (block
-                                        # assembly; filled by _attach_mp_order)
+                                   # ``node_indices`` (non-decreasing)
+    child_positions: np.ndarray    # positions of ``edge_children`` in
+                                   # message-passing order
+    edge_starts: np.ndarray        # first edge of each parent's run of
+                                   # children (``reduceat`` offsets); levels
+                                   # are longest-path heights, so in a group
+                                   # with edges every node has a run
 
 
 @dataclass
@@ -92,28 +102,11 @@ class GraphBatch:
         return self
 
 
-def _attach_mp_order(batch: GraphBatch) -> GraphBatch:
-    """Fill mp_positions / child_positions / root_positions from the levels.
-
-    Message-passing order is simply the order groups are traversed, so the
-    concatenation of per-group combiner outputs lines up with these
-    positions; children always live at lower levels, hence at positions
-    before the current group's block.
-    """
-    mp_positions = np.empty(batch.n_nodes, dtype=np.int64)
-    cursor = 0
-    for level_groups in batch.levels:
-        for group in level_groups:
-            n_group = len(group.node_indices)
-            mp_positions[group.node_indices] = np.arange(cursor,
-                                                         cursor + n_group)
-            cursor += n_group
-    for level_groups in batch.levels:
-        for group in level_groups:
-            group.child_positions = mp_positions[group.edge_children]
-    batch.mp_positions = mp_positions
-    batch.root_positions = mp_positions[batch.roots]
-    return batch
+def _run_bounds(values):
+    """Start of every run of equal values in ``values``, then its length."""
+    new_run = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new_run[1:-1])
+    return np.flatnonzero(new_run)
 
 
 def make_batch(graphs, scalers=None) -> GraphBatch:
@@ -122,8 +115,8 @@ def make_batch(graphs, scalers=None) -> GraphBatch:
         raise ValueError("cannot batch zero graphs")
 
     packs = [graph.packed() for graph in graphs]
-    counts = np.array([p.n_nodes for p in packs], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    offsets = np.zeros(len(packs) + 1, dtype=np.int64)
+    np.cumsum([p.n_nodes for p in packs], out=offsets[1:])
     n_nodes = int(offsets[-1])
 
     # Global ids: grouped by node type (stable argsort keeps (graph, local)
@@ -134,7 +127,8 @@ def make_batch(graphs, scalers=None) -> GraphBatch:
     global_of = np.empty(n_nodes, dtype=np.int64)
     global_of[order] = np.arange(n_nodes)
     tcounts = np.bincount(all_codes, minlength=_N_TYPES)
-    toffsets = np.concatenate(([0], np.cumsum(tcounts)))
+    toffsets = np.zeros(_N_TYPES + 1, dtype=np.int64)
+    np.cumsum(tcounts, out=toffsets[1:])
 
     type_offsets, type_counts = {}, {}
     features, init_positions = {}, {}
@@ -152,64 +146,61 @@ def make_batch(graphs, scalers=None) -> GraphBatch:
         init_positions[node_type] = np.arange(
             toffsets[code], toffsets[code] + tcounts[code], dtype=np.int64)
 
-    # Per-global-id level and type code.
-    all_levels = np.concatenate([p.levels for p in packs])
-    level_of = np.empty(n_nodes, dtype=np.int64)
-    level_of[global_of] = all_levels
-    code_of = np.empty(n_nodes, dtype=np.int64)
-    code_of[global_of] = all_codes
+    # Message-passing order: nodes sorted by their (level, type) key, ties
+    # in global-id order (stable sort); groups are the runs of one key and
+    # ``mp_positions`` is the inverse permutation.
+    node_keys = np.empty(n_nodes, dtype=np.int64)
+    node_keys[global_of] = (np.concatenate([p.levels for p in packs])
+                            * _N_TYPES + all_codes)
+    mp_nodes = np.argsort(node_keys, kind="stable")
+    mp_positions = np.empty(n_nodes, dtype=np.int64)
+    mp_positions[mp_nodes] = np.arange(n_nodes)
+    sorted_keys = node_keys[mp_nodes]
+    group_bounds = _run_bounds(sorted_keys)
 
-    # Edges in global ids.
-    if any(p.edges.size for p in packs):
-        children = global_of[np.concatenate(
-            [p.edges[:, 0] + off for p, off in zip(packs, offsets)])]
-        parents = global_of[np.concatenate(
-            [p.edges[:, 1] + off for p, off in zip(packs, offsets)])]
-    else:
-        children = parents = np.empty(0, dtype=np.int64)
-
-    # Nodes in message-passing order: (level, type, global id).  Groups are
-    # the maximal runs sharing (level, type).
-    gid = np.arange(n_nodes)
-    mp_nodes = np.lexsort((gid, code_of, level_of))
-    node_keys = level_of[mp_nodes] * _N_TYPES + code_of[mp_nodes]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(node_keys)) + 1,
-                             [n_nodes]))
-
-    # Edges sorted to match: by parent's (level, type, id), original order
-    # within a parent (so per-parent child order equals insertion order).
-    if children.size:
-        e_order = np.lexsort((np.arange(len(parents)), parents,
-                              code_of[parents], level_of[parents]))
-        s_children = children[e_order]
-        s_parents = parents[e_order]
-        edge_keys = level_of[s_parents] * _N_TYPES + code_of[s_parents]
-    else:
-        s_children = s_parents = edge_keys = np.empty(0, dtype=np.int64)
+    # Edges in global ids, sorted once by their parent's mp position
+    # (insertion order within a parent).  A group owns a contiguous mp
+    # range, hence a contiguous edge range, and a parent's slot is its
+    # offset in that range.
+    edges = global_of[np.concatenate(
+        [p.edges + off for p, off in zip(packs, offsets)])]
+    parent_pos = mp_positions[edges[:, 1]]
+    e_order = np.argsort(parent_pos, kind="stable")
+    parent_pos = parent_pos[e_order]
+    children = edges[e_order, 0]
+    child_positions = mp_positions[children]
+    edge_bounds = np.searchsorted(parent_pos, group_bounds)
+    parent_slots = parent_pos - np.repeat(group_bounds[:-1],
+                                          edge_bounds[1:] - edge_bounds[:-1])
+    # Runs of one parent's children; every group's first edge opens one.
+    runs = _run_bounds(parent_pos)
+    run_bounds = np.searchsorted(runs, edge_bounds)
+    edge_starts = runs[:-1] - np.repeat(edge_bounds[:-1],
+                                        run_bounds[1:] - run_bounds[:-1])
 
     levels = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        nodes = mp_nodes[start:stop]
-        key = int(node_keys[start])
+    nb, eb = group_bounds.tolist(), edge_bounds.tolist()
+    rb = run_bounds.tolist()
+    for g, key in enumerate(sorted_keys[group_bounds[:-1]].tolist()):
         level, code = divmod(key, _N_TYPES)
         while len(levels) <= level:
             levels.append([])
-        lo = np.searchsorted(edge_keys, key, side="left")
-        hi = np.searchsorted(edge_keys, key, side="right")
-        group_children = s_children[lo:hi]
-        group_parents = s_parents[lo:hi]
+        lo, hi = eb[g], eb[g + 1]
         levels[level].append(LevelGroup(
             node_type=NODE_TYPES[code],
-            node_indices=nodes,
-            edge_children=group_children,
-            edge_parent_slots=np.searchsorted(nodes, group_parents)))
+            node_indices=mp_nodes[nb[g]:nb[g + 1]],
+            edge_children=children[lo:hi],
+            edge_parent_slots=parent_slots[lo:hi],
+            child_positions=child_positions[lo:hi],
+            edge_starts=edge_starts[rb[g]:rb[g + 1]]))
 
     roots_local = np.array([graph.root for graph in graphs], dtype=np.int64)
     roots = global_of[offsets[:-1] + roots_local]
-    batch = GraphBatch(features=features, type_offsets=type_offsets,
-                       type_counts=type_counts, init_positions=init_positions,
-                       levels=levels, roots=roots, n_nodes=n_nodes)
-    return _attach_mp_order(batch)
+    return GraphBatch(features=features, type_offsets=type_offsets,
+                      type_counts=type_counts, init_positions=init_positions,
+                      levels=levels, roots=roots, n_nodes=n_nodes,
+                      mp_positions=mp_positions,
+                      root_positions=mp_positions[roots])
 
 
 def make_batch_reference(graphs, scalers=None) -> GraphBatch:
@@ -267,7 +258,12 @@ def make_batch_reference(graphs, scalers=None) -> GraphBatch:
         for key in per_type_nodes[node_type]:
             node_type_of[global_of[key]] = node_type
 
+    # Groups in traversal order; a node's mp position is its row in the
+    # concatenation of the groups visited so far.  Children sit at lower
+    # levels, so their positions are known when their parent's group is.
     levels = []
+    mp_positions = np.empty(n_nodes, dtype=np.int64)
+    cursor = 0
     for level in range(max_level + 1):
         groups = []
         at_level = np.nonzero(level_of == level)[0]
@@ -277,24 +273,33 @@ def make_batch_reference(graphs, scalers=None) -> GraphBatch:
             if nodes.size == 0:
                 continue
             slot_of = {int(n): slot for slot, n in enumerate(nodes)}
-            edge_children, edge_slots = [], []
+            edge_children, edge_slots, edge_starts = [], [], []
             for node in nodes:
-                for child in children_global.get(int(node), []):
+                mp_positions[node] = cursor
+                cursor += 1
+                node_children = children_global.get(int(node), [])
+                if node_children:
+                    edge_starts.append(len(edge_children))
+                for child in node_children:
                     edge_children.append(child)
                     edge_slots.append(slot_of[int(node)])
             groups.append(LevelGroup(
                 node_type=node_type,
                 node_indices=nodes,
                 edge_children=np.array(edge_children, dtype=np.int64),
-                edge_parent_slots=np.array(edge_slots, dtype=np.int64)))
+                edge_parent_slots=np.array(edge_slots, dtype=np.int64),
+                child_positions=np.array(
+                    [mp_positions[c] for c in edge_children], dtype=np.int64),
+                edge_starts=np.array(edge_starts, dtype=np.int64)))
         levels.append(groups)
 
     roots = np.array([global_of[(g_idx, graph.root)]
                       for g_idx, graph in enumerate(graphs)], dtype=np.int64)
-    batch = GraphBatch(features=features, type_offsets=type_offsets,
-                       type_counts=type_counts, init_positions=init_positions,
-                       levels=levels, roots=roots, n_nodes=n_nodes)
-    return _attach_mp_order(batch)
+    return GraphBatch(features=features, type_offsets=type_offsets,
+                      type_counts=type_counts, init_positions=init_positions,
+                      levels=levels, roots=roots, n_nodes=n_nodes,
+                      mp_positions=mp_positions,
+                      root_positions=mp_positions[roots])
 
 
 class BatchCache:

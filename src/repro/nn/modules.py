@@ -352,13 +352,21 @@ class MLP(Module):
                 x = linear(x, layer.weight, layer.bias)
         return x
 
-    def forward_numpy(self, x):
+    def forward_numpy(self, x, rows=None):
+        """Graph-free forward; only the first ``rows`` rows are real.
+
+        Rows past ``rows`` are padding a caller added to keep BLAS on its
+        gemm kernel: dropout masks cover the real rows only, so the rng
+        stream matches an unpadded call.
+        """
         last = len(self.linears) - 1
         for i, layer in enumerate(self.linears):
             x = layer.forward_numpy(x)
             if i < last:
                 x = activation_numpy(self.activation, x, self.negative_slope)
                 if self.training and self.dropout > 0.0:
-                    x = x * dropout_keep_mask(self._dropout_rngs[i], x.shape,
-                                              self.dropout, x.dtype)
+                    real = x[:rows]
+                    real *= dropout_keep_mask(self._dropout_rngs[i],
+                                              real.shape, self.dropout,
+                                              x.dtype)
         return x

@@ -169,6 +169,10 @@ def row_stable_matmul(x, w):
       property ``tests/test_serving.py`` asserts across shapes);
     * everything else: plain ``@`` (gemm).
 
+    ``ZeroShotModel.forward_inference`` feeds every MLP from buffers of at
+    least two rows, so on that path the pad branch never runs; it serves
+    ad-hoc one-row callers of ``Linear.forward_numpy``.
+
     The kernel choice depends only on ``w``'s shape — a model property — and
     the row count, never on which rows travel together, so any two batch
     compositions agree bitwise on shared rows.

@@ -7,8 +7,10 @@ import pytest
 from repro.core import (EstimatorCache, TrainingConfig, ZeroShotCostModel,
                         ZeroShotModel, featurize_records)
 from repro.datagen import generate_database, random_database_spec
+from repro.core.training import predict_runtimes
 from repro.featurization import (FEATURE_DIMS, FeatureScalers, QueryGraph,
-                                 make_batch, make_batch_reference)
+                                 TargetScaler, make_batch,
+                                 make_batch_reference)
 from repro.nn import no_grad, q_error
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
 
@@ -98,6 +100,15 @@ def tiny_graph(seed=0):
     return g
 
 
+def edgeless_graph(seed=0):
+    """A one-node plan: no edges, every group a single node."""
+    rng = np.random.default_rng(seed)
+    g = QueryGraph()
+    g.root = g.add_node("plan", rng.normal(size=FEATURE_DIMS["plan"]))
+    g.validate()
+    return g
+
+
 class TestFastPathEquivalence:
     """Block-assembly forward, graph-free inference and the vectorized
     batcher must agree with each other and with numerics."""
@@ -127,6 +138,20 @@ class TestFastPathEquivalence:
         fast = model(make_batch(graphs)).numpy()
         ref = model(make_batch_reference(graphs)).numpy()
         np.testing.assert_allclose(fast, ref, atol=1e-12)
+
+    def test_training_mode_dropout_stream_matches_tensor_path(self):
+        """Padded inference buffers draw dropout masks for real rows only,
+        so a no_grad forward in training mode consumes the tape path's rng
+        stream (one-graph batch: every group has one row)."""
+        import copy
+        model = ZeroShotModel(hidden_dim=8, dropout=0.3, seed=4)
+        twin = copy.deepcopy(model)
+        for graphs in ([tiny_graph(0)], [tiny_graph(1), tiny_graph(2)]):
+            batch = make_batch(graphs)
+            tensor_out = model(batch).numpy()
+            with no_grad():
+                numpy_out = twin(batch).numpy()
+            np.testing.assert_allclose(numpy_out, tensor_out, atol=1e-12)
 
     def test_float32_model_tracks_float64(self):
         import copy
@@ -172,6 +197,57 @@ class TestFastPathEquivalence:
                 flat[i] = orig
                 numeric[i] = (upper - lower) / (2 * eps)
             np.testing.assert_allclose(grad.reshape(-1), numeric, atol=1e-4)
+
+
+class TestBatchComposition:
+    """A plan's prediction is a pure function of the plan: the same bits
+    whether ``predict_runtimes`` sees it alone or inside any batch."""
+
+    SIZES = (1, 2, 3, 7, 64, 256)
+
+    @pytest.fixture(scope="class")
+    def corpus(self, training_world):
+        dbs, traces, _ = training_world
+        records = [r for trace in traces for r in trace]
+        real = featurize_records(records[:250], dbs, cards="exact")
+        # Hand-built graphs up front, so every batch size includes one-node
+        # groups and edgeless plans next to real multi-child parents.
+        hand = [tiny_graph(0), edgeless_graph(1), tiny_graph(2),
+                edgeless_graph(3), tiny_graph(4), edgeless_graph(5)]
+        graphs = hand + real
+        scalers = FeatureScalers().fit(real)
+        target = TargetScaler().fit([r.runtime_ms for r in records])
+        return graphs, scalers, target
+
+    def test_corpus_covers_the_edge_cases(self, corpus):
+        graphs, scalers, _ = corpus
+        assert len(graphs) >= max(self.SIZES)
+        assert not graphs[1].edges
+        for size in self.SIZES:
+            batch = make_batch(graphs[:size], scalers)
+            groups = [g for level in batch.levels for g in level]
+            # Parents with several children at every size; one-node groups
+            # wherever the batch is small enough to have them.
+            assert any(len(g.edge_starts) < len(g.child_positions)
+                       for g in groups)
+            if size <= 3:
+                assert any(len(g.node_indices) == 1 for g in groups)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_plan_equals_its_batch_row(self, corpus, dtype):
+        graphs, scalers, target = corpus
+        model = ZeroShotModel(hidden_dim=16, n_combine_layers=2,
+                              seed=7).eval().to(dtype)
+        graphs = graphs[:max(self.SIZES)]
+        singles = np.concatenate(
+            [predict_runtimes(model, [g], scalers, target, batch_cache=False)
+             for g in graphs])
+        for size in self.SIZES:
+            batched = predict_runtimes(model, graphs[:size], scalers, target,
+                                       batch_cache=False)
+            assert batched.dtype == singles.dtype
+            np.testing.assert_array_equal(batched, singles[:size],
+                                          err_msg=f"batch size {size}")
 
 
 class TestTraining:

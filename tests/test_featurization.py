@@ -143,6 +143,33 @@ class TestScalers:
             StandardScaler().transform(np.ones((2, 2)))
 
 
+def assert_same_batch(fast, ref):
+    """Field-for-field equality of two batches (every LevelGroup field)."""
+    assert fast.n_nodes == ref.n_nodes
+    assert fast.type_offsets == ref.type_offsets
+    assert fast.type_counts == ref.type_counts
+    for node_type in ref.features:
+        np.testing.assert_array_equal(fast.features[node_type],
+                                      ref.features[node_type])
+        np.testing.assert_array_equal(fast.init_positions[node_type],
+                                      ref.init_positions[node_type])
+    np.testing.assert_array_equal(fast.roots, ref.roots)
+    np.testing.assert_array_equal(fast.mp_positions, ref.mp_positions)
+    np.testing.assert_array_equal(fast.root_positions, ref.root_positions)
+    assert len(fast.levels) == len(ref.levels)
+    for fast_groups, ref_groups in zip(fast.levels, ref.levels):
+        assert len(fast_groups) == len(ref_groups)
+        for fg, rg in zip(fast_groups, ref_groups):
+            assert fg.node_type == rg.node_type
+            np.testing.assert_array_equal(fg.node_indices, rg.node_indices)
+            np.testing.assert_array_equal(fg.edge_children, rg.edge_children)
+            np.testing.assert_array_equal(fg.edge_parent_slots,
+                                          rg.edge_parent_slots)
+            np.testing.assert_array_equal(fg.child_positions,
+                                          rg.child_positions)
+            np.testing.assert_array_equal(fg.edge_starts, rg.edge_starts)
+
+
 class TestBatching:
     def test_batch_preserves_node_counts(self, toy_db, join_query,
                                          filtered_query):
@@ -202,32 +229,30 @@ class TestBatching:
                                     seed=seed).generate(n_queries)
         graphs = [graph_for(toy_db, q)[0] for q in queries]
         scalers = FeatureScalers().fit(graphs)
-        fast = make_batch(graphs, scalers)
-        ref = make_batch_reference(graphs, scalers)
+        assert_same_batch(make_batch(graphs, scalers),
+                          make_batch_reference(graphs, scalers))
 
-        assert fast.n_nodes == ref.n_nodes
-        assert fast.type_offsets == ref.type_offsets
-        assert fast.type_counts == ref.type_counts
-        for node_type in ref.features:
-            np.testing.assert_array_equal(fast.features[node_type],
-                                          ref.features[node_type])
-            np.testing.assert_array_equal(fast.init_positions[node_type],
-                                          ref.init_positions[node_type])
-        np.testing.assert_array_equal(fast.roots, ref.roots)
-        np.testing.assert_array_equal(fast.mp_positions, ref.mp_positions)
-        np.testing.assert_array_equal(fast.root_positions, ref.root_positions)
-        assert len(fast.levels) == len(ref.levels)
-        for fast_groups, ref_groups in zip(fast.levels, ref.levels):
-            assert len(fast_groups) == len(ref_groups)
-            for fg, rg in zip(fast_groups, ref_groups):
-                assert fg.node_type == rg.node_type
-                np.testing.assert_array_equal(fg.node_indices, rg.node_indices)
-                np.testing.assert_array_equal(fg.edge_children,
-                                              rg.edge_children)
-                np.testing.assert_array_equal(fg.edge_parent_slots,
-                                              rg.edge_parent_slots)
-                np.testing.assert_array_equal(fg.child_positions,
-                                              rg.child_positions)
+    @settings(max_examples=15, deadline=None)
+    @given(composition=st.lists(st.integers(0, 7), min_size=1, max_size=9))
+    def test_random_compositions_equal_reference(self, toy_db, composition):
+        """Any composition of a graph pool (one-graph batches, repeats,
+        any order) yields the reference's batch, edge_starts included."""
+        from repro.workloads import WorkloadConfig, WorkloadGenerator
+        queries = WorkloadGenerator(toy_db, WorkloadConfig(max_joins=2),
+                                    seed=11).generate(8)
+        pool = [graph_for(toy_db, q)[0] for q in queries]
+        graphs = [pool[i] for i in composition]
+        fast = make_batch(graphs)
+        assert_same_batch(fast, make_batch_reference(graphs))
+        for level_groups in fast.levels:
+            for group in level_groups:
+                slots = group.edge_parent_slots
+                if not slots.size:
+                    assert not group.edge_starts.size
+                    continue
+                np.testing.assert_array_equal(
+                    group.edge_starts,
+                    np.flatnonzero(np.r_[True, np.diff(slots) != 0]))
 
     def test_packed_cache_invalidates_on_growth(self, toy_db,
                                                 simple_count_query):

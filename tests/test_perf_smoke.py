@@ -117,6 +117,12 @@ class TestHarnessSmoke:
         assert rate > 0
         assert perfstats.snapshot().get("model.graph_free_inference", 0) >= 3
         assert stats["hits"] >= 2  # warm BatchCache after the first pass
+        # The single-plan row: one uncached call (one forward) per graph.
+        perfstats.reset()
+        assert harness.bench_inference_single_plan(graphs, runtimes,
+                                                   hidden_dim=16) > 0
+        assert (perfstats.snapshot().get("model.graph_free_inference", 0)
+                == len(graphs))
 
     def test_run_pipeline_reference_exercises_loop_specs(self, tiny_corpus):
         db, records = tiny_corpus
