@@ -16,13 +16,14 @@ re-running this module against old checkouts.  Throughput is plans/second
 passes with the cyclic GC paused (timeit's policy), so one collector pause
 cannot sink a number.
 
-The pipeline and corpus benchmarks take ``use_reference=True`` to time the
-executable loop specifications (``annotate_cardinalities_reference``,
-``build_query_graph_reference``, per-plan ``execute_plan`` /
-``simulate_runtime_ms``, ``learn_spn_reference``) — that is how ``run.py
+The featurization, annotation, trace-execution and training benchmarks
+take ``use_reference=True`` to time the executable loop specifications
+(``build_query_graph_reference``, ``annotate_cardinalities_reference``,
+per-plan ``execute_plan``, ``Adam_reference``) — that is how ``run.py
 --save-loop-baseline`` re-anchors the loop entries of the recorded
 baseline, and how ``run_all`` derives the machine-drift-immune same-run
-speedups.
+speedups.  Runtime simulation and SPN learning have one implementation
+each, so their benches take no reference switch.
 """
 
 from __future__ import annotations
@@ -194,39 +195,24 @@ def bench_trace_execution(db, plans, repeats=3, use_reference=False):
     return _best_rate(len(plans), timings)
 
 
-def bench_runtime_simulation(db, plans, repeats=5, use_reference=False):
-    """Plans/second through runtime simulation (plans must be executed).
-
-    Fast path: ``simulate_runtime_ms_batch`` — per-node costs assembled
-    column-wise per operator group, per-plan seeded noise streams.
-    Reference: the per-plan, per-node ``simulate_runtime_ms`` loop.
-    """
-    from repro.executor import simulate_runtime_ms, simulate_runtime_ms_batch
+def bench_runtime_simulation(db, plans, repeats=5):
+    """Plans/second through runtime simulation (plans must be executed)."""
+    from repro.executor import simulate_runtime_ms_batch
 
     timings = []
     with _gc_paused():
         for _ in range(repeats):
             start = time.perf_counter()
-            if use_reference:
-                for plan in plans:
-                    simulate_runtime_ms(db, plan, seed=0)
-            else:
-                simulate_runtime_ms_batch(db, plans, seed=0)
+            simulate_runtime_ms_batch(db, plans, seed=0)
             timings.append(time.perf_counter() - start)
     return _best_rate(len(plans), timings)
 
 
-def bench_spn_learning(db, repeats=3, max_rows=4000, use_reference=False):
-    """Tables/second through SPN structure learning.
-
-    Fast path: whole-matrix rank transforms, min-label component
-    propagation and broadcast 2-means.  Reference: the per-column /
-    per-pair loop primitives (``learn_spn_reference``).
-    """
+def bench_spn_learning(db, repeats=3, max_rows=4000):
+    """Tables/second through SPN structure learning."""
     from repro.cardest import spn_input_arrays
-    from repro.cardest.spn import learn_spn, learn_spn_reference
+    from repro.cardest.spn import learn_spn
 
-    learn = learn_spn_reference if use_reference else learn_spn
     table_arrays = [spn_input_arrays(db.table(table_name))
                     for table_name in db.schema.table_names]
     timings = []
@@ -234,7 +220,7 @@ def bench_spn_learning(db, repeats=3, max_rows=4000, use_reference=False):
         for _ in range(repeats):
             start = time.perf_counter()
             for arrays in table_arrays:
-                learn(arrays, seed=0, max_rows=max_rows)
+                learn_spn(arrays, seed=0, max_rows=max_rows)
             timings.append(time.perf_counter() - start)
     return _best_rate(len(table_arrays), timings)
 
@@ -942,7 +928,7 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
     from repro.bench import ArtifactStore
     from repro.core import TrainingConfig, ZeroShotCostModel
     from repro.datagen import generate_database, random_database_spec
-    from repro.executor import simulate_runtime_ms_batch
+    from repro.executor import simulate_runtime_ms
     from repro.obs import Tracer
     from repro.serving import (ContinuousLearningController, ControllerConfig,
                                LoadConfig, ModelRegistry, PredictorServer,
@@ -1007,8 +993,8 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
         return registry, server, controller
 
     def truth_for(handle):
-        return float(simulate_runtime_ms_batch(
-            dbs[handle.db_name], [handle.plan], seed=config.truth_seed)[0])
+        return float(simulate_runtime_ms(dbs[handle.db_name], handle.plan,
+                                         seed=config.truth_seed))
 
     def run_scenario(tmp, scenario_phases):
         """Synchronous drain-per-phase run; returns (registry, controller,
@@ -1208,9 +1194,6 @@ def run_pipeline_reference(n_queries=192, seed=0):
                                                  use_reference=True),
         "trace_exec_plans_per_s": bench_trace_execution(exec_db, exec_plans,
                                                         use_reference=True),
-        "simulate_plans_per_s": bench_runtime_simulation(exec_db, exec_plans,
-                                                         use_reference=True),
-        "spn_learn_tables_per_s": bench_spn_learning(db, use_reference=True),
     }
     return results
 
@@ -1258,16 +1241,9 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
     trace_exec = _stage(
         "trace_exec", lambda: bench_trace_execution(exec_db, exec_plans),
         profile)
-    simulate_reference = _stage(
-        "simulate_reference",
-        lambda: bench_runtime_simulation(exec_db, exec_plans,
-                                         use_reference=True), profile)
     simulate = _stage(
         "simulate", lambda: bench_runtime_simulation(exec_db, exec_plans),
         profile)
-    spn_learn_reference = _stage(
-        "spn_learn_reference",
-        lambda: bench_spn_learning(db, use_reference=True), profile)
     spn_learn = _stage("spn_learn", lambda: bench_spn_learning(db), profile)
     featurize_reference = _stage(
         "featurize_reference",
@@ -1333,9 +1309,7 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
         "trace_exec_plans_per_s": trace_exec,
         "trace_exec_reference_plans_per_s": trace_exec_reference,
         "simulate_plans_per_s": simulate,
-        "simulate_reference_plans_per_s": simulate_reference,
         "spn_learn_tables_per_s": spn_learn,
-        "spn_learn_reference_tables_per_s": spn_learn_reference,
         "featurize_plans_per_s": featurize,
         "annotate_plans_per_s": annotate,
         "featurize_cached_plans_per_s": featurize_cached,
@@ -1371,9 +1345,8 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
              "optim.reference_step", "training.flat_snapshot",
              "execute.trace.plans", "execute.scan_cache.hit",
              "execute.scan_cache.miss", "execute.join_index.hit",
-             "execute.join_index.fallback", "simulate.batched",
-             "spn.learn.vectorized", "spn.learn.reference",
-             "trace.generate.batched", "trace.generate.reference",
+             "execute.join_index.fallback", "trace.generate.batched",
+             "trace.generate.reference",
              "serve.batch.count", "serve.batch.requests",
              "serve.cache.hit", "serve.cache.miss",
              "serve.shed.count", "serve.swap.count",

@@ -14,11 +14,12 @@ Benches (the ``harness`` function each one drives):
   recorded seed-engine baseline (``baseline_seed.json``) and the speedup
   of each metric, same-run speedups over the executable loop references
   (immune to machine drift), and cache and fast-path dispatch counters.
-  ``--save-baseline`` re-records the whole baseline;
-  ``--save-loop-baseline`` re-times only the loop references
-  (featurize / annotate / trace_exec / simulate / spn_learn) and leaves
-  the other baseline entries untouched; ``--profile`` prints a cProfile
-  top-20 per stage.
+  Runtime simulation and SPN learning have one implementation each, so
+  they report rates but no same-run speedup.  ``--save-baseline``
+  re-records the whole baseline; ``--save-loop-baseline`` re-times only
+  the loop references (featurize / annotate / trace_exec) and leaves the
+  other baseline entries untouched; ``--profile`` prints a cProfile top-20
+  per stage.
 * ``chaos`` — the server under a seeded fault schedule (``bench_chaos``).
 * ``fleet`` — fleet plans/s per worker count (``bench_fleet``).
 * ``controller`` — the calibrated drift scenario through the
@@ -65,13 +66,11 @@ RATE_KEYS = ("datagen_tables_per_s", "trace_exec_plans_per_s",
              "inference_plans_per_s", "inference_cached_plans_per_s",
              "serving_single_plans_per_s", "serving_batched_plans_per_s")
 
-# Metrics with an in-run executable reference implementation (loop specs /
-# per-parameter optimizer): reported as machine-drift-immune ratios.
-# name -> metric suffix (most rates are plans/s, SPN learning is tables/s).
-SAME_RUN_KEYS = {"trace_exec": "plans_per_s", "simulate": "plans_per_s",
-                 "spn_learn": "tables_per_s", "featurize": "plans_per_s",
-                 "annotate": "plans_per_s", "train_step": "plans_per_s",
-                 "train_epoch": "plans_per_s"}
+# Metrics (all plans/s) with an in-run executable reference implementation
+# (loop specs / per-parameter optimizer): reported as machine-drift-immune
+# ratios.
+SAME_RUN_KEYS = ("trace_exec", "featurize", "annotate", "train_step",
+                 "train_epoch")
 
 
 # ----------------------------------------------------------------------
@@ -270,11 +269,11 @@ def run_engine(args):
     # Machine-drift-immune: reference implementations timed in this very
     # run (pipeline loop specs + the per-parameter Adam_reference).
     same_run = {}
-    for key, suffix in SAME_RUN_KEYS.items():
-        fast = results.get(f"{key}_{suffix}")
-        reference = results.get(f"{key}_reference_{suffix}")
+    for key in SAME_RUN_KEYS:
+        fast = results.get(f"{key}_plans_per_s")
+        reference = results.get(f"{key}_reference_plans_per_s")
         if fast and reference:
-            same_run[f"{key}_{suffix}"] = fast / reference
+            same_run[f"{key}_plans_per_s"] = fast / reference
     if same_run:
         report["speedup_vs_loop_same_run"] = same_run
     warm = results.get("experiment_warm_start_speedup")
@@ -422,8 +421,8 @@ def parse_args(argv=None):
                              "of comparing against it")
     engine.add_argument("--save-loop-baseline", action="store_true",
                         help="re-record the loop-baseline entries (featurize"
-                             "/annotate/trace_exec/simulate/spn_learn) from "
-                             "the reference implementations")
+                             "/annotate/trace_exec) from the reference "
+                             "implementations")
     engine.add_argument("--profile", action="store_true",
                         help="print a cProfile top-20 per benchmark stage")
     return parser.parse_args(argv)

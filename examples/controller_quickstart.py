@@ -30,7 +30,7 @@ import tempfile
 from repro import perfstats
 from repro.core import TrainingConfig, ZeroShotCostModel
 from repro.datagen import generate_database, random_database_spec
-from repro.executor import simulate_runtime_ms_batch
+from repro.executor import simulate_runtime_ms
 from repro.serving import (ContinuousLearningController, ControllerConfig,
                            LoadConfig, ModelRegistry, PredictorServer,
                            ServerConfig, run_load)
@@ -87,8 +87,8 @@ def drive(dbs, base, phases, registry_dir):
     controller = ContinuousLearningController(registry, server, CONFIG)
 
     def truth_for(handle):
-        return float(simulate_runtime_ms_batch(
-            dbs[handle.db_name], [handle.plan], seed=CONFIG.truth_seed)[0])
+        return float(simulate_runtime_ms(dbs[handle.db_name], handle.plan,
+                                         seed=CONFIG.truth_seed))
 
     try:
         for name, requests in phases:

@@ -184,18 +184,6 @@ class WorkerProcess:
     def recv(self):
         return self.conn.recv()
 
-    def recv_timeout(self, timeout):
-        """Timed receive: ``(True, message)`` or ``(False, None)``.
-
-        A timeout is not an error — the caller decides whether silence
-        means "idle" or "hung" (the fleet's liveness supervisor does the
-        latter).  A dead peer still surfaces as ``EOFError``/``OSError``,
-        exactly as with a bare :meth:`recv`.
-        """
-        if self.conn.poll(timeout):
-            return True, self.conn.recv()
-        return False, None
-
     # ------------------------------------------------------------------
     def stop(self, timeout=5.0):
         """Close the pipe (the worker loop sees EOF) and reap the process.

@@ -24,8 +24,8 @@ import numpy as np
 from .. import perfstats
 from ..sql import BooleanPredicate, Comparison, PredOp
 
-__all__ = ["SPN", "learn_spn", "learn_spn_reference",
-           "predicate_to_constraints", "UnsupportedPredicate"]
+__all__ = ["SPN", "learn_spn", "predicate_to_constraints",
+           "UnsupportedPredicate"]
 
 _MIN_INSTANCES = 64
 _MAX_DEPTH = 6
@@ -304,30 +304,8 @@ class SPN:
 # ----------------------------------------------------------------------
 # Structure learning
 # ----------------------------------------------------------------------
-# Every learning primitive exists twice: the vectorized fast path the
-# engine dispatches to, and a ``*_reference`` per-column/per-pair loop — the
-# executable spec the fast path must match bit-for-bit (the tier-1 suite
-# asserts identical tree structure, weights, leaf distributions and
-# selectivities).  Rank transforms run whole-matrix (one stable double
-# ``argsort`` over axis 0 + one ``corrcoef``), the correlation-graph
-# components resolve by min-label propagation on the boolean adjacency
-# matrix, and 2-means evaluates both center distances in one broadcast.
-#
-# Because the two implementations of each primitive are bit-identical,
-# *dispatching between them is free*: ``learn_spn`` picks per call site by
-# matrix size.  The vectorized forms win when the arrays are big enough to
-# amortize their extra temporaries (masks, transposes, broadcast cubes);
-# below the measured crossovers the plain loops are faster — the recursion
-# spends most of its calls on small post-split submatrices, which is what
-# made the all-vectorized path *slower* than the loop reference on narrow
-# benchmark tables.  Thresholds are conservative crossovers measured on the
-# perf corpus (see ``benchmarks/perf``):
-_RANK_VECTOR_MAX_ROWS = 2048     # whole-matrix ranking wins below this
-_COMPONENTS_VECTOR_MIN_COLS = 48  # label propagation needs wide matrices
-_TWO_MEANS_VECTOR_MIN_CELLS = 256  # broadcast needs n*k to amortize
-
-def _rank_correlation_reference(matrix):
-    """Per-column rank loop (executable spec for :func:`_rank_correlation`)."""
+def _rank_correlation(matrix):
+    """Pairwise |Spearman| correlation of the columns of ``matrix``."""
     n, k = matrix.shape
     ranks = np.empty_like(matrix)
     for j in range(k):
@@ -340,41 +318,11 @@ def _rank_correlation_reference(matrix):
     return np.abs(corr)
 
 
-def _rank_correlation_vectorized(matrix):
-    """Pairwise |Spearman| correlation of the columns of ``matrix``.
+def _components(corr, k):
+    """Connected components above the threshold, by union-find.
 
-    Whole-matrix: NaNs are filled with per-column means computed on the
-    contiguous transpose (the same pairwise-summation order ``np.nanmean``
-    uses per column), both rank transforms run as axis-0 ``argsort`` calls
-    over the full matrix, and one ``corrcoef`` finishes the job.
+    Components are ordered by their smallest member, members ascending.
     """
-    nan_mask = np.isnan(matrix)
-    cols = np.ascontiguousarray(matrix.T)
-    means = np.zeros(matrix.shape[1])
-    not_all_nan = ~np.all(nan_mask, axis=0)
-    if not_all_nan.any():
-        means[not_all_nan] = np.nanmean(cols[not_all_nan], axis=1)
-    filled = np.where(nan_mask, means[None, :], matrix)
-    order = np.argsort(filled, axis=0, kind="stable")
-    ranks = np.empty_like(matrix)
-    ranks[...] = np.argsort(order, axis=0)
-    with np.errstate(invalid="ignore"):
-        corr = np.corrcoef(ranks, rowvar=False)
-    corr = np.nan_to_num(corr, nan=0.0)
-    return np.abs(corr)
-
-
-def _rank_correlation(matrix):
-    """Adaptive: whole-matrix ranking amortizes its mask/transpose
-    temporaries up to a few thousand rows; past that the argsorts dominate
-    both paths and the per-column loop's smaller footprint wins."""
-    if matrix.shape[0] <= _RANK_VECTOR_MAX_ROWS:
-        return _rank_correlation_vectorized(matrix)
-    return _rank_correlation_reference(matrix)
-
-
-def _components_reference(corr, k):
-    """Union-find over the O(k²) pair loop (spec for :func:`_components`)."""
     parent = list(range(k))
 
     def find(x):
@@ -393,44 +341,18 @@ def _components_reference(corr, k):
     return list(groups.values())
 
 
-def _components_vectorized(corr, k):
-    """Connected components above the threshold, by min-label propagation.
-
-    Produces the exact grouping of the union-find reference: components
-    ordered by their smallest member, members ascending.
-    """
-    adjacency = corr > _CORR_THRESHOLD
-    np.fill_diagonal(adjacency, True)
-    labels = np.arange(k)
-    while True:
-        neighbor_min = np.where(adjacency, labels[None, :], k).min(axis=1)
-        new_labels = np.minimum(labels, neighbor_min)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return [list(np.flatnonzero(labels == label))
-            for label in np.unique(labels)]
-
-
-def _components(corr, k):
-    """Adaptive: min-label propagation iterates O(k²) matrices per round,
-    which only beats the O(k²) union-find pair loop on wide tables."""
-    if k >= _COMPONENTS_VECTOR_MIN_COLS:
-        return _components_vectorized(corr, k)
-    return _components_reference(corr, k)
-
-
-def _independent_groups_reference(matrix, columns):
-    return _components_reference(_rank_correlation_reference(matrix),
-                                 len(columns))
-
-
 def _independent_groups(matrix, columns):
     """Connected components of the correlation graph above the threshold."""
     return _components(_rank_correlation(matrix), len(columns))
 
 
-def _two_means_core(matrix, rng, pairwise_dists):
+def _two_means(matrix, rng):
+    """Cheap 2-means row clustering on standardized data.
+
+    Centers are initialized at the extremes of the summed-coordinate
+    projection: deterministic and well-separated even for discrete data
+    (random initialization frequently collapses to one cluster there).
+    """
     filled = np.where(np.isnan(matrix), 0.0, matrix)
     std = filled.std(axis=0)
     std[std == 0] = 1.0
@@ -442,7 +364,7 @@ def _two_means_core(matrix, rng, pairwise_dists):
         return np.zeros(n, dtype=np.int64)
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(8):
-        dists = pairwise_dists(normed, centers)
+        dists = np.stack([((normed - c) ** 2).sum(axis=1) for c in centers])
         new_assign = dists.argmin(axis=0)
         if (new_assign == assign).all():
             break
@@ -454,53 +376,20 @@ def _two_means_core(matrix, rng, pairwise_dists):
     return assign
 
 
-def _two_means_reference(matrix, rng):
-    """Per-center distance loop (executable spec for :func:`_two_means`)."""
-    return _two_means_core(
-        matrix, rng,
-        lambda normed, centers: np.stack(
-            [((normed - c) ** 2).sum(axis=1) for c in centers]))
-
-
-def _two_means_vectorized(matrix, rng):
-    """Cheap 2-means row clustering on standardized data.
-
-    Centers are initialized at the extremes of the summed-coordinate
-    projection: deterministic and well-separated even for discrete data
-    (random initialization frequently collapses to one cluster there).
-    Both center distances evaluate in one broadcast over the precomputed
-    standardized matrix (reductions stay along the contiguous axis, so the
-    assignments match the per-center loop bit-for-bit).
-    """
-    return _two_means_core(
-        matrix, rng,
-        lambda normed, centers: (
-            (normed[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2))
-
-
-def _two_means(matrix, rng):
-    """Adaptive: the (2, n, k) broadcast cube needs enough cells to beat
-    the two-iteration per-center loop's smaller temporaries."""
-    if matrix.size >= _TWO_MEANS_VECTOR_MIN_CELLS:
-        return _two_means_vectorized(matrix, rng)
-    return _two_means_reference(matrix, rng)
-
-
-def _learn(matrix, columns, rng, depth, groups_fn=_independent_groups,
-           cluster_fn=_two_means):
+def _learn(matrix, columns, rng, depth):
     n, k = matrix.shape
     if k == 1 or n < _MIN_INSTANCES or depth >= _MAX_DEPTH:
         return _LeafSet({col: _Leaf.fit(col, matrix[:, j])
                          for j, col in enumerate(columns)})
 
-    groups = groups_fn(matrix, columns)
+    groups = _independent_groups(matrix, columns)
     if len(groups) > 1:
         children = [_learn(matrix[:, idx], [columns[i] for i in idx], rng,
-                           depth + 1, groups_fn, cluster_fn)
+                           depth + 1)
                     for idx in groups]
         return _Product(children)
 
-    assign = cluster_fn(matrix, rng)
+    assign = _two_means(matrix, rng)
     sizes = np.bincount(assign, minlength=2)
     if sizes.min() < max(_MIN_INSTANCES // 4, 8):
         return _LeafSet({col: _Leaf.fit(col, matrix[:, j])
@@ -509,8 +398,7 @@ def _learn(matrix, columns, rng, depth, groups_fn=_independent_groups,
     weights = []
     for c in range(2):
         members = matrix[assign == c]
-        children.append(_learn(members, columns, rng, depth + 1,
-                               groups_fn, cluster_fn))
+        children.append(_learn(members, columns, rng, depth + 1))
         weights.append(len(members) / n)
     return _Sum(np.array(weights), children)
 
@@ -530,28 +418,8 @@ def _sample_matrix(column_arrays, seed, max_rows):
 
 
 def learn_spn(column_arrays, seed=0, max_rows=20_000):
-    """Learn an SPN from ``{column: values}`` (floats, NaN as NULL).
-
-    Uses the adaptive primitives: each ranking/component/clustering call
-    picks the vectorized or loop implementation by matrix size (they are
-    bit-identical, so the dispatch never changes the learned tree).
-    """
-    perfstats.increment("spn.learn.vectorized")
+    """Learn an SPN from ``{column: values}`` (floats, NaN as NULL)."""
+    perfstats.increment("spn.learn.count")
     matrix, columns, n, rng = _sample_matrix(column_arrays, seed, max_rows)
     root = _learn(matrix, columns, rng, depth=0)
-    return SPN(root, columns, n)
-
-
-def learn_spn_reference(column_arrays, seed=0, max_rows=20_000):
-    """Structure learning through the per-column/per-pair loop primitives.
-
-    The executable spec :func:`learn_spn` must reproduce bit-identically:
-    same tree shape, same sum weights, same leaf distributions, hence the
-    same selectivity for every constraint set.
-    """
-    perfstats.increment("spn.learn.reference")
-    matrix, columns, n, rng = _sample_matrix(column_arrays, seed, max_rows)
-    root = _learn(matrix, columns, rng, depth=0,
-                  groups_fn=_independent_groups_reference,
-                  cluster_fn=_two_means_reference)
     return SPN(root, columns, n)

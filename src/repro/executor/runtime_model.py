@@ -185,22 +185,17 @@ def node_time_us(db, node, hw):
     raise ValueError(f"no runtime rule for operator {node.op_name!r}")
 
 
-def _signature_from_nodes(db_name, nodes):
-    """The :func:`plan_signature` digest over a precollected node list."""
+def plan_signature(db_name, root):
+    """Deterministic signature of a plan for noise seeding."""
     digest = hashlib.sha256()
     digest.update(db_name.encode())
-    for node in nodes:
+    for node in root.iter_nodes():
         digest.update(node.op_name.encode())
         digest.update(str(node.table).encode())
         digest.update(str(int(node.true_rows or 0)).encode())
         if node.filter_predicate is not None:
             digest.update(node.filter_predicate.describe().encode())
     return int.from_bytes(digest.digest()[:8], "little")
-
-
-def plan_signature(db_name, root):
-    """Deterministic signature of a plan for noise seeding."""
-    return _signature_from_nodes(db_name, root.iter_nodes())
 
 
 def simulate_runtime_ms(db, root, hardware=None, seed=0, skip_inner_index=True):
@@ -229,286 +224,13 @@ def simulate_runtime_ms(db, root, hardware=None, seed=0, skip_inner_index=True):
     return total_us * noise / 1000.0
 
 
-# ----------------------------------------------------------------------
-# Batched simulation over a whole trace
-# ----------------------------------------------------------------------
-# The per-plan :func:`simulate_runtime_ms` above is the executable reference
-# spec: one Python call per node, one scalar ufunc dispatch per term.  The
-# batch path below assembles the per-node costs column-wise — nodes grouped
-# by operator, their scalar characteristics gathered into arrays, the cost
-# formulas evaluated once per group as whole-array expressions written with
-# the *same association order* as the scalar ones — and then accumulates each
-# plan's total sequentially in node-iteration order, so every latency is
-# bit-identical to the reference.  Noise is drawn from the same per-plan
-# seeded streams (`plan_signature`-derived), never from a shared one.
-
-def _true_or_est(node):
-    return node.true_rows or node.est_rows
-
-
-def _cache_penalty_batch(bytes_touched, hw):
-    """Vectorized :func:`_cache_penalty` (same arithmetic per element)."""
-    overshoot = np.log2(bytes_touched / hw.cache_bytes + 1.0)
-    return np.where(bytes_touched <= hw.cache_bytes, 1.0,
-                    1.0 + hw.cache_miss_factor * np.minimum(overshoot, 4.0))
-
-
-def _scan_us_batch(db, nodes, hw, pred_cost):
-    reltuples = np.empty(len(nodes))
-    pages = np.empty(len(nodes))
-    row_width = np.empty(len(nodes))
-    pred_ns = np.empty(len(nodes))
-    true_rows = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        stats = db.table_stats(node.table)
-        reltuples[i] = stats.reltuples
-        node_pages = stats.relpages
-        if node.op_name == "ColumnarScan" and node.scanned_columns:
-            frac = sum(db.column_stats(node.table, c).width
-                       for c in node.scanned_columns) / max(stats.row_width, 1.0)
-            node_pages = max(1.0, node_pages * min(frac, 1.0))
-        pages[i] = node_pages
-        row_width[i] = stats.row_width
-        pred_ns[i] = pred_cost(node.filter_predicate)
-        true_rows[i] = node.true_rows or 0.0
-    io_us = pages * hw.seq_page_us
-    row_ns = hw.tuple_ns + hw.width_ns_per_byte * row_width + pred_ns
-    cpu_us = reltuples * row_ns / 1000.0
-    out_us = np.maximum(true_rows, 0.0) * hw.emit_ns / 1000.0
-    total = io_us + cpu_us + out_us
-    for i, node in enumerate(nodes):
-        if node.workers > 1:
-            # Python ``**`` exactly as the scalar rule (libm pow).
-            total[i] = total[i] / (node.workers ** hw.parallel_efficiency)
-    return total
-
-
-def _index_scan_us_batch(db, nodes, hw, pred_cost, loops):
-    reltuples = np.empty(len(nodes))
-    correlation = np.empty(len(nodes))
-    matches = np.empty(len(nodes))
-    pred_ns = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        stats = db.table_stats(node.table)
-        reltuples[i] = stats.reltuples
-        correlation[i] = db.column_stats(node.table, node.index_column).correlation
-        matches[i] = node.true_rows or 0.0
-        pred_ns[i] = pred_cost(node.filter_predicate)
-    matches = np.maximum(matches, 0.0)
-    descend_us = hw.index_descend_us * np.log2(np.maximum(reltuples, 2)) / 8.0
-    random_frac = 1.0 - 0.75 * np.abs(correlation)
-    fetch_ns = (hw.index_fetch_random_ns * random_frac
-                + hw.index_fetch_seq_ns * (1.0 - random_frac))
-    per_loop_us = descend_us + matches * (fetch_ns + pred_ns) / 1000.0
-    return loops * per_loop_us
-
-
-def _hash_join_us_batch(nodes, hw):
-    build_rows = np.empty(len(nodes))
-    probe_rows = np.empty(len(nodes))
-    out_rows = np.empty(len(nodes))
-    build_width = np.empty(len(nodes))
-    node_width = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        probe, build = node.children[0], node.children[1]
-        build_rows[i] = max(_true_or_est(build), 0.0)
-        probe_rows[i] = max(_true_or_est(probe), 0.0)
-        out_rows[i] = max(node.true_rows or 0.0, 0.0)
-        build_width[i] = build.width
-        node_width[i] = node.width
-    build_bytes = build_rows * np.maximum(build_width, 8.0)
-
-    build_us = build_rows * (hw.hash_build_ns
-                             + hw.hash_build_ns_per_byte * build_width) / 1000.0
-    probe_us = probe_rows * hw.hash_probe_ns / 1000.0
-    penalty = _cache_penalty_batch(build_bytes, hw)
-    build_us = build_us * penalty
-    probe_us = probe_us * penalty
-    spills = build_bytes > hw.work_mem_bytes
-    ratio = np.minimum(build_bytes / hw.work_mem_bytes, 8.0)
-    spill_mult = 1.0 + hw.spill_factor * np.log2(ratio + 1.0)
-    io_us = 2.0 * build_bytes / hw.spill_io_bytes_per_us
-    build_us = np.where(spills, build_us * spill_mult + io_us, build_us)
-    probe_us = np.where(spills, probe_us * spill_mult, probe_us)
-    emit_us = (out_rows * (hw.emit_ns + hw.width_ns_per_byte * node_width)
-               / 1000.0)
-    return build_us + probe_us + emit_us
-
-
-def _sort_us_batch(nodes, hw):
-    rows = np.empty(len(nodes))
-    width = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        rows[i] = max(_true_or_est(node.children[0]), 1.0)
-        width[i] = node.width
-    compare_ns = hw.sort_compare_ns + hw.sort_width_ns_per_byte * width
-    total = rows * np.log2(rows + 2.0) * compare_ns / 1000.0
-    external = rows * np.maximum(width, 8.0) > hw.work_mem_bytes
-    return np.where(external, total * hw.external_sort_factor, total)
-
-
-def _aggregate_us_batch(nodes, hw):
-    in_rows = np.empty(len(nodes))
-    groups = np.empty(len(nodes))
-    n_aggs = np.empty(len(nodes))
-    width = np.empty(len(nodes))
-    hashed = np.empty(len(nodes), dtype=bool)
-    for i, node in enumerate(nodes):
-        in_rows[i] = max(_true_or_est(node.children[0]), 0.0)
-        groups[i] = max(node.true_rows or 1.0, 1.0)
-        n_aggs[i] = max(len(node.aggregates), 1)
-        width[i] = node.width
-        hashed[i] = node.op_name == "HashAggregate"
-    total = in_rows * (hw.agg_row_ns + n_aggs * hw.agg_ns_per_agg) / 1000.0
-    hash_total = total + in_rows * hw.hashagg_row_ns / 1000.0
-    hash_total = hash_total * _cache_penalty_batch(
-        groups * np.maximum(width, 8.0), hw)
-    hash_total = hash_total + groups * hw.group_emit_ns / 1000.0
-    return np.where(hashed, hash_total, total)
-
-
-def _nested_loop_us_batch(db, nodes, hw, pred_cost):
-    outer_rows = np.empty(len(nodes))
-    out_rows = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        outer_rows[i] = max(_true_or_est(node.children[0]), 0.0)
-        out_rows[i] = max(node.true_rows or 0.0, 0.0)
-    total = outer_rows * hw.nl_loop_ns / 1000.0
-    total = total + out_rows * hw.emit_ns / 1000.0
-    indexed = [i for i, node in enumerate(nodes)
-               if node.children[1].op_name == "IndexScan"]
-    if indexed:
-        inner_nodes = [nodes[i].children[1] for i in indexed]
-        loops = np.maximum(outer_rows[indexed], 1.0)
-        inner_us = _index_scan_us_batch(db, inner_nodes, hw, pred_cost, loops)
-        total[indexed] = total[indexed] + inner_us
-    return total
-
-
-def _rows_emit_us_batch(nodes, hw):
-    rows = np.empty(len(nodes))
-    width = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        rows[i] = max(node.true_rows or 0.0, 0.0)
-        width[i] = node.width
-    return rows * (hw.emit_ns + hw.width_ns_per_byte * width) / 1000.0
-
-
-def _merge_join_us_batch(nodes, hw):
-    left = np.empty(len(nodes))
-    right = np.empty(len(nodes))
-    out = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        left[i] = max(node.children[0].true_rows or 0.0, 0.0)
-        right[i] = max(node.children[1].true_rows or 0.0, 0.0)
-        out[i] = max(node.true_rows or 0.0, 0.0)
-    return ((left + right) * 100.0 + out * hw.emit_ns) / 1000.0
-
-
-def _gather_us_batch(nodes, hw):
-    rows = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        rows[i] = max(node.true_rows or 0.0, 0.0)
-    return hw.parallel_startup_us + rows * hw.parallel_tuple_ns / 1000.0
-
-
-_BATCH_RULES = {
-    "SeqScan": "scan", "ColumnarScan": "scan", "IndexScan": "index_scan",
-    "HashJoin": "hash_join", "NestedLoopJoin": "nested_loop",
-    "MergeJoin": "merge_join", "Sort": "sort",
-    "Aggregate": "aggregate", "HashAggregate": "aggregate",
-    "Gather": "gather", "Broadcast": "rows_emit", "Repartition": "rows_emit",
-}
-
-
 def simulate_runtime_ms_batch(db, roots, hardware=None, seed=0,
                               skip_inner_index=True):
-    """Simulated latencies of many executed plans, as one batch.
+    """Simulated latencies of many executed plans (a whole trace).
 
-    Bit-identical to ``[simulate_runtime_ms(db, r, ...) for r in roots]``:
-    per-node costs are assembled column-wise per operator group, each plan's
-    total accumulates in node-iteration order, and the log-normal noise is
-    drawn from the same per-plan seeded stream the scalar path uses.
-    Returns a float array of length ``len(roots)``.
+    ``[simulate_runtime_ms(db, r, ...) for r in roots]`` as a float array of
+    length ``len(roots)``.
     """
-    from .. import perfstats
-
-    hw = hardware or DEFAULT_HARDWARE
-
-    pred_costs = {}  # id(predicate) -> ns; plans pin the predicate objects
-
-    def pred_cost(predicate):
-        if predicate is None:
-            return 0.0
-        cost = pred_costs.get(id(predicate))
-        if cost is None:
-            cost = predicate_row_cost_ns(predicate, hw)
-            pred_costs[id(predicate)] = cost
-        return cost
-
-    plan_nodes = []
-    signatures = []
-    groups = {}  # rule -> (flat indices, nodes)
-    n_flat = 0
-    for root in roots:
-        perfstats.increment("simulate.batched")
-        all_nodes = list(root.iter_nodes())
-        signatures.append(_signature_from_nodes(db.name, all_nodes))
-        inner_index_nodes = set()
-        if skip_inner_index:
-            for node in all_nodes:
-                if (node.op_name == "NestedLoopJoin"
-                        and node.children[1].op_name == "IndexScan"):
-                    inner_index_nodes.add(id(node.children[1]))
-        if inner_index_nodes:
-            nodes = [node for node in all_nodes
-                     if id(node) not in inner_index_nodes]
-        else:
-            nodes = all_nodes
-        plan_nodes.append(nodes)
-        for node in nodes:
-            rule = _BATCH_RULES.get(node.op_name)
-            if rule is None:
-                raise ValueError(
-                    f"no runtime rule for operator {node.op_name!r}")
-            indices, members = groups.setdefault(rule, ([], []))
-            indices.append(n_flat)
-            members.append(node)
-            n_flat += 1
-
-    costs = np.zeros(n_flat)
-    for rule, (indices, members) in groups.items():
-        if rule == "scan":
-            values = _scan_us_batch(db, members, hw, pred_cost)
-        elif rule == "index_scan":
-            values = _index_scan_us_batch(db, members, hw, pred_cost, 1.0)
-        elif rule == "hash_join":
-            values = _hash_join_us_batch(members, hw)
-        elif rule == "nested_loop":
-            values = _nested_loop_us_batch(db, members, hw, pred_cost)
-        elif rule == "merge_join":
-            values = _merge_join_us_batch(members, hw)
-        elif rule == "sort":
-            values = _sort_us_batch(members, hw)
-        elif rule == "aggregate":
-            values = _aggregate_us_batch(members, hw)
-        elif rule == "gather":
-            values = _gather_us_batch(members, hw)
-        else:
-            values = _rows_emit_us_batch(members, hw)
-        costs[indices] = values
-
-    # Per-plan totals accumulate sequentially in traversal order (floating-
-    # point addition is order-sensitive; this is the reference's order).
-    flat_costs = costs.tolist()
-    runtimes = np.empty(len(roots))
-    cursor = 0
-    for p, nodes in enumerate(plan_nodes):
-        total_us = hw.query_overhead_us
-        for _ in nodes:
-            total_us += flat_costs[cursor]
-            cursor += 1
-        rng = np.random.default_rng((signatures[p] + seed) % (2 ** 63))
-        noise = float(np.exp(rng.normal(0.0, hw.noise_sigma)))
-        runtimes[p] = total_us * noise / 1000.0
-    return runtimes
+    return np.array([simulate_runtime_ms(db, root, hardware, seed,
+                                         skip_inner_index)
+                     for root in roots], dtype=np.float64)

@@ -166,9 +166,6 @@ class QueryGraph:
         types = self._node_types
         return len(types if types is not None else self._lazy_codes)
 
-    def children_of(self, node):
-        return [c for c, p in self.edges if p == node]
-
     def levels(self):
         """Longest-path level per node (leaves=0); children precede parents."""
         level = np.zeros(self.n_nodes, dtype=np.int64)

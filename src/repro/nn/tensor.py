@@ -879,9 +879,6 @@ class FlatParameterSpace:
         """
         self._flatten()
 
-    def num_values(self):
-        return sum(group.data.size for group in self.groups)
-
     def snapshot(self):
         """One contiguous copy per dtype — the flat early-stopping snapshot."""
         return [group.data.copy() for group in self.groups]

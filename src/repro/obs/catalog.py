@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 __all__ = ["COUNTERS", "HISTOGRAMS", "GAUGES", "counter_patterns",
-           "expand_braces", "pattern_matches", "markdown_table"]
+           "expand_braces", "markdown_table"]
 
 #: (pattern, description) for every serving-plane counter.
 COUNTERS = [
@@ -92,9 +92,6 @@ HISTOGRAMS = [
 #: (name, description) for gauges (last-write-wins).
 GAUGES = []
 
-_PLACEHOLDER = re.compile(r"<[a-z_]+>")
-
-
 def counter_patterns():
     return [pattern for pattern, _ in COUNTERS]
 
@@ -109,23 +106,6 @@ def expand_braces(name):
     for alt in m.group(1).split(","):
         out.extend(expand_braces(head + alt.strip() + tail))
     return out
-
-
-def pattern_matches(pattern, name):
-    """True if ``name`` matches ``pattern`` (``<x>`` = one dynamic tail)."""
-    if "<" not in pattern:
-        return pattern == name
-    # re.escape leaves "<"/">" alone, so placeholders survive escaping.
-    regex = _PLACEHOLDER.sub(r"[A-Za-z0-9_.\-]+", re.escape(pattern))
-    return re.fullmatch(regex, name) is not None
-
-
-def find_pattern(name):
-    """The catalog pattern covering counter ``name``, or None."""
-    for pattern, _ in COUNTERS:
-        if pattern_matches(pattern, name):
-            return pattern
-    return None
 
 
 def markdown_table():

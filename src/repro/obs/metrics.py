@@ -177,9 +177,6 @@ class MetricsRegistry:
     def observe(self, name, value):
         self.histogram(name).observe(value)
 
-    def set_gauge(self, name, value):
-        self.gauge(name).set(value)
-
     # -- snapshot / merge -----------------------------------------------
     def snapshot(self):
         """Plain-dict, pickle/JSON-safe copy of everything (for the wire)."""

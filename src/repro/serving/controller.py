@@ -189,9 +189,6 @@ class ControllerJournal:
             events = [e for e in events if e.kind == kind]
         return events
 
-    def as_dicts(self):
-        return [event.as_dict() for event in self.events()]
-
     def __len__(self):
         with self._lock:
             return len(self._events)

@@ -41,10 +41,6 @@ class Database:
     def column(self, table_name, column_name):
         return self.table(table_name).column(column_name)
 
-    @property
-    def total_rows(self):
-        return sum(len(t) for t in self.tables.values())
-
     def fingerprint(self):
         """Cheap content fingerprint: name + per-table row counts.
 

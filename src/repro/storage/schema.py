@@ -18,10 +18,6 @@ class ForeignKey:
     parent_table: str
     parent_column: str
 
-    def involves(self, table_a, table_b):
-        pair = {self.child_table, self.parent_table}
-        return pair == {table_a, table_b}
-
 
 @dataclass
 class Schema:
@@ -43,13 +39,6 @@ class Schema:
         for fk in self.foreign_keys:
             graph.add_edge(fk.child_table, fk.parent_table, fk=fk)
         return graph
-
-    def fks_between(self, table_a, table_b):
-        return [fk for fk in self.foreign_keys if fk.involves(table_a, table_b)]
-
-    def fks_of_table(self, table):
-        return [fk for fk in self.foreign_keys
-                if table in (fk.child_table, fk.parent_table)]
 
     def connected_subsets(self, start, size, rng):
         """Random connected set of ``size`` tables containing ``start``.

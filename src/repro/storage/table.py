@@ -33,10 +33,6 @@ class Table:
     def __contains__(self, column_name):
         return column_name in self.columns
 
-    @property
-    def column_names(self):
-        return list(self.columns)
-
     def column(self, name) -> Column:
         try:
             return self.columns[name]

@@ -15,7 +15,7 @@ range, which is what makes cardinality estimation non-trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class WorkloadConfig:
             raise ValueError(f"unknown workload mode {self.mode!r}")
         if self.min_joins > self.max_joins:
             raise ValueError("min_joins must be <= max_joins")
-
-    def with_joins(self, min_joins, max_joins):
-        return replace(self, min_joins=min_joins, max_joins=max_joins)
 
 
 class WorkloadGenerator:

@@ -33,7 +33,7 @@ from repro import perfstats
 from repro.bench import ArtifactStore
 from repro.core import TrainingConfig, ZeroShotCostModel
 from repro.datagen import generate_database, random_database_spec
-from repro.executor import simulate_runtime_ms_batch
+from repro.executor import simulate_runtime_ms
 from repro.optimizer import plan_query
 from repro.robustness.faults import (FaultSchedule, FaultSpec, InjectedFault,
                                      POINTS, inject)
@@ -520,8 +520,8 @@ class TestQErrorByPhase:
         dbs = world["dbs"]
 
         def truth_for(handle):
-            return float(simulate_runtime_ms_batch(
-                dbs[handle.db_name], [handle.plan], seed=7)[0])
+            return float(simulate_runtime_ms(dbs[handle.db_name],
+                                             handle.plan, seed=7))
 
         summary = report.compute_q_error_phases(
             truth_for, {"first": (0, 6), "second": (6, 12), "empty": (12, 12)})

@@ -1,20 +1,23 @@
-"""Equivalence tests for the stage-0 corpus engine.
+"""Tests for the stage-0 corpus engine.
 
 Every fast path of the corpus engine must be *bit-identical* to its retained
 executable reference:
 
 * ``execute_trace`` ≡ per-plan ``execute_plan`` (rows, cardinalities, node
   profiles) across benchmark profiles,
-* vectorized ``learn_spn`` ≡ ``learn_spn_reference`` (same tree structure,
-  weights, leaf distributions, selectivities),
 * ``simulate_runtime_ms_batch`` ≡ per-plan ``simulate_runtime_ms``,
 * ``generate_trace`` ≡ ``generate_trace_reference`` (records, runtimes,
   timeout exclusions, index churn),
 * the vectorized ``equi_join`` gather ≡ the per-run loop spec.
 
+SPN learning and runtime simulation have one implementation each; their
+exact outputs are pinned (``TestPinnedOutputs``: SPN digests on a benchmark
+database, simulated latencies of hand-built plans that hit every cost rule).
 Plus the observability contract of the new per-trace memos (bounded,
 counted, clearable) and the artifact-store SPN persistence.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,8 +25,7 @@ import pytest
 from repro import perfstats
 from repro.bench.store import ArtifactStore
 from repro.cardest import DataDrivenEstimator
-from repro.cardest.spn import (_LeafSet, _Product, _Sum, learn_spn,
-                               learn_spn_reference)
+from repro.cardest.spn import _LeafSet, _Sum, learn_spn
 from repro.datagen import (generate_database, make_benchmark_database,
                            random_database_spec)
 from repro.executor import (TraceExecutionContext, execute_plan, execute_trace,
@@ -172,78 +174,27 @@ class TestTraceMemoObservability:
         assert perfstats.snapshot().get("execute.scan_cache.eviction", 0) > 0
 
 
-class TestSpnEquivalence:
-    @staticmethod
-    def _assert_tree_equal(a, b, path="root"):
-        assert type(a) is type(b), path
-        if isinstance(a, _LeafSet):
-            assert list(a.leaves) == list(b.leaves), path
-            for column in a.leaves:
-                la, lb = a.leaves[column], b.leaves[column]
-                assert la.null_mass == lb.null_mass, (path, column)
-                for field in ("discrete_values", "discrete_masses",
-                              "bin_edges", "bin_masses"):
-                    va, vb = getattr(la, field), getattr(lb, field)
-                    if va is None or vb is None:
-                        assert va is None and vb is None, (path, column, field)
-                    else:
-                        np.testing.assert_array_equal(va, vb,
-                                                      err_msg=f"{path}.{column}.{field}")
-            return
-        if isinstance(a, _Sum):
-            np.testing.assert_array_equal(a.weights, b.weights, err_msg=path)
-        assert len(a.children) == len(b.children), path
-        for i, (ca, cb) in enumerate(zip(a.children, b.children)):
-            TestSpnEquivalence._assert_tree_equal(ca, cb, f"{path}.{i}")
-
-    @staticmethod
-    def _table_arrays(table):
-        from repro.cardest import spn_input_arrays
-        return spn_input_arrays(table)
-
-    def test_learn_spn_matches_reference(self, profile_db):
-        for table_name in profile_db.schema.table_names:
-            arrays = self._table_arrays(profile_db.table(table_name))
-            fast = learn_spn(arrays, seed=0, max_rows=2000)
-            reference = learn_spn_reference(arrays, seed=0, max_rows=2000)
-            assert fast.columns == reference.columns
-            assert fast.n_rows == reference.n_rows
-            self._assert_tree_equal(fast._root, reference._root)
-            assert fast._root._neutral_mass == reference._root._neutral_mass
-
-    def test_learn_spn_dispatch_counters(self, profile_db):
-        arrays = self._table_arrays(
-            profile_db.table(profile_db.schema.table_names[0]))
-        perfstats.reset()
-        learn_spn(arrays, seed=0, max_rows=500)
-        counters = perfstats.snapshot()
-        assert counters.get("spn.learn.vectorized", 0) == 1
-        assert counters.get("spn.learn.reference", 0) == 0
-
-    def test_estimator_estimates_unchanged_by_vectorization(self, profile_db):
-        """End to end: the estimator over fast-learned SPNs matches one whose
-        SPNs were learned through the reference loop primitives."""
-        import repro.cardest.datadriven as dd
-
-        fast = DataDrivenEstimator(profile_db, sample_size=128, seed=0,
-                                   max_spn_rows=1500, store=False)
-        original = dd.learn_spn
-        dd.learn_spn = learn_spn_reference
-        try:
-            reference = DataDrivenEstimator(profile_db, sample_size=128,
-                                            seed=0, max_spn_rows=1500,
-                                            store=False)
-        finally:
-            dd.learn_spn = original
-        plans = _planned_corpus(profile_db, n=10)
-        for plan in plans:
-            for node in plan.iter_nodes():
-                if node.is_scan and node.filter_predicate is not None:
-                    if fast.supports(node.filter_predicate):
-                        assert (fast.scan_rows(profile_db, node.table,
-                                               node.filter_predicate)
-                                == reference.scan_rows(profile_db, node.table,
-                                                       node.filter_predicate))
+def _assert_tree_equal(a, b, path="root"):
+    assert type(a) is type(b), path
+    if isinstance(a, _LeafSet):
+        assert list(a.leaves) == list(b.leaves), path
+        for column in a.leaves:
+            la, lb = a.leaves[column], b.leaves[column]
+            assert la.null_mass == lb.null_mass, (path, column)
+            for field in ("discrete_values", "discrete_masses",
+                          "bin_edges", "bin_masses"):
+                va, vb = getattr(la, field), getattr(lb, field)
+                if va is None or vb is None:
+                    assert va is None and vb is None, (path, column, field)
+                else:
+                    np.testing.assert_array_equal(va, vb,
+                                                  err_msg=f"{path}.{column}.{field}")
+        return
+    if isinstance(a, _Sum):
+        np.testing.assert_array_equal(a.weights, b.weights, err_msg=path)
+    assert len(a.children) == len(b.children), path
+    for i, (ca, cb) in enumerate(zip(a.children, b.children)):
+        _assert_tree_equal(ca, cb, f"{path}.{i}")
 
 
 class TestSpnStorePersistence:
@@ -256,20 +207,19 @@ class TestSpnStorePersistence:
         n_tables = len(db.schema.table_names)
         counters = perfstats.snapshot()
         assert counters.get("store.miss.spn", 0) == n_tables
-        assert counters.get("spn.learn.vectorized", 0) == n_tables
+        assert counters.get("spn.learn.count", 0) == n_tables
 
         perfstats.reset()
         warm = DataDrivenEstimator(db, sample_size=64, seed=0,
                                    max_spn_rows=1000, store=store)
         counters = perfstats.snapshot()
         assert counters.get("store.hit.spn", 0) == n_tables
-        assert counters.get("spn.learn.vectorized", 0) == 0  # no relearning
+        assert counters.get("spn.learn.count", 0) == 0  # no relearning
         for table_name in db.schema.table_names:
             cold_spn = cold._spns[table_name]
             warm_spn = warm._spns[table_name]
             assert cold_spn.columns == warm_spn.columns
-            TestSpnEquivalence._assert_tree_equal(cold_spn._root,
-                                                  warm_spn._root)
+            _assert_tree_equal(cold_spn._root, warm_spn._root)
 
     def test_data_change_misses_fingerprint(self, tmp_path):
         db = make_benchmark_database("airline", 1000)
@@ -286,7 +236,7 @@ class TestSpnStorePersistence:
                             store=store)
         counters = perfstats.snapshot()
         assert counters.get("store.miss.spn", 0) == 1  # only the edited table
-        assert counters.get("spn.learn.vectorized", 0) == 1
+        assert counters.get("spn.learn.count", 0) == 1
 
     def test_refresh_hydrates_on_unchanged_data(self, tmp_path):
         # A non-default learning config: refresh must rebuild under the
@@ -300,7 +250,7 @@ class TestSpnStorePersistence:
         estimator.refresh()
         counters = perfstats.snapshot()
         assert counters.get("store.hit.spn", 0) == len(db.schema.table_names)
-        assert counters.get("spn.learn.vectorized", 0) == 0
+        assert counters.get("spn.learn.count", 0) == 0
 
 
 class TestBatchedSimulationEquivalence:
@@ -332,7 +282,7 @@ class TestBatchedSimulationEquivalence:
             np.testing.assert_array_equal(batch, reference)
 
     def test_distributed_operators_covered(self, toy_db):
-        """Broadcast/Repartition/MergeJoin nodes go through the batch rules."""
+        """Broadcast/Repartition/MergeJoin nodes through the trace entry point."""
         from repro.optimizer.plan import PlanNode
 
         def mini_plan():
@@ -362,12 +312,192 @@ class TestBatchedSimulationEquivalence:
         batch = simulate_runtime_ms_batch(toy_db, plans, seed=5)
         np.testing.assert_array_equal(batch, reference)
 
-    def test_simulation_dispatch_counter(self, profile_db):
-        plans = _planned_corpus(profile_db, n=5)
-        execute_trace(profile_db, plans)
-        perfstats.reset()
-        simulate_runtime_ms_batch(profile_db, plans, seed=0)
-        assert perfstats.snapshot().get("simulate.batched", 0) == len(plans)
+
+def _spn_digest(spn):
+    """blake2b over a canonical walk of an SPN: node kinds, sum weights and
+    every leaf's NULL mass and distribution arrays.  (The pickle is no
+    substitute: it carries a frozenset whose bytes follow the hash seed.)"""
+    digest = hashlib.blake2b(digest_size=16)
+
+    def walk(node):
+        digest.update(type(node).__name__.encode())
+        if isinstance(node, _LeafSet):
+            for column, leaf in node.leaves.items():
+                digest.update(column.encode())
+                digest.update(np.float64(leaf.null_mass).tobytes())
+                for field in ("discrete_values", "discrete_masses",
+                              "bin_edges", "bin_masses"):
+                    values = getattr(leaf, field)
+                    digest.update(b"-" if values is None else
+                                  np.asarray(values, np.float64).tobytes())
+            return
+        if isinstance(node, _Sum):
+            digest.update(np.asarray(node.weights, np.float64).tobytes())
+        digest.update(str(len(node.children)).encode())
+        for child in node.children:
+            walk(child)
+
+    digest.update(",".join(spn.columns).encode())
+    digest.update(str(spn.n_rows).encode())
+    walk(spn._root)
+    return digest.hexdigest()
+
+
+def _pinned_plans():
+    """Hand-built executed plans over ``toy_db`` that between them hit every
+    operator rule of the runtime simulator, including parallel workers, an
+    indexed nested-loop inner, a spilling hash join and an external sort."""
+    from repro.optimizer.plan import PlanNode
+    from repro.sql import (AggregateSpec, BooleanPredicate, Comparison,
+                           JoinEdge, PredOp)
+
+    def cmp(table, column, op, literal=None):
+        return Comparison(table, column, op, literal)
+
+    orders_customers = JoinEdge("orders", "customer_id", "customers", "id")
+    customers_regions = JoinEdge("customers", "region_id", "regions", "id")
+    aggs = (AggregateSpec("count"), AggregateSpec("sum", "orders", "amount"))
+
+    parallel_scan = PlanNode(
+        "HashAggregate", aggregates=aggs, group_by=(("orders", "status"),),
+        est_rows=3.0, width=24.0, true_rows=3.0, children=[PlanNode(
+            "Gather", est_rows=800.0, width=24.0, true_rows=912.0,
+            children=[PlanNode(
+                "SeqScan", table="orders", workers=3, est_rows=800.0,
+                width=24.0, true_rows=912.0,
+                filter_predicate=BooleanPredicate(PredOp.AND, (
+                    cmp("orders", "amount", PredOp.GT, 60.0),
+                    cmp("orders", "status", PredOp.EQ, "shipped"),
+                    cmp("orders", "priority", PredOp.IN, [1, 2, 3]))))])])
+
+    indexed_nested_loop = PlanNode(
+        "Aggregate", aggregates=aggs[:1], est_rows=1.0, width=8.0,
+        true_rows=1.0, children=[PlanNode(
+            "NestedLoopJoin", join=orders_customers, est_rows=700.0,
+            width=40.0, true_rows=1180.0, children=[
+                PlanNode("SeqScan", table="customers", est_rows=10.0,
+                         width=16.0, true_rows=59.0,
+                         filter_predicate=cmp("customers", "category",
+                                              PredOp.LIKE, "go%")),
+                PlanNode("IndexScan", table="orders",
+                         index_column="customer_id", est_rows=20.0,
+                         width=24.0, true_rows=20.0,
+                         filter_predicate=cmp("orders", "amount",
+                                              PredOp.IS_NULL))])])
+
+    spilling_join = PlanNode(
+        "Sort", sort_keys=(("orders", "amount"),), est_rows=30000.0,
+        width=40.0, true_rows=41000.0, children=[PlanNode(
+            "HashJoin", join=orders_customers, est_rows=30000.0, width=40.0,
+            true_rows=41000.0, children=[
+                PlanNode("SeqScan", table="orders", est_rows=2000.0,
+                         width=24.0, true_rows=2000.0),
+                PlanNode("SeqScan", table="customers", est_rows=30000.0,
+                         width=16.0, true_rows=0.0,
+                         filter_predicate=cmp("customers", "age",
+                                              PredOp.NEQ, 40))])])
+
+    cache_penalty_join = PlanNode(
+        "Sort", sort_keys=(("orders", "id"),), est_rows=90.0, width=40.0,
+        true_rows=96.0, children=[PlanNode(
+            "HashJoin", join=orders_customers, est_rows=90.0, width=40.0,
+            true_rows=96.0, children=[
+                PlanNode("IndexScan", table="orders", index_column="id",
+                         est_rows=100.0, width=24.0, true_rows=96.0,
+                         filter_predicate=cmp("orders", "priority",
+                                              PredOp.LEQ, 3)),
+                PlanNode("SeqScan", table="customers", est_rows=12000.0,
+                         width=16.0, true_rows=12000.0)])])
+
+    plain_nested_loop = PlanNode(
+        "Aggregate", aggregates=aggs[:1], est_rows=1.0, width=8.0,
+        true_rows=1.0, children=[PlanNode(
+            "NestedLoopJoin", join=customers_regions, est_rows=100.0,
+            width=24.0, true_rows=100.0, children=[
+                PlanNode("SeqScan", table="regions", est_rows=10.0,
+                         width=16.0, true_rows=10.0),
+                PlanNode("SeqScan", table="customers", est_rows=100.0,
+                         width=32.0, true_rows=100.0,
+                         filter_predicate=BooleanPredicate(PredOp.OR, (
+                             cmp("customers", "age", PredOp.LT, 30),
+                             cmp("customers", "age", PredOp.GEQ, 80))))])])
+
+    distributed = PlanNode(
+        "Repartition", est_rows=1900.0, width=32.0, true_rows=1870.0,
+        children=[PlanNode(
+            "MergeJoin", join=orders_customers, est_rows=1900.0, width=32.0,
+            true_rows=1870.0, children=[
+                PlanNode("ColumnarScan", table="orders",
+                         scanned_columns=("customer_id", "amount"),
+                         est_rows=1900.0, width=16.0, true_rows=1900.0,
+                         filter_predicate=cmp("orders", "amount",
+                                              PredOp.IS_NOT_NULL)),
+                PlanNode("Broadcast", est_rows=97.0, width=16.0,
+                         true_rows=97.0, children=[PlanNode(
+                             "SeqScan", table="customers", est_rows=97.0,
+                             width=16.0, true_rows=97.0,
+                             filter_predicate=cmp("customers", "category",
+                                                  PredOp.NOT_LIKE,
+                                                  "%on_"))])])])
+
+    return {"parallel_scan": parallel_scan,
+            "indexed_nested_loop": indexed_nested_loop,
+            "spilling_join": spilling_join,
+            "cache_penalty_join": cache_penalty_join,
+            "plain_nested_loop": plain_nested_loop,
+            "distributed": distributed}
+
+
+class TestPinnedOutputs:
+    """Exact outputs of SPN learning and runtime simulation, recorded from
+    the engine before its duplicate fast paths were removed.  Any change to
+    a learning primitive or a cost rule that moves a single bit fails here.
+    """
+
+    SPN_DIGESTS = {
+        "fact": "f3eda1725fa1940454fdf59fe7f82d61",
+        "t1": "83f66ebd47778da3e34033e824ecf619",
+        "t2": "d2ceb0eb5cc0e0cbe8088765e5c63625",
+        "t3": "8d3e04d251e0a643d08107e8c9daec62",
+        "t4": "f640bb91e45743b569764bb5b2c9892d",
+    }
+
+    # (plan, seed, skip_inner_index) -> simulated milliseconds.
+    RUNTIMES = {
+        ("parallel_scan", 0, True): 2.9608006578641524,
+        ("parallel_scan", 7, True): 2.7396061204618047,
+        ("indexed_nested_loop", 0, True): 2.55997257772626,
+        ("indexed_nested_loop", 7, True): 2.558777639458638,
+        ("indexed_nested_loop", 0, False): 2.597493361823087,
+        ("spilling_join", 0, True): 76.25679714755658,
+        ("spilling_join", 7, True): 80.02231860907786,
+        ("cache_penalty_join", 0, True): 5.032041565387229,
+        ("cache_penalty_join", 7, True): 4.692956303780774,
+        ("plain_nested_loop", 0, True): 0.2086513032207301,
+        ("plain_nested_loop", 7, True): 0.20024430282283187,
+        ("distributed", 0, True): 1.1769401761072198,
+        ("distributed", 7, True): 1.2546141752209912,
+    }
+
+    def test_spn_digests(self):
+        from repro.cardest import spn_input_arrays
+        db = make_benchmark_database("airline", 1500)
+        digests = {name: _spn_digest(learn_spn(
+                       spn_input_arrays(db.table(name)), seed=0,
+                       max_rows=1000))
+                   for name in db.schema.table_names}
+        assert digests == self.SPN_DIGESTS
+
+    def test_simulated_runtimes(self, toy_db):
+        from repro.optimizer.plan import OPERATOR_NAMES
+        plans = _pinned_plans()
+        ops = {node.op_name for plan in plans.values()
+               for node in plan.iter_nodes()}
+        assert ops == set(OPERATOR_NAMES)
+        runtimes = {(name, seed, skip): simulate_runtime_ms(
+                        toy_db, plans[name], seed=seed, skip_inner_index=skip)
+                    for name, seed, skip in self.RUNTIMES}
+        assert runtimes == self.RUNTIMES
 
 
 class TestGenerateTraceEquivalence:
