@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+from _thread import allocate_lock as _allocate_lock
 from collections import Counter, OrderedDict, deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -191,21 +192,34 @@ class PredictionRequest:
     """Client-side handle for one submitted plan.
 
     The same handle class serves the in-process server and the fleet
-    router: completion is an event the transport fires exactly once via
-    :meth:`_finish`, whether the value was produced in this process or
-    crossed a worker pipe.
+    router (and the per-plan requests inside each fleet worker): the
+    transport completes it via :meth:`_finish`, whether the value was
+    produced in this process or crossed a worker pipe.
+
+    Handles are cheap.  Completion is a one-shot latch: a raw lock taken
+    when the handle is built and released once by the completing
+    :meth:`_finish`, plus a ``claim`` lock that makes the first completion
+    win atomically — a later ``_finish`` (even a concurrent one) changes
+    nothing and returns ``False``.  :meth:`done` reads a plain flag set
+    only after every result field is written, so a poller that sees it
+    true sees the final ``status``, ``value``, ``error``, ``served_by``
+    and ``completed_at``.  :meth:`wait` on a done handle returns at once;
+    on a pending one it acquires and releases the latch, so any number of
+    waiters wake, with the timeout semantics of an event's ``wait``.
     """
 
     __slots__ = ("db_name", "plan", "digest", "status", "value", "error",
                  "served_by", "submitted_at", "completed_at", "retries",
-                 "priority", "deadline_ms", "trace", "_event")
+                 "priority", "deadline_ms", "trace", "_done", "_latch",
+                 "_claim")
 
     def __init__(self, db_name, plan, priority=RequestPriority.NORMAL,
                  deadline_ms=None, digest=None):
         self.db_name = db_name
         self.plan = plan
         self.digest = digest  # plan content fingerprint; None = not yet
-        self.priority = RequestPriority(priority)
+        self.priority = (priority if type(priority) is RequestPriority
+                         else RequestPriority(priority))
         self.deadline_ms = deadline_ms  # per-request age cap (ms), or None
         self.status = RequestStatus.PENDING
         self.value = None
@@ -215,10 +229,17 @@ class PredictionRequest:
         self.completed_at = None
         self.retries = 0
         self.trace = None  # opt-in obs.trace.TraceContext; None = untraced
-        self._event = threading.Event()
+        self._done = False
+        self._latch = _allocate_lock()
+        self._latch.acquire()   # held until the completing _finish
+        self._claim = _allocate_lock()  # acquired by the first _finish
 
     # -- completion (server side) --------------------------------------
     def _finish(self, status, value=None, error=None, served_by=None):
+        """Complete the handle; ``False`` (and no change) if it already
+        was."""
+        if not self._claim.acquire(False):
+            return False
         self.value = value
         self.error = error
         self.served_by = served_by
@@ -229,11 +250,13 @@ class PredictionRequest:
             # Finalize only where a tracer is attached (the client-facing
             # transport); worker-side contexts just export their stages.
             trace.finalize(self.completed_at, status=status.value)
-        self._event.set()
+        self._done = True
+        self._latch.release()
+        return True
 
     # -- client side ----------------------------------------------------
     def done(self):
-        return self._event.is_set()
+        return self._done
 
     @property
     def degraded(self):
@@ -241,7 +264,16 @@ class PredictionRequest:
         return self.status is RequestStatus.DEGRADED
 
     def wait(self, timeout=None):
-        return self._event.wait(timeout)
+        """Block until done; ``timeout`` as for an event's ``wait``
+        (``None`` blocks, ``<= 0`` polls).  Returns :meth:`done`."""
+        if self._done:
+            return True
+        if timeout is None:
+            self._latch.acquire()
+        elif timeout <= 0 or not self._latch.acquire(True, timeout):
+            return self._done
+        self._latch.release()  # pass the wake-up on to the next waiter
+        return True
 
     def result(self, timeout=None):
         """The predicted runtime (ms); raises for shed/failed requests.
@@ -250,7 +282,7 @@ class PredictionRequest:
         :attr:`status` / :attr:`degraded` flag is the explicit marker that
         the value did not come from the learned model.
         """
-        if not self._event.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError("prediction still pending")
         if self.status is RequestStatus.SHED:
             raise RequestShedError(
@@ -417,18 +449,15 @@ class ServingCore:
     def observer(self):
         return self._observer
 
-    def _observe(self, db_name, plan, digest, value, route, trace_id=None):
+    def observe_request(self, request, value, route):
         """Feed one model-path delivery to the attached tap (if any)."""
         observer = self._observer
         if observer is None:
             return
-        observer.record(Observation(db_name, plan, digest, float(value),
-                                    route.served_by, trace_id))
-
-    def _observe_request(self, request, value, route):
         trace = request.trace
-        self._observe(request.db_name, request.plan, request.digest, value,
-                      route, trace.trace_id if trace is not None else None)
+        observer.record(Observation(
+            request.db_name, request.plan, request.digest, float(value),
+            route.served_by, trace.trace_id if trace is not None else None))
 
     # ------------------------------------------------------------------
     # Routing / hot-swap
@@ -517,35 +546,61 @@ class ServingCore:
         """
         memo_key = (id(plan), db_name)
         with self._lock:
-            entry = self._digest_memo.get(memo_key)
-            if entry is not None and entry[0] is plan:
-                return entry[1]
-        digest = plan_fingerprint(
-            self._dbs[db_name], plan, self.config.cards,
-            db_fingerprint=self._db_fingerprints[db_name])
+            digest = self._memo_get_locked(memo_key, plan)
+        if digest is not None:
+            return digest
+        digest = self._fingerprint(db_name, plan)
         with self._lock:
-            self._digest_memo[memo_key] = (plan, digest)
-            while len(self._digest_memo) > 4 * max(
-                    self.config.result_cache_size, 1024):
-                self._digest_memo.popitem(last=False)
+            self._memo_put_locked(memo_key, plan, digest)
         return digest
 
-    def cached_value(self, route, digest, db_name=None, plan=None,
-                     trace_id=None):
-        """Result-cache probe; counts the hit and returns the value, or
-        ``None`` on a miss (the miss is counted at prediction time).
+    def lookup(self, db_name, plan):
+        """The submit-side probe: ``(route, digest, cached value)``.
 
-        When ``db_name``/``plan`` are given, a hit is also fed to the
-        observation tap — submit-time cache answers are deliveries too.
+        Counts the request, resolves the route, fetches the plan's digest
+        and probes the result cache (counting a hit) in one lock hold for a
+        plan object seen before.  A first-seen plan is hashed outside the
+        lock (see :meth:`plan_digest`) and takes the lock once more.
+        Returns ``(None, None, None)`` when no deployment serves
+        ``db_name``, and a ``None`` value on a cache miss (the miss is
+        counted at prediction time).
         """
+        memo_key = (id(plan), db_name)
         with self._lock:
-            value = self._cache_get_locked((route.checkpoint_key, digest))
-            if value is not None:
-                self._counts["cached"] += 1
+            self._counts["requests"] += 1
+            route = self._routes.get(db_name)
+            if route is None:
+                return None, None, None
+            digest = self._memo_get_locked(memo_key, plan)
+            if digest is not None:
+                return route, digest, self._cached_locked(route, digest)
+        digest = self._fingerprint(db_name, plan)
+        with self._lock:
+            self._memo_put_locked(memo_key, plan, digest)
+            return route, digest, self._cached_locked(route, digest)
+
+    def _fingerprint(self, db_name, plan):
+        return plan_fingerprint(
+            self._dbs[db_name], plan, self.config.cards,
+            db_fingerprint=self._db_fingerprints[db_name])
+
+    def _memo_get_locked(self, memo_key, plan):
+        entry = self._digest_memo.get(memo_key)
+        if entry is not None and entry[0] is plan:
+            return entry[1]
+        return None
+
+    def _memo_put_locked(self, memo_key, plan, digest):
+        self._digest_memo[memo_key] = (plan, digest)
+        while len(self._digest_memo) > 4 * max(
+                self.config.result_cache_size, 1024):
+            self._digest_memo.popitem(last=False)
+
+    def _cached_locked(self, route, digest):
+        """Result-cache probe under ``route``; counts a hit."""
+        value = self._cache_get_locked((route.checkpoint_key, digest))
         if value is not None:
-            perfstats.increment("serve.cache.hit")
-            if plan is not None:
-                self._observe(db_name, plan, digest, value, route, trace_id)
+            self._counts["cached"] += 1
         return value
 
     def cache_results(self, entries):
@@ -622,10 +677,8 @@ class ServingCore:
         pending, hits = [], []
         with self._lock:
             for request in requests:
-                value = self._cache_get_locked(
-                    (route.checkpoint_key, request.digest))
+                value = self._cached_locked(route, request.digest)
                 if value is not None:
-                    self._counts["cached"] += 1
                     perfstats.increment("serve.cache.hit")
                     if request.trace is not None:
                         request.trace.annotate("cache.hit")
@@ -635,7 +688,7 @@ class ServingCore:
                 else:
                     pending.append(request)
         for request, value in hits:  # observe outside the lock
-            self._observe_request(request, value, route)
+            self.observe_request(request, value, route)
         if not pending:
             return
         perfstats.increment("serve.cache.miss", len(pending))
@@ -695,7 +748,7 @@ class ServingCore:
             for request, value in zip(requests, values):
                 request._finish(RequestStatus.DONE, value=value,
                                 served_by=route.served_by)
-                self._observe_request(request, value, route)
+                self.observe_request(request, value, route)
             return
         if len(requests) > 1:
             # Poisoned-batch bisection: the halves retry independently, so

@@ -66,8 +66,8 @@ from ..obs.metrics import REGISTRY, snapshot_delta
 from ..obs.trace import TraceContext
 from ..robustness import faults
 from .core import (DeadlineExceededError, DegradedResponseError,
-                   PredictionRequest, RequestPriority, RequestShedError,
-                   RequestStatus, ServerClosedError, ServingCore)
+                   PredictionRequest, RequestShedError, RequestStatus,
+                   ServerClosedError, ServingCore)
 from .registry import HydrationError, ModelRegistry, RoutingError
 from .server import PredictorServer
 
@@ -191,8 +191,7 @@ def _serve_batch(core, message):
     requests = []
     for (db_name, plan, digest, submitted_at, deadline_ms, priority,
          traced) in items:
-        request = PredictionRequest(db_name, plan,
-                                    priority=RequestPriority(priority),
+        request = PredictionRequest(db_name, plan, priority=priority,
                                     deadline_ms=deadline_ms, digest=digest)
         # The router's submit timestamp: deadlines and latency count pipe
         # time (perf_counter is system-wide on this platform).

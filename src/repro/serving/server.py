@@ -61,6 +61,7 @@ Observability: the ``serve.*`` counters (see :mod:`repro.obs.catalog`),
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
@@ -114,9 +115,9 @@ class PredictorServer:
         self._accepting = True  # False only after stop(); start() restores
         self._thread = None
         self._queue_high_water = 0
-        # Observability: submit-order seq feeds deterministic trace ids.
-        self._seq_lock = threading.Lock()
-        self._submit_seq = 0
+        # Observability: submit-order seq feeds deterministic trace ids
+        # (next() on an itertools.count is atomic under the GIL).
+        self._submit_seq = itertools.count()
         self._tracer = None
 
     # ------------------------------------------------------------------
@@ -214,40 +215,38 @@ class PredictorServer:
             raise KeyError(f"database {db_name!r} is not registered with "
                            f"this {self._name}")
         self._maybe_swap()
-        priority = RequestPriority(priority)
         request = PredictionRequest(db_name, plan, priority=priority,
                                     deadline_ms=deadline_ms)
-        core.count("requests")
-        route = core.route_for(db_name)
+        priority = request.priority
+        # One core lock hold counts the request, resolves the route and
+        # probes the digest memo and the result cache.  A first-seen plan
+        # is hashed outside the lock, so concurrent first-seen submits
+        # don't serialize behind each other's O(plan) digest walks.  The
+        # request carries the digest to the batcher, which reuses it as
+        # the featurization-cache key.
+        route, digest, value = core.lookup(db_name, plan)
         if route is None:
             core.count("failed")
             request._finish(RequestStatus.FAILED, error=RoutingError(
                 f"no deployment serves {db_name!r} and the registry "
                 "has no default model"))
             return request
-        # The content hash is a pure function of the plan: compute it
-        # outside the locks so concurrent first-seen submits don't serialize
-        # behind each other's O(plan) digest walks.  The request carries it
-        # to the batcher, which reuses it as the featurization-cache key.
-        digest = request.digest = core.plan_digest(db_name, plan)
+        request.digest = digest
         tracer = self._tracer
         if tracer is not None:
-            with self._seq_lock:
-                seq = self._submit_seq
-                self._submit_seq += 1
             request.trace = tracer.context_for(
-                digest, seq, db_name=db_name,
+                digest, next(self._submit_seq), db_name=db_name,
                 priority=priority.name.lower(),
                 submitted_at=request.submitted_at)
-        value = core.cached_value(
-            route, digest, db_name=db_name, plan=plan,
-            trace_id=(request.trace.trace_id
-                      if request.trace is not None else None))
         if value is not None:
-            if request.trace is not None:
-                request.trace.annotate("cache.hit")
-                request.trace.add_stage("cache", request.submitted_at,
-                                        time.perf_counter(), "server")
+            perfstats.increment("serve.cache.hit")
+            trace = request.trace
+            if trace is not None:
+                trace.annotate("cache.hit")
+                trace.add_stage("cache", request.submitted_at,
+                                time.perf_counter(), "server")
+            # Submit-time cache answers are deliveries too.
+            core.observe_request(request, value, route)
             request._finish(RequestStatus.CACHED, value=value,
                             served_by=route.served_by)
             return request

@@ -10,8 +10,12 @@ test class pins down at the numpy level.
 
 import dataclasses
 import inspect
+import multiprocessing
 import re
 import threading
+import time
+import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,7 @@ import pytest
 
 import repro.featurization.fingerprint as fingerprint
 import repro.serving.core as serving_core
+import repro.serving.server as serving_server
 from repro import perfstats
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
@@ -28,10 +33,10 @@ from repro.featurization import (FeatureScalers, FeaturizationCache,
                                  TargetScaler, database_digest,
                                  plan_fingerprint)
 from repro.nn import row_stable_matmul
-from repro.serving import (LoadConfig, ModelRegistry, PredictorFleet,
-                           PredictorServer, RequestShedError, RequestStatus,
-                           RoutingError, ServerClosedError, ServerConfig,
-                           run_load)
+from repro.serving import (LoadConfig, ModelRegistry, PredictionRequest,
+                           PredictorFleet, PredictorServer, RequestShedError,
+                           RequestStatus, RoutingError, ServerClosedError,
+                           ServerConfig, run_load)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
 
 REPO = Path(__file__).resolve().parent.parent
@@ -470,6 +475,214 @@ class TestPredictorServer:
             server.predict(plans, world["db_a"].name)
             stats = server.stats()
         assert stats["result_cache_entries"] <= 4
+
+
+# ----------------------------------------------------------------------
+# The request handle: a one-shot completion latch
+# ----------------------------------------------------------------------
+def _run_threads(target, n):
+    """Start ``n`` threads on ``target(index)`` behind one barrier; returns
+    them started (join them yourself)."""
+    barrier = threading.Barrier(n)
+
+    def run(index):
+        barrier.wait()
+        target(index)
+
+    threads = [threading.Thread(target=run, args=(index,), daemon=True)
+               for index in range(n)]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+@pytest.fixture
+def slow_clock(monkeypatch):
+    """Make the serving clock yield the GIL for 1 ms per read, so a torn
+    window inside ``_finish`` (which reads the clock) lets other threads
+    in."""
+    def clock():
+        time.sleep(0.001)
+        return time.perf_counter()
+
+    monkeypatch.setattr(serving_core, "time",
+                        types.SimpleNamespace(perf_counter=clock))
+
+
+class TestRequestHandle:
+    def test_wait_timeouts_follow_event_semantics(self):
+        handle = PredictionRequest("db", plan=None)
+        assert not handle.done()
+        started = time.perf_counter()
+        for _ in range(50):
+            assert handle.wait(0) is False
+            assert handle.wait(-1) is False
+        assert time.perf_counter() - started < 0.5  # polls never block
+        started = time.perf_counter()
+        assert handle.wait(0.01) is False
+        assert time.perf_counter() - started >= 0.009
+        with pytest.raises(TimeoutError):
+            handle.result(0)
+        woke = []
+        waiter = threading.Thread(target=lambda: woke.append(handle.wait()),
+                                  daemon=True)
+        waiter.start()
+        waiter.join(0.05)
+        assert waiter.is_alive() and not woke  # wait(None) blocks
+        assert handle._finish(RequestStatus.DONE, value=2.5,
+                              served_by=("main", 1))
+        waiter.join(10)
+        assert woke == [True]
+        for timeout in (None, 0, -1, 0.01):
+            assert handle.wait(timeout) is True
+        assert handle.done() and handle.result(0) == 2.5
+        assert handle.latency_ms >= 0 and not handle.degraded
+
+    def test_one_finish_wakes_every_waiter(self):
+        handle = PredictionRequest("db", plan=None)
+        woke = []
+        threads = _run_threads(lambda _: woke.append(handle.wait()), 16)
+        time.sleep(0.05)
+        assert not woke
+        handle._finish(RequestStatus.CACHED, value=1.0)
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert woke == [True] * 16
+
+    def test_first_of_concurrent_finishes_wins(self, slow_clock):
+        for _ in range(20):
+            handle = PredictionRequest("db", plan=None)
+            outcomes, errors = [], []
+
+            def finish(index, handle=handle, outcomes=outcomes,
+                       errors=errors):
+                try:
+                    won = handle._finish(RequestStatus.DONE,
+                                         value=float(index),
+                                         served_by=("main", index))
+                except Exception as exc:  # noqa: BLE001 — the assertion
+                    errors.append(exc)
+                    return
+                outcomes.append((index, won))
+
+            for thread in _run_threads(finish, 8):
+                thread.join(30)
+            assert not errors
+            winners = [index for index, won in outcomes if won]
+            assert len(outcomes) == 8 and len(winners) == 1
+            assert handle.value == float(winners[0])
+            assert handle.served_by == ("main", winners[0])
+            assert handle.status is RequestStatus.DONE
+
+    def test_late_finish_changes_nothing(self):
+        handle = PredictionRequest("db", plan=None)
+        assert handle._finish(RequestStatus.DONE, value=1.0,
+                              served_by=("main", 1))
+        completed_at = handle.completed_at
+        assert not handle._finish(RequestStatus.FAILED,
+                                  error=RuntimeError("late"))
+        assert handle.status is RequestStatus.DONE
+        assert (handle.value, handle.error) == (1.0, None)
+        assert (handle.served_by, handle.completed_at) == (("main", 1),
+                                                           completed_at)
+
+    def test_done_implies_every_result_field_is_written(self, slow_clock):
+        for _ in range(20):
+            handle = PredictionRequest("db", plan=None)
+            seen = []
+
+            def poll(index, handle=handle, seen=seen):
+                if index:
+                    handle._finish(RequestStatus.DONE, value=3.0,
+                                   served_by=("main", 1))
+                    return
+                while not handle.done():
+                    pass
+                seen.append((handle.status, handle.value, handle.served_by,
+                             handle.completed_at))
+
+            for thread in _run_threads(poll, 2):
+                thread.join(30)
+            status, value, served_by, completed_at = seen[0]
+            assert status is RequestStatus.DONE and value == 3.0
+            assert served_by == ("main", 1) and completed_at is not None
+
+    def test_cache_hit_builds_no_event_or_condition(self, world, registry_a,
+                                                    monkeypatch):
+        registry, model = registry_a
+        plan = world["records_a"][0].plan
+        expected = _direct(model, world["graphs_a"][:1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache-hit submit built a sync object")
+
+        with PredictorServer(registry, world["dbs"]) as server:
+            server.predict([plan], world["db_a"].name)
+            # Core and server build sync objects through one module.
+            assert serving_core.threading is serving_server.threading
+            with monkeypatch.context() as patch:
+                patch.setattr(threading, "Event", refuse)
+                patch.setattr(threading, "Condition", refuse)
+                handle = server.submit(plan, world["db_a"].name)
+                assert handle.wait() is True
+                value = handle.result()
+        assert handle.status is RequestStatus.CACHED
+        np.testing.assert_array_equal([value], expected)
+
+    @pytest.mark.parametrize("backend", ["server", "fleet"])
+    def test_concurrent_clients_resolve_each_handle_once(
+            self, world, registry_a, monkeypatch, backend):
+        """Four client threads submit repeats and fresh plans and wait with
+        random timeouts: every handle completes exactly once, bit-identical
+        to a direct ``predict_runtimes`` call."""
+        if (backend == "fleet"
+                and "fork" not in multiprocessing.get_all_start_methods()):
+            pytest.skip("the serving fleet requires the fork start method")
+        registry, model = registry_a
+        expected = _direct(model, world["graphs_a"])
+        plans = [r.plan for r in world["records_a"]]
+        finishes = []  # (handle id, won) per router-side _finish call
+        original = PredictionRequest._finish
+
+        def logged(handle, *args, **kwargs):
+            won = original(handle, *args, **kwargs)
+            finishes.append((id(handle), won))
+            return won
+
+        monkeypatch.setattr(PredictionRequest, "_finish", logged)
+        config = ServerConfig(max_batch_size=4)
+        transport = (PredictorFleet(registry, world["dbs"], config,
+                                    n_workers=2)
+                     if backend == "fleet"
+                     else PredictorServer(registry, world["dbs"], config))
+        delivered = []
+
+        def client(index):
+            rng = np.random.default_rng(index)
+            order = rng.permutation(2 * len(plans)) % len(plans)
+            handles = [(i, transport.submit(plans[i], world["db_a"].name,
+                                            block=True))
+                       for i in order]
+            for i, handle in handles:
+                while not handle.wait(
+                        [None, 0, -1, 0.0005, 0.003][rng.integers(5)]):
+                    pass
+                delivered.append((i, handle))
+
+        with transport:
+            for thread in _run_threads(client, 4):
+                thread.join(60)
+        assert len(delivered) == 4 * 2 * len(plans)
+        per_handle = Counter(handle_id for handle_id, _ in finishes)
+        assert all(won for _, won in finishes)
+        for i, handle in delivered:
+            assert per_handle[id(handle)] == 1
+            assert handle.status in (RequestStatus.DONE,
+                                     RequestStatus.CACHED)
+        np.testing.assert_array_equal(
+            np.array([handle.value for _, handle in delivered]),
+            expected[[i for i, _ in delivered]])
 
 
 # ----------------------------------------------------------------------
