@@ -641,9 +641,63 @@ def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
     }
 
 
+def _fleet_answered(fleet):
+    """Block until every worker of ``fleet`` has answered a stats poll."""
+    stats = fleet.stats(timeout_s=30.0)
+    if stats["unresponsive_workers"]:
+        raise RuntimeError("a fleet worker did not answer its stats poll")
+
+
+def fleet_startup_ms(registry, dbs, plan, config, reps=5):
+    """Set-up and restart times of a 2-worker fleet, in ms (reported, not
+    gated): the first set-up, ``reps`` warm ones and ``reps`` restarts.
+
+    A set-up opens the registry, constructs and starts a fleet, and ends
+    once one plan is answered and every worker has answered a stats poll.
+    The first set-up starts from tables without catalog statistics, as a
+    newly attached database does, so it carries the router's one-time
+    statistics build; the warm ones find them built.  A restart runs from
+    SIGKILL of worker 0 to its replacement's first answer (a stats poll),
+    on the last set-up's fleet.
+    """
+    from repro.serving import ModelRegistry, PredictorFleet
+
+    db_name = next(iter(dbs))
+    for db in dbs.values():
+        for table in db.tables.values():
+            table.invalidate_stats()
+    setups, restart_ms = [], []
+    for rep in range(1 + reps):
+        started = time.perf_counter()
+        fleet = PredictorFleet(ModelRegistry(registry.store), dbs, config,
+                               n_workers=2).start()
+        try:
+            fleet.submit(plan, db_name, block=True).result(60.0)
+            _fleet_answered(fleet)
+            setups.append((time.perf_counter() - started) * 1e3)
+            for _ in range(reps if rep == reps else 0):
+                started = time.perf_counter()
+                old_pid = fleet.kill_worker(0)
+                while fleet.worker_pids()[0] in (old_pid, None):
+                    if time.perf_counter() - started > 30.0:
+                        raise RuntimeError("no replacement worker in 30 s")
+                    time.sleep(0.0005)
+                _fleet_answered(fleet)
+                restart_ms.append((time.perf_counter() - started) * 1e3)
+        finally:
+            fleet.stop()
+    return {
+        "setup_ms": {"first": setups[0],
+                     "warm_median": float(np.median(setups[1:])),
+                     "warm": setups[1:]},
+        "restart_ms": {"median": float(np.median(restart_ms)),
+                       "runs": restart_ms},
+    }
+
+
 def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                 worker_counts=(1, 2, 4), rounds=2, repeats=2,
-                max_batch_size=64, seed=0):
+                max_batch_size=64, seed=0, startup_reps=5):
     """Fleet throughput vs worker count, with a full value audit.
 
     Drives a fresh :class:`~repro.serving.PredictorFleet` at each worker
@@ -661,8 +715,10 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     perfstats counters.  ``cpu_ms_per_plan`` holds, per count, the serving
     process's user+sys CPU over the load (``RUSAGE_SELF``) and the workers'
     lifetime CPU (``RUSAGE_CHILDREN`` once ``stop()`` has reaped them), each
-    per requested plan of the best pass.  Scaling beyond one worker needs
-    real cores — on a single-CPU machine the honest numbers simply show ~1x.
+    per requested plan of the best pass.  ``setup_ms`` and ``restart_ms``
+    come from :func:`fleet_startup_ms`.  Scaling beyond one
+    worker needs real cores — on a single-CPU machine the honest numbers
+    simply show ~1x.
     """
     from repro.serving import (LoadConfig, PredictorFleet, ServerConfig,
                                run_load)
@@ -677,6 +733,8 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     with served_model(db, records, hidden_dim, seed) as (registry, dbs,
                                                          oracle):
         expected = oracle()
+        startup = fleet_startup_ms(registry, dbs, records[0].plan, config,
+                                   reps=startup_reps)
         for n_workers in worker_counts:
             best_rate, best_extras, best_cpu = 0.0, {}, {}
             for _ in range(repeats):
@@ -720,6 +778,7 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
         "scaling_vs_1w": scaling,
         "top_scaling": scaling.get(f"{max(worker_counts)}w", 0.0),
         "cpu_ms_per_plan": cpu,
+        **startup,
         **audited,
         "extras": extras,
     }

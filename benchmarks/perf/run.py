@@ -21,7 +21,8 @@ Benches (the ``harness`` function each one drives):
   other baseline entries untouched; ``--profile`` prints a cProfile top-20
   per stage.
 * ``chaos`` — the server under a seeded fault schedule (``bench_chaos``).
-* ``fleet`` — fleet plans/s per worker count (``bench_fleet``).
+* ``fleet`` — fleet plans/s per worker count, plus a 2-worker fleet's
+  set-up and restart times (``bench_fleet``).
 * ``controller`` — the calibrated drift scenario through the
   continuous-learning controller (``bench_controller``).
 * ``fleet_chaos`` — fleet liveness under a hang, a SIGKILL and pipe
@@ -332,18 +333,23 @@ def run_chaos(args):
 
 def run_fleet(args):
     if args.quick:
-        n_queries, worker_counts, repeats = 64, (1, 2), 1
+        n_queries, worker_counts, repeats, startups = 64, (1, 2), 1, 3
     else:
-        n_queries, worker_counts, repeats = 192, (1, 2, 4), 2
+        n_queries, worker_counts, repeats, startups = 192, (1, 2, 4), 2, 5
     db, records = harness.build_plan_corpus(n_queries=n_queries,
                                             seed=args.seed)
     results = harness.bench_fleet(db, records, worker_counts=worker_counts,
-                                  rounds=2, repeats=repeats, seed=args.seed)
+                                  rounds=2, repeats=repeats, seed=args.seed,
+                                  startup_reps=startups)
     for count, rate in results["plans_per_s"].items():
         cpu = results["cpu_ms_per_plan"].get(count, {})
         print(f"  {count}: {rate:.0f} plans/s, CPU ms/plan: serving "
               f"process {cpu.get('server', 0):.3f}, "
               f"workers {cpu.get('workers', 0):.3f}")
+    setup, restart = results["setup_ms"], results["restart_ms"]
+    print(f"  2w set-up: first {setup['first']:.1f} ms, warm median "
+          f"{setup['warm_median']:.1f} ms; restart median "
+          f"{restart['median']:.1f} ms (reported, not gated)")
     return results
 
 

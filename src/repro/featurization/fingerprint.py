@@ -69,9 +69,29 @@ def _plan_token(node):
     )
 
 
+# (db_fingerprint, cards, sf_token) -> blake2b state after the digest
+# input's constant head; cleared whole when full.
+_prefix_states = {}
+_MAX_PREFIX_STATES = 256
+
+
 def _digest(db_fingerprint, cards, sf_token, plan):
-    payload = ((db_fingerprint, cards, sf_token), _plan_token(plan))
-    return blake2b(repr(payload).encode(), digest_size=16).digest()
+    """``blake2b(repr(((db_fingerprint, cards, sf_token), plan token)))``.
+
+    The head of that input, ``"(" + repr(prefix) + ", "``, is the same for
+    every plan against one database, card source and storage-format map,
+    so its hash state is computed once and copied per plan.
+    """
+    prefix = (db_fingerprint, cards, sf_token)
+    state = _prefix_states.get(prefix)
+    if state is None:
+        if len(_prefix_states) >= _MAX_PREFIX_STATES:
+            _prefix_states.clear()
+        state = blake2b(f"({prefix!r}, ".encode(), digest_size=16)
+        _prefix_states[prefix] = state
+    state = state.copy()
+    state.update(f"{_plan_token(plan)!r})".encode())
+    return state.digest()
 
 
 def plan_fingerprint(db, plan, cards, storage_formats=None,

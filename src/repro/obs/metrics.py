@@ -18,6 +18,7 @@ this module, not the other way round.
 
 from __future__ import annotations
 
+import os
 import threading
 from bisect import bisect_right
 
@@ -218,6 +219,16 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
 
+    def _renew_locks(self):
+        """Give the registry and every metric fresh, unheld locks; values
+        stay.  Runs in a forked child, where a lock some parent thread held
+        at the fork stays held forever (its owner does not exist there)."""
+        self._lock = threading.RLock()
+        for metric in (*self._counters.values(), *self._gauges.values()):
+            metric._lock = self._lock
+        for histogram in self._histograms.values():
+            histogram._lock = threading.Lock()
+
 
 def snapshot_delta(new, old):
     """``new - old`` for two snapshots of the *same* registry.
@@ -256,3 +267,7 @@ def snapshot_delta(new, old):
 #: Process-wide default registry.  ``perfstats`` and the serving stack all
 #: write here; worker processes snapshot it into their stats payloads.
 REGISTRY = MetricsRegistry()
+
+# Fleet workers fork while client threads increment counters; without this
+# a child forked mid-increment deadlocks on its first metric call.
+os.register_at_fork(after_in_child=REGISTRY._renew_locks)

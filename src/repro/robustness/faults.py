@@ -55,6 +55,7 @@ so chaos runs are observable through the same plane as everything else.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -238,6 +239,19 @@ def uninstall():
 
 def active_schedule():
     return _active
+
+
+def _renew_locks_after_fork():
+    """Fresh locks for the installer and the inherited schedule (its
+    counters and streams stay as inherited): a lock a parent thread held at
+    the fork would stay held forever in the child."""
+    global _install_lock
+    _install_lock = threading.Lock()
+    if _active is not None:
+        _active._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_locks_after_fork)
 
 
 class inject:

@@ -398,6 +398,12 @@ class ServingCore:
                             for name, db in self._dbs.items()}
         self._db_fingerprints = {name: db.fingerprint()
                                  for name, db in self._dbs.items()}
+        # Catalog statistics are built now, not at first featurization: a
+        # fleet router holds them before it forks, so its workers (and
+        # their replacements) inherit them instead of each recomputing.
+        for db in self._dbs.values():
+            for table in db.tables.values():
+                _ = table.stats  # computed once, cached on the table
         # One lock guards the result cache, the digest memo, the routes,
         # the breaker table and the counters.  Featurization and inference
         # run outside it; the featurization cache and breaker states are

@@ -19,8 +19,13 @@ front-end/worker split with the batching boundary at the router.
   with one result message.  The router completes the handles and fills
   its result cache from ``DONE`` results, keyed by the checkpoint the
   worker reports.
-* **One model copy, one core per worker.**  Workers hydrate through
-  :meth:`~repro.serving.registry.ModelRegistry.load_mmap` and pin BLAS to
+* **Warm once, fork many.**  The router builds every database's catalog
+  statistics and hydrates its models through
+  :meth:`~repro.serving.registry.ModelRegistry.load_mmap` (one mapped file
+  per checkpoint) before it forks; workers, and the replacements
+  supervision forks, inherit both copy-on-write instead of rebuilding
+  them.  A version the router never loaded (a later promote) is hydrated
+  from disk by the worker, digest-verified as always.  Workers pin BLAS to
   one thread at spawn (:func:`~repro.nn.pin_blas_to_one_thread`).
 * **Exactly-once completion across worker death, hangs and hedges.**  A
   dead worker (crash, kill -9, a torn or undecodable frame) is seen
@@ -122,7 +127,7 @@ def _pipe_send(conn, message):
     conn.send(message)
 
 
-def _fleet_worker_main(conn, index, registry_root, dbs, config,
+def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
                        fault_schedule):
     """Worker process entry point: a serving core fed by the pipe.
 
@@ -131,6 +136,12 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
     exits on ``stop``.  Anything that breaks the stream — EOF, a torn
     pipe, a frame that does not decode, an injected ``raise`` — ends the
     process, which the router's supervisor turns into a restart.
+
+    ``mapped`` is the router registry's :meth:`~repro.serving.registry.
+    ModelRegistry.mapped_models` snapshot, taken just before the fork: the
+    worker's registry adopts those verified models, and hydrates from disk
+    only versions the router had not loaded.  ``dbs`` arrive with their
+    catalog statistics already built by the router's core.
 
     ``fault_schedule`` (when given) replaces whatever schedule the fork
     inherited; when ``None``, a schedule installed process-wide before the
@@ -141,7 +152,7 @@ def _fleet_worker_main(conn, index, registry_root, dbs, config,
     if fault_schedule is not None:
         faults.uninstall()  # replace anything inherited through the fork
         faults.install(fault_schedule)
-    registry = ModelRegistry(registry_root)
+    registry = ModelRegistry(registry_root, mapped=mapped)
     core = ServingCore(registry, dbs, config=config, mmap=True)
     core.proc_label = f"worker-{index}"  # span proc tag
     shipped_metrics = None  # last snapshot shipped (delta baseline)
@@ -314,9 +325,10 @@ class PredictorFleet(PredictorServer):
             runtime_ms = fleet.submit(plan, "imdb").result()
 
     ``registry`` may be a :class:`~repro.serving.registry.ModelRegistry`
-    or a store path.  The router resolves routes through the mmap path;
-    workers fork at :meth:`start`, inherit ``dbs`` copy-on-write and
-    hydrate from the registry's *on-disk* state.
+    or a store path.  The router builds ``dbs``' statistics and resolves
+    routes through the mmap path at construction; workers fork at
+    :meth:`start` and inherit both copy-on-write, reading manifests from the
+    registry's *on-disk* state.
 
     * ``hang_timeout_ms`` — a worker silent this long while pinged is
       SIGKILLed and restarted, its unanswered batches re-sent.  Must
@@ -355,8 +367,10 @@ class PredictorFleet(PredictorServer):
     # Lifecycle
     # ------------------------------------------------------------------
     def _worker_args(self, index, schedule):
-        return (index, self._registry_root, self.core.dbs, self.config,
-                schedule)
+        # Taken in the parent right before each fork (restarts included),
+        # so a worker starts with every model the router holds mapped.
+        return (index, self._registry_root, self.registry.mapped_models(),
+                self.core.dbs, self.config, schedule)
 
     def start(self):
         if self._pool_running:

@@ -72,6 +72,13 @@ _MANIFEST_KIND = "manifest"
 _REGISTRY_META = "__registry__"
 # Hydrated checkpoints a registry keeps in memory (LRU).
 _MAX_LOADED = 8
+# Mapped extractions: <store>/mapped/<content key>/{arrays.bin,manifest.json}.
+# Stores written before this layout hold per-array ``.npy`` extractions
+# under <store>/mmap/; nothing reads them, so such a checkpoint is simply
+# extracted again here.
+_MAPPED_DIR = "mapped"
+# Alignment of every array's offset in arrays.bin.
+_ALIGN = 64
 
 
 class RoutingError(RuntimeError):
@@ -118,17 +125,25 @@ class ModelRegistry:
     internal lock; on-disk manifest writes are atomic, so a second registry
     over the same directory (another process) sees consistent state after
     :meth:`refresh`.
+
+    ``mapped`` seeds the :meth:`load_mmap` cache with models another
+    registry over the same store already hydrated and verified (its
+    :meth:`mapped_models`): a forked fleet worker adopts the router's
+    mapped models instead of hydrating them again.
     """
 
-    def __init__(self, store):
+    def __init__(self, store, mapped=None):
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.store = store
         self.generation = 0
         self._lock = threading.RLock()
-        # checkpoint_key -> ZeroShotCostModel; bounded LRU so repeated
-        # swap/rollback cycles between a few versions never re-read disk.
-        self._loaded = OrderedDict()
+        # checkpoint_key (or ("mmap", key) for load_mmap) ->
+        # ZeroShotCostModel; bounded LRU so repeated swap/rollback cycles
+        # between a few versions never re-read disk.
+        self._loaded = OrderedDict(
+            (("mmap", key), model) for key, model in (mapped or {}).items())
+        self._trim_loaded()
         self._manifests = {}
         meta = store.load(_MANIFEST_KIND, store.key(_REGISTRY_META))
         self._names = list(meta["names"]) if meta else []
@@ -308,12 +323,12 @@ class ModelRegistry:
         """Like :meth:`load`, but hydrate via memory-mapped arrays.
 
         The checkpoint's ``.npz`` members are materialized once (per
-        content address) as per-array ``.npy`` files on disk — see
-        :meth:`materialize_checkpoint` — and every parameter and scaler
-        array is then a read-only ``np.load(mmap_mode="r")`` view of those
-        files.  Any number of processes serving the same checkpoint share
-        one page-cache copy instead of each deserializing its own; this is
-        how the serving fleet's forked workers hydrate.
+        content address) into one file on disk — see
+        :meth:`materialize_checkpoint` — which is mapped once; every
+        parameter and scaler array is a read-only view into that mapping.
+        Any number of processes serving the same checkpoint share one
+        page-cache copy instead of each deserializing its own; this is how
+        the serving fleet hydrates.
 
         The content address is verified exactly as in :meth:`load` (the
         mapped model's :meth:`~repro.core.ZeroShotCostModel.state_digest`
@@ -382,22 +397,24 @@ class ModelRegistry:
     # mmap hydration (the fleet's shared-checkpoint path)
     # ------------------------------------------------------------------
     def mmap_dir(self, key):
-        """Where a checkpoint's materialized ``.npy`` arrays live."""
-        return self.store.root / "mmap" / key
+        """Where a checkpoint's mapped extraction lives."""
+        return self.store.root / _MAPPED_DIR / key
 
     def materialize_checkpoint(self, key):
-        """Extract a checkpoint's arrays to per-array ``.npy`` files.
+        """Extract a checkpoint's arrays into one mappable file.
 
         ``np.load(mmap_mode="r")`` cannot memory-map members *inside* an
         ``.npz`` zip container (they are decompressed/copied), so the mmap
-        path materializes each array as its own ``.npy`` file under
-        ``<store>/mmap/<content-key>/`` plus a ``manifest.json`` naming
-        them.  The extraction is atomic: arrays are written into a private
-        temp directory and the whole directory is renamed into place, so a
-        concurrent reader sees either nothing or a complete extraction —
-        never a torn one.  Losing the rename race to another process is
-        fine: the loser discards its temp directory and uses the winner's
-        (both extracted identical content-addressed bytes).
+        path extracts every array, each at a 64-byte aligned offset, into
+        one ``arrays.bin`` under ``<store>/mapped/<content-key>/``, plus a
+        ``manifest.json`` recording each array's name, dtype, shape and
+        offset and the checkpoint metadata.  The extraction is atomic: both
+        files are written into a private temp directory and the whole
+        directory is renamed into place, so a concurrent reader sees either
+        nothing or a complete extraction — never a torn one.  Losing the
+        rename race to another process is fine: the loser discards its temp
+        directory and uses the winner's (both extracted identical
+        content-addressed bytes).
 
         Returns the directory path, or ``None`` when the payload is
         missing or unreadable.  Idempotent and safe to call from any
@@ -418,11 +435,19 @@ class ModelRegistry:
         tmp = target.parent / f".tmp-{key}-{os.getpid()}"
         shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir(parents=True)
-        names = sorted(state)
-        for index, name in enumerate(names):
-            np.save(tmp / f"arr{index:04d}.npy", np.asarray(state[name]))
+        arrays, offset = [], 0
+        with open(tmp / "arrays.bin", "wb") as fh:
+            for name in sorted(state):
+                values = np.ascontiguousarray(state[name])
+                offset = -(-offset // _ALIGN) * _ALIGN
+                fh.seek(offset)
+                fh.write(values.tobytes())
+                arrays.append([name, values.dtype.str, list(values.shape),
+                               offset])
+                offset += values.nbytes
+            fh.truncate(offset)  # covers an empty array at the end
         with open(tmp / "manifest.json", "w") as fh:
-            json.dump({"names": names, "metadata": metadata}, fh)
+            json.dump({"arrays": arrays, "metadata": metadata}, fh)
         try:
             os.rename(tmp, target)
         except OSError:
@@ -442,9 +467,11 @@ class ModelRegistry:
         try:
             with open(root / "manifest.json") as fh:
                 manifest = json.load(fh)
-            state = {name: np.load(root / f"arr{index:04d}.npy",
-                                   mmap_mode="r", allow_pickle=False)
-                     for index, name in enumerate(manifest["names"])}
+            mapped = np.memmap(root / "arrays.bin", dtype=np.uint8,
+                               mode="r")
+            state = {name: np.ndarray(tuple(shape), dtype=np.dtype(dtype),
+                                      buffer=mapped, offset=offset)
+                     for name, dtype, shape, offset in manifest["arrays"]}
             model = ZeroShotCostModel.from_state(state, manifest["metadata"],
                                                  copy=False)
         except Exception:  # torn/unreadable extraction
@@ -452,6 +479,17 @@ class ModelRegistry:
         if model.state_digest() != key:
             return None, "digest-mismatch"
         return model, None
+
+    def mapped_models(self):
+        """``{checkpoint key: model}`` of every checkpoint this registry
+        holds hydrated through :meth:`load_mmap` — a plain dict taken under
+        the registry lock.  Each model was digest-verified when it was
+        hydrated; another registry over the same store adopts them through
+        its ``mapped`` argument instead of hydrating again."""
+        with self._lock:
+            return {cache_key[1]: model
+                    for cache_key, model in self._loaded.items()
+                    if isinstance(cache_key, tuple)}
 
     def verify(self):
         """Audit every deployment's checkpoint against its content key.

@@ -11,11 +11,14 @@ Three contracts from the engine rebuild:
 """
 
 import copy
+from hashlib import blake2b
 
 import numpy as np
 import pytest
 
-from repro.cardest import (DataDrivenEstimator, annotate_cardinalities,
+import repro.featurization.fingerprint as fingerprint
+from repro.cardest import (CARD_SOURCES, DataDrivenEstimator,
+                           annotate_cardinalities,
                            annotate_cardinalities_reference)
 from repro.core import EstimatorCache, featurize_records
 from repro.executor import execute_plan
@@ -261,6 +264,26 @@ class TestFingerprintCache:
                                    cards="exact", feat_cache=cache)
         assert all(graph is not None for graph in graphs)
         assert graphs[-1].node_types == graphs[0].node_types
+
+    @pytest.mark.parametrize("cards", CARD_SOURCES)
+    @pytest.mark.parametrize("with_formats", [False, True])
+    def test_digest_equals_whole_input_hash(self, gen_db, workload, cards,
+                                            with_formats):
+        """Hashing the constant prefix once and copying its state per plan
+        gives the digest of the whole ``repr`` hashed in one go."""
+        formats = ({gen_db.schema.table_names[0]: "column"}
+                   if with_formats else None)
+        sf_token = tuple(sorted(formats.items())) if formats else None
+        db_fp = gen_db.fingerprint()
+        cache = FeaturizationCache()
+        for plan in workload:
+            payload = ((db_fp, cards, sf_token), fingerprint._plan_token(plan))
+            expected = blake2b(repr(payload).encode(),
+                               digest_size=16).digest()
+            for _ in range(2):  # the second call reuses the prefix state
+                assert plan_fingerprint(gen_db, plan, cards,
+                                        storage_formats=formats) == expected
+            assert cache.key(gen_db, plan, cards, formats) == expected
 
     def test_public_fingerprint_matches_cache_key(self, gen_db):
         records = self.make_records(gen_db, n=2)

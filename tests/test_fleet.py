@@ -13,8 +13,11 @@ handle lost, none answered twice), and cross-process hot-swap on
 ``registry.generation`` changes.
 """
 
+import io
+import json
 import multiprocessing
 import os
+import threading
 import time
 from collections import Counter
 
@@ -23,6 +26,7 @@ import pytest
 
 import repro.featurization.fingerprint as fingerprint
 import repro.serving.fleet as fleet_module
+import repro.storage.table as table_module
 from repro import perfstats
 from repro.bench.parallel import WorkerProcess
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
@@ -31,6 +35,7 @@ from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
 from repro.featurization import FeatureScalers, TargetScaler, database_digest
 from repro.nn import openblas
+from repro.nn.serialize import load_state
 from repro.robustness import faults
 from repro.robustness.faults import FaultSchedule, FaultSpec
 from repro.serving import (DeadlineExceededError, LoadConfig, ModelRegistry,
@@ -180,10 +185,42 @@ class TestMmapHydration:
         for param in params:
             assert not param.data.flags.writeable
             assert isinstance(param.data.base, np.memmap)
+        # One checkpoint, one mapping: every parameter views the same file,
+        # with the deserialized model's dtype and bits.
+        assert len({id(param.data.base) for param in params}) == 1
+        plain_params = dict(plain.model.named_parameters())
+        for name, param in mapped.model.named_parameters():
+            assert param.data.dtype == plain_params[name].data.dtype
+            np.testing.assert_array_equal(param.data,
+                                          plain_params[name].data)
         # Verified content address: the mapped model digests to its key.
         assert mapped.state_digest() == registry.active("main").checkpoint_key
         # Memoized: a second load returns the same hydrated object.
         assert registry.load_mmap() is mapped
+
+    def test_old_layout_extraction_hydrates_without_quarantine(self, world,
+                                                               tmp_path):
+        """A store still holding a per-array ``.npy`` extraction (the
+        layout before one mapped file) extracts afresh and serves the same
+        verified checkpoint; nothing is quarantined for its layout."""
+        registry = _registry_with(world, tmp_path)
+        key = registry.active("main").checkpoint_key
+        state, metadata = load_state(io.BytesIO(world["model"].to_bytes()))
+        old = tmp_path / "mmap" / key
+        old.mkdir(parents=True)
+        names = sorted(state)
+        for index, name in enumerate(names):
+            np.save(old / f"arr{index:04d}.npy", state[name])
+        (old / "manifest.json").write_text(
+            json.dumps({"names": names, "metadata": metadata}))
+        reopened = ModelRegistry(tmp_path)
+        mapped = reopened.load_mmap()
+        assert mapped.state_digest() == key
+        assert reopened.quarantined_versions("main") == ()
+        assert reopened.active("main").checkpoint_key == key
+        assert (reopened.mmap_dir(key) / "arrays.bin").exists()
+        np.testing.assert_array_equal(_direct(mapped, world["graphs_a"]),
+                                      world["expected_a"])
 
     def test_concurrent_hydration_from_many_processes(self, world, tmp_path):
         """N processes race to materialize the same checkpoint: every one
@@ -207,7 +244,8 @@ class TestMmapHydration:
             process.join(timeout=10)
         assert outcomes == [("ok", key)] * n
         mmap_dir = registry.mmap_dir(key)
-        assert (mmap_dir / "manifest.json").exists()
+        assert sorted(p.name for p in mmap_dir.iterdir()) == [
+            "arrays.bin", "manifest.json"]
         leftovers = [p for p in mmap_dir.parent.iterdir()
                      if p.name.startswith(".tmp-")]
         assert leftovers == []
@@ -509,6 +547,144 @@ class TestFleetSupervision:
             with pytest.raises(Exception) as err:
                 handle.result(0)
             assert "fleet stopped" in str(err.value)
+
+
+# ----------------------------------------------------------------------
+# Warm once, fork many: workers inherit the router's statistics and models
+# ----------------------------------------------------------------------
+def _forbid_calls(monkeypatch, owner, name, log):
+    """Replace ``owner.name`` with a stub that appends ``"<pid> <name>"``
+    to ``log`` and raises — in this process or any worker forked later."""
+    def forbidden(*args):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {name}\n".encode())
+        finally:
+            os.close(fd)
+        raise AssertionError(f"{name} called after the router warmed up")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+def _wait_for_replacement(fleet, index, old_pid, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while fleet.worker_pids()[index] in (old_pid, None):
+        assert time.monotonic() < deadline, "no replacement worker"
+        time.sleep(0.01)
+
+
+def _reset_metrics_and_answer(conn, schedule):
+    perfstats.reset()
+    schedule.decide("serve.infer")
+    faults.uninstall()
+    conn.send("ok")
+
+
+class TestWarmFork:
+    def test_workers_inherit_statistics_and_mapped_models(
+            self, world, tmp_path, monkeypatch):
+        """The router builds every table's statistics and maps the model
+        before it forks: neither the workers nor a replacement forked after
+        a kill compute statistics or hydrate a checkpoint, and every value
+        still equals the direct prediction."""
+        registry = _registry_with(world, tmp_path / "registry")
+        for db in world["dbs"].values():
+            for table in db.tables.values():
+                table.invalidate_stats()
+        config = ServerConfig(result_cache_size=0)
+        fleet = PredictorFleet(registry, world["dbs"], config, n_workers=2)
+        log = tmp_path / "forbidden.log"
+        _forbid_calls(monkeypatch, table_module, "compute_table_stats", log)
+        _forbid_calls(monkeypatch, ModelRegistry, "_hydrate_mmap", log)
+        plans_a = [r.plan for r in world["records_a"]]
+        plans_b = [r.plan for r in world["records_b"]]
+        db_a, db_b = world["db_a"].name, world["db_b"].name
+        fleet.start()
+        try:  # no draining stop: a worker dying at start-up never answers
+            first = (fleet.predict(plans_a, db_a, timeout=30),
+                     fleet.predict(plans_b, db_b, timeout=30))
+            old_pid = fleet.kill_worker(0)
+            assert old_pid is not None
+            _wait_for_replacement(fleet, 0, old_pid)
+            again = (fleet.predict(plans_a, db_a, timeout=30),
+                     fleet.predict(plans_b, db_b, timeout=30))
+            stats = fleet.stats()
+        finally:
+            fleet.stop(drain=False)
+        assert not log.exists()
+        for got_a, got_b in (first, again):
+            np.testing.assert_array_equal(got_a, world["expected_a"])
+            np.testing.assert_array_equal(got_b, world["expected_b"])
+        assert stats["worker_restarts"] == 1
+        # The replacement served (its counters start at its fork).
+        assert stats["worker_stats"][0]["completed"] > 0
+        assert stats["failed"] == 0
+
+    def test_promote_of_unloaded_version_hydrates_in_workers(
+            self, world, tmp_path, monkeypatch):
+        """A version published after the fork was never in the router's
+        snapshot: each worker hydrates it from disk (digest-verified)
+        exactly once, and serves it bit-identically."""
+        registry = _registry_with(world, tmp_path / "registry")
+        model_v2 = _make_model(world["graphs_all"], world["runtimes"],
+                               seed=9)
+        config = ServerConfig(result_cache_size=0)
+        fleet = PredictorFleet(registry, world["dbs"], config, n_workers=2)
+        log = tmp_path / "hydrate.log"
+        _log_calls(monkeypatch, ModelRegistry, "_hydrate_mmap", log)
+        plans_a = [r.plan for r in world["records_a"]]
+        plans_b = [r.plan for r in world["records_b"]]
+        with fleet:
+            got_v1 = fleet.predict(plans_a, world["db_a"].name, timeout=30)
+            registry.publish("main", model_v2,
+                             dbs=[world["db_a"], world["db_b"]])
+            got_a = fleet.predict(plans_a, world["db_a"].name, timeout=30)
+            got_b = fleet.predict(plans_b, world["db_b"].name, timeout=30)
+            pids = fleet.worker_pids()
+        np.testing.assert_array_equal(got_v1, world["expected_a"])
+        np.testing.assert_array_equal(got_a,
+                                      _direct(model_v2, world["graphs_a"]))
+        np.testing.assert_array_equal(got_b,
+                                      _direct(model_v2, world["graphs_b"]))
+        hydrations = Counter(line.split()[0]
+                             for line in log.read_text().splitlines())
+        # v2 only: once by the router, once by each worker.
+        assert hydrations == Counter(str(pid)
+                                     for pid in [os.getpid(), *pids])
+
+    def test_fork_never_inherits_a_held_metrics_or_fault_lock(self):
+        """Children forked while other threads hammer the metrics registry
+        and an installed fault schedule still take both locks at once."""
+        schedule = FaultSchedule([FaultSpec("serve.infer", rate=0.0)],
+                                 seed=0)
+        faults.install(schedule)
+        stop = False
+
+        def hammer(step):
+            while not stop:
+                step()
+
+        threads = [threading.Thread(target=hammer, args=(step,), daemon=True)
+                   for step in (lambda: perfstats.increment("probe.hammer"),
+                                lambda: schedule.decide("serve.infer"))]
+        for thread in threads:
+            thread.start()
+        answered = 0
+        try:
+            for _ in range(20):
+                wp = WorkerProcess(_reset_metrics_and_answer,
+                                   args=(schedule,)).start()
+                try:
+                    if wp.conn.poll(2.0) and wp.recv() == "ok":
+                        answered += 1
+                finally:
+                    wp.stop(timeout=2.0)
+        finally:
+            stop = True
+            for thread in threads:
+                thread.join(timeout=5.0)
+            faults.uninstall()
+        assert answered == 20
 
 
 # ----------------------------------------------------------------------

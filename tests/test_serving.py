@@ -24,6 +24,7 @@ import pytest
 import repro.featurization.fingerprint as fingerprint
 import repro.serving.core as serving_core
 import repro.serving.server as serving_server
+import repro.storage.table as table_module
 from repro import perfstats
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
@@ -249,6 +250,32 @@ class TestPredictorServer:
         with PredictorServer(registry, world["dbs"]) as server:
             out = server.predict(plans, world["db_a"].name)
         np.testing.assert_array_equal(out, expected)
+
+    def test_statistics_built_at_construction(self, world, registry_a,
+                                              monkeypatch):
+        """Construction builds the catalog statistics of every table of
+        every registered database; serving then computes none."""
+        registry, model = registry_a
+        for db in world["dbs"].values():
+            for table in db.tables.values():
+                table.invalidate_stats()
+        computed = []
+        original = table_module.compute_table_stats
+
+        def counted(name, columns):
+            computed.append(name)
+            return original(name, columns)
+
+        monkeypatch.setattr(table_module, "compute_table_stats", counted)
+        server = PredictorServer(registry, world["dbs"])
+        assert sorted(computed) == sorted(
+            name for db in world["dbs"].values() for name in db.tables)
+        computed.clear()
+        with server:
+            out = server.predict([r.plan for r in world["records_a"]],
+                                 world["db_a"].name)
+        np.testing.assert_array_equal(out, _direct(model, world["graphs_a"]))
+        assert computed == []
 
     def test_concurrent_mixed_requests_bit_identical(self, world,
                                                      registry_a):
