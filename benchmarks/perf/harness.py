@@ -17,9 +17,9 @@ passes with the cyclic GC paused (timeit's policy), so one collector pause
 cannot sink a number.
 
 The featurization, annotation, trace-execution and training benchmarks
-take ``use_reference=True`` to time the executable loop specifications
+take ``use_reference=True`` to time the loop oracles from ``tests/oracles``
 (``build_query_graph_reference``, ``annotate_cardinalities_reference``,
-per-plan ``execute_plan``, ``Adam_reference``) — that is how ``run.py
+``Adam_reference``) or per-plan ``execute_plan`` — that is how ``run.py
 --save-loop-baseline`` re-anchors the loop entries of the recorded
 baseline, and how ``run_all`` derives the machine-drift-immune same-run
 speedups.  Runtime simulation and SPN learning have one implementation
@@ -35,24 +35,30 @@ import io
 import os
 import pstats
 import resource
+import sys
 import tempfile
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 
 from repro import perfstats
-from repro.cardest import (DataDrivenEstimator, annotate_cardinalities,
-                           annotate_cardinalities_reference)
+from repro.cardest import DataDrivenEstimator, annotate_cardinalities
 from repro.core import TrainingConfig, featurize_records, train_model
 from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.featurization import (FeatureScalers, FeaturizationCache,
-                                 TargetScaler, build_query_graph_reference,
-                                 make_batch)
-from repro.nn import (Adam, Adam_reference, QErrorLoss, clip_grad_norm,
-                      clip_grad_norm_reference)
+                                 TargetScaler, make_batch)
+from repro.nn import Adam, QErrorLoss, clip_grad_norm
+
+sys.path.append(str(Path(__file__).resolve().parents[2] / "tests"))
+# The loop oracles in tests/oracles, for the same-run reference rates.
+from oracles.cardest import annotate_cardinalities_reference  # noqa: E402
+from oracles.featurization import build_query_graph_reference  # noqa: E402
+from oracles.optim import (Adam_reference,  # noqa: E402
+                           clip_grad_norm_reference, reference_training)
 
 __all__ = ["build_plan_corpus", "build_corpus", "build_exec_corpus",
            "exec_corpus_size", "bench_datagen", "bench_trace_execution",
@@ -313,9 +319,9 @@ def bench_training_step(graphs, runtimes, hidden_dim=64, batch_size=64,
     """Plans/second through forward + backward + clip + Adam step.
 
     Fast path: the flat-parameter :class:`Adam` (contiguous per-dtype
-    buffers, whole-model vectorized step).  Reference: the preserved
-    per-parameter ``Adam_reference`` / ``clip_grad_norm_reference`` loops —
-    the executable spec the flat optimizer matches bit-for-bit.
+    buffers, whole-model vectorized step).  Reference: the per-parameter
+    ``Adam_reference`` / ``clip_grad_norm_reference`` oracles the flat
+    optimizer matches bit-for-bit.
     """
     config = TrainingConfig(hidden_dim=hidden_dim, batch_size=batch_size)
     optimizer_cls = Adam_reference if use_reference else Adam
@@ -355,14 +361,14 @@ def bench_train_epoch(graphs, runtimes, hidden_dim=64, batch_size=64,
 
     Unlike :func:`bench_training_step` this pays the epoch-level machinery
     too: validation passes, early-stopping snapshots (one flat buffer copy
-    on the fast path vs a per-tensor ``state_dict`` on the reference path)
-    and the final best-state restore.
+    on the fast path vs one copy per parameter with the oracle optimizer
+    substituted) and the final best-state restore.
     """
     config = TrainingConfig(hidden_dim=hidden_dim, batch_size=batch_size,
-                            epochs=epochs, seed=seed,
-                            flat_optimizer=not use_reference)
+                            epochs=epochs, seed=seed)
     timings = []
-    with _gc_paused():
+    with _gc_paused(), (reference_training() if use_reference
+                        else nullcontext()):
         for _ in range(repeats):
             model = ZeroShotModel(hidden_dim=hidden_dim, dropout=0.05,
                                   seed=seed)

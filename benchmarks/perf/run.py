@@ -12,14 +12,14 @@ Benches (the ``harness`` function each one drives):
 
 * ``engine`` — engine microbenchmarks (``run_all``): current rates, the
   recorded seed-engine baseline (``baseline_seed.json``) and the speedup
-  of each metric, same-run speedups over the executable loop references
-  (immune to machine drift), and cache and fast-path dispatch counters.
-  Runtime simulation and SPN learning have one implementation each, so
-  they report rates but no same-run speedup.  ``--save-baseline``
-  re-records the whole baseline; ``--save-loop-baseline`` re-times only
-  the loop references (featurize / annotate / trace_exec) and leaves the
-  other baseline entries untouched; ``--profile`` prints a cProfile top-20
-  per stage.
+  of each metric, same-run speedups over the loop oracles of
+  ``tests/oracles`` (immune to machine drift), and cache and fast-path
+  dispatch counters.  Runtime simulation and SPN learning have one
+  implementation each, so they report rates but no same-run speedup.
+  ``--save-baseline`` re-records the whole baseline;
+  ``--save-loop-baseline`` re-times only the loop references (featurize /
+  annotate / trace_exec) and leaves the other baseline entries untouched;
+  ``--profile`` prints a cProfile top-20 per stage.
 * ``chaos`` — the server under a seeded fault schedule (``bench_chaos``).
 * ``fleet`` — fleet plans/s per worker count, plus a 2-worker fleet's
   set-up and restart times (``bench_fleet``).
@@ -67,8 +67,8 @@ RATE_KEYS = ("datagen_tables_per_s", "trace_exec_plans_per_s",
              "inference_plans_per_s", "inference_cached_plans_per_s",
              "serving_single_plans_per_s", "serving_batched_plans_per_s")
 
-# Metrics (all plans/s) with an in-run executable reference implementation
-# (loop specs / per-parameter optimizer): reported as machine-drift-immune
+# Metrics (all plans/s) with a loop oracle from tests/oracles (or per-plan
+# execute_plan) timed in the same run: reported as machine-drift-immune
 # ratios.
 SAME_RUN_KEYS = ("trace_exec", "featurize", "annotate", "train_step",
                  "train_epoch")
@@ -267,8 +267,8 @@ def run_engine(args):
         cold = results.get("featurize_plans_per_s")
         if warm and cold:
             report["featurization_cache_warm_over_cold"] = warm / cold
-    # Machine-drift-immune: reference implementations timed in this very
-    # run (pipeline loop specs + the per-parameter Adam_reference).
+    # Machine-drift-immune: the loop oracles timed in this very run
+    # (tests/oracles, the per-parameter Adam_reference included).
     same_run = {}
     for key in SAME_RUN_KEYS:
         fast = results.get(f"{key}_plans_per_s")

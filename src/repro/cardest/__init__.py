@@ -6,13 +6,11 @@ from .traditional import TraditionalEstimator
 from .exact import ExactEstimator
 from .spn import SPN, learn_spn, predicate_to_constraints, UnsupportedPredicate
 from .datadriven import DataDrivenEstimator, spn_input_arrays
-from .annotate import (annotate_cardinalities,
-                       annotate_cardinalities_reference, CARD_SOURCES)
+from .annotate import annotate_cardinalities, CARD_SOURCES
 
 __all__ = [
     "CardinalityEstimator", "TraditionalEstimator", "ExactEstimator",
     "SPN", "learn_spn", "spn_input_arrays", "predicate_to_constraints",
     "UnsupportedPredicate",
-    "DataDrivenEstimator", "annotate_cardinalities",
-    "annotate_cardinalities_reference", "CARD_SOURCES",
+    "DataDrivenEstimator", "annotate_cardinalities", "CARD_SOURCES",
 ]

@@ -12,40 +12,24 @@ cardinality according to a chosen source:
 DeepDB source it first primes the estimator with *all* of the plan's scan
 predicates in one vectorized pass (masks + SPN selectivities, each evaluated
 exactly once and cached), then walks the plan consuming cached lookups and
-the vectorized join sampler.  :func:`annotate_cardinalities_reference` keeps
-the original recursive visit — per-predicate full-table scans and the
-per-row sampling loop — as the executable spec; both produce bit-identical
-cardinalities (the batched sampler consumes the same RNG stream), which the
-test suite asserts.
+the vectorized join sampler.  Its cardinalities are bit-identical to the
+original recursive visit — per-predicate full-table scans and the per-row
+sampling loop — and the batched sampler consumes the same RNG stream; the
+test suite asserts both against that visit, kept as a test oracle
+(``tests/oracles/cardest.py``).
 """
 
 from __future__ import annotations
 
 from .. import perfstats
 
-__all__ = ["annotate_cardinalities", "annotate_cardinalities_reference",
-           "CARD_SOURCES"]
+__all__ = ["annotate_cardinalities", "CARD_SOURCES"]
 
 CARD_SOURCES = ("optimizer", "exact", "deepdb")
 
 _PASSTHROUGH_OPS = ("Gather", "Broadcast", "Repartition", "Sort")
 _SCAN_OPS = ("SeqScan", "IndexScan", "ColumnarScan")
 _JOIN_OPS = ("HashJoin", "NestedLoopJoin", "MergeJoin")
-
-
-def _subtree_query_parts(node):
-    """Base tables, join edges and filters below (and including) ``node``."""
-    tables = []
-    joins = []
-    filters = {}
-    for sub in node.iter_nodes():
-        if sub.is_scan:
-            tables.append(sub.table)
-            if sub.filter_predicate is not None:
-                filters[sub.table] = sub.filter_predicate
-        if sub.is_join and sub.join is not None:
-            joins.append(sub.join)
-    return tables, joins, filters
 
 
 def _simple_cards(plan, source):
@@ -61,23 +45,12 @@ def _simple_cards(plan, source):
     return cards
 
 
-def _rescale_nested_loops(plan, cards):
-    # Nested-loop inner index scans report per-loop rows (as in EXPLAIN);
-    # rescale the subquery estimate accordingly.
-    for node in plan.iter_nodes():
-        if node.op_name == "NestedLoopJoin" and node.children[1].is_scan:
-            outer, inner = node.children
-            loops = max(cards[id(outer)], 1.0)
-            cards[id(inner)] = max(cards[id(node)] / loops, 0.0)
-    return cards
-
-
 def _deepdb_cards_batched(db, plan, estimator):
     """Fast DeepDB walk: cached estimator entry points, subtree query parts
     accumulated bottom-up in the same pass (no re-walk per join node).
 
-    The accumulated (tables, joins, filters) match the per-node re-walk of
-    the reference exactly — same post-order append order, same dict
+    The accumulated (tables, joins, filters) match a per-join-node subtree
+    re-walk exactly — same post-order append order, same dict
     insertion order — so estimator calls receive identical arguments and the
     sampler consumes an identical RNG stream.
     """
@@ -126,43 +99,14 @@ def _deepdb_cards_batched(db, plan, estimator):
         return tables, joins, filters
 
     visit(plan)
-    # Same fix-up as _rescale_nested_loops, over the nodes collected during
-    # the walk (post-order matches iter_nodes order) instead of a re-walk.
+    # Nested-loop inner index scans report per-loop rows (as in EXPLAIN):
+    # rescale them, over the nodes collected during the walk (post-order
+    # matches iter_nodes order) instead of a re-walk.
     for node in nested_loops:
         outer, inner = node.children
         loops = max(cards[id(outer)], 1.0)
         cards[id(inner)] = max(cards[id(node)] / loops, 0.0)
     return cards
-
-
-def _deepdb_cards_reference(db, plan, scan_rows, join_rows):
-    """Original recursive DeepDB walk: per-join-node subtree re-walks."""
-    cards = {}
-
-    def visit(node):
-        for child in node.children:
-            visit(child)
-        if node.is_scan:
-            value = scan_rows(db, node.table, node.filter_predicate)
-        elif node.is_join:
-            tables, joins, filters = _subtree_query_parts(node)
-            value = join_rows(db, set(tables), joins, filters)
-        elif node.op_name in _PASSTHROUGH_OPS:
-            value = cards[id(node.children[0])]
-        elif node.op_name == "Aggregate":
-            value = 1.0
-        elif node.op_name == "HashAggregate":
-            input_rows = cards[id(node.children[0])]
-            groups = 1.0
-            for table, column in node.group_by:
-                groups *= max(db.column_stats(table, column).ndistinct, 1)
-            value = max(1.0, min(groups, input_rows))
-        else:
-            value = float(node.est_rows)
-        cards[id(node)] = float(value)
-
-    visit(plan)
-    return _rescale_nested_loops(plan, cards)
 
 
 def annotate_cardinalities(db, plan, source, estimator=None):
@@ -187,25 +131,3 @@ def annotate_cardinalities(db, plan, source, estimator=None):
         prime(db, plan)
     perfstats.increment("annotate.batched")
     return _deepdb_cards_batched(db, plan, estimator)
-
-
-def annotate_cardinalities_reference(db, plan, source, estimator=None):
-    """Original recursive annotation (executable spec for tests/bench).
-
-    DeepDB estimates go through the estimator's uncached ``*_reference``
-    entry points: one full-table scan per predicate visit and the per-row
-    sampling loop.  :func:`annotate_cardinalities` must produce bit-identical
-    cardinalities from the same estimator state.
-    """
-    if source not in CARD_SOURCES:
-        raise ValueError(f"unknown cardinality source {source!r}")
-    if source != "deepdb":
-        return _simple_cards(plan, source)
-
-    if estimator is None:
-        from .datadriven import DataDrivenEstimator
-        estimator = DataDrivenEstimator(db)
-    scan_rows = getattr(estimator, "scan_rows_reference", estimator.scan_rows)
-    join_rows = getattr(estimator, "join_rows_reference", estimator.join_rows)
-    perfstats.increment("annotate.reference")
-    return _deepdb_cards_reference(db, plan, scan_rows, join_rows)

@@ -29,8 +29,8 @@ run a **batched fast path** that is bit-identical to the recursive original:
   ``Generator`` evaluates element-wise in order — consuming the *same RNG
   stream* as the original per-row loop, so estimates match bit-for-bit.
 
-The original loop implementations remain as ``*_reference`` methods (the
-executable spec the equivalence tests compare against).
+The original loop implementations are test oracles
+(``tests/oracles/cardest.py``) that the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -281,16 +281,6 @@ class DataDrivenEstimator(CardinalityEstimator):
             self._mask_cache.put(table, predicate, cached)
         return cached
 
-    def _filter_masks(self, tables, filters):
-        masks = {}
-        for table in tables:
-            predicate = filters.get(table)
-            if predicate is None:
-                masks[table] = None
-            else:
-                masks[table] = evaluate_predicate(predicate, self.db.table(table))
-        return masks
-
     def prime_plan(self, db, plan):
         """Evaluate all of a plan's scan predicates in one batched pass.
 
@@ -324,8 +314,8 @@ class DataDrivenEstimator(CardinalityEstimator):
         Weights are Horvitz-Thompson inverse-probability factors so that
         ``sum(weights) * |root| / sample_size`` estimates the unfiltered
         join cardinality.  The 1:N hop is vectorized (one batched index
-        probe, one array draw) but consumes the RNG stream exactly as the
-        loop in :meth:`join_sample_reference` would.
+        probe, one array draw) but consumes the RNG stream exactly as a
+        per-row ``lookup_eq`` loop would.
         """
         tables = list(tables)
         rng = (np.random.default_rng(seed) if seed is not None else self._rng)
@@ -356,7 +346,7 @@ class DataDrivenEstimator(CardinalityEstimator):
                 else:
                     # 1:N hop: sample one child per row, weight by fanout.
                     # All equality probes happen in one searchsorted batch;
-                    # rows skipped by the reference loop (dead weight or no
+                    # rows skipped by the per-row loop (dead weight or no
                     # match) draw nothing, and the array draw visits the
                     # remaining rows in index order — the exact stream the
                     # per-row ``rng.integers`` calls would consume.
@@ -404,105 +394,4 @@ class DataDrivenEstimator(CardinalityEstimator):
         sel = 1.0
         for table in tables:
             sel *= self.table_selectivity(table, filters.get(table))
-        return max(float(join_size * sel), 0.5)
-
-    # ------------------------------------------------------------------
-    # Reference (loop) implementations — executable spec for tests
-    # ------------------------------------------------------------------
-    def table_selectivity_reference(self, table, predicate):
-        """Uncached original: parse constraints and query the SPN."""
-        if predicate is None:
-            return 1.0
-        constraints = predicate_to_constraints(predicate)
-        return self._spns[table].selectivity(
-            constraints, self._literal_mapper(table))
-
-    def supports_reference(self, predicate):
-        if predicate is None:
-            return True
-        try:
-            predicate_to_constraints(predicate)
-            return True
-        except UnsupportedPredicate:
-            return False
-
-    def scan_rows_reference(self, db, table, predicate):
-        if not self.supports_reference(predicate):
-            return self._fallback.scan_rows(db, table, predicate)
-        rows = db.table_stats(table).reltuples
-        return max(rows * self.table_selectivity_reference(table, predicate),
-                   0.5)
-
-    def join_sample_reference(self, tables, joins, seed=None):
-        """Original per-row sampling loop (one ``lookup_eq`` per sample row)."""
-        tables = list(tables)
-        rng = (np.random.default_rng(seed) if seed is not None else self._rng)
-        root = max(tables, key=lambda t: len(self.db.table(t)))
-        n_root = len(self.db.table(root))
-        size = min(self.sample_size, n_root)
-        sample = {root: rng.integers(0, n_root, size=size)}
-        weights = np.ones(size, dtype=np.float64)
-
-        adj = self._adjacency(tables, joins)
-        visited = {root}
-        frontier = [root]
-        while frontier:
-            table = frontier.pop()
-            for direction, edge in adj[table]:
-                other = (edge.parent_table if direction == "to_parent"
-                         else edge.child_table)
-                if other in visited:
-                    continue
-                if direction == "to_parent":
-                    fk = self.db.column(edge.child_table, edge.child_column)
-                    refs = fk.values[sample[table]]
-                    alive = ~np.isnan(refs)
-                    weights = weights * alive
-                    sample[other] = np.where(alive, refs, 0).astype(np.int64)
-                else:
-                    index = self._fanout_indexes[(edge.child_table,
-                                                  edge.child_column)]
-                    parent_keys = self.db.column(
-                        edge.parent_table, edge.parent_column).values[sample[table]]
-                    picks = np.zeros(size, dtype=np.int64)
-                    fanouts = np.zeros(size, dtype=np.float64)
-                    for i, key in enumerate(parent_keys):
-                        if weights[i] == 0.0:
-                            continue
-                        matches = index.lookup_eq(key)
-                        fanouts[i] = len(matches)
-                        if len(matches):
-                            picks[i] = matches[rng.integers(len(matches))]
-                    weights = weights * fanouts
-                    sample[other] = picks
-                visited.add(other)
-                frontier.append(other)
-        return sample, weights, root, size
-
-    def join_rows_reference(self, db, tables, joins, filters):
-        """Original uncached join estimate (per-predicate full-table scans)."""
-        tables = list(tables)
-        if any(not self.supports_reference(filters.get(t)) for t in tables):
-            return self._fallback.join_rows(db, tables, joins, filters)
-        if len(tables) == 1:
-            return self.scan_rows_reference(db, tables[0],
-                                            filters.get(tables[0]))
-
-        sample, weights, root, size = self.join_sample_reference(tables, joins)
-        n_root = len(self.db.table(root))
-        masks = self._filter_masks(tables, filters)
-        match = weights.copy()
-        for table in tables:
-            mask = masks[table]
-            if mask is not None:
-                match = match * mask[sample[table]]
-
-        estimate = match.sum() * n_root / size
-        if (match > 0).sum() >= 8:
-            return max(float(estimate), 0.5)
-
-        join_size = weights.sum() * n_root / size
-        sel = 1.0
-        for table in tables:
-            sel *= self.table_selectivity_reference(table, filters.get(table))
         return max(float(join_size * sel), 0.5)

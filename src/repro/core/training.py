@@ -6,14 +6,11 @@ matmul-bound hot loop; pass ``dtype="float64"`` to opt into full precision.
 The model, its Adam state, the batch features and the log targets are all
 cast once up front, so no per-step conversions occur.
 
-Optimization runs on the flat-parameter engine by default: the flat
+Optimization runs on the flat-parameter engine: the flat
 :class:`~repro.nn.Adam` moves all parameters into one contiguous buffer per
 dtype, so a step is a handful of whole-model vectorized ops and each
 early-stopping snapshot/restore is a single buffer copy instead of a
-per-tensor ``state_dict`` deep copy.  ``TrainingConfig(flat_optimizer=False)``
-trains through the preserved per-parameter reference path
-(:class:`~repro.nn.Adam_reference`, ``state_dict`` snapshots); both paths
-are bit-identical, which the tier-1 suite asserts.
+per-tensor ``state_dict`` deep copy.
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ import numpy as np
 
 from .. import perfstats
 from ..featurization import BatchCache, FeatureScalers, TargetScaler, make_batch
-from ..nn import (Adam, Adam_reference, QErrorLoss, clip_grad_norm,
-                  clip_grad_norm_reference, no_grad)
+from ..nn import Adam, QErrorLoss, clip_grad_norm, no_grad
 
 __all__ = ["TrainingConfig", "train_model", "predict_runtimes",
            "predict_cache_stats", "reset_predict_cache"]
@@ -71,10 +67,6 @@ class TrainingConfig:
     seed: int = 0
     verbose: bool = False
     dtype: str = "float32"
-    # False trains through the per-parameter reference optimizer path
-    # (Adam_reference + state_dict snapshots) — the executable spec the
-    # flat engine must match bit-for-bit.
-    flat_optimizer: bool = True
 
     def few_shot(self, epochs=15, learning_rate=4e-4):
         """Config variant for fine-tuning (lower LR, fewer epochs)."""
@@ -120,14 +112,8 @@ def train_model(model, graphs, runtimes_ms, config, feature_scalers=None,
     log_targets = np.log(np.maximum(runtimes_ms, 1e-3)).astype(dtype)
     loss_fn = QErrorLoss()
     params = list(model.parameters())
-    if config.flat_optimizer:
-        optimizer = Adam(params, lr=config.learning_rate,
-                         weight_decay=config.weight_decay)
-        clip = clip_grad_norm
-    else:
-        optimizer = Adam_reference(params, lr=config.learning_rate,
-                                   weight_decay=config.weight_decay)
-        clip = clip_grad_norm_reference
+    optimizer = Adam(params, lr=config.learning_rate,
+                     weight_decay=config.weight_decay)
 
     # Batches are materialized once, cast to the training dtype once, and
     # reused across epochs (shuffling the batch *order* per epoch): batch
@@ -162,7 +148,7 @@ def train_model(model, graphs, runtimes_ms, config, feature_scalers=None,
             optimizer.zero_grad()
             loss = batch_loss(train_batches[batch_index])
             loss.backward()
-            clip(params, config.grad_clip)
+            clip_grad_norm(params, config.grad_clip)
             optimizer.step()
             epoch_losses.append(loss.item())
         history["train_loss"].append(float(np.mean(epoch_losses)))
@@ -174,13 +160,10 @@ def train_model(model, graphs, runtimes_ms, config, feature_scalers=None,
             history["val_loss"].append(val_loss)
             if val_loss < best_val - 1e-4:
                 best_val = val_loss
-                if config.flat_optimizer:
-                    # One contiguous copy per dtype instead of a per-tensor
-                    # state_dict deep copy.
-                    best_state = optimizer.space.snapshot()
-                    perfstats.increment("training.flat_snapshot")
-                else:
-                    best_state = model.state_dict()
+                # One contiguous copy per dtype instead of a per-tensor
+                # state_dict deep copy.
+                best_state = optimizer.space.snapshot()
+                perfstats.increment("training.flat_snapshot")
                 patience_left = config.early_stopping_patience
             else:
                 patience_left -= 1
@@ -193,11 +176,8 @@ def train_model(model, graphs, runtimes_ms, config, feature_scalers=None,
                   f"{val_text}")
 
     if best_state is not None:
-        if config.flat_optimizer:
-            optimizer.space.restore(best_state)
-            perfstats.increment("training.flat_restore")
-        else:
-            model.load_state_dict(best_state)
+        optimizer.space.restore(best_state)
+        perfstats.increment("training.flat_restore")
     model.eval()
     return feature_scalers, target_scaler, history
 

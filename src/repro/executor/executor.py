@@ -63,26 +63,13 @@ def join_sides(left: Intermediate, right: Intermediate, join_edge):
 def _run_positions(lo, counts):
     """Flat positions of the runs ``lo[i] : lo[i] + counts[i]``, in order.
 
-    The offset arithmetic produces the exact integer sequence the per-run
-    gather loop (:func:`_gather_parent_positions_reference`) writes.
+    The offset arithmetic produces the exact integer sequence the original
+    per-run gather loop wrote (a test oracle, ``tests/oracles/workloads.py``).
     """
     total = int(counts.sum())
     starts = np.cumsum(counts) - counts
     offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     return np.repeat(lo, counts) + offsets
-
-
-def _gather_parent_positions_reference(order, lo, hi, counts):
-    """Original per-run gather loop (executable spec for ``_run_positions``)."""
-    total = int(counts.sum())
-    parent_positions = np.empty(total, dtype=np.int64)
-    cursor = 0
-    nonzero = np.nonzero(counts)[0]
-    for i in nonzero:
-        n = counts[i]
-        parent_positions[cursor:cursor + n] = order[lo[i]:hi[i]]
-        cursor += n
-    return parent_positions
 
 
 def combine_positions(child_side, parent_side, child_positions,

@@ -1,14 +1,15 @@
 """Transferable query featurization: typed graphs, Table-1 features, batching
 and scalers for the zero-shot model.
 
-The package runs a two-stage fast path with executable reference specs:
+The package runs a two-stage fast path, each stage bit-identical to its
+original loop implementation (test oracles in
+``tests/oracles/featurization.py``):
 
 * **Graph construction** — :func:`build_query_graphs` encodes whole batches
   of plans with column-wise feature-matrix assembly (the per-plan cost is
-  the structural traversal only); :func:`build_query_graph_reference` keeps
-  the per-node loop builder as the spec both must match bit-for-bit.
+  the structural traversal only).
 * **Batching** — :func:`make_batch` merges graphs vectorized over cached
-  :class:`PackedGraph` arrays; :func:`make_batch_reference` is its spec.
+  :class:`PackedGraph` arrays.
 
 Caching contract (two complementary layers):
 
@@ -36,22 +37,19 @@ from .graph import NODE_TYPES, PackedGraph, QueryGraph
 from .features import (FEATURE_DIMS, PLAN_NUMERIC_DIMS, plan_features,
                        predicate_features, table_features, attribute_features,
                        output_features)
-from .zero_shot import (build_query_graph, build_query_graphs,
-                        build_query_graph_reference)
+from .zero_shot import build_query_graph, build_query_graphs
 from .fingerprint import (FeaturizationCache, database_digest,
                           plan_fingerprint, records_fingerprint)
 from .scalers import StandardScaler, FeatureScalers, TargetScaler
-from .batching import (BatchCache, GraphBatch, LevelGroup, make_batch,
-                       make_batch_reference)
+from .batching import BatchCache, GraphBatch, LevelGroup, make_batch
 
 __all__ = [
     "NODE_TYPES", "PackedGraph", "QueryGraph",
     "FEATURE_DIMS", "PLAN_NUMERIC_DIMS", "plan_features", "predicate_features",
     "table_features", "attribute_features", "output_features",
-    "build_query_graph", "build_query_graphs", "build_query_graph_reference",
+    "build_query_graph", "build_query_graphs",
     "FeaturizationCache", "database_digest", "plan_fingerprint",
     "records_fingerprint",
     "StandardScaler", "FeatureScalers", "TargetScaler",
     "BatchCache", "GraphBatch", "LevelGroup", "make_batch",
-    "make_batch_reference",
 ]

@@ -23,9 +23,9 @@ are sorted once by their parent's position in that order, and batched
 ``searchsorted`` calls cut every group's edge range at once.  Each graph
 contributes cached :class:`~repro.featurization.graph.PackedGraph` arrays,
 so batching costs no per-node python loops and the per-group loop only
-slices.  ``make_batch_reference`` keeps the original loop-based construction
-(its own per-node traversal for every field) as an executable specification
-for tests and benchmarks.  :class:`BatchCache` memoizes whole batches by
+slices.  Its batches are identical to the original loop-based
+construction (its own per-node traversal for every field), a test oracle
+(``tests/oracles/featurization.py``).  :class:`BatchCache` memoizes whole batches by
 graph identity for callers that featurize the same graphs repeatedly
 (repeated evaluation in ``bench/experiments.py``, ``predict_runtimes`` in
 the public API).
@@ -40,8 +40,7 @@ import numpy as np
 
 from .graph import NODE_TYPES
 
-__all__ = ["GraphBatch", "LevelGroup", "make_batch", "make_batch_reference",
-           "BatchCache"]
+__all__ = ["GraphBatch", "LevelGroup", "make_batch", "BatchCache"]
 
 _N_TYPES = len(NODE_TYPES)
 
@@ -196,105 +195,6 @@ def make_batch(graphs, scalers=None) -> GraphBatch:
 
     roots_local = np.array([graph.root for graph in graphs], dtype=np.int64)
     roots = global_of[offsets[:-1] + roots_local]
-    return GraphBatch(features=features, type_offsets=type_offsets,
-                      type_counts=type_counts, init_positions=init_positions,
-                      levels=levels, roots=roots, n_nodes=n_nodes,
-                      mp_positions=mp_positions,
-                      root_positions=mp_positions[roots])
-
-
-def make_batch_reference(graphs, scalers=None) -> GraphBatch:
-    """Loop-based reference construction (executable spec for tests/bench).
-
-    Kept deliberately close to the original per-node implementation; the
-    vectorized :func:`make_batch` must produce identical batches.
-    """
-    if not graphs:
-        raise ValueError("cannot batch zero graphs")
-
-    per_type_nodes = {t: [] for t in NODE_TYPES}   # (graph_idx, local_idx)
-    for g_idx, graph in enumerate(graphs):
-        for local, node_type in enumerate(graph.node_types):
-            per_type_nodes[node_type].append((g_idx, local))
-
-    type_offsets, type_counts = {}, {}
-    global_of = {}  # (graph_idx, local_idx) -> global id
-    cursor = 0
-    for node_type in NODE_TYPES:
-        type_offsets[node_type] = cursor
-        nodes = per_type_nodes[node_type]
-        type_counts[node_type] = len(nodes)
-        for position, key in enumerate(nodes):
-            global_of[key] = cursor + position
-        cursor += len(nodes)
-    n_nodes = cursor
-
-    features = {}
-    init_positions = {}
-    for node_type in NODE_TYPES:
-        nodes = per_type_nodes[node_type]
-        if not nodes:
-            continue
-        matrix = np.stack([graphs[g].features[i] for g, i in nodes])
-        if scalers is not None:
-            matrix = scalers.transform(node_type, matrix)
-        features[node_type] = matrix
-        init_positions[node_type] = np.array(
-            [global_of[key] for key in nodes], dtype=np.int64)
-
-    level_of = np.zeros(n_nodes, dtype=np.int64)
-    children_global = {}
-    for g_idx, graph in enumerate(graphs):
-        local_levels = graph.levels()
-        for local in range(graph.n_nodes):
-            level_of[global_of[(g_idx, local)]] = local_levels[local]
-        for child, parent in graph.edges:
-            children_global.setdefault(global_of[(g_idx, parent)], []).append(
-                global_of[(g_idx, child)])
-
-    max_level = int(level_of.max()) if n_nodes else 0
-    node_type_of = np.empty(n_nodes, dtype=object)
-    for node_type in NODE_TYPES:
-        for key in per_type_nodes[node_type]:
-            node_type_of[global_of[key]] = node_type
-
-    # Groups in traversal order; a node's mp position is its row in the
-    # concatenation of the groups visited so far.  Children sit at lower
-    # levels, so their positions are known when their parent's group is.
-    levels = []
-    mp_positions = np.empty(n_nodes, dtype=np.int64)
-    cursor = 0
-    for level in range(max_level + 1):
-        groups = []
-        at_level = np.nonzero(level_of == level)[0]
-        for node_type in NODE_TYPES:
-            nodes = np.array([n for n in at_level
-                              if node_type_of[n] == node_type], dtype=np.int64)
-            if nodes.size == 0:
-                continue
-            slot_of = {int(n): slot for slot, n in enumerate(nodes)}
-            edge_children, edge_slots, edge_starts = [], [], []
-            for node in nodes:
-                mp_positions[node] = cursor
-                cursor += 1
-                node_children = children_global.get(int(node), [])
-                if node_children:
-                    edge_starts.append(len(edge_children))
-                for child in node_children:
-                    edge_children.append(child)
-                    edge_slots.append(slot_of[int(node)])
-            groups.append(LevelGroup(
-                node_type=node_type,
-                node_indices=nodes,
-                edge_children=np.array(edge_children, dtype=np.int64),
-                edge_parent_slots=np.array(edge_slots, dtype=np.int64),
-                child_positions=np.array(
-                    [mp_positions[c] for c in edge_children], dtype=np.int64),
-                edge_starts=np.array(edge_starts, dtype=np.int64)))
-        levels.append(groups)
-
-    roots = np.array([global_of[(g_idx, graph.root)]
-                      for g_idx, graph in enumerate(graphs)], dtype=np.int64)
     return GraphBatch(features=features, type_offsets=type_offsets,
                       type_counts=type_counts, init_positions=init_positions,
                       levels=levels, roots=roots, n_nodes=n_nodes,

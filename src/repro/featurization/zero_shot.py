@@ -12,21 +12,17 @@ Translates an annotated physical plan into a :class:`QueryGraph`:
 Attribute nodes are shared within a query (one per table.column), as in the
 paper's encoding.
 
-Two implementations share this module:
-
-* :func:`build_query_graphs` (and its single-plan wrapper
-  :func:`build_query_graph`) is the engine's **vectorized** path: the plan
-  traversal only collects raw feature values (cardinalities, stats, operator
-  codes) into per-node-type columns; feature matrices for *all* plans of the
-  batch are then assembled column-wise in a handful of numpy operations
-  (``features.*_matrix``), and each graph receives row views plus a
-  pre-built :class:`~repro.featurization.graph.PackedGraph` (type codes,
-  edges, levels) so batching never recomputes them.
-* :func:`build_query_graph_reference` keeps the original per-node loop
-  implementation as an executable specification (same pattern as
-  ``make_batch_reference``); the vectorized path must produce bit-identical
-  graphs, which the test suite asserts over all node types and cardinality
-  sources.
+:func:`build_query_graphs` (and its single-plan wrapper
+:func:`build_query_graph`) is the engine's **vectorized** path: the plan
+traversal only collects raw feature values (cardinalities, stats, operator
+codes) into per-node-type columns; feature matrices for *all* plans of the
+batch are then assembled column-wise in a handful of numpy operations
+(``features.*_matrix``), and each graph receives row views plus a pre-built
+:class:`~repro.featurization.graph.PackedGraph` (type codes, edges, levels)
+so batching never recomputes them.  Its graphs are bit-identical to the
+original per-node loop builder, a test oracle
+(``tests/oracles/featurization.py``) the suite compares against over all
+node types and cardinality sources.
 """
 
 from __future__ import annotations
@@ -37,16 +33,12 @@ from .. import perfstats
 from ..sql import (BooleanPredicate, Comparison, PredOp,
                    like_pattern_complexity)
 from .features import (AGG_INDEX, DTYPE_INDEX, OPERATOR_INDEX, PRED_INDEX,
-                       STORAGE_FORMAT_INDEX, attribute_features,
-                       attribute_features_matrix, output_features,
-                       output_features_matrix, plan_features,
-                       plan_features_matrix, predicate_features,
-                       predicate_features_matrix, table_features,
-                       table_features_matrix)
+                       STORAGE_FORMAT_INDEX, attribute_features_matrix,
+                       output_features_matrix, plan_features_matrix,
+                       predicate_features_matrix, table_features_matrix)
 from .graph import NODE_TYPES, QueryGraph, TYPE_CODES
 
-__all__ = ["build_query_graph", "build_query_graphs",
-           "build_query_graph_reference"]
+__all__ = ["build_query_graph", "build_query_graphs"]
 
 _PLAN = TYPE_CODES["plan"]
 _PREDICATE = TYPE_CODES["predicate"]
@@ -377,119 +369,3 @@ def build_query_graph(db, plan, cards, storage_formats=None) -> QueryGraph:
     card_maps = cards if isinstance(cards, str) else [cards]
     return build_query_graphs(db, [plan], card_maps,
                               storage_formats=storage_formats)[0]
-
-
-# ----------------------------------------------------------------------
-# Reference (loop) implementation — executable specification
-# ----------------------------------------------------------------------
-class _GraphBuilder:
-    """Original per-node builder: one feature vector per ``add_node`` call."""
-
-    def __init__(self, db, cards, storage_formats=None):
-        self.db = db
-        self.cards = cards
-        self.graph = QueryGraph()
-        self._attributes = {}
-        self._storage_formats = storage_formats or {}
-
-    # ------------------------------------------------------------------
-    def attribute_node(self, table, column):
-        key = (table, column)
-        if key not in self._attributes:
-            stats = self.db.column_stats(table, column)
-            node = self.graph.add_node("attribute", attribute_features(
-                width=stats.width, correlation=stats.correlation,
-                ndistinct=stats.ndistinct, null_frac=stats.null_frac,
-                dtype=stats.dtype))
-            self._attributes[key] = node
-        return self._attributes[key]
-
-    def table_node(self, table):
-        stats = self.db.table_stats(table)
-        fmt = self._storage_formats.get(table, "row")
-        return self.graph.add_node("table", table_features(
-            reltuples=stats.reltuples, relpages=stats.relpages,
-            storage_format=fmt))
-
-    def predicate_node(self, predicate, parent_table=None):
-        """Encode a predicate tree; returns the root predicate node index."""
-        if isinstance(predicate, Comparison):
-            attr = self.attribute_node(predicate.table, predicate.column)
-            node = self.graph.add_node("predicate", predicate_features(
-                predicate.op, predicate.literal_feature))
-            self.graph.add_edge(attr, node)
-            return node
-        if isinstance(predicate, BooleanPredicate):
-            children = [self.predicate_node(child)
-                        for child in predicate.children]
-            node = self.graph.add_node("predicate", predicate_features(
-                predicate.op, predicate.literal_feature))
-            for child in children:
-                self.graph.add_edge(child, node)
-            return node
-        raise TypeError(f"unknown predicate {type(predicate)!r}")
-
-    def join_predicate_node(self, join):
-        """Equality predicate over the two join-key attributes."""
-        child_attr = self.attribute_node(join.child_table, join.child_column)
-        parent_attr = self.attribute_node(join.parent_table, join.parent_column)
-        node = self.graph.add_node("predicate",
-                                   predicate_features(PredOp.EQ, 1.0))
-        self.graph.add_edge(child_attr, node)
-        self.graph.add_edge(parent_attr, node)
-        return node
-
-    def output_node(self, aggregate):
-        attr = None
-        if aggregate.column is not None:
-            attr = self.attribute_node(aggregate.table, aggregate.column)
-        node = self.graph.add_node("output", output_features(aggregate.func))
-        if attr is not None:
-            self.graph.add_edge(attr, node)
-        return node
-
-    # ------------------------------------------------------------------
-    def plan_node(self, node):
-        child_plan_ids = [self.plan_node(child) for child in node.children]
-
-        extra_children = []
-        if node.is_scan:
-            extra_children.append(self.table_node(node.table))
-            if node.filter_predicate is not None:
-                extra_children.append(self.predicate_node(node.filter_predicate))
-        if node.is_join and node.join is not None:
-            extra_children.append(self.join_predicate_node(node.join))
-        if node.op_name in ("Aggregate", "HashAggregate"):
-            for aggregate in node.aggregates:
-                extra_children.append(self.output_node(aggregate))
-            for table, column in node.group_by:
-                extra_children.append(self.attribute_node(table, column))
-        if node.op_name == "Sort":
-            for table, column in node.sort_keys:
-                extra_children.append(self.attribute_node(table, column))
-
-        card_out = self.cards.get(id(node), node.est_rows)
-        card_prod = 1.0
-        for child in node.children:
-            card_prod *= max(self.cards.get(id(child), child.est_rows), 1.0)
-        plan_id = self.graph.add_node("plan", plan_features(
-            op_name=node.op_name, card_out=card_out, card_prod=card_prod,
-            width=node.width, workers=node.workers))
-        for child_id in child_plan_ids + extra_children:
-            self.graph.add_edge(child_id, plan_id)
-        return plan_id
-
-
-def build_query_graph_reference(db, plan, cards,
-                                storage_formats=None) -> QueryGraph:
-    """Loop-based reference construction (executable spec for tests/bench).
-
-    Kept deliberately close to the original per-node implementation; the
-    vectorized :func:`build_query_graph` must produce bit-identical graphs.
-    """
-    builder = _GraphBuilder(db, cards, storage_formats)
-    root = builder.plan_node(plan)
-    builder.graph.root = root
-    builder.graph.validate()
-    perfstats.increment("featurize.reference")
-    return builder.graph

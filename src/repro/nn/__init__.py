@@ -12,8 +12,7 @@ from .tensor import (Tensor, concat, maximum, scatter_sum, linear,
                      default_dtype)
 from .modules import (Module, Linear, ReLU, LeakyReLU, Tanh, Sigmoid,
                       Dropout, Sequential, MLP)
-from .optim import (SGD, Adam, Adam_reference, clip_grad_norm,
-                    clip_grad_norm_reference)
+from .optim import SGD, Adam, clip_grad_norm
 from .losses import q_error, q_error_metrics, QErrorLoss, mse_loss, huber_loss
 from .serialize import save_state, load_state
 from .blas import openblas, pin_blas_to_one_thread
@@ -26,8 +25,7 @@ __all__ = [
     "set_default_dtype", "get_default_dtype", "default_dtype",
     "Module", "Linear", "ReLU", "LeakyReLU", "Tanh", "Sigmoid",
     "Dropout", "Sequential", "MLP",
-    "SGD", "Adam", "Adam_reference", "clip_grad_norm",
-    "clip_grad_norm_reference",
+    "SGD", "Adam", "clip_grad_norm",
     "q_error", "q_error_metrics", "QErrorLoss", "mse_loss", "huber_loss",
     "save_state", "load_state", "openblas", "pin_blas_to_one_thread",
 ]

@@ -4,11 +4,11 @@ The engine's :class:`Adam` is *flat*: constructing it moves all parameters
 into a :class:`~repro.nn.tensor.FlatParameterSpace` (one contiguous buffer
 per dtype, parameters become views), its moment state lives in matching
 flat buffers, and a step is a constant number of vectorized ops over the
-whole model instead of a per-parameter Python loop.  The per-parameter
-implementation is preserved as :class:`Adam_reference` — an executable
-specification the flat path must match bit-for-bit (asserted by the tier-1
-tests); the same pairing exists for :func:`clip_grad_norm` /
-:func:`clip_grad_norm_reference`.
+whole model instead of a per-parameter Python loop.  It must match the
+per-parameter Adam (and :func:`clip_grad_norm` the per-parameter clipping)
+bit-for-bit; those loops live with the tests as oracles
+(``tests/oracles/optim.py``), and the tier-1 suite asserts the identity
+over whole ``train_model`` runs.
 
 Bit-identity details worth knowing:
 
@@ -31,32 +31,15 @@ import numpy as np
 from .. import perfstats
 from .tensor import FlatParameterSpace
 
-__all__ = ["SGD", "Adam", "Adam_reference", "clip_grad_norm",
-           "clip_grad_norm_reference"]
-
-
-def clip_grad_norm_reference(parameters, max_norm):
-    """Per-parameter reference for :func:`clip_grad_norm` (executable spec).
-
-    Scales gradients in place so their global L2 norm is at most
-    ``max_norm``; returns the pre-clipping norm.
-    """
-    parameters = [p for p in parameters if p.grad is not None]
-    total = float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                              for p in parameters)))
-    if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for param in parameters:
-            param.grad *= scale
-    return total
+__all__ = ["SGD", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters, max_norm):
     """Scale gradients in place so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clipping norm (useful for monitoring training stability).
-    The norm itself is accumulated per parameter — bit-identical to
-    :func:`clip_grad_norm_reference` — but gradients that together tile one
+    The norm itself is accumulated per parameter — bit-identical to the
+    per-parameter loop — but gradients that together tile one
     flat buffer (parameters flattened by :class:`Adam` /
     :class:`~repro.nn.tensor.FlatParameterSpace`) are rescaled with a single
     in-place multiply on the buffer.
@@ -127,59 +110,6 @@ class SGD(Optimizer):
             param.data -= self.lr * grad
 
 
-class Adam_reference(Optimizer):
-    """Per-parameter Adam (Kingma & Ba) — the executable reference spec.
-
-    Optimizer state follows each parameter's dtype; state buffers are lazily
-    (re)allocated so casting a model with ``Module.to`` after constructing
-    the optimizer stays correct.  The step works in preallocated scratch
-    buffers to avoid per-step temporaries.
-    """
-
-    def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch = [np.empty_like(p.data) for p in self.parameters]
-
-    def step(self):
-        perfstats.increment("optim.reference_step")
-        self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
-        sqrt_bias2 = np.sqrt(bias2)
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            dtype = param.data.dtype
-            if self._m[i].dtype != dtype:
-                self._m[i] = self._m[i].astype(dtype)
-                self._v[i] = self._v[i].astype(dtype)
-                self._scratch[i] = np.empty(param.data.shape, dtype=dtype)
-            m, v, scratch = self._m[i], self._v[i], self._scratch[i]
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            # update = lr * m_hat / (sqrt(v_hat) + eps), computed in scratch:
-            # sqrt(v_hat) = sqrt(v) / sqrt(bias2), m_hat = m / bias1.
-            np.sqrt(v, out=scratch)
-            scratch /= sqrt_bias2
-            scratch += self.eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= self.lr / bias1
-            param.data -= scratch
-
-
 class Adam(Optimizer):
     """Flat-parameter Adam: the whole model updated in ~8 vectorized ops.
 
@@ -188,8 +118,8 @@ class Adam(Optimizer):
     in flat buffers aligned with the parameter buffer.  When every
     parameter's gradient was accumulated into the flat gradient buffer (the
     common case), the step runs whole-buffer ops; otherwise it walks the
-    flat views per parameter, skipping missing gradients exactly like
-    :class:`Adam_reference`.  Both paths are bit-identical to the reference.
+    flat views per parameter, skipping missing gradients exactly like the
+    per-parameter Adam.  Both paths are bit-identical to that loop.
     """
 
     def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
@@ -278,7 +208,7 @@ class Adam(Optimizer):
     def _step_partial(self, group, bias1, sqrt_bias2):
         """Per-parameter walk over the flat views (some grads missing).
 
-        Same op sequence as :class:`Adam_reference`, so parameters that do
+        Same op sequence as the per-parameter Adam, so parameters that do
         have gradients move identically while the others — moments included
         — stay untouched.
         """

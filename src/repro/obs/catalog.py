@@ -52,6 +52,8 @@ COUNTERS = [
     # -- fleet router / workers -----------------------------------------
     ("fleet.worker.spawn", "worker processes spawned"),
     ("fleet.worker.restart", "worker processes restarted after exit/kill"),
+    ("fleet.worker.given_up", "slots not re-forked: workers kept dying "
+     "before answering"),
     ("fleet.hang.detected", "workers declared hung by missed heartbeats"),
     ("fleet.hang.killed", "hung workers killed for restart"),
     ("fleet.hedge.sent", "hedged duplicate batches sent"),

@@ -2,7 +2,7 @@
 
 Every fast-path entry point (vectorized featurization, batched cardinality
 annotation, fingerprint-cache hits, graph-free inference) bumps a named
-counter here, and the reference/loop implementations bump their own.  The
+counter here, and the loop oracles in ``tests/oracles`` bump their own.  The
 perf harness records a snapshot into ``BENCH_engine.json`` and the tier-1
 smoke test asserts that exercising the public API dispatches to the fast
 paths — a regression that silently falls back to a loop implementation

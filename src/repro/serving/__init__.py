@@ -67,7 +67,7 @@ from .server import (DeadlineExceededError, DegradedResponseError,
                      PredictionRequest, PredictorServer, RequestShedError,
                      RequestStatus, ServerClosedError, ServerConfig,
                      ServingRecord)
-from .fleet import PredictorFleet
+from .fleet import PredictorFleet, WorkerStartError
 from .loadgen import LoadConfig, LoadReport, run_load, skewed_requests
 from .controller import (ContinuousLearningController, ControllerConfig,
                          ControllerEvent, ControllerJournal, ObservedRecord)
@@ -77,7 +77,7 @@ __all__ = [
     "DeadlineExceededError", "DegradedResponseError",
     "PredictionRequest", "PredictorFleet", "PredictorServer",
     "RequestPriority", "RequestShedError", "RequestStatus",
-    "ServerClosedError", "ServerConfig",
+    "ServerClosedError", "ServerConfig", "WorkerStartError",
     "ServingCore", "ServingRecord", "Observation", "ObservationTap",
     "LoadConfig", "LoadReport", "run_load", "skewed_requests",
     "ContinuousLearningController", "ControllerConfig", "ControllerEvent",

@@ -36,7 +36,10 @@ front-end/worker split with the batching boundary at the router.
   arrives first completes the batch; later copies are dropped.
   Execution is at-least-once, completion exactly once, and duplicates are
   harmless because values are bit-identical wherever and however often a
-  plan runs.
+  plan runs.  A slot whose workers die three times in a row before
+  answering anything (one that cannot start) is given up instead of
+  re-forked: the batches only it held fail with :class:`WorkerStartError`,
+  and once every slot is given up each batch fails at dispatch.
 * **Zero-downtime promote/rollback.**  When ``registry.generation``
   moves, the router re-resolves its routes and broadcasts ``refresh``;
   workers re-read the on-disk manifests between batches.
@@ -76,13 +79,15 @@ from .core import (DeadlineExceededError, DegradedResponseError,
 from .registry import HydrationError, ModelRegistry, RoutingError
 from .server import PredictorServer
 
-__all__ = ["PredictorFleet"]
+__all__ = ["PredictorFleet", "WorkerStartError"]
 
 # Batches one worker may hold: the second hides the pipe round trip
 # (fleet_fresh throughput +8% over one, 6 of 7 paired runs on 2 vCPUs).
 _IN_FLIGHT = 2
 # Re-sends one batch may get past its straggler threshold.
 _MAX_HEDGES = 3
+# Consecutive worker deaths before a first answer that give a slot up.
+_MAX_START_FAILURES = 3
 # Completed-hedge memory: how many hedged batch ids we remember so a
 # loser's late duplicate is counted as hedge waste.
 _HEDGED_DONE_BOUND = 4096
@@ -98,6 +103,12 @@ _ERROR_TYPES = {error.__name__: error for error in (
     RoutingError, HydrationError, DeadlineExceededError,
     DegradedResponseError, ServerClosedError, RequestShedError,
     faults.InjectedFault)}
+
+
+class WorkerStartError(RuntimeError):
+    """No fleet worker that could answer the request was left: its slot's
+    workers kept dying before answering anything, and the slot was given
+    up."""
 
 
 def _decode_error(encoded):
@@ -264,7 +275,7 @@ class _WorkerSlot:
 
     __slots__ = ("index", "wp", "pending", "send_lock", "epoch", "closing",
                  "collector", "last_stats", "stats_event", "last_seen",
-                 "last_ping")
+                 "last_ping", "answered", "failed_starts")
 
     def __init__(self, index, wp):
         self.index = index
@@ -272,12 +283,14 @@ class _WorkerSlot:
         self.pending = {}              # batch_id -> _Batch
         self.send_lock = threading.Lock()  # wire order + restart handover
         self.epoch = 0                 # bumped per restart
-        self.closing = False
+        self.closing = False           # stopping, or given up
         self.collector = None
         self.last_stats = None
         self.stats_event = threading.Event()
         self.last_seen = time.monotonic()  # any inbound message
         self.last_ping = 0.0               # last heartbeat sent
+        self.answered = False          # this worker sent anything yet
+        self.failed_starts = 0         # deaths in a row before answering
 
     def send_locked(self, message):
         """Send one message (caller holds ``send_lock``).  A failed or
@@ -461,22 +474,32 @@ class PredictorFleet(PredictorServer):
     # Backend: a worker with room takes the next batch
     # ------------------------------------------------------------------
     def _ready_locked(self):
-        return any(len(slot.pending) < _IN_FLIGHT and not slot.closing
-                   for slot in self._slots)
+        # With every slot given up, take batches anyway: _dispatch fails
+        # them, so the queue drains.
+        return (any(len(slot.pending) < _IN_FLIGHT and not slot.closing
+                    for slot in self._slots)
+                or all(slot.closing for slot in self._slots))
 
     def _dispatch(self, batch):
         with self._lock:
-            slot = min((s for s in self._slots if not s.closing),
-                       key=lambda s: len(s.pending))
-            entry = _Batch(self._batch_seq, batch)
-            self._batch_seq += 1
-            entry.slots.append(slot)
-            self._batches[entry.batch_id] = entry
-            slot.pending[entry.batch_id] = entry
+            live = [s for s in self._slots if not s.closing]
+            if live:
+                slot = min(live, key=lambda s: len(s.pending))
+                entry = _Batch(self._batch_seq, batch)
+                self._batch_seq += 1
+                entry.slots.append(slot)
+                self._batches[entry.batch_id] = entry
+                slot.pending[entry.batch_id] = entry
+            else:
+                self._retire_locked(len(batch))
             # Handed over: from here the batch's supervision re-sends it,
             # never the batcher's crash handler.
             self._inflight = []
-        slot.send(entry.message())
+        if live:
+            slot.send(entry.message())
+        else:
+            self._fail(batch, WorkerStartError(
+                "every fleet worker slot was given up"))
 
     def _spawn_collector(self, slot):
         slot.collector = threading.Thread(
@@ -500,6 +523,7 @@ class PredictorFleet(PredictorServer):
                     continue
                 message = conn.recv()
                 slot.last_seen = time.monotonic()
+                slot.answered = True
                 if faults.check("fleet.pipe.recv") == "drop":
                     continue
             except (EOFError, OSError, faults.InjectedFault):
@@ -566,7 +590,10 @@ class PredictorFleet(PredictorServer):
         registered on the slot is either re-sent here or sent by its
         dispatcher (or a later hedge scan) on the new pipe.  The
         replacement forks *without* the explicit fault schedule: a
-        hang-killed worker comes back healthy.
+        hang-killed worker comes back healthy.  The slot's
+        ``_MAX_START_FAILURES``-th death in a row before any answer gives
+        it up instead: the batches no live slot also holds fail with
+        :class:`WorkerStartError`.
         """
         with slot.send_lock:
             with self._lock:
@@ -574,10 +601,32 @@ class PredictorFleet(PredictorServer):
                         or slot.epoch != epoch):
                     return
                 slot.epoch += 1
-                resend = list(slot.pending.values())
-                requeued = sum(len(entry.requests) for entry in resend)
-                self.core.count("worker_restarts")
-                self.core.count("requeued", requeued)
+                slot.failed_starts = (0 if slot.answered
+                                      else slot.failed_starts + 1)
+                slot.answered = False
+                given_up = slot.failed_starts >= _MAX_START_FAILURES
+                if given_up:
+                    slot.closing = True
+                    orphans = []
+                    for entry in slot.pending.values():
+                        entry.slots = [s for s in entry.slots
+                                       if s is not slot]
+                        if all(s.closing for s in entry.slots):
+                            del self._batches[entry.batch_id]
+                            orphans.extend(entry.requests)
+                    slot.pending.clear()
+                    self._retire_locked(len(orphans))
+                else:
+                    resend = list(slot.pending.values())
+                    requeued = sum(len(entry.requests) for entry in resend)
+                    self.core.count("worker_restarts")
+                    self.core.count("requeued", requeued)
+            if given_up:
+                perfstats.increment("fleet.worker.given_up")
+                self._fail(orphans, WorkerStartError(
+                    f"fleet worker {slot.index} died {_MAX_START_FAILURES} "
+                    "times in a row before answering"))
+                return
             perfstats.increment("fleet.worker.restart")
             perfstats.increment("serve.fault.requeued", requeued)
             slot.wp.restart(args=self._worker_args(slot.index, None))

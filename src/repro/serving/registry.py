@@ -74,9 +74,10 @@ _REGISTRY_META = "__registry__"
 _MAX_LOADED = 8
 # Mapped extractions: <store>/mapped/<content key>/{arrays.bin,manifest.json}.
 # Stores written before this layout hold per-array ``.npy`` extractions
-# under <store>/mmap/; nothing reads them, so such a checkpoint is simply
-# extracted again here.
+# under <store>/mmap/<content key>/; nothing reads them, so such a
+# checkpoint is extracted again here and its old directory removed.
 _MAPPED_DIR = "mapped"
+_OLD_MMAP_DIR = "mmap"
 # Alignment of every array's offset in arrays.bin.
 _ALIGN = 64
 
@@ -418,10 +419,12 @@ class ModelRegistry:
 
         Returns the directory path, or ``None`` when the payload is
         missing or unreadable.  Idempotent and safe to call from any
-        number of processes concurrently.
+        number of processes concurrently.  Once the extraction is in
+        place, the key's old per-array extraction (if any) is removed.
         """
         target = self.mmap_dir(key)
         if (target / "manifest.json").exists():
+            self._remove_old_extraction(key)
             return target
         payload = self.store.load(_DEPLOY_KIND, key, on_corrupt="quarantine")
         if payload is None:
@@ -453,7 +456,12 @@ class ModelRegistry:
         except OSError:
             # Another process renamed its extraction first; use theirs.
             shutil.rmtree(tmp, ignore_errors=True)
+        self._remove_old_extraction(key)
         return target
+
+    def _remove_old_extraction(self, key):
+        shutil.rmtree(self.store.root / _OLD_MMAP_DIR / key,
+                      ignore_errors=True)
 
     def _hydrate_mmap(self, key):
         """Materialize + map + verify one checkpoint: ``(model, None)`` or
@@ -551,9 +559,10 @@ class ModelRegistry:
             self.store.quarantine(_DEPLOY_KIND, bad_key)
             self._loaded.pop(bad_key, None)
             self._loaded.pop(("mmap", bad_key), None)
-            # The extraction is derived data; the payload itself is what
+            # The extractions are derived data; the payload itself is what
             # gets preserved in quarantine.
             shutil.rmtree(self.mmap_dir(bad_key), ignore_errors=True)
+            self._remove_old_extraction(bad_key)
             if manifest["active"] == version:
                 manifest["active"] = self._previous_good(manifest, bad_key)
             self._write_manifest(name, manifest)

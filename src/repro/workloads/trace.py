@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import perfstats
-from ..executor import (execute_plan, execute_trace, simulate_runtime_ms,
-                        simulate_runtime_ms_batch)
+from ..executor import execute_trace, simulate_runtime_ms_batch
 from ..optimizer import PlannerConfig, plan_query
 
-__all__ = ["TraceRecord", "Trace", "generate_trace",
-           "generate_trace_reference", "TIMEOUT_MS"]
+__all__ = ["TraceRecord", "Trace", "generate_trace", "TIMEOUT_MS"]
 
 TIMEOUT_MS = 30_000.0
 
@@ -117,11 +115,12 @@ def generate_trace(db, queries, planner_config=None, hardware=None, seed=0,
 
     Execution and timing run through the stage-0 corpus engine: plans are
     planned sequentially (physical-design churn observed in order, exactly
-    as the per-query reference), then the whole trace executes against one
+    as the per-query loop), then the whole trace executes against one
     :class:`~repro.executor.TraceExecutionContext` (shared scan memos and
     join key indexes) and all latencies are simulated in one batch.  The
     resulting trace — records, runtimes, timeout exclusions — is
-    bit-identical to :func:`generate_trace_reference`.
+    bit-identical to the original per-query plan→execute→simulate loop, a
+    test oracle (``tests/oracles/workloads.py``).
     """
     planner_config = planner_config or PlannerConfig()
     rng = np.random.default_rng(seed)
@@ -136,7 +135,7 @@ def generate_trace(db, queries, planner_config=None, hardware=None, seed=0,
             plans.append(plan_query(db, query, config=planner_config))
             # The design each query executed under (execution itself never
             # changes it, so the snapshot at plan time is the one the
-            # reference records after execution).
+            # per-query loop records after execution).
             index_snapshots.append(tuple(sorted(db.indexes)))
         execute_trace(db, plans)
         runtimes = simulate_runtime_ms_batch(db, plans, hardware=hardware,
@@ -150,39 +149,6 @@ def generate_trace(db, queries, planner_config=None, hardware=None, seed=0,
             trace.records.append(TraceRecord(
                 query=query, plan=plan, runtime_ms=runtime, db_name=db.name,
                 indexes=snapshot))
-    finally:
-        if index_mode:
-            for key in created_indexes:
-                db.drop_index(*key)
-    return trace
-
-
-def generate_trace_reference(db, queries, planner_config=None, hardware=None,
-                             seed=0, timeout_ms=TIMEOUT_MS, index_mode=False):
-    """Original per-query plan→execute→simulate loop (executable spec).
-
-    The corpus engine's :func:`generate_trace` must reproduce this
-    bit-for-bit: same records, same runtimes, same timeout exclusions, same
-    index churn (the RNG stream is consumed identically).
-    """
-    planner_config = planner_config or PlannerConfig()
-    rng = np.random.default_rng(seed)
-    created_indexes = []
-    trace = Trace(db_name=db.name)
-    perfstats.increment("trace.generate.reference")
-    try:
-        for i, query in enumerate(queries):
-            if index_mode and i % 5 == 0:
-                _random_index_action(db, rng, created_indexes)
-            plan = plan_query(db, query, config=planner_config)
-            execute_plan(db, plan)
-            runtime = simulate_runtime_ms(db, plan, hardware=hardware, seed=seed)
-            if runtime > timeout_ms:
-                trace.excluded_timeouts += 1
-                continue
-            trace.records.append(TraceRecord(
-                query=query, plan=plan, runtime_ms=runtime, db_name=db.name,
-                indexes=tuple(sorted(db.indexes))))
     finally:
         if index_mode:
             for key in created_indexes:

@@ -9,10 +9,11 @@ from repro.core import (EstimatorCache, TrainingConfig, ZeroShotCostModel,
 from repro.datagen import generate_database, random_database_spec
 from repro.core.training import predict_runtimes
 from repro.featurization import (FEATURE_DIMS, FeatureScalers, QueryGraph,
-                                 TargetScaler, make_batch,
-                                 make_batch_reference)
+                                 TargetScaler, make_batch)
 from repro.nn import no_grad, q_error
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+
+from oracles.featurization import make_batch_reference
 
 
 def make_db(seed, layout="random", rows=900, tables=4):

@@ -1,7 +1,7 @@
 """Tests for the stage-0 corpus engine.
 
-Every fast path of the corpus engine must be *bit-identical* to its retained
-executable reference:
+Every fast path of the corpus engine must be *bit-identical* to its loop
+oracle (``tests/oracles``) or per-plan counterpart:
 
 * ``execute_trace`` ≡ per-plan ``execute_plan`` (rows, cardinalities, node
   profiles) across benchmark profiles,
@@ -30,12 +30,13 @@ from repro.datagen import (generate_database, make_benchmark_database,
                            random_database_spec)
 from repro.executor import (TraceExecutionContext, execute_plan, execute_trace,
                             simulate_runtime_ms, simulate_runtime_ms_batch)
-from repro.executor.executor import (_gather_parent_positions_reference,
-                                     _run_positions)
+from repro.executor.executor import _run_positions
 from repro.optimizer import PlannerConfig, plan_query
 from repro.storage import Index
-from repro.workloads import (WorkloadConfig, WorkloadGenerator, generate_trace,
-                             generate_trace_reference)
+from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+
+from oracles.workloads import (_gather_parent_positions_reference,
+                               generate_trace_reference)
 
 # Three benchmark profiles with different schema shapes / layouts.
 PROFILES = ("airline", "imdb", "ssb")

@@ -18,17 +18,20 @@ import pytest
 
 import repro.featurization.fingerprint as fingerprint
 from repro.cardest import (CARD_SOURCES, DataDrivenEstimator,
-                           annotate_cardinalities,
-                           annotate_cardinalities_reference)
+                           annotate_cardinalities)
 from repro.core import EstimatorCache, featurize_records
 from repro.executor import execute_plan
 from repro.featurization import (BatchCache, FeatureScalers,
                                  FeaturizationCache, build_query_graph,
-                                 build_query_graph_reference,
                                  build_query_graphs, make_batch,
-                                 make_batch_reference, plan_fingerprint)
+                                 plan_fingerprint)
 from repro.optimizer import plan_query
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+
+from oracles.cardest import (annotate_cardinalities_reference,
+                             join_sample_reference)
+from oracles.featurization import (build_query_graph_reference,
+                                   make_batch_reference)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +161,7 @@ class TestBatchedAnnotation:
         sample_fast, weights_fast, root_fast, size_fast = \
             estimator.join_sample(tables, joins, seed=123)
         sample_ref, weights_ref, root_ref, size_ref = \
-            estimator.join_sample_reference(tables, joins, seed=123)
+            join_sample_reference(estimator, tables, joins, seed=123)
         assert root_fast == root_ref and size_fast == size_ref
         np.testing.assert_array_equal(weights_fast, weights_ref)
         for table in sample_ref:

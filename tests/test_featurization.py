@@ -9,12 +9,13 @@ from repro.executor import execute_plan
 from repro.featurization import (BatchCache, FEATURE_DIMS, FeatureScalers,
                                  NODE_TYPES, QueryGraph, TargetScaler,
                                  attribute_features, build_query_graph,
-                                 make_batch, make_batch_reference,
-                                 output_features, plan_features,
+                                 make_batch, output_features, plan_features,
                                  predicate_features, table_features)
 from repro.optimizer import plan_query
 from repro.sql import PredOp
 from repro.storage import DataType
+
+from oracles.featurization import make_batch_reference
 
 
 def graph_for(db, query, source="exact"):

@@ -202,7 +202,8 @@ class TestMmapHydration:
                                                                tmp_path):
         """A store still holding a per-array ``.npy`` extraction (the
         layout before one mapped file) extracts afresh and serves the same
-        verified checkpoint; nothing is quarantined for its layout."""
+        verified checkpoint; nothing is quarantined for its layout, and
+        the old extraction is removed."""
         registry = _registry_with(world, tmp_path)
         key = registry.active("main").checkpoint_key
         state, metadata = load_state(io.BytesIO(world["model"].to_bytes()))
@@ -219,6 +220,7 @@ class TestMmapHydration:
         assert reopened.quarantined_versions("main") == ()
         assert reopened.active("main").checkpoint_key == key
         assert (reopened.mmap_dir(key) / "arrays.bin").exists()
+        assert not old.exists()
         np.testing.assert_array_equal(_direct(mapped, world["graphs_a"]),
                                       world["expected_a"])
 
@@ -547,6 +549,38 @@ class TestFleetSupervision:
             with pytest.raises(Exception) as err:
                 handle.result(0)
             assert "fleet stopped" in str(err.value)
+
+    def test_worker_that_cannot_start_is_given_up(self, world, tmp_path,
+                                                  monkeypatch):
+        """Workers that raise at start-up are re-forked a bounded number of
+        times, then their slots are given up: every handle fails typed and
+        the draining stop returns instead of spinning."""
+        registry = _registry_with(world, tmp_path)
+        plans = [r.plan for r in world["records_a"]]
+        fleet = PredictorFleet(registry, world["dbs"], n_workers=2,
+                               hang_timeout_ms=None)
+
+        def cannot_start(*args, **kwargs):
+            raise RuntimeError("injected start-up failure")
+
+        monkeypatch.setattr(fleet_module, "ServingCore", cannot_start)
+        outcome = {}
+
+        def serve():
+            with fleet:
+                outcome["handles"] = fleet.submit_many(
+                    plans, world["db_a"].name, block=True)
+            outcome["stats"] = fleet.stats()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "the fleet never exited"
+        for handle in outcome["handles"]:
+            assert handle.status is RequestStatus.FAILED
+            assert isinstance(handle.error, fleet_module.WorkerStartError)
+        # Two slots, each forked once and re-forked at most twice.
+        assert outcome["stats"]["worker_restarts"] <= 4
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tier-1 tests for the training & experiment engine (PR 3).
 
-Covers the flat-parameter optimizer (bit-identity against the preserved
-per-parameter references over full ``train_model`` runs in both dtypes),
+Covers the flat-parameter optimizer (bit-identity against the per-parameter
+oracles over full ``train_model`` runs in both dtypes),
 checkpointing of flattened parameters, the disk artifact store
 (hit / corruption / stale-fingerprint invalidation), content-keyed graph
 lists in the benchmark suite, deterministic parallel experiment execution,
@@ -10,6 +10,7 @@ and the shared predict-batch-cache counters/reset hook.
 
 import os
 import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from repro.core.model import ZeroShotModel
 from repro.core.training import _PREDICT_BATCH_CACHE, predict_runtimes
 from repro.datagen import generate_database, random_database_spec
 from repro.featurization import records_fingerprint
-from repro.nn import (Adam, Adam_reference, FlatParameterSpace, Tensor,
-                      clip_grad_norm, clip_grad_norm_reference)
+from repro.nn import Adam, FlatParameterSpace, Tensor, clip_grad_norm
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+
+from oracles.optim import (Adam_reference, clip_grad_norm_reference,
+                           reference_training)
 
 
 @pytest.fixture(scope="module")
@@ -43,16 +46,19 @@ def corpus():
 
 
 def _train_pair(graphs, runtimes, dtype, seed=0):
-    """Train twice from identical inits: flat engine vs reference path."""
+    """Train twice from identical inits: flat engine vs the per-parameter
+    oracles substituted into ``train_model``."""
     results = []
-    for flat in (True, False):
+    perfstats.reset()
+    for substitute in (nullcontext, reference_training):
         config = TrainingConfig(hidden_dim=16, epochs=6, batch_size=8,
                                 dropout=0.1, seed=seed, dtype=dtype,
-                                flat_optimizer=flat,
                                 early_stopping_patience=2)
         model = ZeroShotModel(hidden_dim=16, dropout=0.1, seed=seed)
-        _, _, history = train_model(model, graphs, runtimes, config)
+        with substitute():
+            _, _, history = train_model(model, graphs, runtimes, config)
         results.append((model, history))
+    assert perfstats.snapshot().get("optim.reference_step", 0) > 0
     return results
 
 
