@@ -6,31 +6,28 @@ fleet, fleet chaos, controller, tracing overhead).
 Every function here only measures and returns numbers; pass/fail is the
 ``GATES`` table in ``run.py``, the one entry point.
 
-All benchmarks use only the public API of the *current* revision
+All benchmarks use only the public API of the current revision
 (``execute_trace``, ``simulate_runtime_ms_batch``, ``learn_spn``,
 ``featurize_records``, ``annotate_cardinalities``, ``make_batch``,
-``ZeroShotModel``, ``predict_runtimes``); historical engines are
-represented by the numbers recorded in ``baseline_seed.json``, not by
-re-running this module against old checkouts.  Throughput is plans/second
+``ZeroShotModel``, ``predict_runtimes``).  Throughput is plans/second
 (tables/second for datagen and SPN learning), best of ``repeats`` timed
 passes with the cyclic GC paused (timeit's policy), so one collector pause
-cannot sink a number.
+cannot sink a number; :func:`_pass_seconds` is the one timing loop.
 
 The featurization, annotation, trace-execution and training benchmarks
 take ``use_reference=True`` to time the loop oracles from ``tests/oracles``
 (``build_query_graph_reference``, ``annotate_cardinalities_reference``,
-``Adam_reference``) or per-plan ``execute_plan`` — that is how ``run.py
---save-loop-baseline`` re-anchors the loop entries of the recorded
-baseline, and how ``run_all`` derives the machine-drift-immune same-run
-speedups.  Runtime simulation and SPN learning have one implementation
-each, so their benches take no reference switch.
+``Adam_reference``) or per-plan ``execute_plan``: ``run_all`` times each
+right before its fast path, and ``run.py engine`` reports the ratios, the
+engine bench's only comparison (same machine, same run, so immune to
+machine drift).  Runtime simulation and SPN learning have one
+implementation each, so their benches take no reference switch.
 """
 
 from __future__ import annotations
 
 import cProfile
 import gc
-import inspect
 import io
 import os
 import pstats
@@ -60,9 +57,9 @@ from oracles.featurization import build_query_graph_reference  # noqa: E402
 from oracles.optim import (Adam_reference,  # noqa: E402
                            clip_grad_norm_reference, reference_training)
 
-__all__ = ["build_plan_corpus", "build_corpus", "build_exec_corpus",
-           "exec_corpus_size", "bench_datagen", "bench_trace_execution",
-           "bench_runtime_simulation", "bench_spn_learning",
+__all__ = ["build_plan_corpus", "build_exec_corpus", "bench_datagen",
+           "bench_trace_execution", "bench_runtime_simulation",
+           "bench_spn_learning",
            "bench_featurization", "bench_annotation",
            "bench_featurization_cached", "bench_batch_construction",
            "bench_training_step", "bench_train_epoch",
@@ -70,7 +67,7 @@ __all__ = ["build_plan_corpus", "build_corpus", "build_exec_corpus",
            "bench_inference_single_plan", "served_model",
            "audit", "bench_serving", "bench_chaos", "bench_fleet",
            "bench_fleet_chaos", "bench_controller", "bench_obs",
-           "OBS_LATENCY_P95_BUDGET_MS", "run_all", "run_pipeline_reference"]
+           "OBS_LATENCY_P95_BUDGET_MS", "run_all"]
 
 
 def build_plan_corpus(n_queries=192, seed=0, max_joins=3, base_rows=1200):
@@ -85,18 +82,6 @@ def build_plan_corpus(n_queries=192, seed=0, max_joins=3, base_rows=1200):
                                 seed=seed).generate(n_queries)
     trace = generate_trace(db, queries, seed=seed)
     return db, list(trace)
-
-
-def exec_corpus_size(quick):
-    """One authority for the stage-0 execution corpus sizing.
-
-    ``run_all`` and ``run_pipeline_reference`` both resolve through here,
-    so --quick runs and loop-baseline recordings always measure matching
-    corpus scales (mixing them would make the recorded speedups
-    incomparable).
-    """
-    return (dict(n_queries=64, base_rows=16000) if quick
-            else dict(n_queries=128, base_rows=48000))
 
 
 def build_exec_corpus(n_queries=128, seed=0, max_joins=5, base_rows=48000,
@@ -124,23 +109,10 @@ def build_exec_corpus(n_queries=128, seed=0, max_joins=5, base_rows=48000,
     return db, plans
 
 
-def build_corpus(n_queries=192, seed=0, max_joins=3):
-    """Featurized graphs + runtimes for the model-side benchmarks."""
-    db, records = build_plan_corpus(n_queries=n_queries, seed=seed,
-                                    max_joins=max_joins)
-    graphs = featurize_records(records, {db.name: db}, cards="exact")
-    runtimes = np.array([r.runtime_ms for r in records])
-    return graphs, runtimes
-
-
 def _cpu_s(who):
     """User + system CPU seconds of ``getrusage(who)``."""
     usage = resource.getrusage(who)
     return usage.ru_utime + usage.ru_stime
-
-
-def _best_rate(n_plans, timings):
-    return n_plans / min(timings)
 
 
 @contextmanager
@@ -157,6 +129,28 @@ def _gc_paused():
             gc.collect()
 
 
+def _pass_seconds(run, passes, setup=tuple):
+    """Wall-clock seconds of each of ``passes`` calls of ``run(*setup())``.
+
+    The cyclic GC stays paused across all passes.  ``setup`` builds a
+    pass's arguments (a fresh model, cleared caches) outside its timed
+    window.
+    """
+    timings = []
+    with _gc_paused():
+        for _ in range(passes):
+            args = setup()
+            start = time.perf_counter()
+            run(*args)
+            timings.append(time.perf_counter() - start)
+    return timings
+
+
+def _best_rate(n_items, run, repeats, setup=tuple):
+    """Items/second of the fastest of ``repeats`` timed passes."""
+    return n_items / min(_pass_seconds(run, repeats, setup))
+
+
 # ----------------------------------------------------------------------
 # Stage 0: corpus engine (datagen, trace execution, SPN learning,
 # runtime simulation)
@@ -168,13 +162,8 @@ def bench_datagen(base_rows=1200, seed=0, repeats=3):
     spec = random_database_spec("perfdb", seed=seed, layout="snowflake",
                                 base_rows=base_rows, n_tables=5,
                                 complexity=0.7)
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            db = generate_database(spec)
-            timings.append(time.perf_counter() - start)
-    return len(db.tables) / min(timings)
+    return _best_rate(len(spec.tables), lambda: generate_database(spec),
+                      repeats)
 
 
 def bench_trace_execution(db, plans, repeats=3, use_reference=False):
@@ -188,30 +177,21 @@ def bench_trace_execution(db, plans, repeats=3, use_reference=False):
     """
     from repro.executor import execute_plan, execute_trace
 
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            if use_reference:
-                for plan in plans:
-                    execute_plan(db, plan)
-            else:
-                execute_trace(db, plans)
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(plans), timings)
+    def per_plan():
+        for plan in plans:
+            execute_plan(db, plan)
+
+    run = per_plan if use_reference else lambda: execute_trace(db, plans)
+    return _best_rate(len(plans), run, repeats)
 
 
 def bench_runtime_simulation(db, plans, repeats=5):
     """Plans/second through runtime simulation (plans must be executed)."""
     from repro.executor import simulate_runtime_ms_batch
 
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            simulate_runtime_ms_batch(db, plans, seed=0)
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(plans), timings)
+    return _best_rate(len(plans),
+                      lambda: simulate_runtime_ms_batch(db, plans, seed=0),
+                      repeats)
 
 
 def bench_spn_learning(db, repeats=3, max_rows=4000):
@@ -221,14 +201,12 @@ def bench_spn_learning(db, repeats=3, max_rows=4000):
 
     table_arrays = [spn_input_arrays(db.table(table_name))
                     for table_name in db.schema.table_names]
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for arrays in table_arrays:
-                learn_spn(arrays, seed=0, max_rows=max_rows)
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(table_arrays), timings)
+
+    def learn_all():
+        for arrays in table_arrays:
+            learn_spn(arrays, seed=0, max_rows=max_rows)
+
+    return _best_rate(len(table_arrays), learn_all, repeats)
 
 
 # ----------------------------------------------------------------------
@@ -238,23 +216,21 @@ def bench_featurization(db, records, repeats=7, use_reference=False):
     """Plans/second through the full featurize pipeline (exact cards).
 
     Fast path: ``featurize_records`` (vectorized batch builder, fused
-    cardinality lookup).  Reference: the per-record loop the seed engine ran
-    — annotation dict per plan, per-node feature-vector construction.
+    cardinality lookup).  Reference: the per-record loop oracle, an
+    annotation dict per plan and per-node feature-vector construction.
     """
     dbs = {db.name: db}
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            if use_reference:
-                for record in records:
-                    cards = annotate_cardinalities_reference(db, record.plan,
-                                                             "exact")
-                    build_query_graph_reference(db, record.plan, cards)
-            else:
-                featurize_records(records, dbs, cards="exact")
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(records), timings)
+
+    def per_record():
+        for record in records:
+            cards = annotate_cardinalities_reference(db, record.plan, "exact")
+            build_query_graph_reference(db, record.plan, cards)
+
+    def batched():
+        featurize_records(records, dbs, cards="exact")
+
+    return _best_rate(len(records), per_record if use_reference else batched,
+                      repeats)
 
 
 def bench_annotation(db, records, repeats=5, use_reference=False, seed=0,
@@ -269,15 +245,17 @@ def bench_annotation(db, records, repeats=5, use_reference=False, seed=0,
     estimator = DataDrivenEstimator(db, sample_size=sample_size, seed=seed)
     annotate = (annotate_cardinalities_reference if use_reference
                 else annotate_cardinalities)
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            estimator.clear_caches()
-            start = time.perf_counter()
-            for record in records:
-                annotate(db, record.plan, "deepdb", estimator=estimator)
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(records), timings)
+
+    def cold_estimator():
+        estimator.clear_caches()
+        return ()
+
+    def annotate_all():
+        for record in records:
+            annotate(db, record.plan, "deepdb", estimator=estimator)
+
+    return _best_rate(len(records), annotate_all, repeats,
+                      setup=cold_estimator)
 
 
 def bench_featurization_cached(db, records, repeats=7):
@@ -285,14 +263,12 @@ def bench_featurization_cached(db, records, repeats=7):
     corpus is fingerprint lookups only.  Returns ``(rate, cache_stats)``."""
     dbs = {db.name: db}
     cache = FeaturizationCache()
-    featurize_records(records, dbs, cards="exact", feat_cache=cache)  # warm
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            featurize_records(records, dbs, cards="exact", feat_cache=cache)
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(records), timings), cache.stats()
+
+    def featurize():
+        featurize_records(records, dbs, cards="exact", feat_cache=cache)
+
+    featurize()  # warm
+    return _best_rate(len(records), featurize, repeats), cache.stats()
 
 
 # ----------------------------------------------------------------------
@@ -304,14 +280,12 @@ def bench_batch_construction(graphs, batch_size=64, repeats=5, scalers=None):
         scalers = FeatureScalers().fit(graphs)
     chunks = [graphs[i:i + batch_size]
               for i in range(0, len(graphs), batch_size)]
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for chunk in chunks:
-                make_batch(chunk, scalers)
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(graphs), timings)
+
+    def batch_all():
+        for chunk in chunks:
+            make_batch(chunk, scalers)
+
+    return _best_rate(len(graphs), batch_all, repeats)
 
 
 def bench_training_step(graphs, runtimes, hidden_dim=64, batch_size=64,
@@ -333,26 +307,26 @@ def bench_training_step(graphs, runtimes, hidden_dim=64, batch_size=64,
                 log_targets[i:i + batch_size])
                for i in range(0, len(graphs), batch_size)]
     loss_fn = QErrorLoss()
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            model = ZeroShotModel(hidden_dim=hidden_dim, dropout=0.05, seed=seed)
-            if hasattr(model, "to"):
-                model.to(getattr(config, "dtype", "float64"))
-            model.train()
-            params = list(model.parameters())
-            optimizer = optimizer_cls(params, lr=1.5e-3)
-            start = time.perf_counter()
-            for _ in range(epochs):
-                for batch, target_log in batches:
-                    optimizer.zero_grad()
-                    pred_log = model(batch) * target.std + target.mean
-                    loss = loss_fn(pred_log, target_log)
-                    loss.backward()
-                    clip(params, 5.0)
-                    optimizer.step()
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(graphs) * epochs, timings)
+
+    def fresh_model():
+        model = ZeroShotModel(hidden_dim=hidden_dim, dropout=0.05, seed=seed)
+        model.to(config.dtype)
+        model.train()
+        params = list(model.parameters())
+        return model, params, optimizer_cls(params, lr=1.5e-3)
+
+    def train(model, params, optimizer):
+        for _ in range(epochs):
+            for batch, target_log in batches:
+                optimizer.zero_grad()
+                pred_log = model(batch) * target.std + target.mean
+                loss = loss_fn(pred_log, target_log)
+                loss.backward()
+                clip(params, 5.0)
+                optimizer.step()
+
+    return _best_rate(len(graphs) * epochs, train, repeats,
+                      setup=fresh_model)
 
 
 def bench_train_epoch(graphs, runtimes, hidden_dim=64, batch_size=64,
@@ -366,16 +340,15 @@ def bench_train_epoch(graphs, runtimes, hidden_dim=64, batch_size=64,
     """
     config = TrainingConfig(hidden_dim=hidden_dim, batch_size=batch_size,
                             epochs=epochs, seed=seed)
-    timings = []
-    with _gc_paused(), (reference_training() if use_reference
-                        else nullcontext()):
-        for _ in range(repeats):
-            model = ZeroShotModel(hidden_dim=hidden_dim, dropout=0.05,
-                                  seed=seed)
-            start = time.perf_counter()
-            train_model(model, graphs, runtimes, config)
-            timings.append(time.perf_counter() - start)
-    return _best_rate(len(graphs) * epochs, timings)
+
+    def fresh_model():
+        return (ZeroShotModel(hidden_dim=hidden_dim, dropout=0.05, seed=seed),)
+
+    with reference_training() if use_reference else nullcontext():
+        return _best_rate(
+            len(graphs) * epochs,
+            lambda model: train_model(model, graphs, runtimes, config),
+            repeats, setup=fresh_model)
 
 
 def bench_experiment_warm_start(store_dir=None, n_queries=12, epochs=4,
@@ -421,34 +394,23 @@ def bench_inference(graphs, runtimes, hidden_dim=64, batch_size=256,
     """Plans/second through ``predict_runtimes``.
 
     By default batch memoization is disabled so the number reflects fresh
-    (never-seen) graphs — directly comparable to the seed engine, which had
-    no cache.  ``use_cache=True`` measures the warm-``BatchCache`` path that
-    repeated evaluations (e.g. the benchmark suite) actually pay; in that
-    mode the cache's hit/miss counters are returned alongside the rate.
+    (never-seen) graphs.  ``use_cache=True`` measures the warm-``BatchCache``
+    path that repeated evaluations (e.g. the benchmark suite) actually pay;
+    in that mode the cache's hit/miss counters are returned alongside the
+    rate.
     """
     from repro.featurization import BatchCache
 
     model = ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval()
     scalers = FeatureScalers().fit(graphs)
     target = TargetScaler().fit(runtimes)
-    kwargs = {}
-    cache = None
-    # The seed engine's predict_runtimes predates the batch_cache parameter;
-    # only pass it where supported so the harness runs on any revision.
-    if "batch_cache" in inspect.signature(predict_runtimes).parameters:
-        cache = BatchCache(max_entries=64) if use_cache else False
-        kwargs["batch_cache"] = cache
-    timings = []
-    with _gc_paused():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            predict_runtimes(model, graphs, scalers, target,
-                             batch_size=batch_size, **kwargs)
-            timings.append(time.perf_counter() - start)
-    rate = _best_rate(len(graphs), timings)
-    if use_cache and cache not in (None, False):
-        return rate, cache.stats()
-    return rate
+    cache = BatchCache(max_entries=64) if use_cache else False
+    rate = _best_rate(
+        len(graphs),
+        lambda: predict_runtimes(model, graphs, scalers, target,
+                                 batch_size=batch_size, batch_cache=cache),
+        repeats)
+    return (rate, cache.stats()) if use_cache else rate
 
 
 def bench_inference_single_plan(graphs, runtimes, hidden_dim=64, seed=0):
@@ -461,13 +423,11 @@ def bench_inference_single_plan(graphs, runtimes, hidden_dim=64, seed=0):
     model = ZeroShotModel(hidden_dim=hidden_dim, seed=seed).eval()
     scalers = FeatureScalers().fit(graphs)
     target = TargetScaler().fit(runtimes)
-    timings = []
-    with _gc_paused():
-        for graph in graphs:
-            start = time.perf_counter()
-            predict_runtimes(model, [graph], scalers, target,
-                             batch_cache=False)
-            timings.append(time.perf_counter() - start)
+    one_graph = ([graph] for graph in graphs)
+    timings = _pass_seconds(
+        lambda batch: predict_runtimes(model, batch, scalers, target,
+                                       batch_cache=False),
+        len(graphs), setup=lambda: (next(one_graph),))
     return float(np.median(timings)) * 1e3
 
 
@@ -955,9 +915,10 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
 def bench_controller(quick=False, pump_rounds=20, trace=False):
     """End-to-end drift scenario through the continuous-learning controller.
 
-    Builds the calibrated three-database world (a small training database,
-    a drift database the base model has never seen, and a heavy database
-    the *candidate* never learns) and drives the full
+    Builds the calibrated three-database world of
+    :mod:`repro.bench.drift_world` (a small training database, a drift
+    database the base model has never seen, and a heavy database the
+    *candidate* never learns) and drives the full
     observe -> detect -> retrain -> shadow-evaluate -> promote loop four
     times:
 
@@ -987,67 +948,25 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
     event stream.
     """
     import dataclasses
-    import time as _time
-    from pathlib import Path
 
     from repro.bench import ArtifactStore
-    from repro.core import TrainingConfig, ZeroShotCostModel
-    from repro.datagen import generate_database, random_database_spec
+    from repro.bench.drift_world import CONTROLLER_CONFIG, build_drift_world
     from repro.executor import simulate_runtime_ms
     from repro.obs import Tracer
-    from repro.serving import (ContinuousLearningController, ControllerConfig,
-                               LoadConfig, ModelRegistry, PredictorServer,
-                               ServerConfig, run_load)
-    from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+    from repro.serving import (ContinuousLearningController, LoadConfig,
+                               ModelRegistry, PredictorServer, ServerConfig,
+                               run_load)
 
-    # Same calibrated world as tests/test_controller.py: the base model's
-    # Q-error on drift traffic (~3x) clears the 2.0 threshold, the
-    # fine-tuned candidate's (~1.3-1.7x) stays under it, and the
-    # candidate's on heavy traffic (~4-12x) clears the 2.5 probation
-    # threshold — with margin under cross-process training jitter.
-    db = generate_database(random_database_spec(
-        "ctl_db", seed=31, layout="snowflake", base_rows=400, n_tables=4,
-        complexity=0.6))
-    drift_db = generate_database(random_database_spec(
-        "drift_db", seed=77, layout="star", base_rows=900, n_tables=5,
-        complexity=0.9))
-    heavy_db = generate_database(random_database_spec(
-        "heavy_db", seed=5, layout="star", base_rows=20000, n_tables=6,
-        complexity=0.9))
-    dbs = {d.name: d for d in (db, drift_db, heavy_db)}
-    trace_a = list(generate_trace(db, WorkloadGenerator(
-        db, WorkloadConfig(max_joins=1), seed=7).generate(40), seed=7))
-    trace_b = list(generate_trace(drift_db, WorkloadGenerator(
-        drift_db, WorkloadConfig(min_joins=2, max_joins=4),
-        seed=99).generate(120), seed=7))
-    trace_c = list(generate_trace(heavy_db, WorkloadGenerator(
-        heavy_db, WorkloadConfig(min_joins=3, max_joins=5),
-        seed=13).generate(32), seed=7))
-    base = ZeroShotCostModel.train(
-        [trace_a], dbs, cards="exact",
-        config=TrainingConfig(hidden_dim=24, epochs=12, dtype="float32",
-                              seed=0))
-
-    config = ControllerConfig(
-        truth_seed=7, drift_threshold=2.0, drift_window=16,
-        min_observations=8, max_fine_tune_records=16, fine_tune_epochs=20,
-        fine_tune_lr=1e-3, shadow_margin=1.05, min_shadow_samples=16,
-        probation_observations=64, probation_threshold=2.5,
-        max_observations_per_tick=16)
+    world = build_drift_world()
+    dbs = world.dbs
     load = LoadConfig(n_clients=1, block=True)
-    phases = [
-        ("before", [("ctl_db", r.plan) for r in trace_a[:24]]),
-        ("drift", [("drift_db", r.plan) for r in trace_b[:48]]),
-        ("recovery", [("drift_db", r.plan) for r in trace_b[48:80]]),
-        ("after", [("drift_db", r.plan) for r in trace_b[80:120]]),
-    ]
-    regression_phases = phases[:3] + [
-        ("after", [("heavy_db", r.plan) for r in trace_c]),
-    ]
+    phases = world.phases()
+    regression_phases = world.phases(regression=True)
 
-    def stack(tmp, ctl_config=config):
+    def stack(tmp, ctl_config=CONTROLLER_CONFIG):
         registry = ModelRegistry(ArtifactStore(tmp))
-        registry.publish("zs", base, dbs=list(dbs.values()), default=True)
+        registry.publish("zs", world.base, dbs=list(dbs.values()),
+                         default=True)
         server = PredictorServer(
             registry, dbs, ServerConfig(max_batch_size=8,
                                         result_cache_size=0)).start()
@@ -1059,7 +978,7 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
 
     def truth_for(handle):
         return float(simulate_runtime_ms(dbs[handle.db_name], handle.plan,
-                                         seed=config.truth_seed))
+                                         seed=CONTROLLER_CONFIG.truth_seed))
 
     def run_scenario(tmp, scenario_phases):
         """Synchronous drain-per-phase run; returns (registry, controller,
@@ -1101,7 +1020,7 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
 
         # Daemon availability: the controller ticks (and fine-tunes) in
         # its background thread while load keeps flowing.
-        daemon_config = dataclasses.replace(config, cadence_s=0.01)
+        daemon_config = dataclasses.replace(CONTROLLER_CONFIG, cadence_s=0.01)
         registry_d, server_d, daemon = stack(tmp / "daemon", daemon_config)
         submitted = delivered = 0
 
@@ -1110,9 +1029,9 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
             report = run_load(server_d, requests, load)
             submitted += report.n_requests
             delivered += report.completed + report.cached + report.degraded
-            deadline = _time.monotonic() + 30.0
-            while len(daemon.tap) and _time.monotonic() < deadline:
-                _time.sleep(0.02)
+            deadline = time.monotonic() + 30.0
+            while len(daemon.tap) and time.monotonic() < deadline:
+                time.sleep(0.02)
 
         try:
             with daemon:
@@ -1151,7 +1070,7 @@ def bench_controller(quick=False, pump_rounds=20, trace=False):
             "within_probation": (
                 bool(rollbacks)
                 and rollback_detail["probation_seen"]
-                < config.probation_observations),
+                < CONTROLLER_CONFIG.probation_observations),
             "rollback_median": rollback_detail.get("rolling_median"),
             "active_version_after": registry_r.active("zs").version,
         },
@@ -1247,22 +1166,6 @@ def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
     }
 
 
-def run_pipeline_reference(n_queries=192, seed=0):
-    """Loop-baseline rates for the pipeline metrics (see --save-loop-baseline)."""
-    db, records = build_plan_corpus(n_queries=n_queries, seed=seed)
-    exec_db, exec_plans = build_exec_corpus(seed=seed,
-                                            **exec_corpus_size(n_queries < 192))
-    results = {
-        "featurize_plans_per_s": bench_featurization(db, records,
-                                                     use_reference=True),
-        "annotate_plans_per_s": bench_annotation(db, records,
-                                                 use_reference=True),
-        "trace_exec_plans_per_s": bench_trace_execution(exec_db, exec_plans,
-                                                        use_reference=True),
-    }
-    return results
-
-
 def _stage(name, fn, profile=False):
     """Run one benchmark stage, optionally under cProfile (top-20 printed)."""
     if not profile:
@@ -1289,16 +1192,14 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
     graphs = featurize_records(records, {db.name: db}, cards="exact")
     runtimes = np.array([r.runtime_ms for r in records])
     # The loop references are timed immediately before their fast
-    # counterparts: the recorded baseline tracks the trajectory PR over PR,
-    # while these same-run rates give a machine-drift-immune speedup.
+    # counterparts, so the same-run ratios are immune to machine drift.
     # --- stage 0: corpus engine (datagen / execute / learn / simulate) ---
     datagen = _stage("datagen", bench_datagen, profile)
     # Honor the caller's sizing: a --quick run gets a proportionally
-    # smaller execution corpus instead of always paying the full one
-    # (same sizing rule as run_pipeline_reference, so recorded loop
-    # baselines and measured rates always share a corpus scale).
-    exec_db, exec_plans = build_exec_corpus(seed=seed,
-                                            **exec_corpus_size(n_queries < 192))
+    # smaller execution corpus instead of always paying the full one.
+    exec_db, exec_plans = build_exec_corpus(
+        seed=seed, **(dict(n_queries=64, base_rows=16000) if n_queries < 192
+                      else dict(n_queries=128, base_rows=48000)))
     trace_exec_reference = _stage(
         "trace_exec_reference",
         lambda: bench_trace_execution(exec_db, exec_plans,

@@ -5,21 +5,16 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run.py engine          # full run
     PYTHONPATH=src python benchmarks/perf/run.py engine --quick  # smaller corpus
     PYTHONPATH=src python benchmarks/perf/run.py chaos --quick   # what CI runs
-    PYTHONPATH=src python benchmarks/perf/run.py engine --save-baseline
-    PYTHONPATH=src python benchmarks/perf/run.py engine --save-loop-baseline
 
 Benches (the ``harness`` function each one drives):
 
 * ``engine`` — engine microbenchmarks (``run_all``): current rates, the
-  recorded seed-engine baseline (``baseline_seed.json``) and the speedup
-  of each metric, same-run speedups over the loop oracles of
-  ``tests/oracles`` (immune to machine drift), and cache and fast-path
-  dispatch counters.  Runtime simulation and SPN learning have one
-  implementation each, so they report rates but no same-run speedup.
-  ``--save-baseline`` re-records the whole baseline;
-  ``--save-loop-baseline`` re-times only the loop references (featurize /
-  annotate / trace_exec) and leaves the other baseline entries untouched;
-  ``--profile`` prints a cProfile top-20 per stage.
+  speedup of each fast path over its loop oracle from ``tests/oracles``
+  timed in the same run (the one comparison: same machine, same moment,
+  so immune to machine drift), and cache and fast-path dispatch counters.
+  Runtime simulation and SPN learning have one implementation each, so
+  they report rates but no speedup.  ``--profile`` prints a cProfile
+  top-20 per stage.
 * ``chaos`` — the server under a seeded fault schedule (``bench_chaos``).
 * ``fleet`` — fleet plans/s per worker count, plus a 2-worker fleet's
   set-up and restart times (``bench_fleet``).
@@ -54,8 +49,6 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(HERE))
 
 import harness  # noqa: E402  (benchmarks/perf/harness.py)
-
-BASELINE_PATH = HERE / "baseline_seed.json"
 
 RATE_KEYS = ("datagen_tables_per_s", "trace_exec_plans_per_s",
              "simulate_plans_per_s", "spn_learn_tables_per_s",
@@ -225,101 +218,46 @@ def tripped(bench, results):
 # ----------------------------------------------------------------------
 # Benches
 # ----------------------------------------------------------------------
-def run_engine(args):
-    """Engine microbenchmarks; ``None`` when a baseline was re-recorded."""
-    n_queries = 96 if args.quick else 192
-    if args.save_loop_baseline:
-        baseline = (json.loads(BASELINE_PATH.read_text())
-                    if BASELINE_PATH.exists() else {})
-        reference = harness.run_pipeline_reference(n_queries=n_queries)
-        baseline.update(reference)
-        BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-        print(f"loop baseline updated in {BASELINE_PATH}")
-        for key, value in reference.items():
-            print(f"  {key}: {value:.1f}")
-        return None
-
-    results = harness.run_all(n_queries=n_queries, profile=args.profile)
-
-    if args.save_baseline:
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-        for key in RATE_KEYS:
-            print(f"  {key}: {results[key]:.1f}")
-        return None
-
-    baseline = None
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-
-    report = {
+def engine_report(results):
+    """The ``BENCH_engine.json`` report of one ``run_all`` result: the
+    results plus the fast-path-over-loop-oracle ratios of this run."""
+    return {
         "engine": "fast-path",
         "python": platform.python_version(),
         "results": results,
-        "baseline_seed": baseline,
+        "speedup_vs_loop_same_run": {
+            f"{key}_plans_per_s": results[f"{key}_plans_per_s"]
+            / results[f"{key}_reference_plans_per_s"]
+            for key in SAME_RUN_KEYS},
+        "featurization_cache_warm_over_cold": (
+            results["featurize_cached_plans_per_s"]
+            / results["featurize_plans_per_s"]),
+        "experiment_warm_start_speedup":
+            results["experiment_warm_start_speedup"],
+        "serving_microbatch_speedup": results["serving_microbatch_speedup"],
     }
-    if baseline:
-        report["speedup_vs_seed"] = {
-            key: results[key] / baseline[key]
-            for key in RATE_KEYS if baseline.get(key)
-        }
-        warm = results.get("featurize_cached_plans_per_s")
-        cold = results.get("featurize_plans_per_s")
-        if warm and cold:
-            report["featurization_cache_warm_over_cold"] = warm / cold
-    # Machine-drift-immune: the loop oracles timed in this very run
-    # (tests/oracles, the per-parameter Adam_reference included).
-    same_run = {}
-    for key in SAME_RUN_KEYS:
-        fast = results.get(f"{key}_plans_per_s")
-        reference = results.get(f"{key}_reference_plans_per_s")
-        if fast and reference:
-            same_run[f"{key}_plans_per_s"] = fast / reference
-    if same_run:
-        report["speedup_vs_loop_same_run"] = same_run
-    warm = results.get("experiment_warm_start_speedup")
-    if warm:
-        report["experiment_warm_start_speedup"] = warm
-    serving = results.get("serving_microbatch_speedup")
-    if serving:
-        report["serving_microbatch_speedup"] = serving
 
+
+def run_engine(args):
+    results = harness.run_all(n_queries=96 if args.quick else 192,
+                              profile=args.profile)
+    report = engine_report(results)
     for key in RATE_KEYS:
-        line = f"  {key}: {results[key]:.1f}"
-        if baseline and baseline.get(key):
-            line += (f"  (seed {baseline[key]:.1f}, "
-                     f"{results[key] / baseline[key]:.2f}x)")
-        print(line)
-    if same_run:
-        for key, value in same_run.items():
-            print(f"  {key} vs same-run reference: {value:.2f}x")
+        print(f"  {key}: {results[key]:.1f}")
+    for key, value in report["speedup_vs_loop_same_run"].items():
+        print(f"  {key} vs same-run reference: {value:.2f}x")
     print(f"  inference_single_plan_ms: "
           f"{results['inference_single_plan_ms']:.3f}")
-    if warm:
-        print(f"  experiment_warm_start: cold {results['experiment_cold_s']:.2f}s"
-              f" -> warm {results['experiment_warm_s']:.2f}s ({warm:.1f}x)")
-    if serving:
-        extras = results.get("serving_extras", {})
-        print(f"  serving_microbatch_speedup: {serving:.2f}x "
-              f"(mean batch {extras.get('mean_batch_size', 0):.1f}, "
-              f"p99 {extras.get('latency_ms', {}).get('p99', 0):.2f} ms)")
+    print(f"  experiment_warm_start: cold {results['experiment_cold_s']:.2f}s"
+          f" -> warm {results['experiment_warm_s']:.2f}s "
+          f"({report['experiment_warm_start_speedup']:.1f}x)")
+    extras = results["serving_extras"]
+    print(f"  serving_microbatch_speedup: "
+          f"{report['serving_microbatch_speedup']:.2f}x "
+          f"(mean batch {extras.get('mean_batch_size', 0):.1f}, "
+          f"p99 {extras.get('latency_ms', {}).get('p99', 0):.2f} ms)")
     print(f"  cache_stats: {results['cache_stats']}")
     print(f"  dispatch: {results['dispatch_counters']}")
-
-    # Append the same table to the experiment report so the perf trajectory
-    # lives next to the regenerated paper figures.
-    from repro.bench.reporting import format_table, print_experiment
-    rows = []
-    for key in RATE_KEYS:
-        row = {"metric": key.replace("_plans_per_s", "").replace(
-                   "_tables_per_s", ""),
-               "fast_path_rate": results[key]}
-        if baseline and baseline.get(key):
-            row["seed_rate"] = baseline[key]
-            row["speedup"] = results[key] / baseline[key]
-        rows.append(row)
-    print_experiment("Engine Microbenchmarks — fast path vs seed engine",
-                     format_table(rows))
     return report
 
 
@@ -385,6 +323,7 @@ def write_artifacts(bench, results, output_dir):
     (its ``spans`` entry is moved out of the JSON report)."""
     from repro.obs.export import write_chrome_trace, write_spans_jsonl
 
+    output_dir.mkdir(parents=True, exist_ok=True)
     stem = output_dir / f"BENCH_{bench}"
     spans = results.pop("spans", None)
     if spans is not None:
@@ -421,24 +360,15 @@ def parse_args(argv=None):
     benches = parser.add_subparsers(dest="bench", required=True)
     for name in BENCHES:
         benches.add_parser(name, parents=[common, *parents[name]])
-    engine = benches.choices["engine"]
-    engine.add_argument("--save-baseline", action="store_true",
-                        help="write results to baseline_seed.json instead "
-                             "of comparing against it")
-    engine.add_argument("--save-loop-baseline", action="store_true",
-                        help="re-record the loop-baseline entries (featurize"
-                             "/annotate/trace_exec) from the reference "
-                             "implementations")
-    engine.add_argument("--profile", action="store_true",
-                        help="print a cProfile top-20 per benchmark stage")
+    benches.choices["engine"].add_argument(
+        "--profile", action="store_true",
+        help="print a cProfile top-20 per benchmark stage")
     return parser.parse_args(argv)
 
 
 def main(argv=None):
     args = parse_args(argv)
     results = BENCHES[args.bench](args)
-    if results is None:
-        return 0
     write_artifacts(args.bench, results, args.output_dir)
     rows = evaluate(args.bench, results)
     for gate, value, trips in rows:

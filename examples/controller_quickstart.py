@@ -2,8 +2,9 @@
 auto-rollback.
 
 The whole control plane in one synchronous script, in two acts over the
-same world (a training database, a drift database the base model has
-never seen, and a heavy database nothing ever learns):
+calibrated world of ``repro.bench.drift_world`` (a training database, a
+drift database the base model has never seen, and a heavy database
+nothing ever learns):
 
 **Act 1 — recovery.** Serve in-distribution traffic (the controller
 observes every delivery and stays quiet), then shift the workload to the
@@ -28,67 +29,30 @@ Run with::
 import tempfile
 
 from repro import perfstats
-from repro.core import TrainingConfig, ZeroShotCostModel
-from repro.datagen import generate_database, random_database_spec
+from repro.bench.drift_world import CONTROLLER_CONFIG, build_drift_world
 from repro.executor import simulate_runtime_ms
-from repro.serving import (ContinuousLearningController, ControllerConfig,
-                           LoadConfig, ModelRegistry, PredictorServer,
-                           ServerConfig, run_load)
-from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
-
-CONFIG = ControllerConfig(
-    truth_seed=7, drift_threshold=2.0, drift_window=16,
-    min_observations=8, max_fine_tune_records=16, fine_tune_epochs=20,
-    fine_tune_lr=1e-3, shadow_margin=1.05, min_shadow_samples=16,
-    probation_observations=64, probation_threshold=2.5,
-    max_observations_per_tick=16)
+from repro.serving import (ContinuousLearningController, LoadConfig,
+                           ModelRegistry, PredictorServer, ServerConfig,
+                           run_load)
 
 LOAD = LoadConfig(n_clients=1, block=True)
 
 
-def build_world():
-    print("Generating databases ...")
-    db = generate_database(random_database_spec(
-        "ctl_db", seed=31, layout="snowflake", base_rows=400, n_tables=4,
-        complexity=0.6))
-    drift_db = generate_database(random_database_spec(
-        "drift_db", seed=77, layout="star", base_rows=900, n_tables=5,
-        complexity=0.9))
-    heavy_db = generate_database(random_database_spec(
-        "heavy_db", seed=5, layout="star", base_rows=20000, n_tables=6,
-        complexity=0.9))
-    dbs = {d.name: d for d in (db, drift_db, heavy_db)}
-
-    trace_a = list(generate_trace(db, WorkloadGenerator(
-        db, WorkloadConfig(max_joins=1), seed=7).generate(40), seed=7))
-    trace_b = list(generate_trace(drift_db, WorkloadGenerator(
-        drift_db, WorkloadConfig(min_joins=2, max_joins=4),
-        seed=99).generate(120), seed=7))
-    trace_c = list(generate_trace(heavy_db, WorkloadGenerator(
-        heavy_db, WorkloadConfig(min_joins=3, max_joins=5),
-        seed=13).generate(32), seed=7))
-
-    print("Training the base model (single-join queries, ctl_db only) ...")
-    base = ZeroShotCostModel.train(
-        [trace_a], dbs, cards="exact",
-        config=TrainingConfig(hidden_dim=24, epochs=12, dtype="float32",
-                              seed=0))
-    return dbs, trace_a, trace_b, trace_c, base
-
-
-def drive(dbs, base, phases, registry_dir):
+def drive(world, phases, registry_dir):
     """Publish the base model, serve the phases, drain the controller
     after each, and narrate every journaled decision."""
+    dbs = world.dbs
     registry = ModelRegistry(registry_dir)
-    registry.publish("zs", base, dbs=list(dbs.values()), default=True)
+    registry.publish("zs", world.base, dbs=list(dbs.values()), default=True)
     server = PredictorServer(
         registry, dbs, ServerConfig(max_batch_size=8,
                                     result_cache_size=0)).start()
-    controller = ContinuousLearningController(registry, server, CONFIG)
+    controller = ContinuousLearningController(registry, server,
+                                              CONTROLLER_CONFIG)
 
     def truth_for(handle):
         return float(simulate_runtime_ms(dbs[handle.db_name], handle.plan,
-                                         seed=CONFIG.truth_seed))
+                                         seed=CONTROLLER_CONFIG.truth_seed))
 
     try:
         for name, requests in phases:
@@ -115,20 +79,13 @@ def drive(dbs, base, phases, registry_dir):
 
 
 def main():
-    dbs, trace_a, trace_b, trace_c, base = build_world()
-    before = [("ctl_db", r.plan) for r in trace_a[:24]]
-    drift = [("drift_db", r.plan) for r in trace_b[:48]]
-    recovery = [("drift_db", r.plan) for r in trace_b[48:80]]
-    steady = [("drift_db", r.plan) for r in trace_b[80:120]]
-    heavy = [("heavy_db", r.plan) for r in trace_c]
+    print("Generating databases and training the base model "
+          "(single-join queries, ctl_db only) ...")
+    world = build_drift_world()
 
     with tempfile.TemporaryDirectory() as tmp:
         print("\nAct 1 — drift, auto-retrain, promote, graduate:")
-        registry, controller = drive(
-            dbs, base,
-            [("in-distribution", before), ("drift hits", drift),
-             ("recovery", recovery), ("steady state", steady)],
-            f"{tmp}/act1")
+        registry, controller = drive(world, world.phases(), f"{tmp}/act1")
         assert [e.kind for e in controller.journal.events()] == [
             "drift-detected", "candidate-published", "promoted",
             "probation-passed"]
@@ -136,11 +93,8 @@ def main():
               "the drift-phase Q-error is gone")
 
         print("\nAct 2 — regression during probation, auto-rollback:")
-        registry, controller = drive(
-            dbs, base,
-            [("in-distribution", before), ("drift hits", drift),
-             ("recovery", recovery), ("regression", heavy)],
-            f"{tmp}/act2")
+        registry, controller = drive(world, world.phases(regression=True),
+                                     f"{tmp}/act2")
         assert controller.journal.events()[-1].kind == "rolled-back"
         print(f"  => the probation guard restored "
               f"v{registry.active('zs').version}; the bad candidate never "

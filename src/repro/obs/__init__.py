@@ -46,7 +46,6 @@ from .export import (
     chrome_trace_events,
     latency_attribution,
     slo_report,
-    spans_to_dicts,
     write_chrome_trace,
     write_spans_jsonl,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "chrome_trace_events",
     "latency_attribution",
     "slo_report",
-    "spans_to_dicts",
     "write_chrome_trace",
     "write_spans_jsonl",
 ]

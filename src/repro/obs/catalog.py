@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["COUNTERS", "HISTOGRAMS", "GAUGES", "counter_patterns",
-           "expand_braces", "markdown_table"]
+__all__ = ["COUNTERS", "HISTOGRAMS", "GAUGES", "expand_braces",
+           "markdown_table"]
 
 #: (pattern, description) for every serving-plane counter.
 COUNTERS = [
@@ -93,9 +93,6 @@ HISTOGRAMS = [
 
 #: (name, description) for gauges (last-write-wins).
 GAUGES = []
-
-def counter_patterns():
-    return [pattern for pattern, _ in COUNTERS]
 
 
 def expand_braces(name):

@@ -22,7 +22,6 @@ import json
 from collections import defaultdict
 
 __all__ = [
-    "spans_to_dicts",
     "write_spans_jsonl",
     "chrome_trace_events",
     "write_chrome_trace",
@@ -31,10 +30,6 @@ __all__ = [
     "slo_burn",
     "slo_report",
 ]
-
-
-def spans_to_dicts(spans):
-    return [s.as_dict() for s in spans]
 
 
 def write_spans_jsonl(spans, path):

@@ -12,8 +12,7 @@ Since the observability plane landed, this module is a thin facade over
 :data:`repro.obs.metrics.REGISTRY`: every ``increment`` is a typed counter
 in the registry, so the serving/fleet/controller counters show up next to
 the latency histograms in one mergeable snapshot.  The facade keeps the
-original ``increment``/``snapshot``/``reset`` API and a live ``counters``
-mapping view, so existing callers never notice.
+original ``increment``/``snapshot``/``reset`` API.
 
 All operations are thread-safe.  The old implementation iterated a live
 ``defaultdict`` in ``snapshot`` while serving threads incremented it,
@@ -24,40 +23,9 @@ under its lock instead.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.obs.metrics import REGISTRY
 
-__all__ = ["counters", "increment", "snapshot", "reset"]
-
-
-class _CounterView(Mapping):
-    """Read-only live view of the registry's counters.
-
-    Supports the mapping surface legacy callers use (``items()``,
-    ``[name]``, ``get``, iteration, ``len``).  Iteration works on a copy
-    taken under the registry lock, so concurrent increments cannot raise
-    mid-iteration.
-    """
-
-    def __getitem__(self, name):
-        # defaultdict-compatible: missing names read as 0.
-        return REGISTRY.counter_values([name])[name]
-
-    def __iter__(self):
-        return iter(REGISTRY.counter_values())
-
-    def __len__(self):
-        return len(REGISTRY.counter_values())
-
-    def items(self):
-        return REGISTRY.counter_values().items()
-
-    def clear(self):
-        REGISTRY.reset()
-
-
-counters = _CounterView()
+__all__ = ["increment", "snapshot", "reset"]
 
 
 def increment(name, n=1):

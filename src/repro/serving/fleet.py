@@ -186,7 +186,7 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
         else:  # "stats" or "stop": the stop answer is the final stats
             payload = core.stats()
             payload["fault_injected"] = {
-                name: count for name, count in perfstats.counters.items()
+                name: count for name, count in perfstats.snapshot().items()
                 if name.startswith("fault.injected.")}
             # Metric deltas since the last shipped snapshot: the router
             # merges each exactly once (a delta lost to an injected drop

@@ -173,22 +173,44 @@ def test_missing_promotion_trips_the_happy_path_row():
 
 
 def test_artifacts_land_at_fixed_paths(tmp_path):
-    perf_run.write_artifacts("obs", dict(CLEAN["obs"], spans=[]), tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
+    # The output directory need not exist yet: write_artifacts makes it.
+    out = tmp_path / "nested" / "out"
+    perf_run.write_artifacts("obs", dict(CLEAN["obs"], spans=[]), out)
+    assert sorted(p.name for p in out.iterdir()) == [
         "BENCH_obs.json", "BENCH_obs_spans.jsonl", "BENCH_obs_trace.json"]
-    assert json.loads((tmp_path / "BENCH_obs.json").read_text()) == CLEAN["obs"]
-    perf_run.write_artifacts("fleet", dict(CLEAN["fleet"]), tmp_path)
-    assert (tmp_path / "BENCH_fleet.json").exists()
-    assert not (tmp_path / "BENCH_fleet_spans.jsonl").exists()
+    assert json.loads((out / "BENCH_obs.json").read_text()) == CLEAN["obs"]
+    perf_run.write_artifacts("fleet", dict(CLEAN["fleet"]), out)
+    assert (out / "BENCH_fleet.json").exists()
+    assert not (out / "BENCH_fleet_spans.jsonl").exists()
 
 
 def test_engine_flags_belong_to_engine_only():
-    args = perf_run.parse_args(["engine", "--quick", "--save-baseline"])
-    assert args.quick and args.save_baseline
+    args = perf_run.parse_args(["engine", "--quick", "--profile"])
+    assert args.quick and args.profile
     with pytest.raises(SystemExit):
-        perf_run.parse_args(["chaos", "--save-baseline"])
+        perf_run.parse_args(["chaos", "--profile"])
+    for flag in ("--save-baseline", "--save-loop-baseline"):
+        with pytest.raises(SystemExit):
+            perf_run.parse_args(["engine", flag])
     with pytest.raises(SystemExit):
         perf_run.parse_args(["--quick"])
+
+
+def test_engine_report_compares_only_against_same_run_oracles():
+    """The engine report built from synthetic ``run_all``-shaped results
+    (no bench runs) carries the five same-run ratios and no seed key."""
+    results = dict.fromkeys(perf_run.RATE_KEYS, 4.0)
+    results.update({f"{key}_reference_plans_per_s": 2.0
+                    for key in perf_run.SAME_RUN_KEYS})
+    results.update(experiment_warm_start_speedup=30.0,
+                   serving_microbatch_speedup=3.0)
+    report = perf_run.engine_report(results)
+    assert report["speedup_vs_loop_same_run"] == {
+        f"{key}_plans_per_s": 2.0
+        for key in ("trace_exec", "featurize", "annotate", "train_step",
+                    "train_epoch")}
+    assert report["results"] is results
+    assert not [key for key in report if "seed" in key]
 
 
 def test_seed_flags_only_where_a_seed_reaches():

@@ -26,99 +26,45 @@ The contract under test, end to end:
 import dataclasses
 import time
 
-import numpy as np
 import pytest
 
 from repro import perfstats
 from repro.bench import ArtifactStore
-from repro.core import TrainingConfig, ZeroShotCostModel
-from repro.datagen import generate_database, random_database_spec
+from repro.bench.drift_world import CONTROLLER_CONFIG, build_drift_world
 from repro.executor import simulate_runtime_ms
 from repro.optimizer import plan_query
 from repro.robustness.faults import (FaultSchedule, FaultSpec, InjectedFault,
                                      POINTS, inject)
-from repro.serving import (ContinuousLearningController, ControllerConfig,
-                           ControllerEvent, ControllerJournal, LoadConfig,
-                           ModelRegistry, Observation, ObservationTap,
-                           PredictorServer, RequestStatus, ServerConfig,
-                           run_load)
+from repro.serving import (ContinuousLearningController, ControllerEvent,
+                           ControllerJournal, LoadConfig, ModelRegistry,
+                           Observation, ObservationTap, PredictorServer,
+                           RequestStatus, ServerConfig, run_load)
 from repro.serving.core import ServingCore
-from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+from repro.workloads import WorkloadConfig, WorkloadGenerator
 
 
 # ----------------------------------------------------------------------
-# Shared world: a small training database, a drift database the base
-# model has never seen, and a heavy database the *candidate* never learns
-# (regression traffic).  Calibrated so the base model's Q-error on drift
-# traffic (~3x) clears the 2.0 threshold, the fine-tuned candidate's
-# (~1.3-1.7x) stays under it, and the candidate's on heavy traffic
-# (~4-12x) clears the 2.5 probation threshold — with margin to spare
-# under cross-process (hash-seed) training jitter.
+# Shared world: the calibrated three-database drift world of
+# repro.bench.drift_world (see its docstring for the calibration).
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def world():
-    db = generate_database(random_database_spec(
-        "ctl_db", seed=31, layout="snowflake", base_rows=400, n_tables=4,
-        complexity=0.6))
-    drift_db = generate_database(random_database_spec(
-        "drift_db", seed=77, layout="star", base_rows=900, n_tables=5,
-        complexity=0.9))
-    heavy_db = generate_database(random_database_spec(
-        "heavy_db", seed=5, layout="star", base_rows=20000, n_tables=6,
-        complexity=0.9))
-    dbs = {d.name: d for d in (db, drift_db, heavy_db)}
-    queries_a = WorkloadGenerator(db, WorkloadConfig(max_joins=1),
-                                  seed=7).generate(40)
-    trace_a = list(generate_trace(db, queries_a, seed=7))
-    queries_b = WorkloadGenerator(drift_db,
-                                  WorkloadConfig(min_joins=2, max_joins=4),
-                                  seed=99).generate(120)
-    trace_b = list(generate_trace(drift_db, queries_b, seed=7))
-    queries_c = WorkloadGenerator(heavy_db,
-                                  WorkloadConfig(min_joins=3, max_joins=5),
-                                  seed=13).generate(32)
-    trace_c = list(generate_trace(heavy_db, queries_c, seed=7))
-    base = ZeroShotCostModel.train(
-        [trace_a], dbs, cards="exact",
-        config=TrainingConfig(hidden_dim=24, epochs=12, dtype="float32",
-                              seed=0))
-    return {"dbs": dbs, "trace_a": trace_a, "trace_b": trace_b,
-            "trace_c": trace_c, "base": base}
+    return build_drift_world()
 
-
-CTL_CONFIG = ControllerConfig(
-    truth_seed=7, drift_threshold=2.0, drift_window=16, min_observations=8,
-    max_fine_tune_records=16, fine_tune_epochs=20, fine_tune_lr=1e-3,
-    shadow_margin=1.05, min_shadow_samples=16,
-    probation_observations=64, probation_threshold=2.5,
-    max_observations_per_tick=16)
 
 LOAD = LoadConfig(n_clients=1, block=True)
 
 
-def _stack(world, tmp_path, config=CTL_CONFIG, **server_overrides):
+def _stack(world, tmp_path, config=CONTROLLER_CONFIG, **server_overrides):
     registry = ModelRegistry(ArtifactStore(tmp_path))
-    registry.publish("zs", world["base"],
-                     dbs=list(world["dbs"].values()), default=True)
+    registry.publish("zs", world.base,
+                     dbs=list(world.dbs.values()), default=True)
     defaults = dict(max_batch_size=8, result_cache_size=0)
     defaults.update(server_overrides)
-    server = PredictorServer(registry, world["dbs"],
+    server = PredictorServer(registry, world.dbs,
                              ServerConfig(**defaults)).start()
     controller = ContinuousLearningController(registry, server, config)
     return registry, server, controller
-
-
-def _phases(world, regression=False):
-    """The scenario's traffic phases, as (db_name, plans) lists."""
-    a, b, c = world["trace_a"], world["trace_b"], world["trace_c"]
-    last = ([("heavy_db", r.plan) for r in c] if regression
-            else [("drift_db", r.plan) for r in b[80:120]])
-    return [
-        [("ctl_db", r.plan) for r in a[:24]],        # in-distribution
-        [("drift_db", r.plan) for r in b[:48]],      # drift hits
-        [("drift_db", r.plan) for r in b[48:80]],    # recovery traffic
-        last,                                        # graduation / regression
-    ]
 
 
 def _run_scenario(world, tmp_path, regression=False, schedule=None,
@@ -141,11 +87,11 @@ def _run_scenario(world, tmp_path, regression=False, schedule=None,
     try:
         if schedule is not None:
             with inject(schedule):
-                for phase in _phases(world, regression):
+                for _, phase in world.phases(regression):
                     run_load(server, phase, LOAD)
                     drain()
         else:
-            for phase in _phases(world, regression):
+            for _, phase in world.phases(regression):
                 run_load(server, phase, LOAD)
                 drain()
     finally:
@@ -193,7 +139,7 @@ class TestObservationPlumbing:
         registry, server, controller = _stack(world, tmp_path,
                                               result_cache_size=64)
         try:
-            plans = [("ctl_db", r.plan) for r in world["trace_a"][:6]]
+            plans = [("ctl_db", r.plan) for r in world.trace_a[:6]]
             run_load(server, plans + plans[:2], LOAD)
         finally:
             server.stop()
@@ -219,7 +165,7 @@ class TestObservationPlumbing:
             [FaultSpec("serve.infer", rate=1.0)], seed=3)
         try:
             with inject(schedule):
-                handle = server.submit(world["trace_a"][0].plan, "ctl_db")
+                handle = server.submit(world.trace_a[0].plan, "ctl_db")
                 handle.wait(10.0)
             assert handle.status in (RequestStatus.FAILED,
                                      RequestStatus.DEGRADED)
@@ -229,7 +175,7 @@ class TestObservationPlumbing:
 
     def test_core_without_observer_unchanged(self, world, tmp_path):
         registry, server, _ = _stack(world, tmp_path)
-        core = ServingCore(registry, world["dbs"])
+        core = ServingCore(registry, world.dbs)
         assert core.observer is None  # opt-in: no tap, no observation work
         server.stop()
 
@@ -240,8 +186,8 @@ class TestObservationPlumbing:
 class TestFindVersion:
     def test_finds_by_checkpoint_key(self, world, tmp_path):
         registry = ModelRegistry(ArtifactStore(tmp_path))
-        deployment = registry.publish("zs", world["base"],
-                                      dbs=[world["dbs"]["ctl_db"]])
+        deployment = registry.publish("zs", world.base,
+                                      dbs=[world.dbs["ctl_db"]])
         assert registry.find_version("zs", deployment.checkpoint_key) == 1
         assert registry.find_version("zs", "no-such-digest") is None
         assert registry.find_version("ghost", deployment.checkpoint_key) is None
@@ -257,7 +203,7 @@ class TestGroundTruthJoin:
         # runtime the trace recorded at generation time.
         registry, server, controller = _stack(world, tmp_path)
         server.stop()
-        records = world["trace_a"][:5]
+        records = world.trace_a[:5]
         batch = [Observation("ctl_db", r.plan, f"d{i}", 1.0, ("zs", 1))
                  for i, r in enumerate(records)]
         truths = controller._ground_truths(batch)
@@ -267,7 +213,7 @@ class TestGroundTruthJoin:
         perfstats.reset()
         registry, server, controller = _stack(world, tmp_path)
         server.stop()
-        db = world["dbs"]["ctl_db"]
+        db = world.dbs["ctl_db"]
         query = WorkloadGenerator(db, WorkloadConfig(max_joins=1),
                                   seed=123).generate(1)[0]
         plan = plan_query(db, query)
@@ -299,7 +245,7 @@ class TestControllerScenario:
         assert dict(published.detail)["records"] == 16
         assert published.candidate_version == 2
         detail = dict(promoted.detail)
-        assert (detail["candidate_median"] * CTL_CONFIG.shadow_margin
+        assert (detail["candidate_median"] * CONTROLLER_CONFIG.shadow_margin
                 <= detail["active_median"])
         assert dict(graduated.detail)["probation_seen"] == 64
         assert registry.active("zs").version == 2
@@ -333,7 +279,8 @@ class TestControllerScenario:
         rollback = dict(events[-1].detail)
         assert rollback["restored_version"] == 1
         # Inside the window: the regression tripped before graduation.
-        assert rollback["probation_seen"] < CTL_CONFIG.probation_observations
+        assert (rollback["probation_seen"]
+                < CONTROLLER_CONFIG.probation_observations)
         assert rollback["rolling_median"] > 2.5
         assert registry.active("zs").version == 1
         assert controller.state == "monitoring"
@@ -418,10 +365,11 @@ class TestControllerDaemon:
         deterministic.  After the drift phases, keep pumping recovery
         traffic until the controller graduates probation (bounded).
         """
-        for phase in _phases(world)[:2]:
+        phases = world.phases()
+        for _, phase in phases[:2]:
             run_load(server, phase, LOAD)
             assert self._await(lambda: len(controller.tap) == 0)
-        recovery = [("drift_db", r.plan) for r in world["trace_b"][48:80]]
+        _, recovery = phases[2]
         for _ in range(20):
             if controller.journal.events("probation-passed"):
                 return True
@@ -430,7 +378,7 @@ class TestControllerDaemon:
         return bool(controller.journal.events("probation-passed"))
 
     def test_daemon_closes_the_loop(self, world, tmp_path):
-        config = dataclasses.replace(CTL_CONFIG, cadence_s=0.01)
+        config = dataclasses.replace(CONTROLLER_CONFIG, cadence_s=0.01)
         registry, server, controller = _stack(world, tmp_path, config=config)
         try:
             with controller:
@@ -441,7 +389,7 @@ class TestControllerDaemon:
         assert controller.stats()["crashes"] == 0
 
     def test_daemon_survives_injected_crash(self, world, tmp_path):
-        config = dataclasses.replace(CTL_CONFIG, cadence_s=0.01)
+        config = dataclasses.replace(CONTROLLER_CONFIG, cadence_s=0.01)
         registry, server, controller = _stack(world, tmp_path, config=config)
         schedule = FaultSchedule(
             [FaultSpec("controller.observe", rate=1.0, max_faults=1)],
@@ -494,10 +442,10 @@ class TestControllerJournal:
 
     def test_scenario_journal_mirrors_to_disk(self, world, tmp_path):
         path = tmp_path / "ctl.jsonl"
-        config = dataclasses.replace(CTL_CONFIG, journal_path=str(path))
+        config = dataclasses.replace(CONTROLLER_CONFIG, journal_path=str(path))
         registry, server, controller = _stack(world, tmp_path, config=config)
         try:
-            for phase in _phases(world):
+            for _, phase in world.phases():
                 run_load(server, phase, LOAD)
                 controller.drain()
         finally:
@@ -513,11 +461,11 @@ class TestQErrorByPhase:
     def test_phase_summaries(self, world, tmp_path):
         registry, server, _ = _stack(world, tmp_path)
         try:
-            plans = [("ctl_db", r.plan) for r in world["trace_a"][:12]]
+            plans = [("ctl_db", r.plan) for r in world.trace_a[:12]]
             report = run_load(server, plans, LOAD)
         finally:
             server.stop()
-        dbs = world["dbs"]
+        dbs = world.dbs
 
         def truth_for(handle):
             return float(simulate_runtime_ms(dbs[handle.db_name],
@@ -562,7 +510,7 @@ class TestJournalBound:
         assert journal.dropped == 0
 
     def test_config_threads_bound_to_controller(self, world, tmp_path):
-        config = dataclasses.replace(CTL_CONFIG, journal_max_events=7)
+        config = dataclasses.replace(CONTROLLER_CONFIG, journal_max_events=7)
         registry, server, controller = _stack(world, tmp_path, config=config)
         try:
             assert controller.journal.max_events == 7

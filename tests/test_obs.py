@@ -93,9 +93,8 @@ class TestMetrics:
 
     def test_perfstats_facade(self):
         perfstats.increment("obs_test.facade", 3)
-        assert perfstats.counters["obs_test.facade"] == 3
+        assert perfstats.snapshot()["obs_test.facade"] == 3
         # Missing names read as zero (defaultdict compatibility).
-        assert perfstats.counters["obs_test.never_fired"] == 0
         snap = perfstats.snapshot(["obs_test.facade", "obs_test.never"])
         assert snap == {"obs_test.facade": 3, "obs_test.never": 0}
 
@@ -109,7 +108,7 @@ class TestMetrics:
             try:
                 while not stop.is_set():
                     perfstats.snapshot(["obs_test.race"])
-                    dict(perfstats.counters.items())
+                    perfstats.snapshot()
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -122,7 +121,7 @@ class TestMetrics:
         for t in threads:
             t.join()
         assert not errors
-        assert perfstats.counters["obs_test.race"] == 2000
+        assert perfstats.snapshot(["obs_test.race"])["obs_test.race"] == 2000
 
     def test_default_boundaries_strictly_increasing(self):
         b = DEFAULT_LATENCY_BOUNDARIES_MS

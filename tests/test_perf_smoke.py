@@ -117,7 +117,7 @@ class TestHarnessSmoke:
         assert (perfstats.snapshot().get("model.graph_free_inference", 0)
                 == len(graphs))
 
-    def test_run_pipeline_reference_exercises_loop_specs(self, tiny_corpus):
+    def test_reference_benches_stay_on_loop_path(self, tiny_corpus):
         db, records = tiny_corpus
         perfstats.reset()
         harness.bench_featurization(db, records, repeats=1,
