@@ -8,11 +8,12 @@ Every function here only measures and returns numbers; pass/fail is the
 
 All benchmarks use only the public API of the current revision
 (``execute_trace``, ``simulate_runtime_ms_batch``, ``learn_spn``,
-``featurize_records``, ``annotate_cardinalities``, ``make_batch``,
-``ZeroShotModel``, ``predict_runtimes``).  Throughput is plans/second
-(tables/second for datagen and SPN learning), best of ``repeats`` timed
-passes with the cyclic GC paused (timeit's policy), so one collector pause
-cannot sink a number; :func:`_pass_seconds` is the one timing loop.
+``featurize_records``, ``plan_fingerprint``, ``annotate_cardinalities``,
+``make_batch``, ``ZeroShotModel``, ``predict_runtimes``).  Throughput is
+plans/second (tables/second for datagen and SPN learning), best of
+``repeats`` timed passes with the cyclic GC paused (timeit's policy), so
+one collector pause cannot sink a number; :func:`_pass_seconds` is the
+one timing loop.
 
 The featurization, annotation, trace-execution and training benchmarks
 take ``use_reference=True`` to time the loop oracles from ``tests/oracles``
@@ -47,7 +48,7 @@ from repro.core import TrainingConfig, featurize_records, train_model
 from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.featurization import (FeatureScalers, FeaturizationCache,
-                                 TargetScaler, make_batch)
+                                 TargetScaler, make_batch, plan_fingerprint)
 from repro.nn import Adam, QErrorLoss, clip_grad_norm
 
 sys.path.append(str(Path(__file__).resolve().parents[2] / "tests"))
@@ -61,7 +62,8 @@ __all__ = ["build_plan_corpus", "build_exec_corpus", "bench_datagen",
            "bench_trace_execution", "bench_runtime_simulation",
            "bench_spn_learning",
            "bench_featurization", "bench_annotation",
-           "bench_featurization_cached", "bench_batch_construction",
+           "bench_featurization_cached", "bench_plan_digest",
+           "bench_batch_construction",
            "bench_training_step", "bench_train_epoch",
            "bench_experiment_warm_start", "bench_inference",
            "bench_inference_single_plan", "served_model",
@@ -269,6 +271,22 @@ def bench_featurization_cached(db, records, repeats=7):
 
     featurize()  # warm
     return _best_rate(len(records), featurize, repeats), cache.stats()
+
+
+def bench_plan_digest(db, records):
+    """Median µs of one :func:`plan_fingerprint` call per plan.
+
+    The submit-side hash a server pays for every first-seen plan, timed
+    once per corpus plan with the database fingerprint precomputed, as the
+    serving core does.
+    """
+    db_fingerprint = db.fingerprint()
+    plans = iter([record.plan for record in records])
+    timings = _pass_seconds(
+        lambda plan: plan_fingerprint(db, plan, "optimizer",
+                                      db_fingerprint=db_fingerprint),
+        len(records), setup=lambda: (next(plans),))
+    return float(np.median(timings)) * 1e6
 
 
 # ----------------------------------------------------------------------
@@ -1220,6 +1238,8 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
     featurize_cached, feat_cache_stats = _stage(
         "featurize_cached", lambda: bench_featurization_cached(db, records),
         profile)
+    plan_digest = _stage("plan_digest",
+                         lambda: bench_plan_digest(db, records), profile)
     annotate_reference = _stage(
         "annotate_reference",
         lambda: bench_annotation(db, records, repeats=2, use_reference=True),
@@ -1280,6 +1300,7 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
         "annotate_plans_per_s": annotate,
         "featurize_cached_plans_per_s": featurize_cached,
         "featurize_reference_plans_per_s": featurize_reference,
+        "plan_digest_us_per_plan": plan_digest,
         "annotate_reference_plans_per_s": annotate_reference,
         "batch_construction_plans_per_s": batch_construction,
         "batch_construction_single_plans_per_s": batch_construction_single,

@@ -13,8 +13,9 @@ Benches (the ``harness`` function each one drives):
   timed in the same run (the one comparison: same machine, same moment,
   so immune to machine drift), and cache and fast-path dispatch counters.
   Runtime simulation and SPN learning have one implementation each, so
-  they report rates but no speedup.  ``--profile`` prints a cProfile
-  top-20 per stage.
+  they report rates but no speedup.  ``plan_digest_us_per_plan`` (median
+  µs of one submit-side plan hash) is reported only.  ``--profile`` prints
+  a cProfile top-20 per stage.
 * ``chaos`` — the server under a seeded fault schedule (``bench_chaos``).
 * ``fleet`` — fleet plans/s per worker count, plus a 2-worker fleet's
   set-up and restart times (``bench_fleet``).
@@ -235,6 +236,7 @@ def engine_report(results):
         "experiment_warm_start_speedup":
             results["experiment_warm_start_speedup"],
         "serving_microbatch_speedup": results["serving_microbatch_speedup"],
+        "plan_digest_us_per_plan": results["plan_digest_us_per_plan"],
     }
 
 
@@ -248,6 +250,8 @@ def run_engine(args):
         print(f"  {key} vs same-run reference: {value:.2f}x")
     print(f"  inference_single_plan_ms: "
           f"{results['inference_single_plan_ms']:.3f}")
+    print(f"  plan_digest_us_per_plan: "
+          f"{results['plan_digest_us_per_plan']:.1f}")
     print(f"  experiment_warm_start: cold {results['experiment_cold_s']:.2f}s"
           f" -> warm {results['experiment_warm_s']:.2f}s "
           f"({report['experiment_warm_start_speedup']:.1f}x)")

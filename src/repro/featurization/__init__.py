@@ -7,7 +7,10 @@ original loop implementation (test oracles in
 
 * **Graph construction** — :func:`build_query_graphs` encodes whole batches
   of plans with column-wise feature-matrix assembly (the per-plan cost is
-  the structural traversal only).
+  the structural traversal only).  Its graphs are array-backed: type
+  codes, edges and levels are views into the batch's arrays, and a
+  graph's ``edges`` / ``node_types`` / ``features`` lists are built only
+  when read.
 * **Batching** — :func:`make_batch` merges graphs vectorized over cached
   :class:`PackedGraph` arrays.
 
@@ -17,9 +20,11 @@ Caching contract (two complementary layers):
   :func:`plan_fingerprint` over the plan tree (operators, estimates, true
   rows, predicates incl. literals, joins, aggregates, sort/group keys), the
   cardinality source, the database fingerprint (name + row counts) and the
-  storage-format map.  Equal-but-distinct plans hit; any change that could
-  alter the encoding misses.  DeepDB estimates are sampling-based, so the
-  cache pins the first annotation for a given fingerprint.
+  storage-format map, hashed as their marshal-v2 encoding (content only:
+  equal in any process and under any hash seed; numpy scalars count as
+  their Python values).  Equal-but-distinct plans hit; any change that
+  could alter the encoding misses.  DeepDB estimates are sampling-based,
+  so the cache pins the first annotation for a given fingerprint.
 * :class:`BatchCache` is keyed on *identity* ``(id, n_nodes, n_edges)`` of
   the graph objects in a chunk: it serves repeated ``make_batch`` calls on
   graphs the caller retained (or that the fingerprint cache keeps stable),

@@ -227,7 +227,7 @@ class BatchCache:
     def _key(self, graphs, scalers):
         # Size fields in the key catch graphs mutated after caching (same
         # staleness guard as QueryGraph.packed()).
-        return (tuple((id(g), g.n_nodes, len(g.edges)) for g in graphs),
+        return (tuple([(id(g), g.n_nodes, g.n_edges) for g in graphs]),
                 id(scalers))
 
     def get(self, graphs, scalers=None):

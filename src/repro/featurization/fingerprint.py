@@ -25,12 +25,38 @@ encoding).  Database content changes are visible only through
 :meth:`~repro.storage.Database.fingerprint` (name + per-table row counts);
 in-place value mutations that keep row counts require an explicit
 ``clear()``, same as the estimator caches.
+
+Digest encoding: the hashed bytes are ``marshal.dumps(payload, 2)`` of the
+canonical token tuple, not its ``repr``, which cost several times more.
+Marshal *version 2* is the contract, because it writes content only:
+
+* every ``str`` by value, with no "interned" flag — versions 3 and later
+  mark interned strings differently, so a literal built at runtime and an
+  equal interned one would hash apart;
+* no back-references — versions 3 and later emit a reference to an object
+  already written, which depends on object identity, not content;
+* floats as their exact 8 bytes, ints, ``None`` and bools by type and value.
+
+So equal tokens give equal bytes in any process, whatever the hash seed.
+Numpy scalars are the one trap: ``marshal`` does not reject them but
+writes their raw buffer as a bytes object, so ``np.int64(0)`` and
+``np.float64(0.0)`` would encode alike and ``np.float64(2.0)`` unlike
+``2.0``.  The token builders therefore replace a numpy estimate, width,
+worker count or literal by its ``.item()`` value, behind one exact-type
+check per plan node that plain plans always pass; a numpy value and the
+equal Python value share a digest.
+
+:func:`database_digest` still hashes ``repr``: registry manifests persist
+it, and it runs once per database, not per plan.
 """
 
 from __future__ import annotations
 
+import marshal
 from collections import OrderedDict
 from hashlib import blake2b
+
+import numpy as np
 
 from ..sql import BooleanPredicate, Comparison
 
@@ -38,36 +64,63 @@ __all__ = ["plan_fingerprint", "records_fingerprint", "database_digest",
            "FeaturizationCache"]
 
 
+# Literal types marshal writes by value (the common case, kept fast).
+_PLAIN_LITERALS = frozenset((str, int, float, type(None)))
+
+
+def _plain(value):
+    """A numpy scalar's Python value (``.item()``); other values as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _predicate_token(predicate):
     if predicate is None:
         return None
     if isinstance(predicate, Comparison):
         literal = predicate.literal
-        if isinstance(literal, list):
-            literal = tuple(literal)
+        if type(literal) not in _PLAIN_LITERALS:
+            literal = (tuple([_plain(item) for item in literal])
+                       if isinstance(literal, (list, tuple))
+                       else _plain(literal))
         return ("C", predicate.table, predicate.column, predicate.op.value,
                 literal)
     if isinstance(predicate, BooleanPredicate):
         return ("B", predicate.op.value,
-                tuple(_predicate_token(child) for child in predicate.children))
+                tuple([_predicate_token(child)
+                       for child in predicate.children]))
     raise TypeError(f"unknown predicate {type(predicate)!r}")
 
 
 def _plan_token(node):
     """Canonical token tree covering every plan field featurization reads."""
-    join = node.join
+    join, predicate = node.join, node.filter_predicate
+    aggregates, children = node.aggregates, node.children
+    est_rows, true_rows = node.est_rows, node.true_rows
+    width, workers = node.width, node.workers
+    if not (type(est_rows) is float and type(width) is float
+            and type(workers) is int
+            and (true_rows is None or type(true_rows) is float)):
+        est_rows, true_rows = _plain(est_rows), _plain(true_rows)
+        width, workers = _plain(width), _plain(workers)
+    # Empty child, aggregate and predicate slots skip the comprehension or
+    # call; ``()`` is the same object ``tuple([])`` returns.
     return (
         node.op_name, node.table, node.index_column,
-        node.est_rows, node.true_rows, node.width, node.workers,
+        est_rows, true_rows, width, workers,
         node.storage_format, tuple(node.scanned_columns),
-        _predicate_token(node.filter_predicate),
-        ((join.child_table, join.child_column,
-          join.parent_table, join.parent_column) if join is not None else None),
-        tuple((agg.func, agg.table, agg.column) for agg in node.aggregates),
+        None if predicate is None else _predicate_token(predicate),
+        (None if join is None else (join.child_table, join.child_column,
+                                    join.parent_table, join.parent_column)),
+        (tuple([(agg.func, agg.table, agg.column) for agg in aggregates])
+         if aggregates else ()),
         tuple(node.group_by), tuple(node.sort_keys),
-        tuple(_plan_token(child) for child in node.children),
+        (tuple([_plan_token(child) for child in children])
+         if children else ()),
     )
 
+
+# The marshal-v2 head of a 2-tuple: its type code and element count.
+_PAIR_HEAD = b"(" + (2).to_bytes(4, "little")
 
 # (db_fingerprint, cards, sf_token) -> blake2b state after the digest
 # input's constant head; cleared whole when full.
@@ -76,21 +129,25 @@ _MAX_PREFIX_STATES = 256
 
 
 def _digest(db_fingerprint, cards, sf_token, plan):
-    """``blake2b(repr(((db_fingerprint, cards, sf_token), plan token)))``.
+    """``blake2b(marshal.dumps(((db_fingerprint, cards, sf_token),
+    plan token), 2))``.
 
-    The head of that input, ``"(" + repr(prefix) + ", "``, is the same for
-    every plan against one database, card source and storage-format map,
-    so its hash state is computed once and copied per plan.
+    Marshal v2 writes a tuple as its head and then each element's own
+    encoding, so the input's start, ``_PAIR_HEAD`` + the prefix's bytes, is
+    the same for every plan against one database, card source and
+    storage-format map: its hash state is computed once and copied per
+    plan.
     """
     prefix = (db_fingerprint, cards, sf_token)
     state = _prefix_states.get(prefix)
     if state is None:
         if len(_prefix_states) >= _MAX_PREFIX_STATES:
             _prefix_states.clear()
-        state = blake2b(f"({prefix!r}, ".encode(), digest_size=16)
+        state = blake2b(_PAIR_HEAD + marshal.dumps(prefix, 2),
+                        digest_size=16)
         _prefix_states[prefix] = state
     state = state.copy()
-    state.update(f"{_plan_token(plan)!r})".encode())
+    state.update(marshal.dumps(_plan_token(plan), 2))
     return state.digest()
 
 
@@ -100,8 +157,15 @@ def plan_fingerprint(db, plan, cards, storage_formats=None,
 
     Equal plans — same structure, estimates, recorded true rows, predicates
     with literals — against the same database state and card source collide
-    deliberately; any featurization-relevant difference changes the digest
-    (``repr`` round-trips floats exactly).  Identical to the digests
+    deliberately; any featurization-relevant difference changes the digest.
+    The hashed bytes are the marshal-v2 encoding of the canonical token
+    (module docstring): strings by value whether interned or built at
+    runtime, floats as their exact 8 bytes, no identity-dependent
+    back-references, so digests agree across processes and hash seeds.  A
+    numpy-scalar estimate or literal is hashed as its ``.item()`` value.
+    Digests changed value when the encoding moved from ``repr`` to marshal,
+    so artifacts stored under an older digest miss once.  Identical to the
+    digests
     :meth:`FeaturizationCache.key` produces (both go through the same
     helper), so it can be used to probe or pre-seed a cache.
 

@@ -41,95 +41,115 @@ class QueryGraph:
     """One encoded query plan.
 
     ``node_types`` / ``features`` / ``edges`` are parallel per-node (resp.
-    per-edge) containers.  The vectorized builder constructs graphs with
-    *lazy* feature rows: per-node vectors are views into the batch-wide
-    per-type matrices and are only materialized into a list when something
-    actually iterates ``features`` (scaler fitting, the reference batcher,
-    tests) — the hot path reads the matrices through :meth:`packed`.
+    per-edge) lists.  The vectorized builder constructs *lazy* graphs: each
+    holds views into its batch's arrays (type codes, ``(E, 2)`` edges,
+    levels) plus the batch's per-type feature matrices, and builds each of
+    those three lists only when something reads it (scaler fitting, the
+    reference batcher, tests, the mutation API).  The hot path reads the
+    arrays through :meth:`packed`, and :attr:`n_nodes` / :attr:`n_edges`
+    read their lengths, so a graph that is only batched never allocates a
+    per-node or per-edge Python object.
     """
 
-    __slots__ = ("edges", "root", "_packed", "_lazy_packed", "_node_types",
-                 "_lazy_codes", "_features", "_lazy_features")
+    __slots__ = ("root", "_node_types", "_features", "_edges", "_lazy",
+                 "_packed")
 
     def __init__(self, node_types=None, features=None, edges=None, root=-1,
-                 packed=None, lazy_packed=None, lazy_codes=None,
-                 lazy_features=None):
-        if node_types is None and lazy_codes is None:
-            node_types = []
-        self._node_types = node_types
-        self._lazy_codes = lazy_codes
-        self.edges = [] if edges is None else edges
+                 lazy=None):
+        # ``lazy``: (type_codes, edges, levels, starts, ends, matrices) —
+        # array views of one graph of a batch, and the first / one-past-last
+        # row of each node type in the batch-wide ``matrices``.
         self.root = root
-        self._packed = packed
-        self._lazy_packed = lazy_packed
-        self._lazy_features = lazy_features
-        if features is None and lazy_features is None:
-            features = []
+        self._lazy = lazy
+        self._packed = None
+        if lazy is None:
+            node_types = [] if node_types is None else node_types
+            features = [] if features is None else features
+            edges = [] if edges is None else edges
+        self._node_types = node_types
         self._features = features
+        self._edges = edges
 
     def __repr__(self):
         return (f"QueryGraph(n_nodes={self.n_nodes}, "
-                f"n_edges={len(self.edges)}, root={self.root})")
+                f"n_edges={self.n_edges}, root={self.root})")
 
     @property
     def node_types(self):
         """Per-node type names (materialized from codes on first access)."""
         if self._node_types is None:
-            self._node_types = [NODE_TYPES[code] for code in self._lazy_codes]
+            self._node_types = [NODE_TYPES[code]
+                                for code in self._lazy[0].tolist()]
         return self._node_types
+
+    @property
+    def edges(self):
+        """Per-edge ``(child, parent)`` tuples (materialized on first
+        access)."""
+        if self._edges is None:
+            self._edges = list(map(tuple, self._lazy[1].tolist()))
+        return self._edges
 
     @property
     def features(self):
         """Per-node feature vectors (materialized on first access).
 
-        Lazy graphs record only (type codes, per-type start rows, batch
-        matrices): nodes of one type occupy consecutive matrix rows in
-        creation order, so walking the codes with per-type counters
-        reproduces each node's feature row.
+        Nodes of one type occupy consecutive rows of the batch matrix in
+        creation order, so walking the type codes with per-type counters
+        (starting at the graph's first row of each type) reproduces each
+        node's feature row.
         """
         if self._features is None:
-            codes, starts, matrices = self._lazy_features
+            codes, _, _, starts, _, matrices = self._lazy
             counters = list(starts)
             features = []
             append = features.append
-            for code in codes:
+            for code in codes.tolist():
                 row = counters[code]
                 append(matrices[code][row])
                 counters[code] = row + 1
             self._features = features
-            self._lazy_features = None
         return self._features
+
+    @property
+    def n_nodes(self):
+        types = self._node_types
+        return len(types) if types is not None else len(self._lazy[0])
+
+    @property
+    def n_edges(self):
+        edges = self._edges
+        return len(edges) if edges is not None else len(self._lazy[1])
 
     def packed(self) -> PackedGraph:
         """Cached array form for batching (recomputed if the graph grew).
 
-        Graphs from the vectorized builder carry a *lazy* pack — views into
-        the batch-wide arrays plus the per-type row spans — assembled into a
-        :class:`PackedGraph` on first use, so featurization never pays for
-        graphs that are cached away or filtered before batching.
+        A lazy graph's pack is its batch views plus per-type row spans,
+        assembled on first use, so featurization never pays for graphs that
+        are cached away or filtered before batching.
         """
         cached = self._packed
         if (cached is not None and cached.n_nodes == self.n_nodes
-                and cached.n_edges == len(self.edges)):
+                and cached.n_edges == self.n_edges):
             return cached
-        lazy = self._lazy_packed
+        lazy = self._lazy
         if lazy is not None:
-            self._lazy_packed = None
-            type_codes, starts, ends, matrices, edges_array, levels = lazy
+            type_codes, edges, levels, starts, ends, matrices = lazy
+            # A graph only grows (add_node / add_edge), so equal sizes
+            # mean unmutated.
             if (len(type_codes) == self.n_nodes
-                    and len(edges_array) == len(self.edges)):
+                    and len(edges) == self.n_edges):
                 features_by_code = {}
                 for code in range(len(NODE_TYPES)):
                     if ends[code] > starts[code]:
                         features_by_code[code] = \
                             matrices[code][starts[code]:ends[code]]
                 self._packed = PackedGraph(
-                    n_nodes=len(type_codes), n_edges=len(edges_array),
+                    n_nodes=len(type_codes), n_edges=len(edges),
                     type_codes=type_codes, features_by_code=features_by_code,
-                    edges=edges_array,
-                    levels=np.asarray(levels, dtype=np.int64))
+                    edges=edges, levels=levels)
                 return self._packed
-            # The graph was mutated before first packing: recompute below.
+            # The graph was mutated: recompute from its lists below.
         type_codes = np.array([TYPE_CODES[t] for t in self.node_types],
                               dtype=np.int64)
         features_by_code = {}
@@ -141,7 +161,7 @@ class QueryGraph:
         edges = (np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
                  if self.edges else np.empty((0, 2), dtype=np.int64))
         self._packed = PackedGraph(
-            n_nodes=self.n_nodes, n_edges=len(self.edges),
+            n_nodes=self.n_nodes, n_edges=self.n_edges,
             type_codes=type_codes, features_by_code=features_by_code,
             edges=edges, levels=self.levels())
         return self._packed
@@ -154,17 +174,12 @@ class QueryGraph:
         return len(self.node_types) - 1
 
     def add_edge(self, child, parent):
-        if not (0 <= child < len(self.node_types)) \
-                or not (0 <= parent < len(self.node_types)):
+        n_nodes = self.n_nodes
+        if not (0 <= child < n_nodes) or not (0 <= parent < n_nodes):
             raise IndexError("edge endpoints out of range")
         if child == parent:
             raise ValueError("self edges are not allowed")
         self.edges.append((child, parent))
-
-    @property
-    def n_nodes(self):
-        types = self._node_types
-        return len(types if types is not None else self._lazy_codes)
 
     def levels(self):
         """Longest-path level per node (leaves=0); children precede parents."""
@@ -187,7 +202,7 @@ class QueryGraph:
         if self.root < 0 or self.root >= self.n_nodes:
             raise ValueError("graph has no valid root")
         has_parent = np.zeros(self.n_nodes, dtype=bool)
-        if self.edges:
+        if self.n_edges:
             edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
             if not (edges[:, 0] < edges[:, 1]).all():
                 raise ValueError("edges must point from earlier to later nodes "

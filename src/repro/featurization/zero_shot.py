@@ -17,9 +17,10 @@ paper's encoding.
 traversal only collects raw feature values (cardinalities, stats, operator
 codes) into per-node-type columns; feature matrices for *all* plans of the
 batch are then assembled column-wise in a handful of numpy operations
-(``features.*_matrix``), and each graph receives row views plus a pre-built
-:class:`~repro.featurization.graph.PackedGraph` (type codes, edges, levels)
-so batching never recomputes them.  Its graphs are bit-identical to the
+(``features.*_matrix``), and each graph receives views into the batch's
+type-code, edge and level arrays and its feature matrices, from which its
+:class:`~repro.featurization.graph.PackedGraph` is assembled without
+recomputation.  Its graphs are bit-identical to the
 original per-node loop builder, a test oracle
 (``tests/oracles/featurization.py``) the suite compares against over all
 node types and cardinality sources.
@@ -66,24 +67,24 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
     """Traverse many plans, appending raw rows to the batch-wide columns.
 
     Only structure is built here — node type codes, longest-path levels and
-    edges; every feature value lands in the shared ``columns`` lists and is
-    turned into matrices once per batch.  Node and edge creation order is
-    identical to the reference builder, so the resulting graphs are
-    bit-identical.  The node builders are closures created *once* per batch;
-    per-graph state (``codes``/``levels``/``edges``/``attributes``) lives in
-    enclosing-scope cells that the plan loop rebinds between graphs — this
-    is the featurization hot loop.
+    edges, each a flat batch-wide list of ints (an edge is two consecutive
+    entries, child then parent), so no per-node or per-edge Python object
+    outlives the traversal.  Node ids are positions in the batch (the
+    traversal reads ``levels`` back by id); :func:`build_query_graphs`
+    shifts each graph's edges to local ids afterwards.  Every feature value
+    lands in the shared ``columns`` lists and is turned into matrices once
+    per batch.  Node and edge creation order is identical to the reference
+    builder, so the resulting graphs are bit-identical.  The node builders
+    are closures created *once* per batch; per-graph state
+    (``attributes``, the card source) lives in enclosing-scope cells that
+    the plan loop rebinds between graphs — this is the featurization hot
+    loop.
     """
     plan_rows, pred_rows, table_rows, attr_rows, output_rows = columns
     attr_stats, table_stats = memos
-    # Node type codes and edges accumulate batch-wide (per-graph views are
-    # sliced out afterwards); levels stay per-graph because the traversal
-    # reads them back by local node id — which is ``len(levels)`` at
-    # creation time.
-    all_codes, all_edges = [], []
-    codes_append, edges_append = all_codes.append, all_edges.append
-    levels = None
-    levels_append = None
+    codes, levels, edges = [], [], []
+    codes_append, levels_append = codes.append, levels.append
+    edges_append = edges.append
     attributes = {}
     cards = exact = fused = None
     column_stats, table_stats_of = db.column_stats, db.table_stats
@@ -137,7 +138,8 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
             node = len(levels)
             codes_append(_PREDICATE)
             levels_append(levels[attr] + 1)
-            edges_append((attr, node))
+            edges_append(attr)
+            edges_append(node)
             return node
         if isinstance(predicate, BooleanPredicate):
             children = [predicate_node(child) for child in predicate.children]
@@ -151,7 +153,8 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
             codes_append(_PREDICATE)
             levels_append(level + 1)
             for child in children:
-                edges_append((child, node))
+                edges_append(child)
+                edges_append(node)
             return node
         raise TypeError(f"unknown predicate {type(predicate)!r}")
 
@@ -163,8 +166,10 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
         level = max(levels[child_attr], levels[parent_attr])
         codes_append(_PREDICATE)
         levels_append(level + 1)
-        edges_append((child_attr, node))
-        edges_append((parent_attr, node))
+        edges_append(child_attr)
+        edges_append(node)
+        edges_append(parent_attr)
+        edges_append(node)
         return node
 
     def output_node(aggregate):
@@ -179,7 +184,8 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
         codes_append(_OUTPUT)
         levels_append(0 if attr is None else levels[attr] + 1)
         if attr is not None:
-            edges_append((attr, node))
+            edges_append(attr)
+            edges_append(node)
         return node
 
     def plan_node(node):
@@ -228,25 +234,36 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
         codes_append(_PLAN)
         levels_append(level + 1 if children else 0)
         for child in children:
-            edges_append((child, plan_id))
+            edges_append(child)
+            edges_append(plan_id)
         return plan_id
 
     metas = []
     ends = (0, 0, 0, 0, 0)
-    for plan, cards in plan_cards:
-        # Rebind the per-graph cells; the closures above see the new state.
-        levels = []
-        levels_append = levels.append
-        attributes = {}
-        exact = cards is _EXACT_CARDS
-        fused = exact or cards is _OPTIMIZER_CARDS
-        starts = ends
-        node_start, edge_start = len(all_codes), len(all_edges)
-        root = plan_node(plan)
-        ends = (len(plan_rows), len(pred_rows), len(table_rows),
-                len(attr_rows), len(output_rows))
-        metas.append((node_start, edge_start, levels, root, starts, ends))
-    return metas, all_codes, all_edges
+    try:
+        for plan, cards in plan_cards:
+            # Rebind the per-graph cells; the closures above see the new
+            # state.
+            attributes = {}
+            exact = cards is _EXACT_CARDS
+            fused = exact or cards is _OPTIMIZER_CARDS
+            starts = ends
+            node_start = len(levels)
+            root = plan_node(plan)
+            ends = (len(plan_rows), len(pred_rows), len(table_rows),
+                    len(attr_rows), len(output_rows))
+            # (first node, end of the flat edge list, local root, per-type
+            # feature rows [starts, ends)) of this graph.
+            metas.append((node_start, len(edges), root - node_start, starts,
+                          ends))
+    finally:
+        # The recursive builders reach themselves through their closure
+        # cells.  Clearing those cells breaks the cycle, so the closures and
+        # everything their cells hold (the row lists, the memos) are freed
+        # by reference counting on return instead of waiting for the
+        # cyclic collector.
+        del plan_node, predicate_node
+    return metas, codes, levels, edges
 
 
 def _assemble_matrices(columns):
@@ -270,29 +287,6 @@ def _assemble_matrices(columns):
     if output_rows:
         matrices[_OUTPUT] = output_features_matrix(output_rows)
     return matrices
-
-
-def _materialize_graph(meta, matrices, batch_arrays):
-    """Turn one traversal record + the batch matrices into a QueryGraph.
-
-    Structural invariants (child < parent, single parentless root) hold by
-    construction — children are always created before their parent and every
-    non-root node is edged to a parent at creation — so no per-graph check
-    runs here; :meth:`QueryGraph.validate` stays available and the
-    equivalence tests assert bit-identity with the validated reference
-    builder.  Node-type names and per-node feature rows are left lazy: the
-    hot path reads the attached :class:`PackedGraph` only.
-    """
-    (node_start, edge_start, levels, root, starts, ends,
-     node_end, edge_end) = meta
-    codes = batch_arrays["codes"][node_start:node_end]
-    edges = batch_arrays["edges"][edge_start:edge_end]
-    lazy_packed = (batch_arrays["codes_array"][node_start:node_end],
-                   starts, ends, matrices,
-                   batch_arrays["edges_array"][edge_start:edge_end], levels)
-    return QueryGraph(lazy_codes=codes,
-                      lazy_features=(codes, starts, matrices),
-                      edges=edges, root=root, lazy_packed=lazy_packed)
 
 
 def build_query_graphs(db, plans, card_maps, storage_formats=None):
@@ -334,25 +328,33 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
         plan_cards = zip(plans, card_maps)
     columns = ([], [], [], [], [])
     memos = ({}, {})
-    metas, all_codes, all_edges = _encode_batch(db, plan_cards,
+    metas, codes, levels, edges = _encode_batch(db, plan_cards,
                                                 storage_formats, columns,
                                                 memos)
     matrices = _assemble_matrices(columns)
-    # Batch-wide array conversions; per-graph packed arrays are views.
-    batch_arrays = {
-        "codes": all_codes,
-        "edges": all_edges,
-        "codes_array": np.asarray(all_codes, dtype=np.int64),
-        "edges_array": (np.asarray(all_edges, dtype=np.int64)
-                        if all_edges else np.empty((0, 2), dtype=np.int64)),
-    }
+    # Batch-wide arrays; every graph keeps views into them.  Edges count
+    # from their graph's first node: subtract it once for the whole batch.
+    codes = np.array(codes, dtype=np.int64)
+    levels = np.array(levels, dtype=np.int64)
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    node_bounds = [meta[0] for meta in metas] + [len(codes)]
+    edge_bounds = [0] + [meta[1] >> 1 for meta in metas]
+    edges -= np.repeat(np.array(node_bounds[:-1], dtype=np.int64),
+                       np.diff(edge_bounds))[:, None]
+    # Structural invariants (child < parent, single parentless root) hold
+    # by construction — children are created before their parent and every
+    # non-root node is edged to a parent at creation — so no per-graph
+    # check runs here; :meth:`QueryGraph.validate` stays available and the
+    # equivalence tests assert bit-identity with the validated reference
+    # builder.
     graphs = []
-    for index, meta in enumerate(metas):
-        next_meta = metas[index + 1] if index + 1 < len(metas) else None
-        node_end = next_meta[0] if next_meta else len(all_codes)
-        edge_end = next_meta[1] if next_meta else len(all_edges)
-        graphs.append(_materialize_graph(meta + (node_end, edge_end),
-                                         matrices, batch_arrays))
+    for index, (node_start, _, root, starts, ends) in enumerate(metas):
+        node_end, edge_start, edge_end = (node_bounds[index + 1],
+                                          edge_bounds[index],
+                                          edge_bounds[index + 1])
+        graphs.append(QueryGraph(root=root, lazy=(
+            codes[node_start:node_end], edges[edge_start:edge_end],
+            levels[node_start:node_end], starts, ends, matrices)))
     perfstats.increment("featurize.vectorized", len(graphs))
     return graphs
 

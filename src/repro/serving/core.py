@@ -499,6 +499,13 @@ class ServingCore:
                 route = shared.setdefault(route.deployment, route)
             routes[db_name] = route
         with self._lock:
+            # Submits, the batcher and stats() may resolve concurrently.  A
+            # resolution that read an older registry generation than the
+            # routes already written holds stale routes: drop it instead of
+            # swapping back (and counting two swaps).
+            if (self._seen_generation is not None
+                    and generation < self._seen_generation):
+                return
             for db_name, route in routes.items():
                 previous = self._routes.get(db_name)
                 if (previous is not None and route is not None

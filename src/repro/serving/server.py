@@ -443,7 +443,13 @@ class PredictorServer:
     # ------------------------------------------------------------------
     def stats(self):
         """Request/batch/cache/swap/fault counters, batch-size histogram,
-        and per-deployment breaker states."""
+        and per-deployment breaker states.
+
+        Routes are re-resolved first, so ``swaps`` (and the
+        ``serve.swap.count`` counter) include a promote that landed after
+        the last request.
+        """
+        self._maybe_swap()
         stats = self.core.stats()
         with self._lock:
             stats["queue_high_water"] = self._queue_high_water

@@ -198,18 +198,21 @@ def test_engine_flags_belong_to_engine_only():
 
 def test_engine_report_compares_only_against_same_run_oracles():
     """The engine report built from synthetic ``run_all``-shaped results
-    (no bench runs) carries the five same-run ratios and no seed key."""
+    (no bench runs) carries the five same-run ratios, the plan digest cost
+    and no seed key."""
     results = dict.fromkeys(perf_run.RATE_KEYS, 4.0)
     results.update({f"{key}_reference_plans_per_s": 2.0
                     for key in perf_run.SAME_RUN_KEYS})
     results.update(experiment_warm_start_speedup=30.0,
-                   serving_microbatch_speedup=3.0)
+                   serving_microbatch_speedup=3.0,
+                   plan_digest_us_per_plan=12.5)
     report = perf_run.engine_report(results)
     assert report["speedup_vs_loop_same_run"] == {
         f"{key}_plans_per_s": 2.0
         for key in ("trace_exec", "featurize", "annotate", "train_step",
                     "train_epoch")}
     assert report["results"] is results
+    assert report["plan_digest_us_per_plan"] == 12.5  # reported, not gated
     assert not [key for key in report if "seed" in key]
 
 

@@ -7,11 +7,19 @@ Three contracts from the engine rebuild:
 * the batched DeepDB annotation is bit-identical to the original recursive
   visit — including consuming the exact same RNG stream,
 * the fingerprint cache hits on equal-but-distinct plans and misses on any
-  featurization-relevant mutation.
+  featurization-relevant mutation, and plan digests hash content only
+  (interned or not, any process, any hash seed; numpy scalars as their
+  Python values).
 """
 
 import copy
+import dataclasses
+import marshal
+import os
+import subprocess
+import sys
 from hashlib import blake2b
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +33,9 @@ from repro.featurization import (BatchCache, FeatureScalers,
                                  FeaturizationCache, build_query_graph,
                                  build_query_graphs, make_batch,
                                  plan_fingerprint)
-from repro.optimizer import plan_query
+from repro.optimizer import PlanNode, plan_query
+from repro.sql import (AggregateSpec, BooleanPredicate, Comparison, JoinEdge,
+                       PredOp)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
 
 from oracles.cardest import (annotate_cardinalities_reference,
@@ -179,6 +189,105 @@ class TestBatchedAnnotation:
             annotate_cardinalities(gen_db, workload[0], "tarot")
 
 
+HAND_DB_FINGERPRINT = ("hand", (("customers", 300), ("orders", 1500)))
+
+
+def hand_plan(s=str, est_rows=1200.0, literal=42):
+    """A hand-built plan that sets every field the digest token reads.
+
+    Sort over a hash aggregate over a hash join of a filtered columnar scan
+    and an index scan.  ``s`` makes every string (pass a builder that
+    concatenates at runtime to get equal strings that are not interned);
+    ``est_rows`` is the join's estimate and ``literal`` the ``amount >``
+    literal.  Planner output depends on the hash seed, so digest contract
+    tests use this plan instead.
+    """
+    orders, customers = s("orders"), s("customers")
+    scan = PlanNode(
+        s("ColumnarScan"), table=orders, est_rows=1500.0, width=12.0,
+        workers=2, true_rows=1400.0, storage_format=s("column"),
+        scanned_columns=(s("amount"), s("status")),
+        filter_predicate=BooleanPredicate(PredOp.AND, (
+            Comparison(orders, s("amount"), PredOp.GT, literal),
+            Comparison(orders, s("status"), PredOp.IN, [s("a"), s("b")]))))
+    lookup = PlanNode(
+        s("IndexScan"), table=customers, index_column=s("id"),
+        est_rows=300.0, width=12.0, true_rows=300.0,
+        filter_predicate=Comparison(customers, s("c_name"), PredOp.LIKE,
+                                    s("%x%")))
+    join = PlanNode(
+        s("HashJoin"), children=[scan, lookup], est_rows=est_rows,
+        width=24.0, true_rows=1100.0,
+        join=JoinEdge(orders, s("customer_id"), customers, s("id")))
+    aggregate = PlanNode(
+        s("HashAggregate"), children=[join], est_rows=10.0, width=16.0,
+        true_rows=9.0,
+        aggregates=(AggregateSpec(s("sum"), orders, s("amount")),),
+        group_by=((customers, s("c_name")),))
+    return PlanNode(s("Sort"), children=[aggregate], est_rows=10.0,
+                    width=16.0, true_rows=9.0,
+                    sort_keys=((customers, s("c_name")),))
+
+
+def _runtime_str(text):
+    """An equal string built at runtime, hence not interned."""
+    return "".join(list(text))
+
+
+def _hand_digest(plan):
+    return plan_fingerprint(None, plan, "exact",
+                            db_fingerprint=HAND_DB_FINGERPRINT)
+
+
+def _edit_predicate(nodes, index, **changes):
+    scan = nodes[3]
+    children = list(scan.filter_predicate.children)
+    children[index] = dataclasses.replace(children[index], **changes)
+    scan.filter_predicate = dataclasses.replace(
+        scan.filter_predicate, children=tuple(children))
+
+
+# One edit per token field; ``nodes`` is (sort, aggregate, join, scan,
+# lookup) of a fresh hand_plan().
+TOKEN_FIELD_EDITS = {
+    "op_name": lambda nodes: setattr(nodes[2], "op_name", "MergeJoin"),
+    "table": lambda nodes: setattr(nodes[4], "table", "customers2"),
+    "index_column": lambda nodes: setattr(nodes[4], "index_column", "key"),
+    "est_rows": lambda nodes: setattr(nodes[2], "est_rows",
+                                      np.nextafter(1200.0, 2000.0).item()),
+    "est_rows_type": lambda nodes: setattr(nodes[0], "est_rows", 10),
+    "true_rows": lambda nodes: setattr(nodes[0], "true_rows", 8.0),
+    "true_rows_unset": lambda nodes: setattr(nodes[0], "true_rows", None),
+    "width": lambda nodes: setattr(nodes[1], "width", 17.0),
+    "workers": lambda nodes: setattr(nodes[3], "workers", 3),
+    "storage_format": lambda nodes: setattr(nodes[3], "storage_format",
+                                            "row"),
+    "scanned_columns": lambda nodes: setattr(nodes[3], "scanned_columns",
+                                             ("amount",)),
+    "filter_predicate": lambda nodes: setattr(nodes[4], "filter_predicate",
+                                              None),
+    "predicate_table": lambda nodes: _edit_predicate(nodes, 0,
+                                                     table="customers"),
+    "predicate_column": lambda nodes: _edit_predicate(nodes, 0,
+                                                      column="price"),
+    "predicate_op": lambda nodes: _edit_predicate(nodes, 0, op=PredOp.GEQ),
+    "literal": lambda nodes: _edit_predicate(nodes, 0, literal=43),
+    "literal_type": lambda nodes: _edit_predicate(nodes, 0, literal=42.0),
+    "in_list": lambda nodes: _edit_predicate(nodes, 1, literal=["a", "c"]),
+    "boolean_op": lambda nodes: setattr(
+        nodes[3], "filter_predicate",
+        dataclasses.replace(nodes[3].filter_predicate, op=PredOp.OR)),
+    "join": lambda nodes: setattr(nodes[2], "join", dataclasses.replace(
+        nodes[2].join, parent_column="customer_key")),
+    "aggregates": lambda nodes: setattr(nodes[1], "aggregates", (
+        AggregateSpec("avg", "orders", "amount"),)),
+    "group_by": lambda nodes: setattr(nodes[1], "group_by",
+                                      (("customers", "id"),)),
+    "sort_keys": lambda nodes: setattr(nodes[0], "sort_keys", ()),
+    "children": lambda nodes: nodes[2].children.reverse(),
+}
+
+
 class TestFingerprintCache:
     def make_records(self, db, n=8, seed=11):
         queries = WorkloadGenerator(db, WorkloadConfig(max_joins=2),
@@ -273,7 +382,8 @@ class TestFingerprintCache:
     def test_digest_equals_whole_input_hash(self, gen_db, workload, cards,
                                             with_formats):
         """Hashing the constant prefix once and copying its state per plan
-        gives the digest of the whole ``repr`` hashed in one go."""
+        gives the digest of the whole marshal-v2 encoding hashed in one
+        go."""
         formats = ({gen_db.schema.table_names[0]: "column"}
                    if with_formats else None)
         sf_token = tuple(sorted(formats.items())) if formats else None
@@ -281,7 +391,7 @@ class TestFingerprintCache:
         cache = FeaturizationCache()
         for plan in workload:
             payload = ((db_fp, cards, sf_token), fingerprint._plan_token(plan))
-            expected = blake2b(repr(payload).encode(),
+            expected = blake2b(marshal.dumps(payload, 2),
                                digest_size=16).digest()
             for _ in range(2):  # the second call reuses the prefix state
                 assert plan_fingerprint(gen_db, plan, cards,
@@ -293,6 +403,51 @@ class TestFingerprintCache:
         cache = FeaturizationCache()
         assert plan_fingerprint(gen_db, records[0].plan, "exact") == \
             cache.key(gen_db, records[0].plan, "exact")
+
+    # Digest contract: content only, the marshal-v2 encoding of the
+    # canonical token (repro.featurization.fingerprint).
+    def test_runtime_built_strings_hash_like_interned_ones(self):
+        plan, copy_ = hand_plan(), hand_plan(s=_runtime_str)
+        assert copy_.children[0].children[0].children[0].table \
+            is not plan.children[0].children[0].children[0].table
+        assert _hand_digest(copy_) == _hand_digest(plan)
+
+    def test_digests_agree_across_processes_and_hash_seeds(self):
+        tests_dir = Path(__file__).resolve().parent
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from test_engine_fastpath import (_hand_digest, hand_plan, "
+                "_runtime_str); "
+                "print(_hand_digest(hand_plan()).hex(), "
+                "_hand_digest(hand_plan(s=_runtime_str)).hex())")
+        src = str(tests_dir.parent / "src")
+        expected = _hand_digest(hand_plan()).hex()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run(
+                [sys.executable, "-c", code, str(tests_dir)], env=env,
+                capture_output=True, text=True, check=True).stdout.split()
+            assert out == [expected, expected], hash_seed
+
+    @pytest.mark.parametrize("field", sorted(TOKEN_FIELD_EDITS))
+    def test_every_token_field_changes_the_digest(self, field):
+        base = _hand_digest(hand_plan())
+        plan = hand_plan()
+        aggregate = plan.children[0]
+        join = aggregate.children[0]
+        TOKEN_FIELD_EDITS[field]((plan, aggregate, join, *join.children))
+        assert _hand_digest(plan) != base
+
+    def test_numpy_scalars_hash_as_their_python_values(self):
+        plain = _hand_digest(hand_plan())
+        numpy_plan = hand_plan(est_rows=np.float64(1200.0),
+                               literal=np.int64(42))
+        assert _hand_digest(numpy_plan) == plain
+        # marshal would write both as the same 8 raw bytes; as Python
+        # values they stay an int and a float.
+        assert (_hand_digest(hand_plan(literal=np.int64(0)))
+                != _hand_digest(hand_plan(literal=np.float64(0.0))))
 
 
 class TestEstimatorCacheStaleness:

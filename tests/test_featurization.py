@@ -305,3 +305,51 @@ class TestBatchCache:
         for _ in range(5):
             cache.get([graph_for(toy_db, join_query)[0]])
         assert len(cache._entries) <= 2
+
+
+class TestAllocationGuard:
+    def test_featurization_leaves_few_tracked_objects(self, gen_db):
+        """Featurizing a plan must leave few GC-tracked allocations behind.
+
+        Every tracked allocation counts towards the collector's generation-0
+        threshold, so what featurization leaves behind sets how often a
+        serving process pauses for a collection.  The measure is the growth
+        of ``gc.get_count()[0]`` per plan over one ``featurize_records``
+        call per plan (the serving shape), with the collector paused and
+        after one warm pass that refills the free lists ``gc.collect()``
+        empties.  On this corpus (48 planned queries, optimizer cards, hash
+        seeds 0, 1 and 2) the earlier builder read 117.6 per plan: a
+        tuple per edge, per-graph list slices, and the node builders'
+        closure cycle, which kept every batch's row tuples alive until the
+        next collection.  The array-backed builder reads 5.0.  The bound is
+        a third of the earlier figure.
+        """
+        import gc
+        from types import SimpleNamespace
+
+        from repro.core import featurize_records
+        from repro.workloads import WorkloadConfig, WorkloadGenerator
+
+        queries = WorkloadGenerator(
+            gen_db, WorkloadConfig(mode="complex", max_joins=3),
+            seed=21).generate(48)
+        records = [SimpleNamespace(db_name=gen_db.name,
+                                   plan=plan_query(gen_db, query))
+                   for query in queries]
+        dbs = {gen_db.name: gen_db}
+
+        def featurize():
+            return [featurize_records([record], dbs, cards="optimizer")
+                    for record in records]
+
+        gc.collect()
+        gc.disable()
+        try:
+            warm = featurize()
+            before = gc.get_count()[0]
+            kept = featurize()
+            growth = (gc.get_count()[0] - before) / len(records)
+        finally:
+            gc.enable()
+        assert len(warm) == len(kept) == len(records)
+        assert growth <= 117.6 / 3, growth

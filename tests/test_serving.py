@@ -356,6 +356,59 @@ class TestPredictorServer:
         assert stats["swaps"] >= 2
         assert perfstats.snapshot().get("serve.swap.count", 0) >= 2
 
+    def test_stats_count_a_promote_without_a_later_request(self, world,
+                                                           tmp_path):
+        """A promote that lands after the last request is a swap by the
+        time ``stats()`` reads the counters."""
+        registry = ModelRegistry(tmp_path)
+        m1 = _make_model(world["graphs_a"], world["runtimes_a"], seed=0)
+        m2 = _make_model(world["graphs_a"], world["runtimes_a"], seed=1)
+        registry.publish("main", m1, dbs=[world["db_a"]], default=True)
+        plans = [r.plan for r in world["records_a"]][:2]
+        # One database, so one route changes (swaps count per database).
+        dbs = {world["db_a"].name: world["db_a"]}
+        perfstats.reset()
+        with PredictorServer(registry, dbs) as server:
+            server.predict(plans, world["db_a"].name)
+            second = registry.publish("main", m2, activate=False)
+            registry.promote("main", second.version)
+            stats = server.stats()
+        assert stats["swaps"] == 1
+        assert perfstats.snapshot().get("serve.swap.count", 0) == 1
+
+    def test_stale_concurrent_route_resolution_is_dropped(self, world,
+                                                          tmp_path):
+        """A resolution that read the registry before a promote, and writes
+        after a newer resolution, must not swap the routes back."""
+        registry = ModelRegistry(tmp_path)
+        m1 = _make_model(world["graphs_a"], world["runtimes_a"], seed=0)
+        m2 = _make_model(world["graphs_a"], world["runtimes_a"], seed=1)
+        registry.publish("main", m1, dbs=[world["db_a"]], default=True)
+        core = PredictorServer(registry, {world["db_a"].name:
+                                          world["db_a"]}).core
+        resolve_one = core._resolve_one
+        resolved, release = threading.Event(), threading.Event()
+
+        def held_after_resolving(digest):
+            route = resolve_one(digest)
+            if threading.current_thread().name == "stale":
+                resolved.set()
+                release.wait(30)
+            return route
+
+        core._resolve_one = held_after_resolving
+        stale = threading.Thread(target=core.resolve_routes, name="stale")
+        stale.start()
+        assert resolved.wait(30)          # holds v1's route, not written
+        registry.publish("main", m2)      # promote v2
+        core.resolve_routes()             # writes v2's route
+        release.set()
+        stale.join(30)
+        assert not stale.is_alive()
+        route = core.route_for(world["db_a"].name)
+        assert route.checkpoint_key == m2.state_digest()
+        assert core.stats()["swaps"] == 1
+
     def test_admission_control_sheds_beyond_queue_depth(self, world,
                                                         registry_a):
         registry, model = registry_a
