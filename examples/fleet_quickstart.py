@@ -123,7 +123,8 @@ def main():
             after = fleet.predict([mix[0][1]], mix[0][0])[0]
             swaps = fleet.stats()["swaps"]
         print(f"\nHot swap: same plan predicted {before:.2f} ms on v1, "
-              f"{after:.2f} ms on v2 ({swaps} route swaps, zero downtime)")
+              f"{after:.2f} ms on v2 ({swaps} route swaps, one per served "
+              f"database; zero downtime)")
 
 
 if __name__ == "__main__":

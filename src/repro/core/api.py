@@ -18,7 +18,7 @@ import numpy as np
 from ..cardest import (CARD_SOURCES, DataDrivenEstimator,
                        annotate_cardinalities)
 from ..featurization import (FeatureScalers, FeaturizationCache, TargetScaler,
-                             build_query_graphs)
+                             build_query_graphs, plan_from_token)
 from ..nn import load_state, q_error_metrics, save_state
 from .model import ZeroShotModel
 from .training import TrainingConfig, predict_runtimes, train_model
@@ -61,10 +61,16 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
 
     ``dbs`` maps database names to :class:`~repro.storage.Database` objects;
     ``cards`` chooses the cardinality source for the ``cardout`` features.
+    A record's ``plan`` is a :class:`~repro.optimizer.PlanNode` tree or its
+    :func:`~repro.featurization.plan_token` (what a fleet worker receives).
 
     Records are grouped per database and encoded through the vectorized
-    batch builder; for the estimator-free sources the cardinality lookup is
-    fused into the traversal (no per-plan annotation pass).  With a
+    batch builder, which walks plan tokens; each plan is tokenized at most
+    once per call, and a token built for a cache key is the one encoded.
+    For the estimator-free sources the cardinality lookup is fused into
+    the traversal (no per-plan annotation pass); DeepDB annotation needs
+    plan objects, so a token-only record is rebuilt with
+    :func:`~repro.featurization.plan_from_token` for it.  With a
     :class:`~repro.featurization.FeaturizationCache` as ``feat_cache``,
     plans whose content fingerprint was featurized before — equal but
     possibly distinct objects — are served from the cache and skip
@@ -81,20 +87,26 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
     if keys is not None and len(keys) != len(records):
         raise ValueError(f"{len(keys)} keys for {len(records)} records")
     graphs = [None] * len(records)
+    # A record's plan as the encoder takes it: the token hashed for its
+    # cache key, else the plan (or token) the record holds.
+    plans = [record.plan for record in records]
     pending = []
     duplicates = []
     if feat_cache is not None:
         if keys is None:
             db_fingerprints = {}
             keys = []
-            for record in records:
+            for position, record in enumerate(records):
                 db_fingerprint = db_fingerprints.get(record.db_name)
                 if db_fingerprint is None:
                     db_fingerprint = dbs[record.db_name].fingerprint()
                     db_fingerprints[record.db_name] = db_fingerprint
-                keys.append(feat_cache.key(None, record.plan, cards,
-                                           storage_formats,
-                                           db_fingerprint=db_fingerprint))
+                key, token = feat_cache.key_token(
+                    None, record.plan, cards, storage_formats,
+                    db_fingerprint=db_fingerprint)
+                keys.append(key)
+                if token is not None:
+                    plans[position] = token
         first_of_key = {}
         cache_get = feat_cache.get
         for position, key in enumerate(keys):
@@ -114,15 +126,19 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
         by_db.setdefault(records[position].db_name, []).append(position)
     for db_name, positions in by_db.items():
         db = dbs[db_name]
-        plans = [records[position].plan for position in positions]
+        db_plans = [plans[position] for position in positions]
         if cards == "deepdb":
             estimator = estimator_cache.get(db)
-            card_maps = [annotate_cardinalities(db, plan, cards,
-                                                estimator=estimator)
-                         for plan in plans]
+            card_maps = []
+            for plan in db_plans:
+                node = plan_from_token(plan) if type(plan) is tuple else plan
+                node_cards = annotate_cardinalities(db, node, cards,
+                                                    estimator=estimator)
+                card_maps.append([node_cards[id(each)]
+                                  for each in node.iter_nodes()])
         else:
             card_maps = cards  # fused into the traversal ("exact"/"optimizer")
-        built = build_query_graphs(db, plans, card_maps,
+        built = build_query_graphs(db, db_plans, card_maps,
                                    storage_formats=storage_formats)
         for position, graph in zip(positions, built):
             graphs[position] = graph

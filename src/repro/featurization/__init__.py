@@ -7,7 +7,9 @@ original loop implementation (test oracles in
 
 * **Graph construction** — :func:`build_query_graphs` encodes whole batches
   of plans with column-wise feature-matrix assembly (the per-plan cost is
-  the structural traversal only).  Its graphs are array-backed: type
+  the structural traversal only).  The traversal walks plan tokens
+  (:func:`plan_token`: plan node trees are tokenized first), the tuples a
+  plan's digest hashes and a fleet ships.  Its graphs are array-backed: type
   codes, edges and levels are views into the batch's arrays, and a
   graph's ``edges`` / ``node_types`` / ``features`` lists are built only
   when read.
@@ -22,9 +24,14 @@ Caching contract (two complementary layers):
   cardinality source, the database fingerprint (name + row counts) and the
   storage-format map, hashed as their marshal-v2 encoding (content only:
   equal in any process and under any hash seed; numpy scalars count as
-  their Python values).  Equal-but-distinct plans hit; any change that
-  could alter the encoding misses.  DeepDB estimates are sampling-based,
-  so the cache pins the first annotation for a given fingerprint.
+  their Python values).  The token hashed is the token encoded, so a
+  graph depends only on what its key covers, by construction;
+  :func:`~repro.core.featurize_records` tokenizes each plan at most once,
+  reusing the token of a key it hashed, and accepts tokens in place of
+  plans (:func:`plan_from_token` inverts one where DeepDB annotation needs
+  plan objects).  Equal-but-distinct plans hit; any change that could
+  alter the encoding misses.  DeepDB estimates are sampling-based, so the
+  cache pins the first annotation for a given fingerprint.
 * :class:`BatchCache` is keyed on *identity* ``(id, n_nodes, n_edges)`` of
   the graph objects in a chunk: it serves repeated ``make_batch`` calls on
   graphs the caller retained (or that the fingerprint cache keeps stable),
@@ -44,7 +51,8 @@ from .features import (FEATURE_DIMS, PLAN_NUMERIC_DIMS, plan_features,
                        output_features)
 from .zero_shot import build_query_graph, build_query_graphs
 from .fingerprint import (FeaturizationCache, database_digest,
-                          plan_fingerprint, records_fingerprint)
+                          plan_fingerprint, plan_from_token, plan_token,
+                          records_fingerprint)
 from .scalers import StandardScaler, FeatureScalers, TargetScaler
 from .batching import BatchCache, GraphBatch, LevelGroup, make_batch
 
@@ -54,7 +62,7 @@ __all__ = [
     "table_features", "attribute_features", "output_features",
     "build_query_graph", "build_query_graphs",
     "FeaturizationCache", "database_digest", "plan_fingerprint",
-    "records_fingerprint",
+    "plan_from_token", "plan_token", "records_fingerprint",
     "StandardScaler", "FeatureScalers", "TargetScaler",
     "BatchCache", "GraphBatch", "LevelGroup", "make_batch",
 ]

@@ -17,6 +17,15 @@ module closes that gap:
   objects, so re-featurizing an equal plan is one hash + one dict lookup
   instead of annotation + graph construction.
 
+The canonical token (:func:`plan_token`, nested tuples of plain values)
+is more than the digest's input.  It is the featurizer's input:
+:func:`~repro.featurization.build_query_graphs` walks tokens, never plan
+objects, so a graph depends only on what its digest hashes, by
+construction.  Its marshal-v2 bytes are the fleet's wire format: a router
+ships the bytes it hashed at submit, and workers featurize the decoded
+tuples.  :func:`plan_from_token` is its inverse, for the consumers that
+need plan objects (DeepDB annotation, the analytical fallback).
+
 Contract: two calls with equal fingerprints would produce graphs with
 identical features **except** for the ``"deepdb"`` source, whose estimates
 are sampling-based — there the cache pins the *first* annotation (a feature,
@@ -58,9 +67,12 @@ from hashlib import blake2b
 
 import numpy as np
 
-from ..sql import BooleanPredicate, Comparison
+from ..optimizer.plan import PlanNode
+from ..sql import (AggregateSpec, BooleanPredicate, Comparison, JoinEdge,
+                   PredOp)
 
 __all__ = ["plan_fingerprint", "records_fingerprint", "database_digest",
+           "plan_token", "plan_from_token", "token_digest",
            "FeaturizationCache"]
 
 
@@ -82,17 +94,30 @@ def _predicate_token(predicate):
             literal = (tuple([_plain(item) for item in literal])
                        if isinstance(literal, (list, tuple))
                        else _plain(literal))
-        return ("C", predicate.table, predicate.column, predicate.op.value,
+        # ``op._value_`` is ``op.value`` without the enum property call.
+        return ("C", predicate.table, predicate.column, predicate.op._value_,
                 literal)
     if isinstance(predicate, BooleanPredicate):
-        return ("B", predicate.op.value,
+        return ("B", predicate.op._value_,
                 tuple([_predicate_token(child)
                        for child in predicate.children]))
     raise TypeError(f"unknown predicate {type(predicate)!r}")
 
 
-def _plan_token(node):
-    """Canonical token tree covering every plan field featurization reads."""
+def plan_token(node):
+    """The plan's canonical token: nested tuples of plain values.
+
+    One node's token is ``(op_name, table, index_column, est_rows,
+    true_rows, width, workers, storage_format, scanned_columns, predicate,
+    join, aggregates, group_by, sort_keys, children)``: a predicate is
+    ``("C", table, column, op value, literal)`` or ``("B", op value,
+    children)``, a join the four key names, an aggregate ``(func, table,
+    column)``, and ``children`` the child tokens.  Empty slots are ``()``
+    (``None`` for a missing predicate or join).  It covers every plan field
+    the featurizer reads, and the featurizer reads nothing else:
+    :func:`~repro.featurization.build_query_graphs` walks tokens, not plan
+    nodes.  :func:`plan_from_token` inverts it.
+    """
     join, predicate = node.join, node.filter_predicate
     aggregates, children = node.aggregates, node.children
     est_rows, true_rows = node.est_rows, node.true_rows
@@ -114,9 +139,51 @@ def _plan_token(node):
         (tuple([(agg.func, agg.table, agg.column) for agg in aggregates])
          if aggregates else ()),
         tuple(node.group_by), tuple(node.sort_keys),
-        (tuple([_plan_token(child) for child in children])
+        (tuple([plan_token(child) for child in children])
          if children else ()),
     )
+
+
+_PRED_OPS = {op.value: op for op in PredOp}
+
+
+def _predicate_from_token(token):
+    if token[0] == "C":
+        _, table, column, op, literal = token
+        return Comparison(table, column, _PRED_OPS[op], literal)
+    _, op, children = token
+    return BooleanPredicate(_PRED_OPS[op], tuple(
+        [_predicate_from_token(child) for child in children]))
+
+
+def plan_from_token(token, est_cost=0.0):
+    """Rebuild a :class:`~repro.optimizer.PlanNode` tree from its token.
+
+    The inverse of :func:`plan_token`: ``plan_token(plan_from_token(t)) ==
+    t``.  Costs are not part of the token, so every node's ``est_cost`` /
+    ``est_self_cost`` is 0 except the root's ``est_cost``, which is
+    ``est_cost`` (what the analytical fallback reads).  An IN literal comes
+    back as a tuple and numpy values as their Python values, as the token
+    holds them.  Only consumers that need plan objects call this: DeepDB
+    annotation and the analytical fallback.
+    """
+    (op_name, table, index_column, est_rows, true_rows, width, workers,
+     storage_format, scanned_columns, predicate, join, aggregates,
+     group_by, sort_keys, children) = token
+    return PlanNode(
+        op_name,
+        children=[plan_from_token(child) for child in children],
+        table=table,
+        filter_predicate=(None if predicate is None
+                          else _predicate_from_token(predicate)),
+        index_column=index_column,
+        join=None if join is None else JoinEdge(*join),
+        aggregates=tuple([AggregateSpec(*aggregate)
+                          for aggregate in aggregates]),
+        group_by=group_by, sort_keys=sort_keys, workers=workers,
+        est_rows=est_rows, width=width, est_cost=est_cost,
+        true_rows=true_rows, scanned_columns=scanned_columns,
+        storage_format=storage_format)
 
 
 # The marshal-v2 head of a 2-tuple: its type code and element count.
@@ -130,7 +197,14 @@ _MAX_PREFIX_STATES = 256
 
 def _digest(db_fingerprint, cards, sf_token, plan):
     """``blake2b(marshal.dumps(((db_fingerprint, cards, sf_token),
-    plan token), 2))``.
+    plan token), 2))``."""
+    return token_digest(db_fingerprint, cards, sf_token,
+                        marshal.dumps(plan_token(plan), 2))
+
+
+def token_digest(db_fingerprint, cards, sf_token, data):
+    """:func:`_digest` of a plan whose token's marshal-v2 bytes are
+    ``data``.
 
     Marshal v2 writes a tuple as its head and then each element's own
     encoding, so the input's start, ``_PAIR_HEAD`` + the prefix's bytes, is
@@ -147,7 +221,7 @@ def _digest(db_fingerprint, cards, sf_token, plan):
                         digest_size=16)
         _prefix_states[prefix] = state
     state = state.copy()
-    state.update(marshal.dumps(_plan_token(plan), 2))
+    state.update(data)
     return state.digest()
 
 
@@ -259,6 +333,15 @@ class FeaturizationCache:
         probes instead of a re-hash.  ``db_fingerprint`` lets batch callers
         amortize the database fingerprint across a whole trace.
         """
+        return self.key_token(db, plan, cards, storage_formats,
+                              db_fingerprint)[0]
+
+    def key_token(self, db, plan, cards, storage_formats=None,
+                  db_fingerprint=None):
+        """``(key, token)``: :meth:`key`, and the :func:`plan_token` this
+        call hashed (``None`` when the digest was memoized), so a caller
+        that goes on to featurize the plan does not tokenize it twice.
+        ``plan`` may be a token already."""
         entry = self._key_memo.get(id(plan))
         if entry is None or entry[0] is not plan:
             entry = (plan, {})
@@ -271,10 +354,13 @@ class FeaturizationCache:
                     if storage_formats else None)
         context = (db_fingerprint, cards, sf_token)
         digest = entry[1].get(context)
+        token = None
         if digest is None:
-            digest = _digest(db_fingerprint, cards, sf_token, plan)
+            token = plan if type(plan) is tuple else plan_token(plan)
+            digest = token_digest(db_fingerprint, cards, sf_token,
+                                  marshal.dumps(token, 2))
             entry[1][context] = digest
-        return digest
+        return digest, token
 
     def get(self, key):
         graph = self._entries.get(key)

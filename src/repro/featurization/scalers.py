@@ -47,14 +47,23 @@ class FeatureScalers:
         self.scalers = scalers or {}
 
     def fit(self, graphs):
-        stacks = {t: [] for t in NODE_TYPES}
+        """Fit each node type's scaler on its rows over ``graphs``.
+
+        Rows are taken from each graph's :meth:`~repro.featurization.
+        QueryGraph.packed` per-type matrices, concatenated in graph order:
+        the same rows in the same order as stacking every node's feature
+        vector (node order within a graph keeps each type's rows in
+        creation order), without building a graph's per-node lists.
+        """
+        blocks = [[] for _ in NODE_TYPES]
         for graph in graphs:
-            for node_type, features in zip(graph.node_types, graph.features):
-                stacks[node_type].append(features)
+            for code, matrix in graph.packed().features_by_code.items():
+                blocks[code].append(matrix)
         self.scalers = {}
-        for node_type, rows in stacks.items():
-            if rows:
-                self.scalers[node_type] = StandardScaler().fit(np.stack(rows))
+        for node_type, matrices in zip(NODE_TYPES, blocks):
+            if matrices:
+                self.scalers[node_type] = StandardScaler().fit(
+                    np.concatenate(matrices))
         return self
 
     def transform(self, node_type, matrix):

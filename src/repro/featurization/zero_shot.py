@@ -1,6 +1,8 @@
 """Builder for the zero-shot query-graph encoding (Figure 3).
 
-Translates an annotated physical plan into a :class:`QueryGraph`:
+Translates an annotated physical plan — read as its
+:func:`~repro.featurization.plan_token`, the tuples its digest hashes —
+into a :class:`QueryGraph`:
 
 * every plan operator becomes a plan node (gray in Fig. 3),
 * scans hang their table node (blue) and their predicate tree (red) below
@@ -31,12 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import perfstats
-from ..sql import (BooleanPredicate, Comparison, PredOp,
-                   like_pattern_complexity)
+from ..sql import PredOp, like_pattern_complexity
 from .features import (AGG_INDEX, DTYPE_INDEX, OPERATOR_INDEX, PRED_INDEX,
                        STORAGE_FORMAT_INDEX, attribute_features_matrix,
                        output_features_matrix, plan_features_matrix,
                        predicate_features_matrix, table_features_matrix)
+from .fingerprint import plan_token
 from .graph import NODE_TYPES, QueryGraph, TYPE_CODES
 
 __all__ = ["build_query_graph", "build_query_graphs"]
@@ -46,14 +48,18 @@ _PREDICATE = TYPE_CODES["predicate"]
 _TABLE = TYPE_CODES["table"]
 _ATTRIBUTE = TYPE_CODES["attribute"]
 _OUTPUT = TYPE_CODES["output"]
+# Predicate tokens carry the operator's value ("=", "IN", ...).
+_PRED_INDEX = {op.value: index for op, index in PRED_INDEX.items()}
 _EQ_INDEX = PRED_INDEX[PredOp.EQ]
+_IN_INDEX = PRED_INDEX[PredOp.IN]
+_LIKE_INDEXES = (PRED_INDEX[PredOp.LIKE], PRED_INDEX[PredOp.NOT_LIKE])
 _AGG_OPS = ("Aggregate", "HashAggregate")
 
 _SCAN_OPS = ("SeqScan", "IndexScan", "ColumnarScan")
 _JOIN_OPS = ("HashJoin", "NestedLoopJoin", "MergeJoin")
 
-# Sentinels for fused cardinality annotation: instead of a per-node dict,
-# the traversal reads cardinalities straight off the plan's recorded rows.
+# Sentinels for fused cardinality annotation: instead of a per-node list,
+# the traversal reads cardinalities straight off the tokens' recorded rows.
 _EXACT_CARDS = object()
 _OPTIMIZER_CARDS = object()
 _CARD_SENTINELS = {"exact": _EXACT_CARDS, "optimizer": _OPTIMIZER_CARDS}
@@ -63,9 +69,13 @@ _CARD_SENTINELS = {"exact": _EXACT_CARDS, "optimizer": _OPTIMIZER_CARDS}
 _MAX_ENCODE_BATCH = 512
 
 
-def _encode_batch(db, plan_cards, storage_formats, columns, memos):
-    """Traverse many plans, appending raw rows to the batch-wide columns.
+def _encode_batch(db, token_cards, storage_formats, columns, memos):
+    """Traverse many plan tokens, appending raw rows to the batch-wide
+    columns.
 
+    The one traversal of featurization: it walks :func:`~repro.
+    featurization.plan_token` tuples (unpacked by position), never plan
+    objects, so a graph depends only on what the plan's digest hashes.
     Only structure is built here — node type codes, longest-path levels and
     edges, each a flat batch-wide list of ints (an edge is two consecutive
     entries, child then parent), so no per-node or per-edge Python object
@@ -86,7 +96,7 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
     codes_append, levels_append = codes.append, levels.append
     edges_append = edges.append
     attributes = {}
-    cards = exact = fused = None
+    exact = fused = next_card = None
     column_stats, table_stats_of = db.column_stats, db.table_stats
     storage_format_of = storage_formats.get
 
@@ -123,28 +133,30 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
         levels_append(0)
         return node
 
-    def predicate_node(predicate):
-        if isinstance(predicate, Comparison):
-            attr = attribute_node(predicate.table, predicate.column)
-            op = predicate.op
+    def predicate_node(token):
+        kind = token[0]
+        if kind == "C":  # ("C", table, column, op, literal)
+            _, table, column, op, literal = token
+            attr = attribute_node(table, column)
+            op_index = _PRED_INDEX[op]
             # Inlined Comparison.literal_feature (predicate hot loop).
-            if op is PredOp.IN:
-                literal_feature = float(len(predicate.literal))
-            elif op is PredOp.LIKE or op is PredOp.NOT_LIKE:
-                literal_feature = like_pattern_complexity(predicate.literal)
+            if op_index == _IN_INDEX:
+                literal_feature = float(len(literal))
+            elif op_index in _LIKE_INDEXES:
+                literal_feature = like_pattern_complexity(literal)
             else:
                 literal_feature = 1.0
-            pred_rows.append((literal_feature, PRED_INDEX[op]))
+            pred_rows.append((literal_feature, op_index))
             node = len(levels)
             codes_append(_PREDICATE)
             levels_append(levels[attr] + 1)
             edges_append(attr)
             edges_append(node)
             return node
-        if isinstance(predicate, BooleanPredicate):
-            children = [predicate_node(child) for child in predicate.children]
-            pred_rows.append((float(len(predicate.children)),
-                              PRED_INDEX[predicate.op]))
+        if kind == "B":  # ("B", op, children)
+            _, op, child_tokens = token
+            children = [predicate_node(child) for child in child_tokens]
+            pred_rows.append((float(len(child_tokens)), _PRED_INDEX[op]))
             node = len(levels)
             level = 0
             for child in children:
@@ -156,11 +168,12 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
                 edges_append(child)
                 edges_append(node)
             return node
-        raise TypeError(f"unknown predicate {type(predicate)!r}")
+        raise TypeError(f"unknown predicate token {kind!r}")
 
     def join_predicate_node(join):
-        child_attr = attribute_node(join.child_table, join.child_column)
-        parent_attr = attribute_node(join.parent_table, join.parent_column)
+        child_table, child_column, parent_table, parent_column = join
+        child_attr = attribute_node(child_table, child_column)
+        parent_attr = attribute_node(parent_table, parent_column)
         pred_rows.append((1.0, _EQ_INDEX))
         node = len(levels)
         level = max(levels[child_attr], levels[parent_attr])
@@ -173,12 +186,13 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
         return node
 
     def output_node(aggregate):
+        func, table, column = aggregate
         attr = None
-        if aggregate.column is not None:
-            attr = attribute_node(aggregate.table, aggregate.column)
-        agg_index = AGG_INDEX.get(aggregate.func)
+        if column is not None:
+            attr = attribute_node(table, column)
+        agg_index = AGG_INDEX.get(func)
         if agg_index is None:
-            raise ValueError(f"unknown aggregation {aggregate.func!r}")
+            raise ValueError(f"unknown aggregation {func!r}")
         output_rows.append(agg_index)
         node = len(levels)
         codes_append(_OUTPUT)
@@ -188,43 +202,40 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
             edges_append(node)
         return node
 
-    def plan_node(node):
-        children = [plan_node(child) for child in node.children]
-        op_name = node.op_name
+    def plan_node(token):
+        """Encode one plan node's subtree; returns ``(node id, its output
+        cardinality)`` — the parent's ``card_prod`` takes the latter."""
+        (op_name, table, _, est_rows, true_rows, width, workers, _, _,
+         predicate, join, aggregates, group_by, sort_keys,
+         child_tokens) = token
+        children = []
+        card_prod = 1.0
+        for child in child_tokens:
+            child_id, card = plan_node(child)
+            children.append(child_id)
+            if card > 1.0:
+                card_prod *= card
         if op_name in _SCAN_OPS:
-            children.append(table_node(node.table))
-            if node.filter_predicate is not None:
-                children.append(predicate_node(node.filter_predicate))
-        elif op_name in _JOIN_OPS and node.join is not None:
-            children.append(join_predicate_node(node.join))
+            children.append(table_node(table))
+            if predicate is not None:
+                children.append(predicate_node(predicate))
+        elif op_name in _JOIN_OPS and join is not None:
+            children.append(join_predicate_node(join))
         elif op_name in _AGG_OPS:
-            for aggregate in node.aggregates:
+            for aggregate in aggregates:
                 children.append(output_node(aggregate))
-            for table, column in node.group_by:
+            for table, column in group_by:
                 children.append(attribute_node(table, column))
         elif op_name == "Sort":
-            for table, column in node.sort_keys:
+            for table, column in sort_keys:
                 children.append(attribute_node(table, column))
 
-        if fused:
-            rows = node.true_rows
-            card_out = float(rows if exact and rows is not None
-                             else node.est_rows)
-            card_prod = 1.0
-            for child in node.children:
-                rows = child.true_rows
-                card = float(rows if exact and rows is not None
-                             else child.est_rows)
-                if card > 1.0:
-                    card_prod *= card
-        else:
-            card_out = cards.get(id(node), node.est_rows)
-            card_prod = 1.0
-            for child in node.children:
-                card = cards.get(id(child), child.est_rows)
-                if card > 1.0:
-                    card_prod *= card
-        plan_rows.append((card_out, card_prod, node.width, node.workers,
+        # Post-order: a card list yields this node's value after its
+        # children consumed theirs.
+        card_out = (float(true_rows if exact and true_rows is not None
+                          else est_rows)
+                    if fused else next_card())
+        plan_rows.append((card_out, card_prod, width, workers,
                           OPERATOR_INDEX[op_name]))
         plan_id = len(levels)
         level = 0
@@ -236,20 +247,22 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
         for child in children:
             edges_append(child)
             edges_append(plan_id)
-        return plan_id
+        return plan_id, card_out
 
     metas = []
     ends = (0, 0, 0, 0, 0)
     try:
-        for plan, cards in plan_cards:
+        for token, cards in token_cards:
             # Rebind the per-graph cells; the closures above see the new
             # state.
             attributes = {}
             exact = cards is _EXACT_CARDS
             fused = exact or cards is _OPTIMIZER_CARDS
+            if not fused:
+                next_card = iter(cards).__next__
             starts = ends
             node_start = len(levels)
-            root = plan_node(plan)
+            root = plan_node(token)[0]
             ends = (len(plan_rows), len(pred_rows), len(table_rows),
                     len(attr_rows), len(output_rows))
             # (first node, end of the flat edge list, local root, per-type
@@ -264,6 +277,21 @@ def _encode_batch(db, plan_cards, storage_formats, columns, memos):
         # cyclic collector.
         del plan_node, predicate_node
     return metas, codes, levels, edges
+
+
+def _as_token(plan):
+    """A plan token as is; a plan node tree tokenized."""
+    return plan if type(plan) is tuple else plan_token(plan)
+
+
+def _card_list(plan, cards):
+    """Post-order cardinalities: an ``id(node)`` map read along the plan
+    node tree (nodes it misses take their ``est_rows``); a sequence as
+    is."""
+    if isinstance(cards, dict):
+        return [cards.get(id(node), node.est_rows)
+                for node in plan.iter_nodes()]
+    return cards
 
 
 def _assemble_matrices(columns):
@@ -292,10 +320,16 @@ def _assemble_matrices(columns):
 def build_query_graphs(db, plans, card_maps, storage_formats=None):
     """Encode many annotated plans of one database in one vectorized pass.
 
-    ``card_maps[i]`` maps ``id(plan_node) -> cardinality`` for ``plans[i]``.
-    Alternatively ``card_maps`` may be the string ``"exact"`` or
+    ``plans`` holds plan tokens (:func:`~repro.featurization.plan_token`)
+    or :class:`~repro.optimizer.PlanNode` trees, which are tokenized first;
+    the encoder walks tokens only.  ``card_maps[i]`` gives ``plans[i]``'s
+    per-node cardinalities: a sequence in post-order (one value per plan
+    node, in :meth:`~repro.optimizer.PlanNode.iter_nodes` order), or, for
+    a plan node tree, the ``id(plan_node) -> cardinality`` map
+    :func:`~repro.cardest.annotate_cardinalities` returns, read into that
+    order.  Alternatively ``card_maps`` may be the string ``"exact"`` or
     ``"optimizer"``: per-node cardinalities are then read directly off the
-    plans' recorded true/estimated rows during the traversal (fused
+    tokens' recorded true/estimated rows during the traversal (fused
     annotation — value-identical to building the
     :func:`~repro.cardest.annotate_cardinalities` dict first, without the
     extra plan walk).
@@ -323,12 +357,13 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
         return graphs
     if isinstance(card_maps, str):
         sentinel = _CARD_SENTINELS[card_maps]
-        plan_cards = ((plan, sentinel) for plan in plans)
+        token_cards = ((_as_token(plan), sentinel) for plan in plans)
     else:
-        plan_cards = zip(plans, card_maps)
+        token_cards = ((_as_token(plan), _card_list(plan, cards))
+                       for plan, cards in zip(plans, card_maps))
     columns = ([], [], [], [], [])
     memos = ({}, {})
-    metas, codes, levels, edges = _encode_batch(db, plan_cards,
+    metas, codes, levels, edges = _encode_batch(db, token_cards,
                                                 storage_formats, columns,
                                                 memos)
     matrices = _assemble_matrices(columns)
@@ -360,12 +395,14 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
 
 
 def build_query_graph(db, plan, cards, storage_formats=None) -> QueryGraph:
-    """Encode an annotated plan as a transferable query graph.
+    """Encode an annotated plan (or plan token) as a transferable query
+    graph.
 
     ``cards`` maps ``id(plan_node) -> cardinality`` (see
-    :func:`repro.cardest.annotate_cardinalities`); the choice of source is
-    how the exact / DeepDB / optimizer variants of the paper are realized.
-    The strings ``"exact"`` / ``"optimizer"`` select fused annotation, as in
+    :func:`repro.cardest.annotate_cardinalities`) or lists them in
+    post-order; the choice of source is how the exact / DeepDB / optimizer
+    variants of the paper are realized.  The strings ``"exact"`` /
+    ``"optimizer"`` select fused annotation, as in
     :func:`build_query_graphs`.
     """
     card_maps = cards if isinstance(cards, str) else [cards]

@@ -32,7 +32,10 @@ COUNTERS = [
      "sheds by priority class (high/normal/low)"),
     ("serve.brownout.count", "LOW-priority brownout fallbacks under overload"),
     ("serve.queue.depth", "admitted-request high-water increments"),
-    ("serve.swap.count", "model hot-swaps picked up by the core"),
+    ("serve.swap.count",
+     "route changes a serving core picked up, one per served database "
+     "whose deployment changed (a fleet's router and each worker count "
+     "their own; its stats() swaps are the router's)"),
     ("serve.retry.count", "per-request inference retries after faults"),
     ("serve.registry.publish", "checkpoints published to the registry"),
     ("serve.registry.promote", "registry promotions to serving"),

@@ -28,7 +28,7 @@ deterministic request seq) bounds the cost.
 Stage vocabulary used by the serving path::
 
     queue       submit -> micro-batch dispatch (batcher pop)
-    worker.recv batch pipe send -> worker picked it up (fleet only)
+    worker.recv batch dispatch (or re-send) -> worker decoded it (fleet)
     featurize   plan-graph featurization (per attempt)
     infer       model forward pass (per attempt)
     cache       submit-time or late result-cache probe that hit

@@ -34,6 +34,7 @@ from client threads; ``setdefault`` keeps their creation race-free.
 
 from __future__ import annotations
 
+import marshal
 import threading
 import time
 from _thread import allocate_lock as _allocate_lock
@@ -46,7 +47,8 @@ from ..obs.metrics import REGISTRY
 from ..core.api import EstimatorCache, featurize_records
 from ..core.training import predict_runtimes
 from ..featurization import (FeaturizationCache, database_digest,
-                             plan_fingerprint)
+                             plan_fingerprint, plan_token)
+from ..featurization.fingerprint import token_digest
 from ..optimizer.cost_model import AnalyticalCostModel
 from ..robustness import faults
 from .registry import RoutingError
@@ -57,8 +59,9 @@ __all__ = ["ServingCore", "ServerConfig", "PredictionRequest",
            "DegradedResponseError", "ServerClosedError", "ServingRecord",
            "Observation", "ObservationTap"]
 
-# The unit of serving work: featurize_records only reads .db_name and .plan,
-# so this lightweight record stands in for an executed TraceRecord.
+# The unit of serving work: featurize_records only reads .db_name and .plan
+# (a plan or its token), so this lightweight record stands in for an
+# executed TraceRecord.
 ServingRecord = namedtuple("ServingRecord", ["db_name", "plan"])
 
 # One delivered model-path prediction, as seen by the observation tap:
@@ -208,16 +211,20 @@ class PredictionRequest:
     waiters wake, with the timeout semantics of an event's ``wait``.
     """
 
-    __slots__ = ("db_name", "plan", "digest", "status", "value", "error",
-                 "served_by", "submitted_at", "completed_at", "retries",
-                 "priority", "deadline_ms", "trace", "_done", "_latch",
-                 "_claim")
+    __slots__ = ("db_name", "plan", "digest", "token", "token_bytes",
+                 "status", "value", "error", "served_by", "submitted_at",
+                 "completed_at", "retries", "priority", "deadline_ms",
+                 "trace", "_done", "_latch", "_claim")
 
     def __init__(self, db_name, plan, priority=RequestPriority.NORMAL,
                  deadline_ms=None, digest=None):
         self.db_name = db_name
         self.plan = plan
         self.digest = digest  # plan content fingerprint; None = not yet
+        # The plan token the digest hashed and its marshal-v2 bytes, kept
+        # from submit until completion (None when the digest came from the
+        # memo): featurization encodes the token, a fleet ships the bytes.
+        self.token = self.token_bytes = None
         self.priority = (priority if type(priority) is RequestPriority
                          else RequestPriority(priority))
         self.deadline_ms = deadline_ms  # per-request age cap (ms), or None
@@ -240,6 +247,7 @@ class PredictionRequest:
         was."""
         if not self._claim.acquire(False):
             return False
+        self.token = self.token_bytes = None  # only processing reads them
         self.value = value
         self.error = error
         self.served_by = served_by
@@ -567,30 +575,39 @@ class ServingCore:
             self._memo_put_locked(memo_key, plan, digest)
         return digest
 
-    def lookup(self, db_name, plan):
-        """The submit-side probe: ``(route, digest, cached value)``.
+    def lookup(self, request):
+        """The submit-side probe: ``(route, cached value)``.
 
-        Counts the request, resolves the route, fetches the plan's digest
+        Counts the request, resolves the route, sets ``request.digest``
         and probes the result cache (counting a hit) in one lock hold for a
-        plan object seen before.  A first-seen plan is hashed outside the
-        lock (see :meth:`plan_digest`) and takes the lock once more.
-        Returns ``(None, None, None)`` when no deployment serves
-        ``db_name``, and a ``None`` value on a cache miss (the miss is
-        counted at prediction time).
+        plan object seen before.  A first-seen plan is tokenized and hashed
+        outside the lock (see :meth:`plan_digest`) and takes the lock once
+        more; the request keeps that token and its marshal bytes
+        (``request.token`` / ``token_bytes``), so the plan is never walked
+        again.  Returns ``(None, None)`` when no deployment serves the
+        request's database, and a ``None`` value on a cache miss (the miss
+        is counted at prediction time).
         """
+        db_name, plan = request.db_name, request.plan
         memo_key = (id(plan), db_name)
         with self._lock:
             self._counts["requests"] += 1
             route = self._routes.get(db_name)
             if route is None:
-                return None, None, None
+                return None, None
             digest = self._memo_get_locked(memo_key, plan)
             if digest is not None:
-                return route, digest, self._cached_locked(route, digest)
-        digest = self._fingerprint(db_name, plan)
+                request.digest = digest
+                return route, self._cached_locked(route, digest)
+        token = plan_token(plan)
+        data = marshal.dumps(token, 2)
+        digest = token_digest(self._db_fingerprints[db_name],
+                              self.config.cards, None, data)
+        request.digest, request.token, request.token_bytes = (digest, token,
+                                                              data)
         with self._lock:
             self._memo_put_locked(memo_key, plan, digest)
-            return route, digest, self._cached_locked(route, digest)
+            return route, self._cached_locked(route, digest)
 
     def _fingerprint(self, db_name, plan):
         return plan_fingerprint(
@@ -803,7 +820,10 @@ class ServingCore:
                   if request.trace is not None]
         digests = [request.digest for request in requests]
         faults.check("serve.featurize", keys=digests)
-        records = [ServingRecord(request.db_name, request.plan)
+        # The token hashed at submit when there is one: no plan walk here.
+        records = [ServingRecord(request.db_name,
+                                 request.plan if request.token is None
+                                 else request.token)
                    for request in requests]
         if traced:
             feat_start = time.perf_counter()

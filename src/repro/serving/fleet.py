@@ -13,20 +13,28 @@ front-end/worker split with the batching boundary at the router.
   batches in flight) it ships everything queued, up to
   ``max_batch_size``, so a lone request goes at once and batches grow
   while every worker is busy.  A batch is one pipe message
-  carrying each request's plan, digest (workers never re-hash),
-  deadline, priority and submit time; the worker runs
-  :meth:`~repro.serving.core.ServingCore.process_batch` on it and answers
-  with one result message.  The router completes the handles and fills
-  its result cache from ``DONE`` results, keyed by the checkpoint the
-  worker reports.
+  carrying each request's digest (workers never re-hash), deadline,
+  priority and submit time, and its plan as a token, not a plan object:
+  the marshal-v2 bytes of :func:`~repro.featurization.plan_token` that
+  the digest hashed at submit, plus the root's ``est_cost``.  Pickling
+  bytes is a copy where pickling a plan tree walks every node; the worker
+  ``marshal.loads`` each token and featurizes the tuple directly, and
+  rebuilds a plan object (:func:`~repro.featurization.plan_from_token`)
+  only for DeepDB annotation and the analytical fallback.  The worker
+  runs :meth:`~repro.serving.core.ServingCore.process_batch` on the batch
+  and answers with one result message.  The router completes the handles
+  and fills its result cache from ``DONE`` results, keyed by the
+  checkpoint the worker reports.
 * **Warm once, fork many.**  The router builds every database's catalog
   statistics and hydrates its models through
   :meth:`~repro.serving.registry.ModelRegistry.load_mmap` (one mapped file
   per checkpoint) before it forks; workers, and the replacements
   supervision forks, inherit both copy-on-write instead of rebuilding
   them.  A version the router never loaded (a later promote) is hydrated
-  from disk by the worker, digest-verified as always.  Workers pin BLAS to
-  one thread at spawn (:func:`~repro.nn.pin_blas_to_one_thread`).
+  from disk by the worker, digest-verified as always.  Workers freeze the
+  inherited heap first thing (``gc.freeze()``: their collections never
+  scan or copy it) and pin BLAS to one thread at spawn
+  (:func:`~repro.nn.pin_blas_to_one_thread`).
 * **Exactly-once completion across worker death, hangs and hedges.**  A
   dead worker (crash, kill -9, a torn or undecodable frame) is seen
   through its pipe; a hung one misses heartbeats for ``hang_timeout_ms``
@@ -60,6 +68,8 @@ shipped as deltas with its stats answers.
 
 from __future__ import annotations
 
+import gc
+import marshal
 import os
 import select
 import signal
@@ -69,6 +79,7 @@ from collections import Counter, OrderedDict
 
 from .. import perfstats
 from ..bench.parallel import WorkerProcess
+from ..featurization import plan_from_token, plan_token
 from ..nn import openblas, pin_blas_to_one_thread
 from ..obs.metrics import REGISTRY, snapshot_delta
 from ..obs.trace import TraceContext
@@ -94,8 +105,10 @@ _HEDGED_DONE_BOUND = 4096
 # What a "corrupt" action at fleet.pipe.send writes: a length-prefixed
 # frame whose payload no unpickler accepts.
 _GARBAGE_FRAME = b"\x00not a pickle"
-# Worker core counters the fleet's stats() sums across workers.
-_SUMMED = ("completed", "cached", "degraded", "failed", "swaps", "retries",
+# Worker core counters the fleet's stats() sums across workers.  Not
+# "swaps": a promote changes the router's routes once, and each worker
+# re-resolving the same change is not another swap.
+_SUMMED = ("completed", "cached", "degraded", "failed", "retries",
            "bisects", "batcher_crashes", "deadline_expired",
            "hydrate_failures")
 
@@ -138,6 +151,35 @@ def _pipe_send(conn, message):
     conn.send(message)
 
 
+class _WireRequest(PredictionRequest):
+    """A request as a fleet worker receives it: the plan's token, decoded
+    from the batch's marshal bytes, and the root's ``est_cost``.
+
+    Featurization encodes the token directly.  A plan object is rebuilt
+    with :func:`~repro.featurization.plan_from_token` only when something
+    reads :attr:`plan` (the analytical fallback); DeepDB annotation
+    rebuilds its own from the token inside ``featurize_records``.
+    """
+
+    __slots__ = ("est_cost", "_plan")
+
+    def __init__(self, db_name, token, est_cost, **kwargs):
+        self._plan = None
+        super().__init__(db_name, None, **kwargs)
+        self.token = token
+        self.est_cost = est_cost
+
+    @property
+    def plan(self):
+        if self._plan is None and self.token is not None:
+            self._plan = plan_from_token(self.token, self.est_cost)
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan):
+        self._plan = plan
+
+
 def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
                        fault_schedule):
     """Worker process entry point: a serving core fed by the pipe.
@@ -157,7 +199,16 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
     ``fault_schedule`` (when given) replaces whatever schedule the fork
     inherited; when ``None``, a schedule installed process-wide before the
     fork stays active inside the worker.
+
+    The first call freezes the heap inherited from the router
+    (``gc.freeze()``): the worker's collections never scan those objects,
+    so they neither cost CPU per plan nor copy the router's pages on
+    write.  Each stats answer reports how many objects are frozen
+    (``gc_frozen``), counted once, at the first: the count walks every
+    frozen object (~12 ms for 600k), and nothing is frozen later.
     """
+    gc.freeze()
+    frozen = None
     pin_blas_to_one_thread()
     perfstats.reset()  # worker-local counters (fault.injected.* reporting)
     if fault_schedule is not None:
@@ -185,6 +236,9 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
             reply = ("pong",)
         else:  # "stats" or "stop": the stop answer is the final stats
             payload = core.stats()
+            if frozen is None:
+                frozen = gc.get_freeze_count()
+            payload["gc_frozen"] = frozen
             payload["fault_injected"] = {
                 name: count for name, count in perfstats.snapshot().items()
                 if name.startswith("fault.injected.")}
@@ -206,15 +260,12 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
 def _serve_batch(core, message):
     """Run one shipped micro-batch; returns the ``done`` reply."""
     _, batch_id, send_ts, items = message
-    recv_ts = time.perf_counter()
-    # The wedged-worker fault point: "hang" sleeps until the router's
-    # liveness plane SIGKILLs the process; "delay" holds the batch.
-    faults.check("fleet.worker.hang")
     requests = []
-    for (db_name, plan, digest, submitted_at, deadline_ms, priority,
-         traced) in items:
-        request = PredictionRequest(db_name, plan, priority=priority,
-                                    deadline_ms=deadline_ms, digest=digest)
+    for (db_name, data, est_cost, digest, submitted_at, deadline_ms,
+         priority, traced) in items:
+        request = _WireRequest(db_name, marshal.loads(data), est_cost,
+                               priority=priority, deadline_ms=deadline_ms,
+                               digest=digest)
         # The router's submit timestamp: deadlines and latency count pipe
         # time (perf_counter is system-wide on this platform).
         request.submitted_at = submitted_at
@@ -222,8 +273,16 @@ def _serve_batch(core, message):
             # A bare context (no tracer here): the stages ship back with
             # the result and the router merges them.
             request.trace = TraceContext("", 0)
-            request.trace.add_stage("worker.recv", send_ts, recv_ts)
         requests.append(request)
+    # Decoding the batch into requests is part of receiving it (as
+    # unpickling its frame is): the "worker.recv" stage ends here.
+    recv_ts = time.perf_counter()
+    for request in requests:
+        if request.trace is not None:
+            request.trace.add_stage("worker.recv", send_ts, recv_ts)
+    # The wedged-worker fault point: "hang" sleeps until the router's
+    # liveness plane SIGKILLs the process; "delay" holds the batch.
+    faults.check("fleet.worker.hang")
     try:
         core.process_batch(requests)
     except Exception as exc:  # noqa: BLE001 — fail the batch, keep serving
@@ -244,6 +303,26 @@ def _serve_batch(core, message):
     return ("done", batch_id, results)
 
 
+def _wire_items(requests):
+    """The batch message's per-request tuples.
+
+    A plan crosses the pipe as the marshal-v2 bytes of its token (the
+    bytes its digest hashed at submit; a plan whose digest came from the
+    memo is tokenized here) plus the root's ``est_cost``, which the
+    token leaves out and the analytical fallback reads.  Pickling bytes
+    is a copy, where pickling a plan tree walks every node and predicate.
+    """
+    items = []
+    for r in requests:
+        data = r.token_bytes
+        if data is None:
+            data = marshal.dumps(plan_token(r.plan), 2)
+        items.append((r.db_name, data, r.plan.est_cost, r.digest,
+                      r.submitted_at, r.deadline_ms, r.priority.value,
+                      r.trace is not None))
+    return items
+
+
 class _Batch:
     """Router-side state for one dispatched micro-batch (router lock).
 
@@ -254,19 +333,19 @@ class _Batch:
     __slots__ = ("batch_id", "requests", "items", "slots", "hedges",
                  "last_send")
 
-    def __init__(self, batch_id, requests):
+    def __init__(self, batch_id, requests, items, dispatched_at):
         self.batch_id = batch_id
         self.requests = requests
-        self.items = [(r.db_name, r.plan, r.digest, r.submitted_at,
-                       r.deadline_ms, r.priority.value, r.trace is not None)
-                      for r in requests]
+        self.items = items
         self.slots = []
         self.hedges = 0
-        self.last_send = time.perf_counter()
+        self.last_send = dispatched_at
 
     def message(self):
-        # The send timestamp opens the worker's "worker.recv" stage.
-        return ("batch", self.batch_id, time.perf_counter(), self.items)
+        # The latest placement's time opens the worker's "worker.recv"
+        # stage: a first send counts from the dispatch that encoded the
+        # batch, a re-send or hedge from when it was placed.
+        return ("batch", self.batch_id, self.last_send, self.items)
 
 
 class _WorkerSlot:
@@ -481,11 +560,13 @@ class PredictorFleet(PredictorServer):
                 or all(slot.closing for slot in self._slots))
 
     def _dispatch(self, batch):
+        dispatched_at = time.perf_counter()
+        items = _wire_items(batch)  # outside the lock
         with self._lock:
             live = [s for s in self._slots if not s.closing]
             if live:
                 slot = min(live, key=lambda s: len(s.pending))
-                entry = _Batch(self._batch_seq, batch)
+                entry = _Batch(self._batch_seq, batch, items, dispatched_at)
                 self._batch_seq += 1
                 entry.slots.append(slot)
                 self._batches[entry.batch_id] = entry

@@ -223,15 +223,16 @@ class PredictorServer:
         # is hashed outside the lock, so concurrent first-seen submits
         # don't serialize behind each other's O(plan) digest walks.  The
         # request carries the digest to the batcher, which reuses it as
-        # the featurization-cache key.
-        route, digest, value = core.lookup(db_name, plan)
+        # the featurization-cache key, and the token it hashed, which
+        # featurization encodes (a fleet ships its bytes instead).
+        route, value = core.lookup(request)
         if route is None:
             core.count("failed")
             request._finish(RequestStatus.FAILED, error=RoutingError(
                 f"no deployment serves {db_name!r} and the registry "
                 "has no default model"))
             return request
-        request.digest = digest
+        digest = request.digest
         tracer = self._tracer
         if tracer is not None:
             request.trace = tracer.context_for(

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.api as api
 import repro.featurization.fingerprint as fingerprint
 from repro.cardest import (CARD_SOURCES, DataDrivenEstimator,
                            annotate_cardinalities)
@@ -33,7 +34,9 @@ from repro.featurization import (BatchCache, FeatureScalers,
                                  FeaturizationCache, build_query_graph,
                                  build_query_graphs, make_batch,
                                  plan_fingerprint)
-from repro.optimizer import PlanNode, plan_query
+from repro.datagen import make_benchmark_databases
+from repro.optimizer import OPERATOR_NAMES, PlanNode, plan_query
+from repro.serving import ServingRecord
 from repro.sql import (AggregateSpec, BooleanPredicate, Comparison, JoinEdge,
                        PredOp)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
@@ -390,7 +393,7 @@ class TestFingerprintCache:
         db_fp = gen_db.fingerprint()
         cache = FeaturizationCache()
         for plan in workload:
-            payload = ((db_fp, cards, sf_token), fingerprint._plan_token(plan))
+            payload = ((db_fp, cards, sf_token), fingerprint.plan_token(plan))
             expected = blake2b(marshal.dumps(payload, 2),
                                digest_size=16).digest()
             for _ in range(2):  # the second call reuses the prefix state
@@ -448,6 +451,145 @@ class TestFingerprintCache:
         # values they stay an int and a float.
         assert (_hand_digest(hand_plan(literal=np.int64(0)))
                 != _hand_digest(hand_plan(literal=np.float64(0.0))))
+
+
+def every_kind_plans():
+    """Hand-built plans covering every operator, predicate op, literal kind
+    (IN lists and tuples, LIKE patterns, NULL tests, numpy scalars),
+    aggregate, group-by, sort key, index scan and columnar scan."""
+    leaves = (
+        Comparison("t", "a", PredOp.EQ, 1),
+        Comparison("t", "b", PredOp.NEQ, "x"),
+        Comparison("t", "a", PredOp.LT, 2.5),
+        Comparison("t", "a", PredOp.LEQ, np.int64(3)),
+        Comparison("t", "a", PredOp.GT, np.float64(4.5)),
+        Comparison("t", "a", PredOp.GEQ, np.float32(0.25)),
+        Comparison("t", "b", PredOp.IN, ["x", "y"]),
+        Comparison("t", "a", PredOp.IN, (np.int64(1), 2, 3.5)),
+        Comparison("t", "b", PredOp.LIKE, "%ab_"),
+        Comparison("t", "b", PredOp.NOT_LIKE, np.str_("a%")),
+        Comparison("t", "c", PredOp.IS_NULL),
+        Comparison("t", "c", PredOp.IS_NOT_NULL),
+    )
+    nested = BooleanPredicate(PredOp.OR, (
+        BooleanPredicate(PredOp.AND, leaves[:6]),
+        BooleanPredicate(PredOp.AND, leaves[6:])))
+    seq = PlanNode("SeqScan", table="t", filter_predicate=nested,
+                   est_rows=np.float64(40.0), width=np.float32(12.5),
+                   workers=np.int64(2), true_rows=np.float64(38.0))
+    index = PlanNode("IndexScan", table="u", index_column="id",
+                     filter_predicate=leaves[0], est_rows=3, width=8.0,
+                     true_rows=None)
+    columnar = PlanNode("ColumnarScan", table="v", storage_format="column",
+                        scanned_columns=("a", "b"), est_rows=500.0,
+                        width=16.0, true_rows=480.0)
+    plans = []
+    for join_op in ("HashJoin", "NestedLoopJoin", "MergeJoin"):
+        plans.append(PlanNode(
+            join_op, children=[copy.deepcopy(seq), copy.deepcopy(index)],
+            join=JoinEdge("t", "u_id", "u", "id"), est_rows=30.0,
+            width=20.0, true_rows=29.0))
+    join = plans[0]
+    aggregate = PlanNode(
+        "HashAggregate", children=[join], est_rows=4.0, width=24.0,
+        aggregates=(AggregateSpec("count"), AggregateSpec("sum", "t", "a"),
+                    AggregateSpec("avg", "t", "a"),
+                    AggregateSpec("min", "u", "id"),
+                    AggregateSpec("max", "t", "a")),
+        group_by=(("t", "b"), ("u", "id")), true_rows=4.0)
+    sort = PlanNode("Sort", children=[aggregate], est_rows=4.0, width=24.0,
+                    sort_keys=(("t", "b"), ("u", "id")), true_rows=4.0)
+    plans.append(PlanNode("Gather", children=[sort], est_rows=4.0,
+                          width=24.0, workers=2))
+    plans.append(PlanNode(
+        "Aggregate", children=[PlanNode(
+            "Broadcast", children=[copy.deepcopy(columnar)], est_rows=500.0,
+            width=16.0)],
+        aggregates=(AggregateSpec("count"),), est_rows=1.0, width=8.0))
+    plans.append(PlanNode("Repartition", children=[columnar],
+                          est_rows=500.0, width=16.0))
+    return plans
+
+
+class TestPlanTokens:
+    """A plan token is the featurizer's input and the fleet's wire format:
+    it has an exact inverse, and graphs built from tokens equal the loop
+    reference's."""
+
+    def test_round_trip_on_hand_built_plans(self):
+        plans = every_kind_plans()
+        ops = {node.op_name for plan in plans for node in plan.iter_nodes()}
+        assert ops == set(OPERATOR_NAMES)
+        for plan in plans:
+            token = fingerprint.plan_token(plan)
+            rebuilt = fingerprint.plan_from_token(token, est_cost=7.5)
+            assert fingerprint.plan_token(rebuilt) == token
+            assert marshal.loads(marshal.dumps(token, 2)) == token
+            assert rebuilt.est_cost == 7.5
+            assert _hand_digest(rebuilt) == _hand_digest(plan)
+
+    def test_round_trip_on_planner_plans_of_every_benchmark_database(self):
+        dbs = make_benchmark_databases(base_rows=200)
+        assert len(dbs) == 20
+        for db in dbs.values():
+            for mode, seed in (("standard", 1), ("complex", 2)):
+                queries = WorkloadGenerator(
+                    db, WorkloadConfig(mode=mode, max_joins=3,
+                                       group_by_prob=0.4, order_by_prob=0.4),
+                    seed=seed).generate(4)
+                for query in queries:
+                    plan = plan_query(db, query)
+                    token = fingerprint.plan_token(plan)
+                    rebuilt = fingerprint.plan_from_token(token)
+                    assert fingerprint.plan_token(rebuilt) == token, db.name
+
+    @pytest.mark.parametrize("source", ["exact", "optimizer", "deepdb"])
+    def test_graphs_from_tokens_equal_reference(self, gen_db, workload,
+                                                source):
+        estimator = (DataDrivenEstimator(gen_db, seed=0)
+                     if source == "deepdb" else None)
+        card_maps = [annotate_cardinalities(gen_db, plan, source,
+                                            estimator=estimator)
+                     for plan in workload]
+        tokens = [fingerprint.plan_token(plan) for plan in workload]
+        card_lists = [[cards[id(node)] for node in plan.iter_nodes()]
+                      for plan, cards in zip(workload, card_maps)]
+        runs = [build_query_graphs(gen_db, tokens, card_lists)]
+        if source != "deepdb":
+            runs.append(build_query_graphs(gen_db, tokens, source))
+        for fast in runs:
+            for graph, plan, cards in zip(fast, workload, card_maps):
+                reference = build_query_graph_reference(gen_db, plan, cards)
+                assert_graphs_identical(graph, reference)
+
+    @pytest.mark.parametrize("cards", CARD_SOURCES)
+    def test_featurize_records_from_tokens_equals_from_plans(
+            self, gen_db, cards, monkeypatch):
+        """Token records featurize like their plans; only DeepDB rebuilds
+        plan objects, and it samples exactly as on the originals."""
+        queries = WorkloadGenerator(gen_db, WorkloadConfig(max_joins=2),
+                                    seed=11).generate(10)
+        records = list(generate_trace(gen_db, queries, seed=11))
+        dbs = {gen_db.name: gen_db}
+        rebuilt = []
+        original = api.plan_from_token
+
+        def counted(token):
+            rebuilt.append(token)
+            return original(token)
+
+        monkeypatch.setattr(api, "plan_from_token", counted)
+        from_plans = featurize_records(records, dbs, cards=cards,
+                                       estimator_cache=EstimatorCache(seed=0))
+        token_records = [ServingRecord(record.db_name,
+                                       fingerprint.plan_token(record.plan))
+                         for record in records]
+        from_tokens = featurize_records(
+            token_records, dbs, cards=cards,
+            estimator_cache=EstimatorCache(seed=0))
+        for graph, reference in zip(from_tokens, from_plans):
+            assert_graphs_identical(graph, reference)
+        assert len(rebuilt) == (len(records) if cards == "deepdb" else 0)
 
 
 class TestEstimatorCacheStaleness:

@@ -9,7 +9,7 @@ from repro.executor import execute_plan
 from repro.featurization import (BatchCache, FEATURE_DIMS, FeatureScalers,
                                  NODE_TYPES, QueryGraph, TargetScaler,
                                  attribute_features, build_query_graph,
-                                 make_batch, output_features, plan_features,
+                                 build_query_graphs, make_batch, output_features, plan_features,
                                  predicate_features, table_features)
 from repro.optimizer import plan_query
 from repro.sql import PredOp
@@ -129,6 +129,35 @@ class TestScalers:
                            if t == "plan"])
         scaled = scalers.transform("plan", matrix)
         np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
+
+    def test_fit_equals_per_node_stacking(self, gen_db):
+        """Fitting on the graphs' per-type matrices gives the bits of the
+        per-node stacking (kept here as the oracle), and leaves the graphs'
+        per-node lists unbuilt."""
+        from repro.workloads import WorkloadConfig, WorkloadGenerator
+        queries = WorkloadGenerator(
+            gen_db, WorkloadConfig(mode="complex", max_joins=3,
+                                   group_by_prob=0.4, order_by_prob=0.4),
+            seed=5).generate(24)
+        plans = [plan_query(gen_db, query) for query in queries]
+        graphs = build_query_graphs(gen_db, plans, "optimizer")
+        oracle_graphs = build_query_graphs(gen_db, plans, "optimizer")
+        scalers = FeatureScalers().fit(graphs)
+        stacks = {node_type: [] for node_type in NODE_TYPES}
+        for graph in oracle_graphs:
+            for node_type, features in zip(graph.node_types,
+                                           graph.features):
+                stacks[node_type].append(features)
+        assert set(scalers.scalers) == {t for t, rows in stacks.items()
+                                        if rows} == set(NODE_TYPES)
+        for node_type, scaler in scalers.scalers.items():
+            matrix = np.stack(stacks[node_type])
+            std = matrix.std(axis=0)
+            std[std < 1e-9] = 1.0
+            np.testing.assert_array_equal(scaler.mean, matrix.mean(axis=0))
+            np.testing.assert_array_equal(scaler.std, std)
+        assert all(graph._node_types is None and graph._features is None
+                   for graph in graphs)
 
     def test_target_scaler_roundtrip(self):
         runtimes = np.array([1.0, 10.0, 100.0, 1000.0])

@@ -25,6 +25,8 @@ import numpy as np
 import pytest
 
 import repro.featurization.fingerprint as fingerprint
+import repro.featurization.zero_shot as zero_shot
+import repro.serving.core as serving_core
 import repro.serving.fleet as fleet_module
 import repro.storage.table as table_module
 from repro import perfstats
@@ -328,9 +330,15 @@ class TestFleetWorkerCost:
                                                         tmp_path,
                                                         monkeypatch):
         """The router's digest crosses the pipe: every fresh plan is
-        hashed once in the router and zero times in any worker."""
+        hashed once in the router and zero times in any worker.  So does
+        the token it hashed: workers featurize it, and no process
+        tokenizes a plan a second time."""
         log = tmp_path / "digests.log"
-        _log_calls(monkeypatch, fingerprint, "_digest", log)
+        for module in (fingerprint, serving_core):
+            _log_calls(monkeypatch, module, "token_digest", log)
+        tokens_log = tmp_path / "tokens.log"
+        for module in (serving_core, fleet_module, zero_shot):
+            _log_calls(monkeypatch, module, "plan_token", tokens_log)
         registry = _registry_with(world, tmp_path / "registry")
         plans_a = [r.plan for r in world["records_a"]]
         plans_b = [r.plan for r in world["records_b"]]
@@ -341,8 +349,11 @@ class TestFleetWorkerCost:
             got_b = fleet.predict(plans_b, world["db_b"].name)
         np.testing.assert_array_equal(got_a, world["expected_a"])
         np.testing.assert_array_equal(got_b, world["expected_b"])
-        pids = [line.split()[0] for line in log.read_text().splitlines()]
-        assert pids == [str(os.getpid())] * (len(plans_a) + len(plans_b))
+        router = [str(os.getpid())] * (len(plans_a) + len(plans_b))
+        for path in (log, tokens_log):
+            pids = [line.split()[0]
+                    for line in path.read_text().splitlines()]
+            assert pids == router, path.name
 
     @pytest.mark.skipif(openblas() is None, reason="no OpenBLAS loaded")
     def test_workers_pin_blas_to_one_thread(self, world, tmp_path,
@@ -654,6 +665,16 @@ class TestWarmFork:
         assert stats["worker_stats"][0]["completed"] > 0
         assert stats["failed"] == 0
 
+    def test_workers_freeze_the_inherited_heap(self, world, tmp_path):
+        """Each worker freezes what it inherited from the router first
+        thing, and reports how many objects its collections skip."""
+        registry = _registry_with(world, tmp_path)
+        with PredictorFleet(registry, world["dbs"], n_workers=2) as fleet:
+            fleet.predict([world["records_a"][0].plan], world["db_a"].name)
+            rows = fleet.stats()["worker_stats"]
+        assert len(rows) == 2
+        assert all(row["gc_frozen"] > 0 for row in rows)
+
     def test_promote_of_unloaded_version_hydrates_in_workers(
             self, world, tmp_path, monkeypatch):
         """A version published after the fork was never in the router's
@@ -746,6 +767,94 @@ class TestFleetHotSwap:
         np.testing.assert_array_equal(got_back, world["expected_a"])
         assert not np.array_equal(got_v1, got_v2)
         assert stats["failed"] == 0
+
+
+    def test_one_promote_counts_one_swap_per_database(self, world,
+                                                      tmp_path):
+        """A promote is counted once, as the router's route changes: one
+        publish over four served databases reads 4 swaps, as on a thread
+        server, however many workers re-resolve the same change."""
+        dbs = dict(world["dbs"])
+        for name, seed in (("fleet_c", 33), ("fleet_d", 34)):
+            dbs[name] = _make_db(name, seed=seed, base_rows=300)
+        model_v2 = _make_model(world["graphs_all"], world["runtimes"],
+                               seed=9)
+        swaps = {}
+        for kind in ("server", "fleet"):
+            registry = _registry_with(world, tmp_path / kind)
+            transport = (PredictorFleet(registry, dbs, n_workers=2)
+                         if kind == "fleet"
+                         else PredictorServer(registry, dbs))
+            with transport:
+                transport.predict([world["records_a"][0].plan],
+                                  world["db_a"].name)
+                registry.publish("main", model_v2,
+                                 dbs=[world["db_a"], world["db_b"]],
+                                 activate=True)
+                # Served after the promote: every worker has re-resolved
+                # its routes by the time it answers.
+                transport.predict([world["records_a"][1].plan],
+                                  world["db_a"].name)
+                swaps[kind] = transport.stats()["swaps"]
+        assert swaps == {"server": 4, "fleet": 4}
+
+
+# ----------------------------------------------------------------------
+# Plans rebuilt from their tokens: DeepDB annotation, analytical fallback
+# ----------------------------------------------------------------------
+class TestWorkerPlanRebuild:
+    def test_deepdb_cards_equal_direct_prediction(self, world, tmp_path):
+        """Workers receive tokens; DeepDB annotation rebuilds the plans
+        from them and samples exactly as on the original plans."""
+        registry = _registry_with(world, tmp_path)
+        records = world["records_a"]
+        config = ServerConfig(cards="deepdb", result_cache_size=0,
+                              max_batch_size=len(records))
+        fleet = PredictorFleet(registry, world["dbs"], config, n_workers=1)
+        # Queued before start: one batch, annotated in submit order by one
+        # worker's estimator, as the direct call below annotates them.
+        handles = [fleet.submit(record.plan, world["db_a"].name)
+                   for record in records]
+        with fleet:
+            got = [handle.result(60) for handle in handles]
+            stats = fleet.stats()
+        expected = _direct(world["model"], featurize_records(
+            records, world["dbs"], cards="deepdb"))
+        np.testing.assert_array_equal(got, expected)
+        assert stats["batch_size_hist"] == {len(records): 1}
+        assert all(h.status is RequestStatus.DONE for h in handles)
+
+    def test_degraded_answer_equals_thread_servers(self, world, tmp_path):
+        """With the breaker open, a worker answers from the analytical
+        model on the plan rebuilt from its token and root cost: the value
+        a thread server gives for the same plan."""
+        plans = [r.plan for r in world["records_a"]][:6]
+        assert all(plan.est_cost for plan in plans)
+        config = ServerConfig(result_cache_size=0, max_retries=0,
+                              breaker_threshold=1, breaker_reset_ms=60_000)
+        always = FaultSchedule([FaultSpec("serve.infer", rate=1.0)], seed=0)
+        values = {}
+        for kind in ("server", "fleet"):
+            registry = _registry_with(world, tmp_path / kind)
+            if kind == "fleet":
+                transport = PredictorFleet(registry, world["dbs"], config,
+                                           n_workers=2,
+                                           fault_schedule=always)
+            else:
+                faults.install(always)
+                transport = PredictorServer(registry, world["dbs"], config)
+            try:
+                with transport:
+                    handles = [transport.submit(plan, world["db_a"].name,
+                                                block=True)
+                               for plan in plans]
+                    for handle in handles:
+                        handle.wait(60)
+            finally:
+                faults.uninstall()
+            assert all(h.status is RequestStatus.DEGRADED for h in handles)
+            values[kind] = [h.value for h in handles]
+        assert values["fleet"] == values["server"]
 
 
 # ----------------------------------------------------------------------

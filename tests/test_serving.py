@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.featurization.fingerprint as fingerprint
+import repro.featurization.zero_shot as zero_shot
 import repro.serving.core as serving_core
 import repro.serving.server as serving_server
 import repro.storage.table as table_module
@@ -834,19 +835,27 @@ class TestDeploymentGrouping:
     def test_each_fresh_plan_is_hashed_once(self, world, four_dbs, tmp_path,
                                             monkeypatch):
         """The submit-time digest is the result-cache key *and* the
-        featurization-cache key: no plan is hashed a second time."""
+        featurization-cache key: no plan is hashed a second time.  The
+        token it hashed is what featurization encodes: no plan is
+        tokenized a second time either."""
         dbs, records = four_dbs
         registry = ModelRegistry(tmp_path)
         model = _make_model(world["graphs_a"], world["runtimes_a"], seed=0)
         registry.publish("main", model, default=True)
         mix = _round_robin(records)
-        digest_calls = _count_calls(monkeypatch, fingerprint, "_digest")
+        digest_calls = [_count_calls(monkeypatch, module, "token_digest")
+                        for module in (fingerprint, serving_core)]
+        token_calls = _count_calls(monkeypatch, serving_core, "plan_token")
+        encode_token_calls = _count_calls(monkeypatch, zero_shot,
+                                          "plan_token")
         config = ServerConfig(max_batch_size=8, result_cache_size=0)
         with PredictorServer(registry, dbs, config) as server:
             handles = [server.submit(plan, name) for name, plan in mix]
             for handle in handles:
                 handle.result(30)
-        assert len(digest_calls) == len(mix)
+        assert sum(map(len, digest_calls)) == len(mix)
+        assert len(token_calls) == len(mix)
+        assert not encode_token_calls
 
     def test_featurize_records_rejects_keys_of_another_length(self, world):
         records = world["records_a"][:3]
