@@ -464,7 +464,7 @@ def served_model(db, records, hidden_dim=64, seed=0):
     """
     from repro.bench import ArtifactStore
     from repro.core import ZeroShotCostModel
-    from repro.serving import ModelRegistry
+    from repro.serving import ModelRegistry, ServingRecord
 
     dbs = {db.name: db}
     graphs = featurize_records(records, dbs, cards="exact")
@@ -474,11 +474,16 @@ def served_model(db, records, hidden_dim=64, seed=0):
         FeatureScalers().fit(graphs), TargetScaler().fit(runtimes),
         TrainingConfig(hidden_dim=hidden_dim))
 
-    def oracle():
-        truth = predict_runtimes(model.model, graphs, model.feature_scalers,
-                                 model.target_scaler)
+    def oracle(plans=()):
+        """Direct values of the records' plans and of any further
+        ``plans`` (of ``db``), keyed by plan identity."""
+        extra = [ServingRecord(db.name, plan) for plan in plans]
+        truth = predict_runtimes(
+            model.model,
+            graphs + featurize_records(extra, dbs, cards="exact"),
+            model.feature_scalers, model.target_scaler)
         return {id(record.plan): float(value)
-                for record, value in zip(records, truth)}
+                for record, value in zip(list(records) + extra, truth)}
 
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(ArtifactStore(tmp))
@@ -679,6 +684,47 @@ def fleet_startup_ms(registry, dbs, plan, config, reps=5):
     }
 
 
+def fresh_plans(db, n, seed=0, max_joins=3):
+    """``n`` newly planned (not executed) plan objects over ``db``."""
+    from repro.optimizer import plan_query
+    from repro.workloads import WorkloadConfig, WorkloadGenerator
+
+    queries = WorkloadGenerator(db, WorkloadConfig(max_joins=max_joins),
+                                seed=seed).generate(n)
+    return [plan_query(db, query) for query in queries]
+
+
+# Plans per CPU pass of bench_fleet: enough that the fixed costs of a pass
+# (its first batches, its last stats answers) do not weigh in.
+_CPU_PLANS = 600
+
+
+def _fleet_cpu_pass(registry, dbs, config, n_workers, requests, load):
+    """One saturation pass of a fresh fleet over ``requests``, timed for
+    CPU; returns ``(report, {"server": ms, "workers": ms})`` per plan.
+
+    The fleet answers one plan and a first stats poll (each worker counts
+    its frozen heap there) before the window opens.  The serving process
+    is timed with ``RUSAGE_SELF`` around the load; the workers by the
+    ``cpu_s`` their stats answers report just before and just after it.
+    """
+    from repro.serving import PredictorFleet, run_load
+
+    db_name, warm_plan = requests[0]
+    fleet = PredictorFleet(registry, dbs, config, n_workers=n_workers)
+    with _gc_paused(), fleet:
+        fleet.submit(warm_plan, db_name, block=True).wait(30.0)
+        before = fleet.stats()["worker_stats"]
+        server_cpu = _cpu_s(resource.RUSAGE_SELF)
+        report = run_load(fleet, requests, load)
+        server_cpu = _cpu_s(resource.RUSAGE_SELF) - server_cpu
+        after = fleet.stats()["worker_stats"]
+    workers_cpu = sum(end["cpu_s"] - start["cpu_s"]
+                      for start, end in zip(before, after))
+    return report, {"server": server_cpu * 1e3 / len(requests),
+                    "workers": workers_cpu * 1e3 / len(requests)}
+
+
 def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                 worker_counts=(1, 2, 4), rounds=2, repeats=2,
                 max_batch_size=64, seed=0, startup_reps=5):
@@ -696,45 +742,47 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
     count), the CPU count, the audit counts summed over all passes,
     ``incomplete`` (requests a pass did not predict), and per-count latency
     percentiles, mean batch size, restart counts and the ``fleet.*``
-    perfstats counters.  ``cpu_ms_per_plan`` holds, per count, the serving
-    process's user+sys CPU over the load (``RUSAGE_SELF``) and the workers'
-    lifetime CPU (``RUSAGE_CHILDREN`` once ``stop()`` has reaped them), each
-    per requested plan of the best pass.  ``setup_ms`` and ``restart_ms``
-    come from :func:`fleet_startup_ms`.  Scaling beyond one
-    worker needs real cores — on a single-CPU machine the honest numbers
-    simply show ~1x.
+    perfstats counters.  ``cpu_ms_per_plan`` holds, per count, the median
+    over ``repeats`` separate passes of ``_CPU_PLANS`` distinct fresh plans
+    (:func:`fresh_plans`, audited too) of the serving process's and the
+    workers' user+sys CPU per plan (:func:`_fleet_cpu_pass`): distinct
+    plans are each hashed and tokenized once at submit, as fresh traffic
+    is, and a pass long enough that fixed per-pass costs do not dominate.
+    ``setup_ms`` and ``restart_ms`` come from :func:`fleet_startup_ms`.
+    Scaling beyond one worker needs real cores — on a single-CPU machine
+    the honest numbers simply show ~1x.
     """
     from repro.serving import (LoadConfig, PredictorFleet, ServerConfig,
                                run_load)
 
     requests = [(db.name, record.plan) for record in records] * rounds
+    cpu_requests = [(db.name, plan)
+                    for plan in fresh_plans(db, _CPU_PLANS, seed=seed + 1)]
     load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
                       block=True)
     config = ServerConfig(max_batch_size=max_batch_size,
                           queue_depth=len(requests) + n_clients,
                           result_cache_size=0)
+    cpu_config = ServerConfig(max_batch_size=max_batch_size,
+                              queue_depth=len(cpu_requests) + n_clients,
+                              result_cache_size=0)
     rates, extras, cpu, audited = {}, {}, {}, Counter()
     with served_model(db, records, hidden_dim, seed) as (registry, dbs,
                                                          oracle):
-        expected = oracle()
+        expected = oracle([plan for _, plan in cpu_requests])
         startup = fleet_startup_ms(registry, dbs, records[0].plan, config,
                                    reps=startup_reps)
         for n_workers in worker_counts:
-            best_rate, best_extras, best_cpu = 0.0, {}, {}
+            best_rate, best_extras, cpu_rows = 0.0, {}, []
             for _ in range(repeats):
                 # Fresh fleet per pass: fork, mmap hydration and worker
                 # cache warm-up are all inside the measured window — the
                 # cost a real scale-out/restart pays.
                 fleet = PredictorFleet(registry, dbs, config,
                                        n_workers=n_workers)
-                children_cpu = _cpu_s(resource.RUSAGE_CHILDREN)
                 with _gc_paused(), fleet:
-                    server_cpu = _cpu_s(resource.RUSAGE_SELF)
                     report = run_load(fleet, requests, load)
-                    server_cpu = _cpu_s(resource.RUSAGE_SELF) - server_cpu
                     stats = fleet.stats()
-                # stop() has joined the workers, so their CPU is reaped.
-                children_cpu = _cpu_s(resource.RUSAGE_CHILDREN) - children_cpu
                 audited.update(audit(report, expected),
                                incomplete=len(requests) - report.completed)
                 if report.throughput_rps > best_rate:
@@ -744,11 +792,17 @@ def bench_fleet(db, records, hidden_dim=64, n_clients=4,
                         "latency_ms": report.latency_ms,
                         "worker_restarts": stats["worker_restarts"],
                     }
-                    best_cpu = {"server": server_cpu * 1e3 / len(requests),
-                                "workers": children_cpu * 1e3 / len(requests)}
+                report, row = _fleet_cpu_pass(registry, dbs, cpu_config,
+                                              n_workers, cpu_requests, load)
+                audited.update(audit(report, expected),
+                               incomplete=len(cpu_requests)
+                               - report.completed)
+                cpu_rows.append(row)
             rates[n_workers] = best_rate
             extras[f"{n_workers}w"] = best_extras
-            cpu[f"{n_workers}w"] = best_cpu
+            cpu[f"{n_workers}w"] = {
+                who: float(np.median([row[who] for row in cpu_rows]))
+                for who in ("server", "workers")}
     extras["fleet_counters"] = perfstats.snapshot(
         ["fleet.worker.spawn", "fleet.worker.restart",
          "serve.queue.depth"])

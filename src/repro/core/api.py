@@ -64,9 +64,11 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
     A record's ``plan`` is a :class:`~repro.optimizer.PlanNode` tree or its
     :func:`~repro.featurization.plan_token` (what a fleet worker receives).
 
-    Records are grouped per database and encoded through the vectorized
-    batch builder, which walks plan tokens; each plan is tokenized at most
-    once per call, and a token built for a cache key is the one encoded.
+    Records are encoded through the vectorized batch builder in one
+    traversal per call, whatever databases they span (its statistics
+    memos are kept per database); it walks plan tokens, each plan is
+    tokenized at most once per call, and a token built for a cache key is
+    the one encoded.
     For the estimator-free sources the cardinality lookup is fused into
     the traversal (no per-plan annotation pass); DeepDB annotation needs
     plan objects, so a token-only record is rebuilt with
@@ -119,28 +121,31 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
                 first_of_key[key] = position
                 pending.append(position)
     else:
-        pending = range(len(records))
+        pending = list(range(len(records)))
 
-    by_db = {}
-    for position in pending:
-        by_db.setdefault(records[position].db_name, []).append(position)
-    for db_name, positions in by_db.items():
-        db = dbs[db_name]
-        db_plans = [plans[position] for position in positions]
-        if cards == "deepdb":
-            estimator = estimator_cache.get(db)
-            card_maps = []
-            for plan in db_plans:
-                node = plan_from_token(plan) if type(plan) is tuple else plan
-                node_cards = annotate_cardinalities(db, node, cards,
-                                                    estimator=estimator)
-                card_maps.append([node_cards[id(each)]
-                                  for each in node.iter_nodes()])
-        else:
-            card_maps = cards  # fused into the traversal ("exact"/"optimizer")
-        built = build_query_graphs(db, db_plans, card_maps,
+    pending_dbs = [dbs[records[position].db_name] for position in pending]
+    pending_plans = [plans[position] for position in pending]
+    if cards == "deepdb":
+        # Annotation stays per database: each plan against its own
+        # database's estimator, looked up once per call.
+        estimators = {}
+        card_maps = []
+        for db, plan in zip(pending_dbs, pending_plans):
+            estimator = estimators.get(db.name)
+            if estimator is None:
+                estimator = estimators[db.name] = estimator_cache.get(db)
+            node = plan_from_token(plan) if type(plan) is tuple else plan
+            node_cards = annotate_cardinalities(db, node, cards,
+                                                estimator=estimator)
+            card_maps.append([node_cards[id(each)]
+                              for each in node.iter_nodes()])
+    else:
+        card_maps = cards  # fused into the traversal ("exact"/"optimizer")
+    if pending:
+        # One traversal for the whole call, whatever databases it spans.
+        built = build_query_graphs(pending_dbs, pending_plans, card_maps,
                                    storage_formats=storage_formats)
-        for position, graph in zip(positions, built):
+        for position, graph in zip(pending, built):
             graphs[position] = graph
             if feat_cache is not None:
                 feat_cache.put(keys[position], graph)

@@ -69,9 +69,13 @@ _CARD_SENTINELS = {"exact": _EXACT_CARDS, "optimizer": _OPTIMIZER_CARDS}
 _MAX_ENCODE_BATCH = 512
 
 
-def _encode_batch(db, token_cards, storage_formats, columns, memos):
+def _encode_batch(items, storage_formats, columns):
     """Traverse many plan tokens, appending raw rows to the batch-wide
     columns.
+
+    ``items`` yields ``(database, token, cards)``; one traversal encodes a
+    batch spanning databases, with the catalog-statistics memos kept per
+    database.
 
     The one traversal of featurization: it walks :func:`~repro.
     featurization.plan_token` tuples (unpacked by position), never plan
@@ -86,18 +90,18 @@ def _encode_batch(db, token_cards, storage_formats, columns, memos):
     per batch.  Node and edge creation order is identical to the reference
     builder, so the resulting graphs are bit-identical.  The node builders
     are closures created *once* per batch; per-graph state
-    (``attributes``, the card source) lives in enclosing-scope cells that
-    the plan loop rebinds between graphs — this is the featurization hot
-    loop.
+    (``attributes``, the card source, the database's statistics and memos)
+    lives in enclosing-scope cells that the plan loop rebinds between
+    graphs — this is the featurization hot loop.
     """
     plan_rows, pred_rows, table_rows, attr_rows, output_rows = columns
-    attr_stats, table_stats = memos
     codes, levels, edges = [], [], []
     codes_append, levels_append = codes.append, levels.append
     edges_append = edges.append
     attributes = {}
     exact = fused = next_card = None
-    column_stats, table_stats_of = db.column_stats, db.table_stats
+    db = column_stats = table_stats_of = attr_stats = table_stats = None
+    memos = {}  # id(database) -> (attribute memo, table memo)
     storage_format_of = storage_formats.get
 
     def attribute_node(table, column):
@@ -252,9 +256,13 @@ def _encode_batch(db, token_cards, storage_formats, columns, memos):
     metas = []
     ends = (0, 0, 0, 0, 0)
     try:
-        for token, cards in token_cards:
+        for graph_db, token, cards in items:
             # Rebind the per-graph cells; the closures above see the new
             # state.
+            if graph_db is not db:
+                db = graph_db
+                column_stats, table_stats_of = db.column_stats, db.table_stats
+                attr_stats, table_stats = memos.setdefault(id(db), ({}, {}))
             attributes = {}
             exact = cards is _EXACT_CARDS
             fused = exact or cards is _OPTIMIZER_CARDS
@@ -318,7 +326,11 @@ def _assemble_matrices(columns):
 
 
 def build_query_graphs(db, plans, card_maps, storage_formats=None):
-    """Encode many annotated plans of one database in one vectorized pass.
+    """Encode many annotated plans in one vectorized pass.
+
+    ``db`` is the plans' :class:`~repro.storage.Database`, or a list or
+    tuple holding each plan's database: a batch spanning databases is
+    still one traversal and one matrix assembly.
 
     ``plans`` holds plan tokens (:func:`~repro.featurization.plan_token`)
     or :class:`~repro.optimizer.PlanNode` trees, which are tokenized first;
@@ -340,6 +352,10 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
     """
     storage_formats = storage_formats or {}
     plans = list(plans)
+    dbs = (list(db) if isinstance(db, (list, tuple))
+           else [db] * len(plans))
+    if len(dbs) != len(plans):
+        raise ValueError(f"{len(dbs)} databases for {len(plans)} plans")
     # Graphs hold views into their batch's matrices (lazy features/packing),
     # so one surviving graph pins its whole batch's arrays.  Encoding in
     # bounded chunks caps that retention at one chunk per graph while
@@ -349,23 +365,23 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
             card_maps = list(card_maps)
         graphs = []
         for start in range(0, len(plans), _MAX_ENCODE_BATCH):
+            stop = start + _MAX_ENCODE_BATCH
             chunk_cards = (card_maps if isinstance(card_maps, str)
-                           else card_maps[start:start + _MAX_ENCODE_BATCH])
+                           else card_maps[start:stop])
             graphs.extend(build_query_graphs(
-                db, plans[start:start + _MAX_ENCODE_BATCH], chunk_cards,
+                dbs[start:stop], plans[start:stop], chunk_cards,
                 storage_formats=storage_formats))
         return graphs
     if isinstance(card_maps, str):
         sentinel = _CARD_SENTINELS[card_maps]
-        token_cards = ((_as_token(plan), sentinel) for plan in plans)
+        items = ((plan_db, _as_token(plan), sentinel)
+                 for plan_db, plan in zip(dbs, plans))
     else:
-        token_cards = ((_as_token(plan), _card_list(plan, cards))
-                       for plan, cards in zip(plans, card_maps))
+        items = ((plan_db, _as_token(plan), _card_list(plan, cards))
+                 for plan_db, plan, cards in zip(dbs, plans, card_maps))
     columns = ([], [], [], [], [])
-    memos = ({}, {})
-    metas, codes, levels, edges = _encode_batch(db, token_cards,
-                                                storage_formats, columns,
-                                                memos)
+    metas, codes, levels, edges = _encode_batch(items, storage_formats,
+                                                columns)
     matrices = _assemble_matrices(columns)
     # Batch-wide arrays; every graph keeps views into them.  Edges count
     # from their graph's first node: subtract it once for the whole batch.

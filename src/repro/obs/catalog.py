@@ -26,7 +26,12 @@ COUNTERS = [
     ("serve.batch.count", "batches the serving core processed"),
     ("serve.batch.requests", "requests across all processed batches"),
     ("serve.cache.hit", "result-cache hits (submit-time or late probe)"),
-    ("serve.cache.miss", "requests that missed the result cache"),
+    ("serve.cache.miss", "requests that missed the result cache and took "
+     "the model path"),
+    ("serve.coalesced.count",
+     "misses that followed a queued or in-flight request for the same "
+     "checkpoint and plan (single flight): no batch row, no model call; "
+     "counted as neither serve.cache.hit nor serve.cache.miss"),
     ("serve.shed.count", "requests shed by admission control"),
     ("serve.shed.priority.<priority>",
      "sheds by priority class (high/normal/low)"),

@@ -173,7 +173,13 @@ class MetricsRegistry:
 
     # -- hot-path conveniences ------------------------------------------
     def increment(self, name, n=1):
-        self.counter(name).inc(n)
+        # One lock hold for the lookup and the add (counter() + inc() would
+        # take the registry lock twice on every hot-path increment).
+        with self._lock:
+            c = self._counters.get(name)
+            if c is None:
+                c = self._counters[name] = Counter(name, self._lock)
+            c.value += n
 
     def observe(self, name, value):
         self.histogram(name).observe(value)

@@ -36,7 +36,8 @@ Stage vocabulary used by the serving path::
 
 plus annotations ``retry``, ``bisect``, ``degraded``, ``cache.hit``,
 ``hedge.sent``, ``hedge.won``, ``shed``, ``brownout``, ``requeued``,
-``deadline``.
+``deadline``, ``coalesced`` (a follower of a queued or in-flight
+duplicate: no queue stage, completed with its leader).
 """
 
 from __future__ import annotations

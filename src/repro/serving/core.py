@@ -209,12 +209,21 @@ class PredictionRequest:
     and ``completed_at``.  :meth:`wait` on a done handle returns at once;
     on a pending one it acquires and releases the latch, so any number of
     waiters wake, with the timeout semantics of an event's ``wait``.
+
+    Single flight: a request the front end queued after a result-cache
+    miss *leads* its ``(checkpoint, digest)`` flight (``_flight``) until
+    it completes.  A duplicate admitted meanwhile *follows* it: it joins
+    the leader's ``_followers`` instead of the queue, and completes with
+    the leader's value, ``served_by`` and status (``CACHED`` for a
+    ``DONE`` leader) or typed error, in the step that completes the
+    leader.  A request with a ``deadline_ms`` neither leads nor follows.
     """
 
     __slots__ = ("db_name", "plan", "digest", "token", "token_bytes",
                  "status", "value", "error", "served_by", "submitted_at",
                  "completed_at", "retries", "priority", "deadline_ms",
-                 "trace", "_done", "_latch", "_claim")
+                 "trace", "_done", "_latch", "_claim", "_flight",
+                 "_followers")
 
     def __init__(self, db_name, plan, priority=RequestPriority.NORMAL,
                  deadline_ms=None, digest=None):
@@ -236,6 +245,9 @@ class PredictionRequest:
         self.completed_at = None
         self.retries = 0
         self.trace = None  # opt-in obs.trace.TraceContext; None = untraced
+        # Single flight (front end only): the (checkpoint, digest) key this
+        # request leads, and the duplicates riding on it (None when none).
+        self._flight = self._followers = None
         self._done = False
         self._latch = _allocate_lock()
         self._latch.acquire()   # held until the completing _finish
@@ -463,7 +475,7 @@ class ServingCore:
     def observer(self):
         return self._observer
 
-    def observe_request(self, request, value, route):
+    def observe_request(self, request, value, served_by):
         """Feed one model-path delivery to the attached tap (if any)."""
         observer = self._observer
         if observer is None:
@@ -471,7 +483,7 @@ class ServingCore:
         trace = request.trace
         observer.record(Observation(
             request.db_name, request.plan, request.digest, float(value),
-            route.served_by, trace.trace_id if trace is not None else None))
+            served_by, trace.trace_id if trace is not None else None))
 
     # ------------------------------------------------------------------
     # Routing / hot-swap
@@ -718,7 +730,7 @@ class ServingCore:
                 else:
                     pending.append(request)
         for request, value in hits:  # observe outside the lock
-            self.observe_request(request, value, route)
+            self.observe_request(request, value, route.served_by)
         if not pending:
             return
         perfstats.increment("serve.cache.miss", len(pending))
@@ -778,7 +790,7 @@ class ServingCore:
             for request, value in zip(requests, values):
                 request._finish(RequestStatus.DONE, value=value,
                                 served_by=route.served_by)
-                self.observe_request(request, value, route)
+                self.observe_request(request, value, route.served_by)
             return
         if len(requests) > 1:
             # Poisoned-batch bisection: the halves retry independently, so

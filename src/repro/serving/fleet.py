@@ -24,7 +24,10 @@ front-end/worker split with the batching boundary at the router.
   runs :meth:`~repro.serving.core.ServingCore.process_batch` on the batch
   and answers with one result message.  The router completes the handles
   and fills its result cache from ``DONE`` results, keyed by the
-  checkpoint the worker reports.
+  checkpoint the worker reports.  Duplicates of a queued or in-flight
+  plan never reach a batch: they follow its request at the front end
+  (single flight, see :mod:`repro.serving.server`) and complete with it
+  when its result message arrives.
 * **Warm once, fork many.**  The router builds every database's catalog
   statistics and hydrates its models through
   :meth:`~repro.serving.registry.ModelRegistry.load_mmap` (one mapped file
@@ -205,7 +208,10 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
     so they neither cost CPU per plan nor copy the router's pages on
     write.  Each stats answer reports how many objects are frozen
     (``gc_frozen``), counted once, at the first: the count walks every
-    frozen object (~12 ms for 600k), and nothing is frozen later.
+    frozen object (~12 ms for 600k), and nothing is frozen later.  Each
+    also reports the worker's CPU seconds so far (``cpu_s``,
+    ``time.process_time()``), so CPU over a window is a difference of two
+    answers.
     """
     gc.freeze()
     frozen = None
@@ -239,6 +245,7 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
             if frozen is None:
                 frozen = gc.get_freeze_count()
             payload["gc_frozen"] = frozen
+            payload["cpu_s"] = time.process_time()
             payload["fault_injected"] = {
                 name: count for name, count in perfstats.snapshot().items()
                 if name.startswith("fault.injected.")}
@@ -514,6 +521,7 @@ class PredictorFleet(PredictorServer):
                 slot.closing = True
         self._fail(dropped, ServerClosedError(
             "fleet stopped without draining"))
+        self._release_followers(dropped)
         for slot in self._slots:
             slot.send(("stop",))
         # Workers answer "stop" with their final stats; the collector
@@ -581,6 +589,7 @@ class PredictorFleet(PredictorServer):
         else:
             self._fail(batch, WorkerStartError(
                 "every fleet worker slot was given up"))
+            self._release_followers(batch)
 
     def _spawn_collector(self, slot):
         slot.collector = threading.Thread(
@@ -663,6 +672,7 @@ class PredictorFleet(PredictorServer):
                                            proc=f"worker-{slot.index}")
             request._finish(RequestStatus(status), value=value,
                             error=_decode_error(error), served_by=served_by)
+        self._release_followers(entry.requests)
 
     def _on_worker_exit(self, slot, epoch):
         """Supervision: fork a replacement, re-send unanswered batches.
@@ -707,6 +717,7 @@ class PredictorFleet(PredictorServer):
                 self._fail(orphans, WorkerStartError(
                     f"fleet worker {slot.index} died {_MAX_START_FAILURES} "
                     "times in a row before answering"))
+                self._release_followers(orphans)
                 return
             perfstats.increment("fleet.worker.restart")
             perfstats.increment("serve.fault.requeued", requeued)
@@ -847,7 +858,13 @@ class PredictorFleet(PredictorServer):
         """The front end's :meth:`PredictorServer.stats` with every
         worker's core counters folded in, plus fleet extras
         (restart/hang/hedge counts and per-worker rows — ``unresponsive``
-        for workers that did not answer within ``timeout_s``)."""
+        for workers that did not answer within ``timeout_s``).
+
+        Routes are re-resolved first: a pending ``refresh`` goes down each
+        pipe ahead of the ``stats`` query, so the worker rows already
+        describe a promote that landed after the last request.
+        """
+        self._maybe_swap()
         worker_stats = self._collect_worker_stats(timeout_s)
         stats = super().stats()
         counts = self.core.counts_snapshot()

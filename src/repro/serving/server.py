@@ -40,6 +40,18 @@ Guarantees:
 * **Repeat plans are cache hits** — a bounded result cache keyed on
   ``(checkpoint, plan fingerprint)`` answers repeats at submit; keys carry
   the checkpoint, so a hot-swap never serves a stale value.
+* **Single-flight misses** — with the result cache on, a miss whose
+  ``(checkpoint, plan fingerprint)`` is already queued or in flight
+  *follows* that request instead of queueing: no batch row, no model
+  call.  It completes with its leader, in the same step, with the
+  leader's value and ``served_by`` (``CACHED`` when the leader is
+  ``DONE``, else the leader's status and typed error), and is counted
+  once by ``serve.coalesced.count`` and ``stats()["coalesced"]``.
+  Followers pass the same admission and hold an admission slot, so
+  ``queue_depth`` still bounds pending handles.  A leader requeued after
+  a batcher crash (or, on a fleet, re-sent after a worker death or a
+  hedge) keeps its followers.  Requests with a ``deadline_ms`` never lead
+  or follow.
 * **Zero-downtime hot-swap** — routes re-resolve only when
   ``registry.generation`` moves; in-flight batches finish on the model
   they started with.
@@ -111,6 +123,10 @@ class PredictorServer:
         self._queue = deque()
         self._inflight = []
         self._outstanding = 0   # admitted and not yet completed
+        # Single flight: (checkpoint key, digest) -> the queued or in-flight
+        # request leading it; duplicates follow it instead of queueing.
+        self._leaders = {}
+        self._coalesced = 0
         self._running = False
         self._accepting = True  # False only after stop(); start() restores
         self._thread = None
@@ -169,6 +185,7 @@ class PredictorServer:
             self._not_full.notify_all()
         self._fail(dropped, ServerClosedError(
             f"{self._name} stopped without draining"))
+        self._release_followers(dropped)
         # The batcher may crash and be replaced while we wait: join
         # whatever thread is current until it is both dead and current.
         while True:
@@ -197,7 +214,9 @@ class PredictorServer:
         """Submit one plan; returns a :class:`PredictionRequest` handle.
 
         Repeat plans (by content fingerprint, under the currently routed
-        checkpoint) complete immediately from the result cache.  Admission
+        checkpoint) complete immediately from the result cache; a repeat
+        of a plan still queued or in flight follows that request (see
+        "Single-flight misses" in the module docstring).  Admission
         is priority-classed over the requests admitted and not yet
         completed (see :func:`~repro.serving.core.admission_limit`; with
         the default config NORMAL and HIGH share the full queue).  Over
@@ -247,15 +266,21 @@ class PredictorServer:
                 trace.add_stage("cache", request.submitted_at,
                                 time.perf_counter(), "server")
             # Submit-time cache answers are deliveries too.
-            core.observe_request(request, value, route)
+            core.observe_request(request, value, route.served_by)
             request._finish(RequestStatus.CACHED, value=value,
                             served_by=route.served_by)
             return request
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
-        limit = min(self.config.queue_depth,
-                    admission_limit(priority, self.config.queue_depth,
-                                    self.config))
+        config = self.config
+        limit = min(config.queue_depth,
+                    admission_limit(priority, config.queue_depth, config))
+        # Followers complete as CACHED: with the result cache off every
+        # request is predicted, so nothing coalesces.
+        flight = ((route.checkpoint_key, digest)
+                  if deadline_ms is None and config.result_cache_size > 0
+                  else None)
+        leader = None
         with self._lock:
             while self._accepting and self._outstanding >= limit:
                 remaining = (None if deadline is None
@@ -267,15 +292,30 @@ class PredictorServer:
             accepting = self._accepting
             admitted = accepting and self._outstanding < limit
             if admitted:
-                self._queue.append(request)
                 self._outstanding += 1
                 if self._outstanding > self._queue_high_water:
                     perfstats.increment(
                         "serve.queue.depth",
                         self._outstanding - self._queue_high_water)
                     self._queue_high_water = self._outstanding
-                self._wakeup.notify_all()
+                if flight is not None:
+                    leader = self._leaders.get(flight)
+                if leader is not None:
+                    if leader._followers is None:
+                        leader._followers = []
+                    leader._followers.append(request)
+                    self._coalesced += 1
+                    if request.trace is not None:
+                        request.trace.annotate("coalesced")
+                else:
+                    if flight is not None:
+                        request._flight = flight
+                        self._leaders[flight] = request
+                    self._queue.append(request)
+                    self._wakeup.notify_all()
         if admitted:
+            if leader is not None:
+                perfstats.increment("serve.coalesced.count")
             return request
         if accepting and priority is RequestPriority.LOW:
             self._brownout(request)
@@ -350,6 +390,43 @@ class PredictorServer:
             self.core.count("failed", len(requests))
         for request in requests:
             request._finish(RequestStatus.FAILED, error=error)
+
+    def _release_followers(self, leaders):
+        """Complete the followers of completed ``leaders``, each with its
+        leader's outcome, and free their admission slots.
+
+        Every path that completes a queued or dispatched request calls
+        this after completing it.  Unregistering the leader and taking
+        its followers is one lock hold, and a follower joins only under
+        that lock while its leader is registered, so none is missed.
+        """
+        with self._lock:
+            pairs = []
+            for leader in leaders:
+                flight = leader._flight
+                if flight is None:
+                    continue
+                leader._flight = None
+                del self._leaders[flight]
+                if leader._followers is not None:
+                    pairs.append((leader, leader._followers))
+                    leader._followers = None
+        if not pairs:
+            return
+        core, released = self.core, 0
+        for leader, followers in pairs:
+            status, value = leader.status, leader.value
+            if status is RequestStatus.DONE:
+                status = RequestStatus.CACHED
+            for follower in followers:
+                follower._finish(status, value=value, error=leader.error,
+                                 served_by=leader.served_by)
+                if status is RequestStatus.CACHED:
+                    core.observe_request(follower, value, leader.served_by)
+            core.count(status.value, len(followers))  # cached/degraded/failed
+            released += len(followers)
+        with self._lock:
+            self._retire_locked(released)
 
     # ------------------------------------------------------------------
     # Batcher (supervised)
@@ -428,6 +505,7 @@ class PredictorServer:
             # batch's requests instead of killing the batcher and
             # stranding every future request.
             self._fail([r for r in batch if not r.done()], exc)
+        self._release_followers(batch)
         with self._lock:
             self._inflight = []
             self._retire_locked(len(batch))
@@ -448,12 +526,15 @@ class PredictorServer:
 
         Routes are re-resolved first, so ``swaps`` (and the
         ``serve.swap.count`` counter) include a promote that landed after
-        the last request.
+        the last request.  ``coalesced`` counts the requests that followed
+        a queued or in-flight duplicate; each is also counted under the
+        status it completed with (``cached``, ``degraded`` or ``failed``).
         """
         self._maybe_swap()
         stats = self.core.stats()
         with self._lock:
             stats["queue_high_water"] = self._queue_high_water
+            stats["coalesced"] = self._coalesced
         return stats
 
     def __repr__(self):

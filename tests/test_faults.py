@@ -20,10 +20,12 @@ import pickle
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.robustness.faults as faults_module
 import repro.serving.core as serving_core
 from repro import perfstats
 from repro.bench import ArtifactStore
@@ -37,8 +39,9 @@ from repro.robustness.faults import (FaultSchedule, FaultSpec, InjectedFault,
                                      POINTS, check, corrupt, inject)
 from repro.serving import (DeadlineExceededError, DegradedResponseError,
                            HydrationError, LoadConfig, ModelRegistry,
-                           PredictorServer, RequestStatus, RoutingError,
-                           ServerConfig, run_load)
+                           PredictionRequest, PredictorServer, RequestStatus,
+                           RoutingError, ServerClosedError, ServerConfig,
+                           run_load)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
 
 
@@ -830,3 +833,221 @@ class TestFleetFaultActions:
         first, second = run(), run()
         assert first == second
         assert any(action == "drop" for pair in first for action in pair)
+
+
+# ----------------------------------------------------------------------
+# Single flight: duplicates of a queued or in-flight miss ride on it
+# ----------------------------------------------------------------------
+def _count_finishes(monkeypatch):
+    """Count every ``_finish`` call per handle (first or not)."""
+    calls = Counter()
+    original = PredictionRequest._finish
+
+    def counted(self, *args, **kwargs):
+        calls[id(self)] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PredictionRequest, "_finish", counted)
+    return calls
+
+
+def _other_model(world):
+    other = ZeroShotModel(hidden_dim=24, seed=9).eval()
+    other.to(np.dtype("float32"))
+    model = world["model"]
+    return ZeroShotCostModel(other, model.feature_scalers,
+                             model.target_scaler,
+                             TrainingConfig(hidden_dim=24, dtype="float32"))
+
+
+def _accounted(stats):
+    return (stats["completed"] + stats["cached"] + stats["degraded"]
+            + stats["shed"] + stats["failed"]) == stats["requests"]
+
+
+class TestSingleFlight:
+    K = 5       # distinct plans
+    COPIES = 4  # submits of each
+
+    def _submit_copies(self, server, world):
+        """``COPIES`` rounds over the first ``K`` plans, queued before the
+        batcher runs: handle ``i`` carries plan ``i % K``."""
+        db_name = world["db"].name
+        plans = [r.plan for r in world["records"][:self.K]]
+        return [server.submit(plan, db_name)
+                for _ in range(self.COPIES) for plan in plans]
+
+    def test_duplicates_queue_once_and_predict_once(self, world, tmp_path,
+                                                    monkeypatch):
+        calls = _count_finishes(monkeypatch)
+        server = _server(world, _registry(world, tmp_path),
+                         max_batch_size=64)
+        perfstats.reset()
+        handles = self._submit_copies(server, world)
+        assert len(server._queue) == self.K
+        with server:
+            for handle in handles:
+                assert handle.wait(30.0)
+        stats = server.stats()
+        counters = perfstats.snapshot()
+        followers = len(handles) - self.K
+        assert counters["serve.batch.requests"] == self.K
+        assert counters["serve.cache.miss"] == self.K
+        assert counters["serve.coalesced.count"] == followers
+        assert counters.get("serve.cache.hit", 0) == 0
+        assert stats["coalesced"] == followers
+        assert stats["completed"] == self.K and stats["cached"] == followers
+        assert _accounted(stats)
+        for i, handle in enumerate(handles):
+            assert calls[id(handle)] == 1
+            leader = handles[i % self.K]
+            assert handle.value == float(world["direct"][i % self.K])
+            assert handle.served_by == leader.served_by
+            assert handle.status is (RequestStatus.DONE if handle is leader
+                                     else RequestStatus.CACHED)
+
+    def test_followers_across_a_promote_get_the_new_routes_value(
+            self, world, tmp_path):
+        registry = _registry(world, tmp_path)
+        server = _server(world, registry, max_batch_size=64)
+        handles = self._submit_copies(server, world)
+        other = _other_model(world)
+        version = registry.publish("chaos", other, dbs=[world["db"]],
+                                   activate=True).version
+        direct = predict_runtimes(other.model, world["graphs"][:self.K],
+                                  other.feature_scalers,
+                                  other.target_scaler, batch_cache=False)
+        with server:
+            for handle in handles:
+                assert handle.wait(30.0)
+        assert server.stats()["coalesced"] == len(handles) - self.K
+        for i, handle in enumerate(handles):
+            assert handle.served_by == ("chaos", version)
+            assert handle.value == float(direct[i % self.K])
+        assert handles[0].value != float(world["direct"][0])
+
+    def test_stop_without_drain_fails_followers_typed(self, world, tmp_path,
+                                                      monkeypatch):
+        """The batcher is held at its fault point with A in flight; B and
+        the duplicates of both wait.  ``stop(drain=False)`` fails B and its
+        followers typed; A's followers still complete with A."""
+        calls = _count_finishes(monkeypatch)
+        server = _server(world, _registry(world, tmp_path),
+                         max_batch_size=1)
+        held, gate = threading.Event(), threading.Event()
+        real_check = faults_module.check
+
+        def holding_check(point, keys=()):
+            if point == "serve.batcher" and not gate.is_set():
+                held.set()
+                gate.wait(30.0)
+            return real_check(point, keys)
+
+        monkeypatch.setattr(faults_module, "check", holding_check)
+        db_name = world["db"].name
+        plan_a, plan_b = (r.plan for r in world["records"][:2])
+        server.start()
+        lead_a = server.submit(plan_a, db_name)
+        assert held.wait(30.0)
+        follow_a = [server.submit(plan_a, db_name) for _ in range(2)]
+        group_b = [server.submit(plan_b, db_name) for _ in range(3)]
+        assert list(server._queue) == group_b[:1]
+        stopper = threading.Thread(target=server.stop,
+                                   kwargs={"drain": False})
+        stopper.start()
+        for handle in group_b:
+            assert handle.wait(30.0)
+        gate.set()
+        stopper.join(30.0)
+        assert not stopper.is_alive()
+        for handle in group_b:
+            assert handle.status is RequestStatus.FAILED
+            assert isinstance(handle.error, ServerClosedError)
+            with pytest.raises(ServerClosedError):
+                handle.result(0)
+        assert lead_a.status is RequestStatus.DONE
+        assert lead_a.value == float(world["direct"][0])
+        for handle in follow_a:
+            assert handle.status is RequestStatus.CACHED
+            assert handle.value == lead_a.value
+        stats = server.stats()
+        assert stats["coalesced"] == 4 and stats["failed"] == 3
+        assert _accounted(stats)
+        assert all(calls[id(h)] == 1 for h in [lead_a, *follow_a, *group_b])
+
+    def test_poisoned_leaders_followers_fail_with_its_error(self, world,
+                                                            tmp_path):
+        server = _server(world, _registry(world, tmp_path),
+                         max_batch_size=64, max_retries=1)
+        poisoned = 2
+        poison = server.core.plan_digest(
+            world["db"].name, world["records"][poisoned].plan)
+        schedule = FaultSchedule(
+            [FaultSpec("serve.featurize", keys={poison})], seed=0)
+        with inject(schedule):
+            handles = self._submit_copies(server, world)
+            with server:
+                for handle in handles:
+                    assert handle.wait(30.0)
+        leader = handles[poisoned]
+        assert leader.status is RequestStatus.FAILED
+        assert isinstance(leader.error, InjectedFault)
+        for i, handle in enumerate(handles):
+            if i % self.K == poisoned:
+                assert handle.status is RequestStatus.FAILED
+                assert handle.error is leader.error
+                with pytest.raises(InjectedFault):
+                    handle.result(0)
+            else:
+                assert handle.status in (RequestStatus.DONE,
+                                         RequestStatus.CACHED)
+                assert handle.value == float(world["direct"][i % self.K])
+        stats = server.stats()
+        assert stats["bisects"] >= 1
+        assert stats["failed"] == self.COPIES
+        assert _accounted(stats)
+
+    def test_deadline_requests_never_coalesce(self, world, tmp_path):
+        server = _server(world, _registry(world, tmp_path),
+                         max_batch_size=64)
+        db_name = world["db"].name
+        plan = world["records"][0].plan
+        perfstats.reset()
+        # Deadline first (it leads nothing), then a leader, its follower,
+        # and a deadline duplicate that must not follow it.
+        handles = [server.submit(plan, db_name, deadline_ms=60_000.0),
+                   server.submit(plan, db_name),
+                   server.submit(plan, db_name),
+                   server.submit(plan, db_name, deadline_ms=60_000.0)]
+        assert list(server._queue) == [handles[0], handles[1], handles[3]]
+        with server:
+            for handle in handles:
+                assert handle.wait(30.0)
+        assert server.stats()["coalesced"] == 1
+        assert perfstats.snapshot()["serve.batch.requests"] == 3
+        assert handles[2].status is RequestStatus.CACHED
+        for handle in handles:
+            assert handle.value == float(world["direct"][0])
+
+    def test_crash_requeued_leader_completes_followers_once(
+            self, world, tmp_path, monkeypatch):
+        calls = _count_finishes(monkeypatch)
+        server = _server(world, _registry(world, tmp_path),
+                         max_batch_size=64)
+        schedule = FaultSchedule(
+            [FaultSpec("serve.batcher", rate=1.0, max_faults=1)], seed=0)
+        perfstats.reset()
+        with inject(schedule):
+            handles = self._submit_copies(server, world)
+            with server:
+                for handle in handles:
+                    assert handle.wait(30.0)
+        stats = server.stats()
+        assert stats["batcher_crashes"] == 1
+        assert stats["requeued"] == self.K
+        assert stats["coalesced"] == len(handles) - self.K
+        assert perfstats.snapshot()["serve.cache.miss"] == self.K
+        assert _accounted(stats)
+        for i, handle in enumerate(handles):
+            assert calls[id(handle)] == 1
+            assert handle.value == float(world["direct"][i % self.K])

@@ -519,6 +519,54 @@ class TestFleetSupervision:
         assert stats["failed"] == 0 and stats["shed"] == 0
         assert stats["requests"] == len(plans)
 
+    def test_resent_leader_completes_its_followers_once(self, world,
+                                                        tmp_path,
+                                                        monkeypatch):
+        """Duplicates queued before start follow their leaders; the one
+        batch of leaders is held by the worker, which is SIGKILLed once the
+        batch is registered on it.  The replacement answers the re-sent
+        batch, and each follower completes once with its leader's value."""
+        calls = Counter()
+        finish = serving_core.PredictionRequest._finish
+
+        def counted(self, *args, **kwargs):
+            calls[id(self)] += 1
+            return finish(self, *args, **kwargs)
+
+        monkeypatch.setattr(serving_core.PredictionRequest, "_finish",
+                            counted)
+        registry = _registry_with(world, tmp_path)
+        k = 6
+        plans = [r.plan for r in world["records_a"][:k]]
+        fleet = PredictorFleet(registry, world["dbs"], n_workers=1,
+                               fault_schedule=_hold_first_batch(5000.0))
+        handles = [fleet.submit(plan, world["db_a"].name)
+                   for _ in range(3) for plan in plans]
+        assert len(fleet._queue) == k
+        dispatched = threading.Event()
+        dispatch = fleet._dispatch
+
+        def dispatch_and_signal(batch):
+            dispatch(batch)
+            dispatched.set()
+
+        fleet._dispatch = dispatch_and_signal
+        with fleet:
+            assert dispatched.wait(30)
+            assert fleet.kill_worker(0) is not None
+            for handle in handles:
+                assert handle.wait(60)
+            stats = fleet.stats()
+        assert stats["worker_restarts"] == 1
+        assert stats["requeued"] == k
+        assert stats["coalesced"] == len(handles) - k
+        assert stats["failed"] == 0
+        for i, handle in enumerate(handles):
+            assert calls[id(handle)] == 1
+            assert handle.value == float(world["expected_a"][i % k])
+            assert handle.status is (RequestStatus.DONE if i < k
+                                     else RequestStatus.CACHED)
+
     def test_kill_during_open_loop_load(self, world, tmp_path):
         """The bench-shaped scenario: saturation load, a worker dies
         mid-run, every delivered value still matches the direct call."""
@@ -798,6 +846,23 @@ class TestFleetHotSwap:
                 swaps[kind] = transport.stats()["swaps"]
         assert swaps == {"server": 4, "fleet": 4}
 
+    def test_stats_right_after_a_promote_show_it_in_every_worker(
+            self, world, tmp_path):
+        """``stats()`` re-resolves routes before it asks the workers, so
+        the ``refresh`` reaches each pipe ahead of the ``stats`` query and
+        every worker row counts the promote, with no request since."""
+        registry = _registry_with(world, tmp_path)
+        model_v2 = _make_model(world["graphs_all"], world["runtimes"],
+                               seed=9)
+        with PredictorFleet(registry, world["dbs"], n_workers=2) as fleet:
+            fleet.predict([world["records_a"][0].plan], world["db_a"].name)
+            registry.publish("main", model_v2,
+                             dbs=[world["db_a"], world["db_b"]],
+                             activate=True)
+            stats = fleet.stats()
+        assert stats["swaps"] == 2
+        assert [row["swaps"] for row in stats["worker_stats"]] == [2, 2]
+
 
 # ----------------------------------------------------------------------
 # Plans rebuilt from their tokens: DeepDB annotation, analytical fallback
@@ -1073,6 +1138,46 @@ def transport(request):
             return PredictorFleet(registry, dbs, config, n_workers=1)
         return PredictorServer(registry, dbs, config)
     return make
+
+
+class TestSingleFlightUnderRepeats:
+    def test_promote_under_repeats_predicts_each_plan_once(
+            self, world, tmp_path, transport):
+        """The serve_hot_swap shape: repeats of a few hot plans around a
+        promote.  After the promote each plan misses once: that request
+        is the only one queued for it and the only model-path prediction;
+        every other repeat follows it or hits the cache it fills."""
+        registry = _registry_with(world, tmp_path)
+        model_v2 = _make_model(world["graphs_all"], world["runtimes"],
+                               seed=9)
+        expected_v2 = _direct(model_v2, world["graphs_a"])
+        k = 8
+        plans = [r.plan for r in world["records_a"][:k]]
+        order = np.random.default_rng(0).integers(0, k, size=400)
+        order[:k] = np.arange(k)  # every hot plan is requested
+        db_name = world["db_a"].name
+        with transport(registry, world["dbs"], ServerConfig()) as server:
+            server.predict(plans, db_name)  # warm: every plan cached
+            server.stats()  # a fleet's workers ship their counts so far
+            version = registry.publish("main", model_v2,
+                                       dbs=[world["db_a"], world["db_b"]],
+                                       activate=True).version
+            perfstats.reset()
+            handles = [server.submit(plans[i], db_name) for i in order]
+            for handle in handles:
+                assert handle.wait(30)
+            stats = server.stats()
+        counters = perfstats.snapshot()
+        hits = counters.get("serve.cache.hit", 0)
+        assert counters["serve.batch.requests"] == k
+        assert counters["serve.cache.miss"] == k
+        assert counters.get("serve.coalesced.count", 0) + hits == (
+            len(order) - k)
+        assert stats["coalesced"] == counters.get("serve.coalesced.count",
+                                                  0)
+        for i, handle in zip(order, handles):
+            assert handle.served_by == ("main", version)
+            assert handle.value == float(expected_v2[i])
 
 
 class TestFleetPriorities:

@@ -27,7 +27,9 @@ import repro.serving.core as serving_core
 import repro.serving.server as serving_server
 import repro.storage.table as table_module
 from repro import perfstats
+from repro.cardest import annotate_cardinalities
 from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
+from repro.core.api import EstimatorCache
 from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
@@ -38,8 +40,10 @@ from repro.nn import row_stable_matmul
 from repro.serving import (LoadConfig, ModelRegistry, PredictionRequest,
                            PredictorFleet, PredictorServer, RequestShedError,
                            RequestStatus, RoutingError, ServerClosedError,
-                           ServerConfig, run_load)
+                           ServerConfig, ServingRecord, run_load)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
+
+from oracles.featurization import build_query_graph_reference
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -856,6 +860,38 @@ class TestDeploymentGrouping:
         assert sum(map(len, digest_calls)) == len(mix)
         assert len(token_calls) == len(mix)
         assert not encode_token_calls
+
+    @pytest.mark.parametrize("cards", ["exact", "optimizer", "deepdb"])
+    def test_mixed_database_call_is_one_encoder_pass(self, four_dbs, cards,
+                                                     monkeypatch):
+        """A round-robin mix over four databases is encoded in one
+        traversal, and every graph equals the loop oracle's for its own
+        database (statistics memos are kept per database)."""
+        dbs, records = four_dbs
+        mix = [ServingRecord(name, plan)
+               for name, plan in _round_robin(records)]
+        encodes = _count_calls(monkeypatch, zero_shot, "_encode_batch")
+        graphs = featurize_records(mix, dbs, cards=cards)
+        assert len(encodes) == 1
+        estimators = EstimatorCache()
+        for record, graph in zip(mix, graphs):
+            db = dbs[record.db_name]
+            node_cards = annotate_cardinalities(
+                db, record.plan, cards,
+                estimator=estimators.get(db) if cards == "deepdb" else None)
+            reference = build_query_graph_reference(db, record.plan,
+                                                    node_cards)
+            packed, expected = graph.packed(), reference.packed()
+            assert graph.root == reference.root
+            np.testing.assert_array_equal(packed.type_codes,
+                                          expected.type_codes)
+            np.testing.assert_array_equal(packed.edges, expected.edges)
+            np.testing.assert_array_equal(packed.levels, reference.levels())
+            assert packed.features_by_code.keys() == (
+                expected.features_by_code.keys())
+            for code, matrix in expected.features_by_code.items():
+                np.testing.assert_array_equal(
+                    packed.features_by_code[code], matrix)
 
     def test_featurize_records_rejects_keys_of_another_length(self, world):
         records = world["records_a"][:3]
