@@ -67,7 +67,7 @@ __all__ = ["build_plan_corpus", "build_exec_corpus", "bench_datagen",
            "bench_training_step", "bench_train_epoch",
            "bench_experiment_warm_start", "bench_inference",
            "bench_inference_single_plan", "served_model",
-           "audit", "bench_serving", "bench_chaos", "bench_fleet",
+           "audit", "bench_chaos", "bench_fleet",
            "bench_fleet_chaos", "bench_controller", "bench_obs",
            "OBS_LATENCY_P95_BUDGET_MS", "run_all"]
 
@@ -508,54 +508,6 @@ def audit(report, expected):
                if handle.status is RequestStatus.PENDING)
     duplicated = len(report.handles) - len({id(h) for h in report.handles})
     return {"wrong_values": wrong, "lost": lost, "duplicated": duplicated}
-
-
-def bench_serving(db, records, hidden_dim=64, n_clients=4, repeats=3,
-                  max_batch_size=64, seed=0):
-    """Plans/second through the online predictor, single vs micro-batched.
-
-    Publishes one model to a throwaway registry and drives the server with
-    the load generator in saturation mode (open-loop clients, no arrival
-    pacing): once with ``max_batch_size=1`` — every request pays the full
-    per-call featurize/batch/infer cost, the way a naive single-plan service
-    would — and once with micro-batching on.  The result cache is disabled
-    so both modes pay the real inference path for every request; the
-    speedup between the two rates is the value of request coalescing.
-    Returns ``(single_rate, batched_rate, extras)`` where ``extras`` holds
-    the batched run's batch-size histogram and latency percentiles.
-    """
-    from repro.serving import (LoadConfig, PredictorServer, ServerConfig,
-                               run_load)
-
-    requests = [(db.name, record.plan) for record in records]
-    load = LoadConfig(n_clients=n_clients, rate_per_s=None, seed=seed,
-                      block=True)
-
-    def measure(batch_size):
-        best_rate, extras = 0.0, {}
-        for _ in range(repeats):
-            # Fresh server per pass: cold featurization/batch caches, as a
-            # first encounter with this request stream would pay.
-            config = ServerConfig(max_batch_size=batch_size,
-                                  queue_depth=len(requests) + n_clients,
-                                  result_cache_size=0)
-            server = PredictorServer(registry, dbs, config)
-            with _gc_paused(), server:
-                report = run_load(server, requests, load)
-            if report.completed != len(requests):
-                raise RuntimeError(
-                    f"serving bench lost requests: {report.as_dict()}")
-            if report.throughput_rps > best_rate:
-                best_rate = report.throughput_rps
-                extras = {"batch_size_hist": report.batch_size_hist,
-                          "mean_batch_size": report.mean_batch_size,
-                          "latency_ms": report.latency_ms}
-        return best_rate, extras
-
-    with served_model(db, records, hidden_dim, seed) as (registry, dbs, _):
-        single_rate, _ = measure(1)
-        batched_rate, extras = measure(max_batch_size)
-    return single_rate, batched_rate, extras
 
 
 def bench_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2, seed=0,
@@ -1173,10 +1125,10 @@ def bench_obs(db, records, hidden_dim=64, n_clients=4, repeats=3,
               max_batch_size=16, seed=0):
     """Tracing overhead: saturation throughput with spans off vs on.
 
-    Same shape as :func:`bench_serving` — one published model, open-loop
-    saturating clients, result cache off so every request pays the model
-    path — run ``repeats`` times in *interleaved* off/on pairs so machine
-    drift within the bench hits both arms equally.  The traced arm traces
+    One published model, open-loop saturating clients, result cache off so
+    every request pays the model path — run ``repeats`` times in
+    *interleaved* off/on pairs so machine drift within the bench hits both
+    arms equally.  The traced arm traces
     every request (the worst case).  Reports the median throughput of each
     arm, the overhead ratio ``1 - traced/untraced``, ``incomplete``
     (requests some pass did not predict), and the traced arm's span yield:
@@ -1341,9 +1293,6 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
         profile)
     warm_cold_s, warm_warm_s, warm_store_stats = _stage(
         "experiment_warm_start", bench_experiment_warm_start, profile)
-    serving_single, serving_batched, serving_extras = _stage(
-        "serving", lambda: bench_serving(db, records, hidden_dim=hidden_dim,
-                                         seed=seed), profile)
     return {
         "datagen_tables_per_s": datagen,
         "trace_exec_plans_per_s": trace_exec,
@@ -1368,10 +1317,6 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
         "experiment_cold_s": warm_cold_s,
         "experiment_warm_s": warm_warm_s,
         "experiment_warm_start_speedup": warm_cold_s / warm_warm_s,
-        "serving_single_plans_per_s": serving_single,
-        "serving_batched_plans_per_s": serving_batched,
-        "serving_microbatch_speedup": serving_batched / serving_single,
-        "serving_extras": serving_extras,
         "n_queries": n_queries,
         "hidden_dim": hidden_dim,
         "cache_stats": {
@@ -1387,9 +1332,5 @@ def run_all(n_queries=192, hidden_dim=64, seed=0, profile=False):
              "execute.trace.plans", "execute.scan_cache.hit",
              "execute.scan_cache.miss", "execute.join_index.hit",
              "execute.join_index.fallback", "trace.generate.batched",
-             "trace.generate.reference",
-             "serve.batch.count", "serve.batch.requests",
-             "serve.cache.hit", "serve.cache.miss",
-             "serve.shed.count", "serve.swap.count",
-             "serve.queue.depth"]),
+             "trace.generate.reference"]),
     }

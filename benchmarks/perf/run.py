@@ -58,8 +58,7 @@ RATE_KEYS = ("datagen_tables_per_s", "trace_exec_plans_per_s",
              "batch_construction_plans_per_s",
              "batch_construction_single_plans_per_s", "train_step_plans_per_s",
              "train_epoch_plans_per_s",
-             "inference_plans_per_s", "inference_cached_plans_per_s",
-             "serving_single_plans_per_s", "serving_batched_plans_per_s")
+             "inference_plans_per_s", "inference_cached_plans_per_s")
 
 # Metrics (all plans/s) with a loop oracle from tests/oracles (or per-plan
 # execute_plan) timed in the same run: reported as machine-drift-immune
@@ -235,7 +234,6 @@ def engine_report(results):
             / results["featurize_plans_per_s"]),
         "experiment_warm_start_speedup":
             results["experiment_warm_start_speedup"],
-        "serving_microbatch_speedup": results["serving_microbatch_speedup"],
         "plan_digest_us_per_plan": results["plan_digest_us_per_plan"],
     }
 
@@ -255,11 +253,6 @@ def run_engine(args):
     print(f"  experiment_warm_start: cold {results['experiment_cold_s']:.2f}s"
           f" -> warm {results['experiment_warm_s']:.2f}s "
           f"({report['experiment_warm_start_speedup']:.1f}x)")
-    extras = results["serving_extras"]
-    print(f"  serving_microbatch_speedup: "
-          f"{report['serving_microbatch_speedup']:.2f}x "
-          f"(mean batch {extras.get('mean_batch_size', 0):.1f}, "
-          f"p99 {extras.get('latency_ms', {}).get('p99', 0):.2f} ms)")
     print(f"  cache_stats: {results['cache_stats']}")
     print(f"  dispatch: {results['dispatch_counters']}")
     return report

@@ -25,9 +25,10 @@ COUNTERS = [
     # -- single-process serving core / server ---------------------------
     ("serve.batch.count", "batches the serving core processed"),
     ("serve.batch.requests", "requests across all processed batches"),
-    ("serve.cache.hit", "result-cache hits (submit-time or late probe)"),
-    ("serve.cache.miss", "requests that missed the result cache and took "
-     "the model path"),
+    ("serve.cache.hit", "result-cache hits, all at submit: the first probe, "
+     "or the re-probe of a miss that finds no queued or in-flight duplicate"),
+    ("serve.cache.miss", "requests that reached a batch: they missed the "
+     "result cache at submit and took the model path"),
     ("serve.coalesced.count",
      "misses that followed a queued or in-flight request for the same "
      "checkpoint and plan (single flight): no batch row, no model call; "

@@ -31,7 +31,7 @@ Stage vocabulary used by the serving path::
     worker.recv batch dispatch (or re-send) -> worker decoded it (fleet)
     featurize   plan-graph featurization (per attempt)
     infer       model forward pass (per attempt)
-    cache       submit-time or late result-cache probe that hit
+    cache       submit-time result-cache probe that hit
     deliver     last recorded stage -> completion (result hand-off)
 
 plus annotations ``retry``, ``bisect``, ``degraded``, ``cache.hit``,

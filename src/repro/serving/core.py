@@ -16,13 +16,19 @@ to a direct ``predict_runtimes`` call on the same model, and every
 departure from the model path (degraded, failed, deadline-expired) is
 typed and flagged.
 
+Every ``DONE``/``CACHED`` answer (a batch's predictions, a submit-time
+hit, single-flight followers, a fleet router's worker results) goes
+through :meth:`ServingCore.complete`: it caches a ``DONE`` value before
+its handle completes, then feeds the observation tap.  The result cache
+is probed only at submit; fleet workers run without one.
+
 The unit of model work is the *deployment*, not the database: a
 micro-batch is grouped by resolved route, and each group costs one
 ``featurize_records`` call (which splits per database internally) and one
 ``predict_runtimes`` call, so under zero-shot routing a micro-batch
 spanning many unseen databases is still one model call.  Each request
-carries its plan digest, computed once at submit and reused as the
-featurization-cache key.
+carries its plan digest, computed once at submit (or shipped with a fleet
+batch) and reused as the featurization-cache key.
 
 Thread-safety: one internal lock guards the result cache, the digest memo,
 the routes, the breaker table and the counters.  Featurization and
@@ -46,8 +52,7 @@ from .. import perfstats
 from ..obs.metrics import REGISTRY
 from ..core.api import EstimatorCache, featurize_records
 from ..core.training import predict_runtimes
-from ..featurization import (FeaturizationCache, database_digest,
-                             plan_fingerprint, plan_token)
+from ..featurization import FeaturizationCache, database_digest, plan_token
 from ..featurization.fingerprint import token_digest
 from ..optimizer.cost_model import AnalyticalCostModel
 from ..robustness import faults
@@ -139,6 +144,13 @@ class RequestStatus(Enum):
     FAILED = "failed"    # routing/featurization/prediction/deadline error
 
 
+# The deliveries the observation tap sees: the learned model's answers.
+_OBSERVED = (RequestStatus.DONE, RequestStatus.CACHED)
+# Module aliases for ServingCore.complete, which every cache hit runs: an
+# enum member lookup through the class costs ~0.2 us on CPython 3.11.
+_DONE, _FAILED = RequestStatus.DONE, RequestStatus.FAILED
+
+
 class RequestPriority(Enum):
     """Admission-control class for a submitted request.
 
@@ -205,10 +217,12 @@ class PredictionRequest:
     win atomically — a later ``_finish`` (even a concurrent one) changes
     nothing and returns ``False``.  :meth:`done` reads a plain flag set
     only after every result field is written, so a poller that sees it
-    true sees the final ``status``, ``value``, ``error``, ``served_by``
-    and ``completed_at``.  :meth:`wait` on a done handle returns at once;
-    on a pending one it acquires and releases the latch, so any number of
-    waiters wake, with the timeout semantics of an event's ``wait``.
+    true sees the final ``status``, ``value``, ``error``, ``served_by``,
+    ``checkpoint`` (the key of the checkpoint that produced a ``DONE`` or
+    ``CACHED`` value) and ``completed_at``.  :meth:`wait` on a done handle
+    returns at once; on a pending one it acquires and releases the latch,
+    so any number of waiters wake, with the timeout semantics of an
+    event's ``wait``.
 
     Single flight: a request the front end queued after a result-cache
     miss *leads* its ``(checkpoint, digest)`` flight (``_flight``) until
@@ -220,10 +234,10 @@ class PredictionRequest:
     """
 
     __slots__ = ("db_name", "plan", "digest", "token", "token_bytes",
-                 "status", "value", "error", "served_by", "submitted_at",
-                 "completed_at", "retries", "priority", "deadline_ms",
-                 "trace", "_done", "_latch", "_claim", "_flight",
-                 "_followers")
+                 "status", "value", "error", "served_by", "checkpoint",
+                 "submitted_at", "completed_at", "retries", "priority",
+                 "deadline_ms", "trace", "_done", "_latch", "_claim",
+                 "_flight", "_followers")
 
     def __init__(self, db_name, plan, priority=RequestPriority.NORMAL,
                  deadline_ms=None, digest=None):
@@ -241,6 +255,7 @@ class PredictionRequest:
         self.value = None
         self.error = None
         self.served_by = None  # (model name, version) that produced value
+        self.checkpoint = None  # that model's checkpoint key
         self.submitted_at = time.perf_counter()
         self.completed_at = None
         self.retries = 0
@@ -254,7 +269,8 @@ class PredictionRequest:
         self._claim = _allocate_lock()  # acquired by the first _finish
 
     # -- completion (server side) --------------------------------------
-    def _finish(self, status, value=None, error=None, served_by=None):
+    def _finish(self, status, value=None, error=None, served_by=None,
+                checkpoint=None):
         """Complete the handle; ``False`` (and no change) if it already
         was."""
         if not self._claim.acquire(False):
@@ -263,6 +279,7 @@ class PredictionRequest:
         self.value = value
         self.error = error
         self.served_by = served_by
+        self.checkpoint = checkpoint
         self.completed_at = time.perf_counter()
         self.status = status
         trace = self.trace
@@ -345,19 +362,14 @@ class ServerConfig:
 class _Route:
     """A database's resolved deployment with the loaded model."""
 
-    __slots__ = ("deployment", "model")
+    __slots__ = ("deployment", "model", "checkpoint_key", "served_by")
 
     def __init__(self, deployment, model):
         self.deployment = deployment
         self.model = model
-
-    @property
-    def checkpoint_key(self):
-        return self.deployment.checkpoint_key
-
-    @property
-    def served_by(self):
-        return (self.deployment.name, self.deployment.version)
+        # Plain attributes, not properties: every cache hit reads both.
+        self.checkpoint_key = deployment.checkpoint_key
+        self.served_by = (deployment.name, deployment.version)
 
 
 class _Breaker:
@@ -475,16 +487,6 @@ class ServingCore:
     def observer(self):
         return self._observer
 
-    def observe_request(self, request, value, served_by):
-        """Feed one model-path delivery to the attached tap (if any)."""
-        observer = self._observer
-        if observer is None:
-            return
-        trace = request.trace
-        observer.record(Observation(
-            request.db_name, request.plan, request.digest, float(value),
-            served_by, trace.trace_id if trace is not None else None))
-
     # ------------------------------------------------------------------
     # Routing / hot-swap
     # ------------------------------------------------------------------
@@ -535,10 +537,6 @@ class ServingCore:
             self._routes = routes
             self._seen_generation = generation
 
-    def route_for(self, db_name):
-        with self._lock:
-            return self._routes.get(db_name)
-
     def _resolve_one(self, digest):
         """Route one database digest to a loaded model, surviving
         quarantines: every HydrationError re-resolves against the
@@ -567,38 +565,22 @@ class ServingCore:
     # ------------------------------------------------------------------
     # Caches
     # ------------------------------------------------------------------
-    def plan_digest(self, db_name, plan):
-        """Memoized content fingerprint of a plan object (self-locking).
-
-        Memo keys carry the database name: the digest hashes the
-        database's fingerprint, so the same plan object submitted against
-        two databases must produce two distinct digests (and therefore two
-        result-cache keys).  The hash itself — an O(plan) tree walk — runs
-        outside the lock so first-seen plans from concurrent clients don't
-        serialize behind each other; only the memo probes take it.
-        """
-        memo_key = (id(plan), db_name)
-        with self._lock:
-            digest = self._memo_get_locked(memo_key, plan)
-        if digest is not None:
-            return digest
-        digest = self._fingerprint(db_name, plan)
-        with self._lock:
-            self._memo_put_locked(memo_key, plan, digest)
-        return digest
-
     def lookup(self, request):
         """The submit-side probe: ``(route, cached value)``.
 
         Counts the request, resolves the route, sets ``request.digest``
         and probes the result cache (counting a hit) in one lock hold for a
         plan object seen before.  A first-seen plan is tokenized and hashed
-        outside the lock (see :meth:`plan_digest`) and takes the lock once
+        outside the lock, so first-seen plans from concurrent clients don't
+        serialize behind each other's O(plan) walks, and takes the lock once
         more; the request keeps that token and its marshal bytes
         (``request.token`` / ``token_bytes``), so the plan is never walked
-        again.  Returns ``(None, None)`` when no deployment serves the
-        request's database, and a ``None`` value on a cache miss (the miss
-        is counted at prediction time).
+        again.  Memo keys carry the database name: the digest hashes the
+        database's fingerprint, so one plan object submitted against two
+        databases gets two digests (two result-cache keys).  Returns
+        ``(None, None)`` when no deployment serves the request's database,
+        and a ``None`` value on a cache miss (the miss is counted at
+        prediction time).
         """
         db_name, plan = request.db_name, request.plan
         memo_key = (id(plan), db_name)
@@ -607,10 +589,11 @@ class ServingCore:
             route = self._routes.get(db_name)
             if route is None:
                 return None, None
-            digest = self._memo_get_locked(memo_key, plan)
-            if digest is not None:
-                request.digest = digest
-                return route, self._cached_locked(route, digest)
+            entry = self._digest_memo.get(memo_key)
+            if entry is not None and entry[0] is plan:
+                request.digest = digest = entry[1]
+                return route, self._cached_locked((route.checkpoint_key,
+                                                   digest))
         token = plan_token(plan)
         data = marshal.dumps(token, 2)
         digest = token_digest(self._db_fingerprints[db_name],
@@ -618,46 +601,27 @@ class ServingCore:
         request.digest, request.token, request.token_bytes = (digest, token,
                                                               data)
         with self._lock:
-            self._memo_put_locked(memo_key, plan, digest)
-            return route, self._cached_locked(route, digest)
+            memo = self._digest_memo
+            memo[memo_key] = (plan, digest)
+            while len(memo) > 4 * max(self.config.result_cache_size, 1024):
+                memo.popitem(last=False)
+            return route, self._cached_locked((route.checkpoint_key, digest))
 
-    def _fingerprint(self, db_name, plan):
-        return plan_fingerprint(
-            self._dbs[db_name], plan, self.config.cards,
-            db_fingerprint=self._db_fingerprints[db_name])
-
-    def _memo_get_locked(self, memo_key, plan):
-        entry = self._digest_memo.get(memo_key)
-        if entry is not None and entry[0] is plan:
-            return entry[1]
-        return None
-
-    def _memo_put_locked(self, memo_key, plan, digest):
-        self._digest_memo[memo_key] = (plan, digest)
-        while len(self._digest_memo) > 4 * max(
-                self.config.result_cache_size, 1024):
-            self._digest_memo.popitem(last=False)
-
-    def _cached_locked(self, route, digest):
-        """Result-cache probe under ``route``; counts a hit."""
-        value = self._cache_get_locked((route.checkpoint_key, digest))
-        if value is not None:
-            self._counts["cached"] += 1
-        return value
-
-    def cache_results(self, entries):
-        """Store ``(checkpoint_key, digest, value)`` model answers produced
-        elsewhere (fleet workers) so repeats hit at submit."""
+    def cached(self, key):
+        """Self-locking result-cache probe of ``(checkpoint_key, digest)``;
+        counts a hit."""
         with self._lock:
-            for key, digest, value in entries:
-                self._cache_put_locked((key, digest), value)
+            return self._cached_locked(key)
 
-    def _cache_get_locked(self, key):
+    def _cached_locked(self, key):
+        """Result-cache probe of ``(checkpoint_key, digest)``; counts a
+        hit."""
         if self.config.result_cache_size <= 0:
             return None
         value = self._result_cache.get(key)
         if value is not None:
             self._result_cache.move_to_end(key)
+            self._counts["cached"] += 1
         return value
 
     def _cache_put_locked(self, key, value):
@@ -666,6 +630,34 @@ class ServingCore:
         self._result_cache[key] = value
         while len(self._result_cache) > self.config.result_cache_size:
             self._result_cache.popitem(last=False)
+
+    # ------------------------------------------------------------------
+    # Completion: the one delivery routine
+    # ------------------------------------------------------------------
+    def complete(self, requests, outcomes):
+        """Deliver one ``(status, result, served_by, checkpoint)`` outcome
+        to each request (``result``: the value, or a ``FAILED`` outcome's
+        typed error).  A ``DONE`` value is cached under ``(checkpoint,
+        digest)`` before its handle completes, so a client resubmitting
+        the moment the handle resolves hits; each ``DONE``/``CACHED``
+        delivery that completed its handle then feeds the tap.  Callers
+        count.  (One pass with a lock hold per ``DONE`` value: a separate
+        store pass would cost every submit-time hit a second scan.)"""
+        observer = self._observer
+        for request, (status, result, served_by, checkpoint) in zip(
+                requests, outcomes):
+            if status is _DONE:
+                with self._lock:
+                    self._cache_put_locked((checkpoint, request.digest),
+                                           result)
+            if status is _FAILED:
+                request._finish(status, None, result)
+            elif (request._finish(status, result, None, served_by, checkpoint)
+                  and observer is not None and status in _OBSERVED):
+                trace = request.trace
+                observer.record(Observation(
+                    request.db_name, request.plan, request.digest, result,
+                    served_by, None if trace is None else trace.trace_id))
 
     # ------------------------------------------------------------------
     # Batch processing (hardened model path)
@@ -703,44 +695,21 @@ class ServingCore:
         REGISTRY.observe("serve.batch_ms", (finished - started) * 1e3)
         for request in batch:
             if request.completed_at is not None and request.status in (
-                    RequestStatus.DONE, RequestStatus.CACHED,
-                    RequestStatus.DEGRADED):
+                    RequestStatus.DONE, RequestStatus.DEGRADED):
                 REGISTRY.observe(
                     "serve.latency_ms",
                     (request.completed_at - request.submitted_at) * 1e3)
 
     def _process_group(self, route, requests):
-        for request in requests:
-            if request.digest is None:  # not hashed at submit
-                request.digest = self.plan_digest(request.db_name,
-                                                  request.plan)
-        # Late cache probe: a duplicate that was queued before its twin's
-        # batch completed is answered here instead of re-predicted.
-        pending, hits = [], []
-        with self._lock:
-            for request in requests:
-                value = self._cached_locked(route, request.digest)
-                if value is not None:
-                    perfstats.increment("serve.cache.hit")
-                    if request.trace is not None:
-                        request.trace.annotate("cache.hit")
-                    request._finish(RequestStatus.CACHED, value=value,
-                                    served_by=route.served_by)
-                    hits.append((request, value))
-                else:
-                    pending.append(request)
-        for request, value in hits:  # observe outside the lock
-            self.observe_request(request, value, route.served_by)
-        if not pending:
-            return
-        perfstats.increment("serve.cache.miss", len(pending))
+        # Every request here missed the result cache at submit.
+        perfstats.increment("serve.cache.miss", len(requests))
         breaker = self._breaker_for(route.checkpoint_key)
         if not breaker.allows_model_path(self.config.breaker_reset_ms / 1e3):
             # Breaker open: the model path is known-bad; answer from the
             # analytical baseline without touching it.
-            self._finish_degraded(route, pending)
+            self._finish_degraded(route, requests)
             return
-        self._predict_group(route, breaker, pending)
+        self._predict_group(route, breaker, requests)
 
     def _breaker_for(self, checkpoint_key):
         with self._lock:  # stats() reads the table from client threads
@@ -781,16 +750,10 @@ class ServingCore:
                 last_error = exc
                 continue
             breaker.record_success()
-            values = [float(value) for value in values]
-            with self._lock:
-                self._counts["completed"] += len(requests)
-                for request, value in zip(requests, values):
-                    self._cache_put_locked(
-                        (route.checkpoint_key, request.digest), value)
-            for request, value in zip(requests, values):
-                request._finish(RequestStatus.DONE, value=value,
-                                served_by=route.served_by)
-                self.observe_request(request, value, route.served_by)
+            self.count("completed", len(requests))
+            served_by, key = route.served_by, route.checkpoint_key
+            self.complete(requests, [(_DONE, float(value), served_by, key)
+                                     for value in values])
             return
         if len(requests) > 1:
             # Poisoned-batch bisection: the halves retry independently, so

@@ -22,12 +22,14 @@ front-end/worker split with the batching boundary at the router.
   rebuilds a plan object (:func:`~repro.featurization.plan_from_token`)
   only for DeepDB annotation and the analytical fallback.  The worker
   runs :meth:`~repro.serving.core.ServingCore.process_batch` on the batch
-  and answers with one result message.  The router completes the handles
-  and fills its result cache from ``DONE`` results, keyed by the
-  checkpoint the worker reports.  Duplicates of a queued or in-flight
-  plan never reach a batch: they follow its request at the front end
-  (single flight, see :mod:`repro.serving.server`) and complete with it
-  when its result message arrives.
+  and answers with one result message.  The router delivers it through
+  :meth:`~repro.serving.core.ServingCore.complete`, as the server
+  delivers a batch: ``DONE`` values enter the router's result cache,
+  keyed by the checkpoint the worker reports, before the handles
+  complete, and an attached observation tap sees every ``DONE``/``CACHED``
+  delivery.  Duplicates of a queued or in-flight plan follow its request
+  at the front end (single flight, see :mod:`repro.serving.server`), so
+  a worker never sees a repeat, and it runs without a result cache.
 * **Warm once, fork many.**  The router builds every database's catalog
   statistics and hydrates its models through
   :meth:`~repro.serving.registry.ModelRegistry.load_mmap` (one mapped file
@@ -71,6 +73,7 @@ shipped as deltas with its stats answers.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import marshal
 import os
@@ -110,10 +113,10 @@ _HEDGED_DONE_BOUND = 4096
 _GARBAGE_FRAME = b"\x00not a pickle"
 # Worker core counters the fleet's stats() sums across workers.  Not
 # "swaps": a promote changes the router's routes once, and each worker
-# re-resolving the same change is not another swap.
-_SUMMED = ("completed", "cached", "degraded", "failed", "retries",
-           "bisects", "batcher_crashes", "deadline_expired",
-           "hydrate_failures")
+# re-resolving the same change is not another swap.  Not "cached": only
+# the router holds a result cache.
+_SUMMED = ("completed", "degraded", "failed", "retries", "bisects",
+           "batcher_crashes", "deadline_expired", "hydrate_failures")
 
 _ERROR_TYPES = {error.__name__: error for error in (
     RoutingError, HydrationError, DeadlineExceededError,
@@ -130,8 +133,6 @@ class WorkerStartError(RuntimeError):
 def _decode_error(encoded):
     """Rebuild a typed exception from its ``(class name, message)`` wire
     form; unknown classes come back as RuntimeError with the name kept."""
-    if encoded is None:
-        return None
     name, message = encoded
     if name in _ERROR_TYPES:
         return _ERROR_TYPES[name](message)
@@ -221,7 +222,9 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
         faults.uninstall()  # replace anything inherited through the fork
         faults.install(fault_schedule)
     registry = ModelRegistry(registry_root, mapped=mapped)
-    core = ServingCore(registry, dbs, config=config, mmap=True)
+    # No result cache: repeats are answered at the router, never sent here.
+    core = ServingCore(registry, dbs, mmap=True, config=dataclasses.replace(
+        config, result_cache_size=0))
     core.proc_label = f"worker-{index}"  # span proc tag
     shipped_metrics = None  # last snapshot shipped (delta baseline)
     while True:
@@ -299,13 +302,11 @@ def _serve_batch(core, message):
     results = []
     for request in requests:
         error, trace = request.error, request.trace
-        # Routes change only between batches here: this is the batch's.
-        key = (core.route_for(request.db_name).checkpoint_key
-               if request.status is RequestStatus.DONE else None)
         results.append((
-            request.status.value, request.value,
-            None if error is None else (type(error).__name__, str(error)),
-            request.served_by, request.retries, key,
+            request.status,
+            (request.value if error is None
+             else (type(error).__name__, str(error))),
+            request.served_by, request.checkpoint, request.retries,
             None if trace is None else trace.export_remote()))
     return ("done", batch_id, results)
 
@@ -521,7 +522,6 @@ class PredictorFleet(PredictorServer):
                 slot.closing = True
         self._fail(dropped, ServerClosedError(
             "fleet stopped without draining"))
-        self._release_followers(dropped)
         for slot in self._slots:
             slot.send(("stop",))
         # Workers answer "stop" with their final stats; the collector
@@ -589,7 +589,6 @@ class PredictorFleet(PredictorServer):
         else:
             self._fail(batch, WorkerStartError(
                 "every fleet worker slot was given up"))
-            self._release_followers(batch)
 
     def _spawn_collector(self, slot):
         slot.collector = threading.Thread(
@@ -656,22 +655,19 @@ class PredictorFleet(PredictorServer):
                         if request.trace is not None:
                             request.trace.annotate("hedge.won")
             self._retire_locked(len(entry.requests))
-        # Cache before completing, so a client that resubmits a plan the
-        # moment its handle resolves already hits.
-        self.core.cache_results(
-            (result[5], request.digest, result[1])
-            for request, result in zip(entry.requests, results)
-            if result[5] is not None)
+        outcomes = []
         for request, result in zip(entry.requests, results):
-            status, value, error, served_by, retries, _, trace = result
+            status, value, served_by, checkpoint, retries, trace = result
             request.retries = retries
             if request.trace is not None and trace is not None:
-                # Fold the winning worker's stages in before _finish
+                # Fold the winning worker's stages in before completion
                 # finalizes the trace.
                 request.trace.merge_remote(trace,
                                            proc=f"worker-{slot.index}")
-            request._finish(RequestStatus(status), value=value,
-                            error=_decode_error(error), served_by=served_by)
+            if status is RequestStatus.FAILED:
+                value = _decode_error(value)
+            outcomes.append((status, value, served_by, checkpoint))
+        self.core.complete(entry.requests, outcomes)
         self._release_followers(entry.requests)
 
     def _on_worker_exit(self, slot, epoch):
@@ -717,7 +713,6 @@ class PredictorFleet(PredictorServer):
                 self._fail(orphans, WorkerStartError(
                     f"fleet worker {slot.index} died {_MAX_START_FAILURES} "
                     "times in a row before answering"))
-                self._release_followers(orphans)
                 return
             perfstats.increment("fleet.worker.restart")
             perfstats.increment("serve.fault.requeued", requeued)
@@ -884,7 +879,6 @@ class PredictorFleet(PredictorServer):
             breakers.update({f"w{index}:{key}": state for key, state
                              in worker["breakers"].items()})
             fault_injected.update(worker.get("fault_injected", {}))
-            stats["result_cache_entries"] += worker["result_cache_entries"]
         batches = sum(hist.values())
         with self._lock:
             outstanding = self._outstanding

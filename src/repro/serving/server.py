@@ -39,14 +39,20 @@ Guarantees:
   unless the caller opts in.
 * **Repeat plans are cache hits** — a bounded result cache keyed on
   ``(checkpoint, plan fingerprint)`` answers repeats at submit; keys carry
-  the checkpoint, so a hot-swap never serves a stale value.
+  the checkpoint, so a hot-swap never serves a stale value.  The cache is
+  probed only at submit; a batch predicts every request it holds.  Every
+  ``DONE``/``CACHED`` delivery goes through :meth:`~repro.serving.core.
+  ServingCore.complete` (cache ``DONE`` values, complete, feed the
+  observation tap), on this server and on a fleet alike.
 * **Single-flight misses** — with the result cache on, a miss whose
   ``(checkpoint, plan fingerprint)`` is already queued or in flight
   *follows* that request instead of queueing: no batch row, no model
   call.  It completes with its leader, in the same step, with the
   leader's value and ``served_by`` (``CACHED`` when the leader is
   ``DONE``, else the leader's status and typed error), and is counted
-  once by ``serve.coalesced.count`` and ``stats()["coalesced"]``.
+  once by ``serve.coalesced.count`` and ``stats()["coalesced"]``.  A miss
+  that finds no leader re-probes the cache before it leads, so a
+  duplicate racing its leader's completion is answered ``CACHED``.
   Followers pass the same admission and hold an admission slot, so
   ``queue_depth`` still bounds pending handles.  A leader requeued after
   a batcher crash (or, on a fleet, re-sent after a worker death or a
@@ -185,7 +191,6 @@ class PredictorServer:
             self._not_full.notify_all()
         self._fail(dropped, ServerClosedError(
             f"{self._name} stopped without draining"))
-        self._release_followers(dropped)
         # The batcher may crash and be replaced while we wait: join
         # whatever thread is current until it is both dead and current.
         while True:
@@ -259,16 +264,7 @@ class PredictorServer:
                 priority=priority.name.lower(),
                 submitted_at=request.submitted_at)
         if value is not None:
-            perfstats.increment("serve.cache.hit")
-            trace = request.trace
-            if trace is not None:
-                trace.annotate("cache.hit")
-                trace.add_stage("cache", request.submitted_at,
-                                time.perf_counter(), "server")
-            # Submit-time cache answers are deliveries too.
-            core.observe_request(request, value, route.served_by)
-            request._finish(RequestStatus.CACHED, value=value,
-                            served_by=route.served_by)
+            self._answer_cached(request, value, route)
             return request
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
@@ -289,8 +285,17 @@ class PredictorServer:
                         or (remaining is not None and remaining <= 0)
                         or not self._not_full.wait(remaining)):
                     break
+            if flight is not None:
+                leader = self._leaders.get(flight)
+                if leader is None:
+                    # A leader releases its flight only after its value is
+                    # cached, so a duplicate whose lookup raced that
+                    # completion finds the value here (transport lock, then
+                    # core lock: the one order the two are ever taken in).
+                    value = core.cached(flight)
             accepting = self._accepting
-            admitted = accepting and self._outstanding < limit
+            admitted = (accepting and value is None
+                        and self._outstanding < limit)
             if admitted:
                 self._outstanding += 1
                 if self._outstanding > self._queue_high_water:
@@ -298,8 +303,6 @@ class PredictorServer:
                         "serve.queue.depth",
                         self._outstanding - self._queue_high_water)
                     self._queue_high_water = self._outstanding
-                if flight is not None:
-                    leader = self._leaders.get(flight)
                 if leader is not None:
                     if leader._followers is None:
                         leader._followers = []
@@ -313,6 +316,9 @@ class PredictorServer:
                         self._leaders[flight] = request
                     self._queue.append(request)
                     self._wakeup.notify_all()
+        if value is not None:
+            self._answer_cached(request, value, route)
+            return request
         if admitted:
             if leader is not None:
                 perfstats.increment("serve.coalesced.count")
@@ -363,6 +369,19 @@ class PredictorServer:
     def _maybe_swap(self):
         self.core.maybe_swap()
 
+    def _answer_cached(self, request, value, route):
+        """Deliver a result-cache hit found at submit: no admission slot,
+        no queue entry."""
+        perfstats.increment("serve.cache.hit")
+        trace = request.trace
+        if trace is not None:
+            trace.annotate("cache.hit")
+            trace.add_stage("cache", request.submitted_at,
+                            time.perf_counter(), "server")
+        self.core.complete([request], [(RequestStatus.CACHED, value,
+                                        route.served_by,
+                                        route.checkpoint_key)])
+
     def _brownout(self, request):
         """Answer an over-cap LOW request from the analytical model.
 
@@ -386,19 +405,22 @@ class PredictorServer:
                         served_by=("analytical", "brownout"))
 
     def _fail(self, requests, error):
+        """Fail ``requests`` typed, and release their followers."""
         if requests:
             self.core.count("failed", len(requests))
         for request in requests:
             request._finish(RequestStatus.FAILED, error=error)
+        self._release_followers(requests)
 
     def _release_followers(self, leaders):
         """Complete the followers of completed ``leaders``, each with its
         leader's outcome, and free their admission slots.
 
         Every path that completes a queued or dispatched request calls
-        this after completing it.  Unregistering the leader and taking
-        its followers is one lock hold, and a follower joins only under
-        that lock while its leader is registered, so none is missed.
+        this after completing it (:meth:`_fail` does so itself).
+        Unregistering the leader and taking its followers is one lock
+        hold, and a follower joins only under that lock while its leader
+        is registered, so none is missed.
         """
         with self._lock:
             pairs = []
@@ -413,20 +435,20 @@ class PredictorServer:
                     leader._followers = None
         if not pairs:
             return
-        core, released = self.core, 0
+        requests, outcomes = [], []
         for leader, followers in pairs:
-            status, value = leader.status, leader.value
+            status = leader.status
             if status is RequestStatus.DONE:
                 status = RequestStatus.CACHED
-            for follower in followers:
-                follower._finish(status, value=value, error=leader.error,
-                                 served_by=leader.served_by)
-                if status is RequestStatus.CACHED:
-                    core.observe_request(follower, value, leader.served_by)
-            core.count(status.value, len(followers))  # cached/degraded/failed
-            released += len(followers)
+            outcome = (status, (leader.error if status is RequestStatus.FAILED
+                                else leader.value),
+                       leader.served_by, leader.checkpoint)
+            self.core.count(status.value, len(followers))
+            requests.extend(followers)
+            outcomes.extend([outcome] * len(followers))
+        self.core.complete(requests, outcomes)
         with self._lock:
-            self._retire_locked(released)
+            self._retire_locked(len(requests))
 
     # ------------------------------------------------------------------
     # Batcher (supervised)

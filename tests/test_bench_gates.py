@@ -204,7 +204,6 @@ def test_engine_report_compares_only_against_same_run_oracles():
     results.update({f"{key}_reference_plans_per_s": 2.0
                     for key in perf_run.SAME_RUN_KEYS})
     results.update(experiment_warm_start_speedup=30.0,
-                   serving_microbatch_speedup=3.0,
                    plan_digest_us_per_plan=12.5)
     report = perf_run.engine_report(results)
     assert report["speedup_vs_loop_same_run"] == {

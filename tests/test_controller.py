@@ -24,7 +24,9 @@ The contract under test, end to end:
 """
 
 import dataclasses
+import multiprocessing
 import time
+from collections import Counter
 
 import pytest
 
@@ -37,8 +39,9 @@ from repro.robustness.faults import (FaultSchedule, FaultSpec, InjectedFault,
                                      POINTS, inject)
 from repro.serving import (ContinuousLearningController, ControllerEvent,
                            ControllerJournal, LoadConfig, ModelRegistry,
-                           Observation, ObservationTap, PredictorServer,
-                           RequestStatus, ServerConfig, run_load)
+                           Observation, ObservationTap, PredictorFleet,
+                           PredictorServer, RequestStatus, ServerConfig,
+                           run_load)
 from repro.serving.core import ServingCore
 from repro.workloads import WorkloadConfig, WorkloadGenerator
 
@@ -55,14 +58,20 @@ def world():
 LOAD = LoadConfig(n_clients=1, block=True)
 
 
-def _stack(world, tmp_path, config=CONTROLLER_CONFIG, **server_overrides):
+def _stack(world, tmp_path, config=CONTROLLER_CONFIG, backend="server",
+           **server_overrides):
+    """Registry, started transport (a server, or a 1-worker fleet) and a
+    controller watching it."""
     registry = ModelRegistry(ArtifactStore(tmp_path))
     registry.publish("zs", world.base,
                      dbs=list(world.dbs.values()), default=True)
     defaults = dict(max_batch_size=8, result_cache_size=0)
     defaults.update(server_overrides)
-    server = PredictorServer(registry, world.dbs,
-                             ServerConfig(**defaults)).start()
+    server_config = ServerConfig(**defaults)
+    server = (PredictorFleet(registry, world.dbs, server_config, n_workers=1)
+              if backend == "fleet"
+              else PredictorServer(registry, world.dbs, server_config))
+    server.start()
     controller = ContinuousLearningController(registry, server, config)
     return registry, server, controller
 
@@ -135,14 +144,21 @@ class TestObservationTap:
 # Serving-core observation plumbing
 # ----------------------------------------------------------------------
 class TestObservationPlumbing:
-    def test_done_and_cached_observed(self, world, tmp_path):
+    @pytest.mark.parametrize("backend", ["server", "fleet"])
+    def test_done_and_cached_observed(self, world, tmp_path, backend):
+        if (backend == "fleet"
+                and "fork" not in multiprocessing.get_all_start_methods()):
+            pytest.skip("the serving fleet requires the fork start method")
         registry, server, controller = _stack(world, tmp_path,
+                                              backend=backend,
                                               result_cache_size=64)
         try:
             plans = [("ctl_db", r.plan) for r in world.trace_a[:6]]
-            run_load(server, plans + plans[:2], LOAD)
+            report = run_load(server, plans + plans[:2], LOAD)
         finally:
             server.stop()
+        assert Counter(h.status for h in report.handles) == {
+            RequestStatus.DONE: 6, RequestStatus.CACHED: 2}
         tap = controller.tap
         assert tap.stats()["recorded"] == 8  # 6 DONE + 2 CACHED
         observations = tap.peek()
@@ -150,6 +166,10 @@ class TestObservationPlumbing:
         assert all(o.served_by == ("zs", 1) for o in observations)
         assert all(o.db_name == "ctl_db" for o in observations)
         assert all(o.predicted_ms > 0 for o in observations)
+        # Each observation carries the value its handle delivered.
+        delivered = {h.digest: h.value for h in report.handles}
+        assert all(o.predicted_ms == delivered[o.digest]
+                   for o in observations)
         # Cache hits observe the same value as the original prediction.
         by_digest = {}
         for o in observations:

@@ -16,6 +16,7 @@ The chaos contract under test, end to end:
   ``predict_runtimes`` call no matter which faults fired on the way.
 """
 
+import multiprocessing
 import pickle
 import sys
 import threading
@@ -33,13 +34,15 @@ from repro.core import TrainingConfig, ZeroShotCostModel, featurize_records
 from repro.core.model import ZeroShotModel
 from repro.core.training import predict_runtimes
 from repro.datagen import generate_database, random_database_spec
-from repro.featurization import FeatureScalers, TargetScaler
+from repro.featurization import (FeatureScalers, TargetScaler,
+                                 plan_fingerprint)
 from repro.optimizer import AnalyticalCostModel
 from repro.robustness.faults import (FaultSchedule, FaultSpec, InjectedFault,
                                      POINTS, check, corrupt, inject)
 from repro.serving import (DeadlineExceededError, DegradedResponseError,
                            HydrationError, LoadConfig, ModelRegistry,
-                           PredictionRequest, PredictorServer, RequestStatus,
+                           PredictionRequest, PredictorFleet, PredictorServer,
+                           RequestStatus,
                            RoutingError, ServerClosedError, ServerConfig,
                            run_load)
 from repro.workloads import WorkloadConfig, WorkloadGenerator, generate_trace
@@ -379,7 +382,7 @@ class TestServerRetryAndBisection:
         server = _server(world, registry, max_batch_size=8, max_retries=1)
         db_name = world["db"].name
         plans = [r.plan for r in world["records"][:6]]
-        poison_digest = server.core.plan_digest(db_name, plans[2])
+        poison_digest = plan_fingerprint(world["db"], plans[2], "exact")
         schedule = FaultSchedule(
             [FaultSpec("serve.featurize", keys={poison_digest})], seed=0)
         with inject(schedule):
@@ -409,7 +412,8 @@ class TestServerRetryAndBisection:
         db_name, plan, _ = mix[poisoned]
         schedule = FaultSchedule(
             [FaultSpec("serve.featurize",
-                       keys={server.core.plan_digest(db_name, plan)})], seed=0)
+                       keys={plan_fingerprint(cross_db["dbs"][db_name], plan,
+                                              "exact")})], seed=0)
         with inject(schedule):
             handles = [server.submit(p, name) for name, p, _ in mix]
             with server:
@@ -851,6 +855,22 @@ def _count_finishes(monkeypatch):
     return calls
 
 
+def _hold_batcher(monkeypatch):
+    """Hold the batcher at its fault point until ``gate`` is set; returns
+    ``(held, gate)``, ``held`` set once a batch is held."""
+    held, gate = threading.Event(), threading.Event()
+    real_check = faults_module.check
+
+    def holding_check(point, keys=()):
+        if point == "serve.batcher" and not gate.is_set():
+            held.set()
+            gate.wait(30.0)
+        return real_check(point, keys)
+
+    monkeypatch.setattr(faults_module, "check", holding_check)
+    return held, gate
+
+
 def _other_model(world):
     other = ZeroShotModel(hidden_dim=24, seed=9).eval()
     other.to(np.dtype("float32"))
@@ -934,16 +954,7 @@ class TestSingleFlight:
         calls = _count_finishes(monkeypatch)
         server = _server(world, _registry(world, tmp_path),
                          max_batch_size=1)
-        held, gate = threading.Event(), threading.Event()
-        real_check = faults_module.check
-
-        def holding_check(point, keys=()):
-            if point == "serve.batcher" and not gate.is_set():
-                held.set()
-                gate.wait(30.0)
-            return real_check(point, keys)
-
-        monkeypatch.setattr(faults_module, "check", holding_check)
+        held, gate = _hold_batcher(monkeypatch)
         db_name = world["db"].name
         plan_a, plan_b = (r.plan for r in world["records"][:2])
         server.start()
@@ -980,8 +991,8 @@ class TestSingleFlight:
         server = _server(world, _registry(world, tmp_path),
                          max_batch_size=64, max_retries=1)
         poisoned = 2
-        poison = server.core.plan_digest(
-            world["db"].name, world["records"][poisoned].plan)
+        poison = plan_fingerprint(world["db"],
+                                  world["records"][poisoned].plan, "exact")
         schedule = FaultSchedule(
             [FaultSpec("serve.featurize", keys={poison})], seed=0)
         with inject(schedule):
@@ -1051,3 +1062,49 @@ class TestSingleFlight:
         for i, handle in enumerate(handles):
             assert calls[id(handle)] == 1
             assert handle.value == float(world["direct"][i % self.K])
+
+    @pytest.mark.parametrize("backend", ["server", "fleet"])
+    def test_duplicate_racing_its_leaders_release_is_answered_at_admission(
+            self, world, tmp_path, monkeypatch, backend):
+        """A duplicate's lookup misses while its leader is in flight, and
+        its admission lands after the leader completed and was released:
+        the re-probe at admission answers it ``CACHED``, with no second
+        batch row."""
+        if (backend == "fleet"
+                and "fork" not in multiprocessing.get_all_start_methods()):
+            pytest.skip("the serving fleet requires the fork start method")
+        registry = _registry(world, tmp_path)
+        config = ServerConfig(max_batch_size=4)
+        server = (PredictorFleet(registry, world["dbs"], config, n_workers=1)
+                  if backend == "fleet"
+                  else PredictorServer(registry, world["dbs"], config))
+        db_name, plan = world["db"].name, world["records"][0].plan
+        perfstats.reset()
+        with server:
+            held, gate = _hold_batcher(monkeypatch)
+            leader = server.submit(plan, db_name)
+            assert held.wait(30.0)  # the leader's batch is held in flight
+            real_lookup = server.core.lookup
+
+            def racing_lookup(request):
+                found = real_lookup(request)  # misses: the leader is held
+                gate.set()
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    with server._lock:
+                        if leader.done() and not server._leaders:
+                            break  # completed and released
+                    time.sleep(0.001)
+                return found
+
+            monkeypatch.setattr(server.core, "lookup", racing_lookup)
+            duplicate = server.submit(plan, db_name)
+            assert duplicate.done()  # answered at admission, never queued
+            stats = server.stats()
+        assert leader.status is RequestStatus.DONE
+        assert duplicate.status is RequestStatus.CACHED
+        assert duplicate.value == leader.value == float(world["direct"][0])
+        assert duplicate.served_by == leader.served_by
+        assert perfstats.snapshot()["serve.batch.requests"] == 1
+        assert stats["coalesced"] == 0 and stats["cached"] == 1
+        assert _accounted(stats)

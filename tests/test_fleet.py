@@ -269,7 +269,7 @@ class TestFleetEquivalence:
                             n_workers=n_workers) as fleet:
             got_a = fleet.predict(plans_a, world["db_a"].name)
             got_b = fleet.predict(plans_b, world["db_b"].name)
-            # Repeat round: answered from worker result caches (CACHED),
+            # Repeat round: answered from the router's result cache (CACHED),
             # same bits by construction — but verify anyway.
             again_a = fleet.predict(plans_a, world["db_a"].name)
             stats = fleet.stats()

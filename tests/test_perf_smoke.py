@@ -4,8 +4,8 @@ Runs ``benchmarks/perf/harness.py`` on a tiny corpus and asserts — via the
 ``repro.perfstats`` dispatch counters and the cache hit counters — that the
 public API actually took the vectorized featurizer, the batched annotation,
 the fingerprint cache, the graph-free inference path, the flat-parameter
-Adam step, the flat early-stopping snapshot, the serving layer's
-micro-batcher, and (on a warm re-run) the disk artifact store.  A regression that silently falls back to a loop
+Adam step, the flat early-stopping snapshot, and (on a warm re-run) the
+disk artifact store.  A regression that silently falls back to a loop
 implementation fails here instead of only showing up as a slow benchmark
 number.
 """
@@ -166,29 +166,6 @@ class TestHarnessSmoke:
         # Early-stopping bookkeeping must run the flat-buffer snapshot, not
         # the per-tensor state_dict copy.
         assert counters.get("training.flat_snapshot", 0) > 0
-
-    def test_serving_bench_dispatches_micro_batches(self, tiny_corpus):
-        """The serving bench must push every request through the server's
-        micro-batch dispatch and the graph-free inference path, shedding
-        nothing.  (The batched-vs-single speedup itself is wall-clock and
-        scale-dependent, so it is recorded by the harness rather than
-        asserted here; tests/test_serving.py pins coalescing behavior
-        deterministically.)"""
-        db, records = tiny_corpus
-        perfstats.reset()
-        single, batched, extras = harness.bench_serving(
-            db, records, hidden_dim=16, n_clients=2, repeats=1,
-            max_batch_size=8)
-        assert single > 0 and batched > 0
-        counters = perfstats.snapshot()
-        assert counters.get("serve.batch.count", 0) > 0
-        assert counters.get("serve.batch.requests", 0) >= 2 * len(records)
-        assert counters.get("serve.cache.miss", 0) >= 2 * len(records)
-        # At least one graph-free forward pass per micro-batch: the server,
-        # not a set-up call, must drive the numpy inference path.
-        assert (counters.get("model.graph_free_inference", 0)
-                >= counters["serve.batch.count"])
-        assert counters.get("serve.shed.count", 0) == 0
 
     def test_experiment_warm_start_hits_artifact_store(self, tmp_path):
         perfstats.reset()

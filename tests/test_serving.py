@@ -410,7 +410,7 @@ class TestPredictorServer:
         release.set()
         stale.join(30)
         assert not stale.is_alive()
-        route = core.route_for(world["db_a"].name)
+        route = core._routes[world["db_a"].name]
         assert route.checkpoint_key == m2.state_digest()
         assert core.stats()["swaps"] == 1
 
@@ -534,6 +534,29 @@ class TestPredictorServer:
         stats = server.stats()
         assert stats["batch_size_hist"] == {2: 1, 8: 1}
         assert stats["mean_batch_size"] == 5.0
+
+    def test_load_dispatches_graph_free_micro_batches(self, world,
+                                                      registry_a):
+        """Saturating clients push every request through the micro-batch
+        dispatch and the graph-free inference path, shedding nothing."""
+        registry, _ = registry_a
+        requests = [(world["db_a"].name, r.plan)
+                    for r in world["records_a"]] * 2
+        config = ServerConfig(max_batch_size=8, result_cache_size=0,
+                              queue_depth=len(requests))
+        perfstats.reset()
+        with PredictorServer(registry, world["dbs"], config) as server:
+            report = run_load(server, requests,
+                              LoadConfig(n_clients=2, block=True))
+        assert report.completed == len(requests)
+        counters = perfstats.snapshot()
+        assert counters["serve.batch.count"] > 0
+        assert counters["serve.batch.requests"] >= len(requests)
+        # At least one graph-free forward pass per micro-batch: the server,
+        # not a set-up call, drives the numpy inference path.
+        assert (counters.get("model.graph_free_inference", 0)
+                >= counters["serve.batch.count"])
+        assert counters.get("serve.shed.count", 0) == 0
 
     def test_submissions_after_stop_are_shed(self, world, registry_a):
         registry, _ = registry_a
