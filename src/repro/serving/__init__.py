@@ -13,9 +13,12 @@ engine into that online service:
   the previous good version) and a :meth:`~ModelRegistry.verify` audit.
 * :class:`PredictorServer` (``server.py``) — the one serving front end:
   priority-classed admission with LOW brownout, a fingerprint-keyed
-  result cache probed at submit, and a supervised, work-conserving
-  batcher: whenever the backend is free, everything queued (up to
-  ``max_batch_size``) goes as one micro-batch.  Each
+  result cache probed at submit (a hit's handle is born complete: no
+  latch, no lock; only an admitted request builds one), and a
+  supervised, work-conserving batcher: whenever the backend is free,
+  everything queued (up to ``max_batch_size``) goes as one micro-batch.
+  Every ``DONE``/``CACHED`` delivery, hits included, reaches an attached
+  observation tap through one helper, ``ServingCore.observe``.  Each
   batch runs through :class:`~repro.serving.core.ServingCore`
   (``core.py``): routing by database fingerprint, one graph-free model
   call per deployment, retry with backoff, poisoned-batch bisection,

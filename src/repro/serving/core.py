@@ -16,11 +16,15 @@ to a direct ``predict_runtimes`` call on the same model, and every
 departure from the model path (degraded, failed, deadline-expired) is
 typed and flagged.
 
-Every ``DONE``/``CACHED`` answer (a batch's predictions, a submit-time
-hit, single-flight followers, a fleet router's worker results) goes
-through :meth:`ServingCore.complete`: it caches a ``DONE`` value before
-its handle completes, then feeds the observation tap.  The result cache
-is probed only at submit; fleet workers run without one.
+The result cache is probed only at submit, by :meth:`ServingCore.lookup`,
+before any handle exists: a hit gets a :class:`PredictionRequest` born
+complete (built with its final status: no latch, no lock), and only an
+admitted miss builds a pending one.  Every other ``DONE``/``CACHED``
+answer (a batch's predictions, single-flight followers, a fleet router's
+worker results) goes through :meth:`ServingCore.complete`: it caches a
+``DONE`` value before its handle completes.  Every ``DONE``/``CACHED``
+delivery, hits included, feeds the observation tap through one helper,
+:meth:`ServingCore.observe`.  Fleet workers run without a result cache.
 
 The unit of model work is the *deployment*, not the database: a
 micro-batch is grouped by resolved route, and each group costs one
@@ -144,11 +148,15 @@ class RequestStatus(Enum):
     FAILED = "failed"    # routing/featurization/prediction/deadline error
 
 
+# Module aliases for the reads made once per request (submit, completion,
+# the latency loop): an enum member lookup through its class costs ~0.2 us
+# on CPython 3.11, a module global ~0.02 us.
+_PENDING, _DONE, _CACHED = (RequestStatus.PENDING, RequestStatus.DONE,
+                            RequestStatus.CACHED)
+_DEGRADED, _SHED, _FAILED = (RequestStatus.DEGRADED, RequestStatus.SHED,
+                             RequestStatus.FAILED)
 # The deliveries the observation tap sees: the learned model's answers.
-_OBSERVED = (RequestStatus.DONE, RequestStatus.CACHED)
-# Module aliases for ServingCore.complete, which every cache hit runs: an
-# enum member lookup through the class costs ~0.2 us on CPython 3.11.
-_DONE, _FAILED = RequestStatus.DONE, RequestStatus.FAILED
+_OBSERVED = (_DONE, _CACHED)
 
 
 class RequestPriority(Enum):
@@ -169,6 +177,9 @@ class RequestPriority(Enum):
     LOW = 2
 
 
+_NORMAL, _LOW = RequestPriority.NORMAL, RequestPriority.LOW
+
+
 def admission_limit(priority, queue_depth, config):
     """The effective queue bound for one priority class.
 
@@ -178,9 +189,9 @@ def admission_limit(priority, queue_depth, config):
     the queue.  Every class is always allowed at least one slot so tiny
     queues keep admitting.
     """
-    if priority is RequestPriority.LOW:
+    if priority is _LOW:
         return max(1, int(queue_depth * config.brownout_fraction))
-    if priority is RequestPriority.NORMAL:
+    if priority is _NORMAL:
         reserve = int(queue_depth * config.high_reserve_fraction)
         return max(1, queue_depth - reserve)
     return queue_depth
@@ -211,18 +222,23 @@ class PredictionRequest:
     transport completes it via :meth:`_finish`, whether the value was
     produced in this process or crossed a worker pipe.
 
-    Handles are cheap.  Completion is a one-shot latch: a raw lock taken
-    when the handle is built and released once by the completing
-    :meth:`_finish`, plus a ``claim`` lock that makes the first completion
-    win atomically — a later ``_finish`` (even a concurrent one) changes
-    nothing and returns ``False``.  :meth:`done` reads a plain flag set
-    only after every result field is written, so a poller that sees it
-    true sees the final ``status``, ``value``, ``error``, ``served_by``,
-    ``checkpoint`` (the key of the checkpoint that produced a ``DONE`` or
-    ``CACHED`` value) and ``completed_at``.  :meth:`wait` on a done handle
-    returns at once; on a pending one it acquires and releases the latch,
-    so any number of waiters wake, with the timeout semantics of an
-    event's ``wait``.
+    Handles are cheap.  An answer known at submit (a result-cache hit, a
+    shed, a brownout, an unroutable database) gets a handle *born
+    complete*, built with its final ``status``: every result field is set
+    before the client sees it, it has no latch and no claim lock,
+    :meth:`wait` returns ``True`` at once and a later :meth:`_finish`
+    returns ``False``.  Only an admitted request is built pending.  Its completion is a one-shot
+    latch: a raw lock taken when the handle is built and released once by
+    the completing :meth:`_finish`, plus a ``claim`` lock that makes the
+    first completion win atomically — a later ``_finish`` (even a
+    concurrent one) changes nothing and returns ``False``.  :meth:`done`
+    reads a plain flag set only after every result field is written, so
+    a poller that sees it true sees the final ``status``, ``value``,
+    ``error``, ``served_by``, ``checkpoint`` (the key of the checkpoint
+    that produced a ``DONE`` or ``CACHED`` value) and ``completed_at``.
+    :meth:`wait` on a done handle returns at once; on a pending one it
+    acquires and releases the latch, so any number of waiters wake, with
+    the timeout semantics of an event's ``wait``.
 
     Single flight: a request the front end queued after a result-cache
     miss *leads* its ``(checkpoint, digest)`` flight (``_flight``) until
@@ -240,7 +256,9 @@ class PredictionRequest:
                  "_flight", "_followers")
 
     def __init__(self, db_name, plan, priority=RequestPriority.NORMAL,
-                 deadline_ms=None, digest=None):
+                 deadline_ms=None, digest=None, submitted_at=None,
+                 trace=None, status=_PENDING, value=None, error=None,
+                 served_by=None, checkpoint=None):
         self.db_name = db_name
         self.plan = plan
         self.digest = digest  # plan content fingerprint; None = not yet
@@ -251,29 +269,39 @@ class PredictionRequest:
         self.priority = (priority if type(priority) is RequestPriority
                          else RequestPriority(priority))
         self.deadline_ms = deadline_ms  # per-request age cap (ms), or None
-        self.status = RequestStatus.PENDING
-        self.value = None
-        self.error = None
-        self.served_by = None  # (model name, version) that produced value
-        self.checkpoint = None  # that model's checkpoint key
-        self.submitted_at = time.perf_counter()
-        self.completed_at = None
+        self.status = status
+        self.value = value
+        self.error = error
+        self.served_by = served_by  # (model name, version) that produced value
+        self.checkpoint = checkpoint  # that model's checkpoint key
+        self.submitted_at = (time.perf_counter() if submitted_at is None
+                             else submitted_at)
         self.retries = 0
-        self.trace = None  # opt-in obs.trace.TraceContext; None = untraced
+        self.trace = trace  # opt-in obs.trace.TraceContext; None = untraced
         # Single flight (front end only): the (checkpoint, digest) key this
         # request leads, and the duplicates riding on it (None when none).
         self._flight = self._followers = None
-        self._done = False
-        self._latch = _allocate_lock()
-        self._latch.acquire()   # held until the completing _finish
-        self._claim = _allocate_lock()  # acquired by the first _finish
+        if status is _PENDING:
+            self.completed_at = None
+            self._done = False
+            self._latch = _allocate_lock()
+            self._latch.acquire()   # held until the completing _finish
+            self._claim = _allocate_lock()  # acquired by the first _finish
+        else:
+            # Born complete: the trace's stages are all added by now.
+            self.completed_at = time.perf_counter()
+            if trace is not None:
+                trace.finalize(self.completed_at, status=status.value)
+            self._latch = self._claim = None
+            self._done = True
 
     # -- completion (server side) --------------------------------------
     def _finish(self, status, value=None, error=None, served_by=None,
                 checkpoint=None):
         """Complete the handle; ``False`` (and no change) if it already
-        was."""
-        if not self._claim.acquire(False):
+        was, or was born complete."""
+        claim = self._claim
+        if claim is None or not claim.acquire(False):
             return False
         self.token = self.token_bytes = None  # only processing reads them
         self.value = value
@@ -298,7 +326,7 @@ class PredictionRequest:
     @property
     def degraded(self):
         """True when the value came from the analytical fallback."""
-        return self.status is RequestStatus.DEGRADED
+        return self.status is _DEGRADED
 
     def wait(self, timeout=None):
         """Block until done; ``timeout`` as for an event's ``wait``
@@ -321,10 +349,10 @@ class PredictionRequest:
         """
         if not self.wait(timeout):
             raise TimeoutError("prediction still pending")
-        if self.status is RequestStatus.SHED:
+        if self.status is _SHED:
             raise RequestShedError(
                 f"request for {self.db_name!r} was shed (queue full)")
-        if self.status is RequestStatus.FAILED:
+        if self.status is _FAILED:
             raise self.error
         return self.value
 
@@ -565,47 +593,46 @@ class ServingCore:
     # ------------------------------------------------------------------
     # Caches
     # ------------------------------------------------------------------
-    def lookup(self, request):
-        """The submit-side probe: ``(route, cached value)``.
+    def lookup(self, db_name, plan):
+        """The submit-side probe, before any handle exists: ``(route,
+        digest, token, token_bytes, cached value)``.
 
-        Counts the request, resolves the route, sets ``request.digest``
-        and probes the result cache (counting a hit) in one lock hold for a
-        plan object seen before.  A first-seen plan is tokenized and hashed
-        outside the lock, so first-seen plans from concurrent clients don't
-        serialize behind each other's O(plan) walks, and takes the lock once
-        more; the request keeps that token and its marshal bytes
-        (``request.token`` / ``token_bytes``), so the plan is never walked
-        again.  Memo keys carry the database name: the digest hashes the
-        database's fingerprint, so one plan object submitted against two
-        databases gets two digests (two result-cache keys).  Returns
-        ``(None, None)`` when no deployment serves the request's database,
-        and a ``None`` value on a cache miss (the miss is counted at
-        prediction time).
+        Counts the request, resolves the route, finds the plan's digest and
+        probes the result cache (counting a hit) in one lock hold for a
+        plan object seen before; its token and bytes are then ``None``.  A
+        first-seen plan is tokenized and hashed outside the lock, so
+        first-seen plans from concurrent clients don't serialize behind
+        each other's O(plan) walks, and takes the lock once more; the
+        token and its marshal bytes are returned for the request to keep,
+        so the plan is never walked again.  Memo keys carry the database
+        name: the digest hashes the database's fingerprint, so one plan
+        object submitted against two databases gets two digests (two
+        result-cache keys).  Returns all ``None`` when no deployment serves
+        ``db_name``, and a ``None`` value on a cache miss (the miss is
+        counted at prediction time).
         """
-        db_name, plan = request.db_name, request.plan
         memo_key = (id(plan), db_name)
         with self._lock:
             self._counts["requests"] += 1
             route = self._routes.get(db_name)
             if route is None:
-                return None, None
+                return None, None, None, None, None
             entry = self._digest_memo.get(memo_key)
             if entry is not None and entry[0] is plan:
-                request.digest = digest = entry[1]
-                return route, self._cached_locked((route.checkpoint_key,
-                                                   digest))
+                digest = entry[1]
+                return route, digest, None, None, self._cached_locked(
+                    (route.checkpoint_key, digest))
         token = plan_token(plan)
         data = marshal.dumps(token, 2)
         digest = token_digest(self._db_fingerprints[db_name],
                               self.config.cards, None, data)
-        request.digest, request.token, request.token_bytes = (digest, token,
-                                                              data)
         with self._lock:
             memo = self._digest_memo
             memo[memo_key] = (plan, digest)
             while len(memo) > 4 * max(self.config.result_cache_size, 1024):
                 memo.popitem(last=False)
-            return route, self._cached_locked((route.checkpoint_key, digest))
+            return route, digest, token, data, self._cached_locked(
+                (route.checkpoint_key, digest))
 
     def cached(self, key):
         """Self-locking result-cache probe of ``(checkpoint_key, digest)``;
@@ -640,10 +667,11 @@ class ServingCore:
         typed error).  A ``DONE`` value is cached under ``(checkpoint,
         digest)`` before its handle completes, so a client resubmitting
         the moment the handle resolves hits; each ``DONE``/``CACHED``
-        delivery that completed its handle then feeds the tap.  Callers
-        count.  (One pass with a lock hold per ``DONE`` value: a separate
-        store pass would cost every submit-time hit a second scan.)"""
-        observer = self._observer
+        delivery that completed its handle then feeds the tap
+        (:meth:`observe`).  Callers count.  (One pass with a lock hold
+        per ``DONE`` value: a separate store pass would cost every
+        delivery a second scan.)"""
+        observed = self._observer is not None
         for request, (status, result, served_by, checkpoint) in zip(
                 requests, outcomes):
             if status is _DONE:
@@ -653,11 +681,20 @@ class ServingCore:
             if status is _FAILED:
                 request._finish(status, None, result)
             elif (request._finish(status, result, None, served_by, checkpoint)
-                  and observer is not None and status in _OBSERVED):
-                trace = request.trace
-                observer.record(Observation(
-                    request.db_name, request.plan, request.digest, result,
-                    served_by, None if trace is None else trace.trace_id))
+                  and observed and status in _OBSERVED):
+                self.observe(request)
+
+    def observe(self, request):
+        """Feed the tap one completed ``DONE``/``CACHED`` handle (nothing
+        when no tap is attached).  :meth:`complete` calls it per delivery;
+        the front end calls it for a cache hit, whose handle is born
+        complete."""
+        observer = self._observer
+        if observer is not None:
+            trace = request.trace
+            observer.record(Observation(
+                request.db_name, request.plan, request.digest, request.value,
+                request.served_by, None if trace is None else trace.trace_id))
 
     # ------------------------------------------------------------------
     # Batch processing (hardened model path)
@@ -695,7 +732,7 @@ class ServingCore:
         REGISTRY.observe("serve.batch_ms", (finished - started) * 1e3)
         for request in batch:
             if request.completed_at is not None and request.status in (
-                    RequestStatus.DONE, RequestStatus.DEGRADED):
+                    _DONE, _DEGRADED):
                 REGISTRY.observe(
                     "serve.latency_ms",
                     (request.completed_at - request.submitted_at) * 1e3)

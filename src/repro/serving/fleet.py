@@ -90,9 +90,9 @@ from ..nn import openblas, pin_blas_to_one_thread
 from ..obs.metrics import REGISTRY, snapshot_delta
 from ..obs.trace import TraceContext
 from ..robustness import faults
-from .core import (DeadlineExceededError, DegradedResponseError,
-                   PredictionRequest, RequestShedError, RequestStatus,
-                   ServerClosedError, ServingCore)
+from .core import (_FAILED, DeadlineExceededError, DegradedResponseError,
+                   PredictionRequest, RequestShedError, ServerClosedError,
+                   ServingCore)
 from .registry import HydrationError, ModelRegistry, RoutingError
 from .server import PredictorServer
 
@@ -273,12 +273,11 @@ def _serve_batch(core, message):
     requests = []
     for (db_name, data, est_cost, digest, submitted_at, deadline_ms,
          priority, traced) in items:
-        request = _WireRequest(db_name, marshal.loads(data), est_cost,
-                               priority=priority, deadline_ms=deadline_ms,
-                               digest=digest)
         # The router's submit timestamp: deadlines and latency count pipe
         # time (perf_counter is system-wide on this platform).
-        request.submitted_at = submitted_at
+        request = _WireRequest(db_name, marshal.loads(data), est_cost,
+                               priority=priority, deadline_ms=deadline_ms,
+                               digest=digest, submitted_at=submitted_at)
         if traced:
             # A bare context (no tracer here): the stages ship back with
             # the result and the router merges them.
@@ -298,7 +297,7 @@ def _serve_batch(core, message):
     except Exception as exc:  # noqa: BLE001 — fail the batch, keep serving
         for request in requests:
             if not request.done():
-                request._finish(RequestStatus.FAILED, error=exc)
+                request._finish(_FAILED, error=exc)
     results = []
     for request in requests:
         error, trace = request.error, request.trace
@@ -664,7 +663,7 @@ class PredictorFleet(PredictorServer):
                 # finalizes the trace.
                 request.trace.merge_remote(trace,
                                            proc=f"worker-{slot.index}")
-            if status is RequestStatus.FAILED:
+            if status is _FAILED:
                 value = _decode_error(value)
             outcomes.append((status, value, served_by, checkpoint))
         self.core.complete(entry.requests, outcomes)

@@ -40,10 +40,12 @@ Guarantees:
 * **Repeat plans are cache hits** — a bounded result cache keyed on
   ``(checkpoint, plan fingerprint)`` answers repeats at submit; keys carry
   the checkpoint, so a hot-swap never serves a stale value.  The cache is
-  probed only at submit; a batch predicts every request it holds.  Every
-  ``DONE``/``CACHED`` delivery goes through :meth:`~repro.serving.core.
-  ServingCore.complete` (cache ``DONE`` values, complete, feed the
-  observation tap), on this server and on a fleet alike.
+  probed only at submit; a batch predicts every request it holds.  A hit
+  is answered with a handle born complete (no latch, no lock); every
+  other ``DONE``/``CACHED`` delivery goes through :meth:`~repro.serving.
+  core.ServingCore.complete` (cache ``DONE`` values, then complete).
+  Both feed the observation tap through :meth:`~repro.serving.core.
+  ServingCore.observe`, on this server and on a fleet alike.
 * **Single-flight misses** — with the result cache on, a miss whose
   ``(checkpoint, plan fingerprint)`` is already queued or in flight
   *follows* that request instead of queueing: no batch row, no model
@@ -88,7 +90,8 @@ import numpy as np
 
 from .. import perfstats
 from ..robustness import faults
-from .core import (DeadlineExceededError, DegradedResponseError,
+from .core import (_CACHED, _DEGRADED, _DONE, _FAILED, _LOW, _SHED,
+                   DeadlineExceededError, DegradedResponseError,
                    PredictionRequest, RequestPriority, RequestShedError,
                    RequestStatus, ServerClosedError, ServerConfig,
                    ServingCore, ServingRecord, admission_limit)
@@ -239,97 +242,114 @@ class PredictorServer:
             raise KeyError(f"database {db_name!r} is not registered with "
                            f"this {self._name}")
         self._maybe_swap()
-        request = PredictionRequest(db_name, plan, priority=priority,
-                                    deadline_ms=deadline_ms)
-        priority = request.priority
+        submitted_at = time.perf_counter()
+        if type(priority) is not RequestPriority:
+            priority = RequestPriority(priority)
         # One core lock hold counts the request, resolves the route and
         # probes the digest memo and the result cache.  A first-seen plan
         # is hashed outside the lock, so concurrent first-seen submits
-        # don't serialize behind each other's O(plan) digest walks.  The
-        # request carries the digest to the batcher, which reuses it as
-        # the featurization-cache key, and the token it hashed, which
-        # featurization encodes (a fleet ships its bytes instead).
-        route, value = core.lookup(request)
+        # don't serialize behind each other's O(plan) digest walks.  An
+        # admitted request carries the digest to the batcher, which reuses
+        # it as the featurization-cache key, and the token it hashed,
+        # which featurization encodes (a fleet ships its bytes instead).
+        route, digest, token, token_bytes, value = core.lookup(db_name, plan)
         if route is None:
             core.count("failed")
-            request._finish(RequestStatus.FAILED, error=RoutingError(
-                f"no deployment serves {db_name!r} and the registry "
-                "has no default model"))
-            return request
-        digest = request.digest
+            return PredictionRequest(
+                db_name, plan, priority, deadline_ms, None, submitted_at,
+                None, _FAILED, error=RoutingError(
+                    f"no deployment serves {db_name!r} and the registry "
+                    "has no default model"))
         tracer = self._tracer
-        if tracer is not None:
-            request.trace = tracer.context_for(
-                digest, next(self._submit_seq), db_name=db_name,
-                priority=priority.name.lower(),
-                submitted_at=request.submitted_at)
-        if value is not None:
-            self._answer_cached(request, value, route)
-            return request
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        config = self.config
-        limit = min(config.queue_depth,
-                    admission_limit(priority, config.queue_depth, config))
-        # Followers complete as CACHED: with the result cache off every
-        # request is predicted, so nothing coalesces.
-        flight = ((route.checkpoint_key, digest)
-                  if deadline_ms is None and config.result_cache_size > 0
-                  else None)
-        leader = None
-        with self._lock:
-            while self._accepting and self._outstanding >= limit:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if (not block
-                        or (remaining is not None and remaining <= 0)
-                        or not self._not_full.wait(remaining)):
-                    break
-            if flight is not None:
-                leader = self._leaders.get(flight)
-                if leader is None:
-                    # A leader releases its flight only after its value is
-                    # cached, so a duplicate whose lookup raced that
-                    # completion finds the value here (transport lock, then
-                    # core lock: the one order the two are ever taken in).
-                    value = core.cached(flight)
-            accepting = self._accepting
-            admitted = (accepting and value is None
-                        and self._outstanding < limit)
-            if admitted:
-                self._outstanding += 1
-                if self._outstanding > self._queue_high_water:
-                    perfstats.increment(
-                        "serve.queue.depth",
-                        self._outstanding - self._queue_high_water)
-                    self._queue_high_water = self._outstanding
+        trace = (None if tracer is None else tracer.context_for(
+            digest, next(self._submit_seq), db_name=db_name,
+            priority=priority.name.lower(), submitted_at=submitted_at))
+        if value is None:
+            deadline = (None if timeout is None
+                        else time.monotonic() + timeout)
+            config = self.config
+            limit = min(config.queue_depth,
+                        admission_limit(priority, config.queue_depth, config))
+            # Followers complete as CACHED: with the result cache off every
+            # request is predicted, so nothing coalesces.
+            flight = ((route.checkpoint_key, digest)
+                      if deadline_ms is None and config.result_cache_size > 0
+                      else None)
+            leader = request = None
+            with self._lock:
+                while self._accepting and self._outstanding >= limit:
+                    remaining = (None if deadline is None
+                                 else deadline - time.monotonic())
+                    if (not block
+                            or (remaining is not None and remaining <= 0)
+                            or not self._not_full.wait(remaining)):
+                        break
+                if flight is not None:
+                    leader = self._leaders.get(flight)
+                    if leader is None:
+                        # A leader releases its flight only after its value
+                        # is cached, so a duplicate whose lookup raced that
+                        # completion finds the value here (transport lock,
+                        # then core lock: the one order the two are ever
+                        # taken in).
+                        value = core.cached(flight)
+                accepting = self._accepting
+                if (accepting and value is None
+                        and self._outstanding < limit):
+                    # Only an admitted request is built pending, latch
+                    # and all; every other outcome is born complete.
+                    request = PredictionRequest(db_name, plan, priority,
+                                                deadline_ms, digest,
+                                                submitted_at, trace)
+                    request.token, request.token_bytes = token, token_bytes
+                    self._outstanding += 1
+                    if self._outstanding > self._queue_high_water:
+                        perfstats.increment(
+                            "serve.queue.depth",
+                            self._outstanding - self._queue_high_water)
+                        self._queue_high_water = self._outstanding
+                    if leader is not None:
+                        if leader._followers is None:
+                            leader._followers = []
+                        leader._followers.append(request)
+                        self._coalesced += 1
+                        if trace is not None:
+                            trace.annotate("coalesced")
+                    else:
+                        if flight is not None:
+                            request._flight = flight
+                            self._leaders[flight] = request
+                        self._queue.append(request)
+                        self._wakeup.notify_all()
+            if request is not None:
                 if leader is not None:
-                    if leader._followers is None:
-                        leader._followers = []
-                    leader._followers.append(request)
-                    self._coalesced += 1
-                    if request.trace is not None:
-                        request.trace.annotate("coalesced")
-                else:
-                    if flight is not None:
-                        request._flight = flight
-                        self._leaders[flight] = request
-                    self._queue.append(request)
-                    self._wakeup.notify_all()
+                    perfstats.increment("serve.coalesced.count")
+                return request
+        checkpoint = error = served_by = None
         if value is not None:
-            self._answer_cached(request, value, route)
-            return request
-        if admitted:
-            if leader is not None:
-                perfstats.increment("serve.coalesced.count")
-            return request
-        if accepting and priority is RequestPriority.LOW:
-            self._brownout(request)
-            return request
-        core.count("shed")
-        perfstats.increment("serve.shed.count")
-        perfstats.increment(f"serve.shed.priority.{priority.name.lower()}")
-        request._finish(RequestStatus.SHED)
+            # A hit, at the first probe or the admission re-probe: no
+            # admission slot, no queue entry, no latch.
+            perfstats.increment("serve.cache.hit")
+            if trace is not None:
+                trace.annotate("cache.hit")
+                trace.add_stage("cache", submitted_at, time.perf_counter(),
+                                "server")
+            status, served_by, checkpoint = (_CACHED, route.served_by,
+                                             route.checkpoint_key)
+        elif accepting and priority is _LOW:
+            status, value, error, served_by = self._brownout(db_name, plan,
+                                                             trace)
+        else:
+            core.count("shed")
+            perfstats.increment("serve.shed.count")
+            perfstats.increment(
+                f"serve.shed.priority.{priority.name.lower()}")
+            status = _SHED
+        request = PredictionRequest(db_name, plan, priority, deadline_ms,
+                                    digest, submitted_at, trace, status,
+                                    value, error, served_by, checkpoint)
+        if status is _CACHED:
+            core.observe(request)
         return request
 
     def submit_many(self, plans, db_name, block=False, timeout=None,
@@ -369,47 +389,33 @@ class PredictorServer:
     def _maybe_swap(self):
         self.core.maybe_swap()
 
-    def _answer_cached(self, request, value, route):
-        """Deliver a result-cache hit found at submit: no admission slot,
-        no queue entry."""
-        perfstats.increment("serve.cache.hit")
-        trace = request.trace
-        if trace is not None:
-            trace.annotate("cache.hit")
-            trace.add_stage("cache", request.submitted_at,
-                            time.perf_counter(), "server")
-        self.core.complete([request], [(RequestStatus.CACHED, value,
-                                        route.served_by,
-                                        route.checkpoint_key)])
-
-    def _brownout(self, request):
-        """Answer an over-cap LOW request from the analytical model.
+    def _brownout(self, db_name, plan, trace):
+        """Answer an over-cap LOW request from the analytical model; returns
+        its ``(status, value, error, served_by)``.
 
         Same contract as the core's circuit-breaker degradation: flagged
         ``DEGRADED``, never cached, ``served_by`` names the fallback —
         here ``("analytical", "brownout")`` so the two degradation causes
         stay distinguishable.
         """
-        if request.trace is not None:
-            request.trace.annotate("brownout")
+        if trace is not None:
+            trace.annotate("brownout")
         try:
-            value = self.core.analytical_for(request.db_name).predict_plan(
-                request.plan)
+            value = self.core.analytical_for(db_name).predict_plan(plan)
         except Exception as exc:  # noqa: BLE001 — even fallbacks fail
-            self._fail([request], exc)
-            return
+            self.core.count("failed")
+            return _FAILED, None, exc, None
         perfstats.increment("serve.brownout.count")
         self.core.count("brownouts")
         self.core.count("degraded")
-        request._finish(RequestStatus.DEGRADED, value=value,
-                        served_by=("analytical", "brownout"))
+        return _DEGRADED, value, None, ("analytical", "brownout")
 
     def _fail(self, requests, error):
         """Fail ``requests`` typed, and release their followers."""
         if requests:
             self.core.count("failed", len(requests))
         for request in requests:
-            request._finish(RequestStatus.FAILED, error=error)
+            request._finish(_FAILED, error=error)
         self._release_followers(requests)
 
     def _release_followers(self, leaders):
@@ -438,9 +444,9 @@ class PredictorServer:
         requests, outcomes = [], []
         for leader, followers in pairs:
             status = leader.status
-            if status is RequestStatus.DONE:
-                status = RequestStatus.CACHED
-            outcome = (status, (leader.error if status is RequestStatus.FAILED
+            if status is _DONE:
+                status = _CACHED
+            outcome = (status, (leader.error if status is _FAILED
                                 else leader.value),
                        leader.served_by, leader.checkpoint)
             self.core.count(status.value, len(followers))

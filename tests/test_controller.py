@@ -34,6 +34,7 @@ from repro import perfstats
 from repro.bench import ArtifactStore
 from repro.bench.drift_world import CONTROLLER_CONFIG, build_drift_world
 from repro.executor import simulate_runtime_ms
+from repro.obs.trace import Tracer
 from repro.optimizer import plan_query
 from repro.robustness.faults import (FaultSchedule, FaultSpec, InjectedFault,
                                      POINTS, inject)
@@ -176,6 +177,59 @@ class TestObservationPlumbing:
             by_digest.setdefault(o.digest, []).append(o.predicted_ms)
         repeats = [vals for vals in by_digest.values() if len(vals) > 1]
         assert repeats and all(len(set(vals)) == 1 for vals in repeats)
+
+    @pytest.mark.parametrize("backend", ["server", "fleet"])
+    def test_submit_time_hits_observed_once(self, world, tmp_path, backend):
+        """Plans predicted, then resubmitted one at a time: every resubmit
+        hits at submit.  The tap records each hit once, with its handle's
+        value; a traced hit's span carries ``cache.hit`` and a ``cache``
+        stage, and its observation the trace id."""
+        if (backend == "fleet"
+                and "fork" not in multiprocessing.get_all_start_methods()):
+            pytest.skip("the serving fleet requires the fork start method")
+        registry, server, controller = _stack(world, tmp_path,
+                                              backend=backend,
+                                              result_cache_size=64)
+        plans = [r.plan for r in world.trace_a[:4]]
+        try:
+            server.predict(plans, "ctl_db")
+
+            def resubmit():
+                handles = []
+                for plan in plans:
+                    handle = server.submit(plan, "ctl_db")
+                    assert handle.wait(10.0)
+                    handles.append(handle)
+                return handles
+
+            untraced = resubmit()
+            tracer = server.attach_tracer(Tracer())
+            traced = resubmit()
+        finally:
+            server.stop()
+        hits = untraced + traced
+        assert all(h.status is RequestStatus.CACHED for h in hits)
+        tap = controller.tap
+        assert tap.stats()["recorded"] == len(plans) + len(hits)
+        observations = tap.peek()
+        for handle in untraced:  # the DONE delivery and this hit
+            seen = [o for o in observations if o.digest == handle.digest
+                    and o.trace_id is None]
+            assert len(seen) == 2
+            assert all(o.predicted_ms == handle.value
+                       and o.served_by == handle.served_by for o in seen)
+        spans = tracer.spans()
+        for handle in traced:
+            trace_id = handle.trace.trace_id
+            seen = [o for o in observations if o.trace_id == trace_id]
+            assert len(seen) == 1
+            assert seen[0].digest == handle.digest
+            assert seen[0].predicted_ms == handle.value
+            mine = [s for s in spans if s.trace_id == trace_id]
+            (root,) = [s for s in mine if s.parent_id is None]
+            assert "cache.hit" in root.annotations
+            assert "status.cached" in root.annotations
+            assert "cache" in [s.name for s in mine]
 
     def test_failed_requests_not_observed(self, world, tmp_path):
         registry, server, controller = _stack(world, tmp_path,

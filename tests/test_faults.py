@@ -1086,8 +1086,8 @@ class TestSingleFlight:
             assert held.wait(30.0)  # the leader's batch is held in flight
             real_lookup = server.core.lookup
 
-            def racing_lookup(request):
-                found = real_lookup(request)  # misses: the leader is held
+            def racing_lookup(db_name, plan):
+                found = real_lookup(db_name, plan)  # misses: leader held
                 gate.set()
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
@@ -1100,6 +1100,7 @@ class TestSingleFlight:
             monkeypatch.setattr(server.core, "lookup", racing_lookup)
             duplicate = server.submit(plan, db_name)
             assert duplicate.done()  # answered at admission, never queued
+            assert duplicate._latch is None  # and born complete
             stats = server.stats()
         assert leader.status is RequestStatus.DONE
         assert duplicate.status is RequestStatus.CACHED

@@ -718,6 +718,8 @@ class TestRequestHandle:
 
     def test_cache_hit_builds_no_event_or_condition(self, world, registry_a,
                                                     monkeypatch):
+        """A submit-time hit's handle is born complete: no sync object and
+        no raw lock, yet it keeps the handle contract."""
         registry, model = registry_a
         plan = world["records_a"][0].plan
         expected = _direct(model, world["graphs_a"][:1])
@@ -732,11 +734,22 @@ class TestRequestHandle:
             with monkeypatch.context() as patch:
                 patch.setattr(threading, "Event", refuse)
                 patch.setattr(threading, "Condition", refuse)
+                patch.setattr(serving_core, "_allocate_lock", refuse)
                 handle = server.submit(plan, world["db_a"].name)
-                assert handle.wait() is True
-                value = handle.result()
+                started = time.perf_counter()
+                for timeout in (None, 0, -1, 0.5):
+                    assert handle.wait(timeout) is True
+                assert time.perf_counter() - started < 0.5  # all at once
+                value = handle.result(0)
         assert handle.status is RequestStatus.CACHED
         np.testing.assert_array_equal([value], expected)
+        assert handle.latency_ms >= 0
+        fields = (handle.status, handle.value, handle.error,
+                  handle.served_by, handle.checkpoint, handle.completed_at)
+        assert handle._finish(RequestStatus.FAILED,
+                              error=RuntimeError("late")) is False
+        assert (handle.status, handle.value, handle.error, handle.served_by,
+                handle.checkpoint, handle.completed_at) == fields
 
     @pytest.mark.parametrize("backend", ["server", "fleet"])
     def test_concurrent_clients_resolve_each_handle_once(
@@ -785,9 +798,13 @@ class TestRequestHandle:
         per_handle = Counter(handle_id for handle_id, _ in finishes)
         assert all(won for _, won in finishes)
         for i, handle in delivered:
-            assert per_handle[id(handle)] == 1
-            assert handle.status in (RequestStatus.DONE,
-                                     RequestStatus.CACHED)
+            # Exactly once: a pending handle by one winning _finish, a
+            # submit-time hit by none (it is born complete).
+            born = handle._claim is None
+            assert per_handle[id(handle)] == (0 if born else 1)
+            assert handle.status in ((RequestStatus.CACHED,) if born else
+                                     (RequestStatus.DONE,
+                                      RequestStatus.CACHED))
         np.testing.assert_array_equal(
             np.array([handle.value for _, handle in delivered]),
             expected[[i for i, _ in delivered]])
