@@ -921,6 +921,11 @@ def bench_fleet_chaos(db, records, hidden_dim=64, n_clients=4, rounds=2,
             "hedge_wins": stats_a.get("hedge_wins", 0),
             "worker_restarts": stats_a.get("worker_restarts", 0),
             "requeued": stats_a.get("requeued", 0),
+            # Requests the router counted neither as delivered nor as
+            # outstanding: 0 when each delivery is counted once.
+            "delivery_gap": stats_a["requests"] - sum(
+                stats_a[key] for key in ("completed", "cached", "degraded",
+                                         "shed", "failed", "outstanding")),
             "latency_attribution": report_a.latency_attribution,
         },
         "overload": {

@@ -178,6 +178,10 @@ GATES = (
     Gate("fleet_chaos", "chaos: worker restarts",
          lambda r: r["counters"]["fleet.worker.restart"], ">=", 2,
          "one restart for the SIGKILL, one for the hang-kill"),
+    Gate("fleet_chaos", "chaos: delivery gap",
+         lambda r: r["chaos"]["delivery_gap"], "==", 0,
+         "the router counts each delivery once, whatever hedges and "
+         "re-sends ran"),
     Gate("fleet_chaos", "overload: HIGH availability",
          lambda r: r["overload"]["high_availability"], ">=", 0.99,
          "the reserve admits the HIGH burst, sent at its worst case"),

@@ -16,14 +16,18 @@ to a direct ``predict_runtimes`` call on the same model, and every
 departure from the model path (degraded, failed, deadline-expired) is
 typed and flagged.
 
-The result cache is probed only at submit, by :meth:`ServingCore.lookup`,
+One completion path: :meth:`ServingCore.process_batch` completes nothing,
+it yields each finished group's ``(requests, outcomes)``; the server
+delivers them through :meth:`ServingCore.complete`, a fleet worker ships
+them to the router, which does the same.  ``complete`` is the only code
+that completes a pending handle or counts a delivery to one, so
+``stats()`` counts each delivery once on both transports; a fleet worker
+counts execution only (retries, bisects, deadlines, hydration).  The
+result cache is probed only at submit, by :meth:`ServingCore.lookup`,
 before any handle exists: a hit gets a :class:`PredictionRequest` born
 complete (built with its final status: no latch, no lock), and only an
-admitted miss builds a pending one.  Every other ``DONE``/``CACHED``
-answer (a batch's predictions, single-flight followers, a fleet router's
-worker results) goes through :meth:`ServingCore.complete`: it caches a
-``DONE`` value before its handle completes.  Every ``DONE``/``CACHED``
-delivery, hits included, feeds the observation tap through one helper,
+admitted miss builds a pending one.  Every ``DONE``/``CACHED`` delivery,
+hits included, feeds the observation tap through one helper,
 :meth:`ServingCore.observe`.  Fleet workers run without a result cache.
 
 The unit of model work is the *deployment*, not the database: a
@@ -157,6 +161,14 @@ _DEGRADED, _SHED, _FAILED = (RequestStatus.DEGRADED, RequestStatus.SHED,
                              RequestStatus.FAILED)
 # The deliveries the observation tap sees: the learned model's answers.
 _OBSERVED = (_DONE, _CACHED)
+# The stats() counter each delivered status lands in, and every counter
+# stats() reports.
+_COUNTED = {_DONE: "completed", _CACHED: "cached", _DEGRADED: "degraded",
+            _FAILED: "failed"}
+_STATS_COUNTERS = ("requests", "completed", "cached", "degraded",
+                   "brownouts", "shed", "failed", "swaps", "retries",
+                   "bisects", "batcher_crashes", "requeued",
+                   "deadline_expired", "hydrate_failures")
 
 
 class RequestPriority(Enum):
@@ -218,27 +230,25 @@ class PredictionRequest:
     """Client-side handle for one submitted plan.
 
     The same handle class serves the in-process server and the fleet
-    router (and the per-plan requests inside each fleet worker): the
-    transport completes it via :meth:`_finish`, whether the value was
+    router (fleet workers build none); only :meth:`ServingCore.complete`
+    completes a pending one, via :meth:`_finish`, whether the value was
     produced in this process or crossed a worker pipe.
 
     Handles are cheap.  An answer known at submit (a result-cache hit, a
     shed, a brownout, an unroutable database) gets a handle *born
-    complete*, built with its final ``status``: every result field is set
-    before the client sees it, it has no latch and no claim lock,
+    complete*, built with its final ``status``: no latch, no claim lock,
     :meth:`wait` returns ``True`` at once and a later :meth:`_finish`
-    returns ``False``.  Only an admitted request is built pending.  Its completion is a one-shot
-    latch: a raw lock taken when the handle is built and released once by
-    the completing :meth:`_finish`, plus a ``claim`` lock that makes the
-    first completion win atomically — a later ``_finish`` (even a
-    concurrent one) changes nothing and returns ``False``.  :meth:`done`
-    reads a plain flag set only after every result field is written, so
-    a poller that sees it true sees the final ``status``, ``value``,
-    ``error``, ``served_by``, ``checkpoint`` (the key of the checkpoint
-    that produced a ``DONE`` or ``CACHED`` value) and ``completed_at``.
-    :meth:`wait` on a done handle returns at once; on a pending one it
-    acquires and releases the latch, so any number of waiters wake, with
-    the timeout semantics of an event's ``wait``.
+    returns ``False``.  Only an admitted request is built pending: a raw
+    latch lock, taken when the handle is built and released by the
+    completing :meth:`_finish`, plus a ``claim`` lock that makes the first
+    completion win atomically (a later ``_finish``, even a concurrent
+    one, changes nothing and returns ``False``).  :meth:`done` reads a
+    flag set only after every result field is written: ``status``,
+    ``value``, ``error``, ``served_by``, ``checkpoint`` (the key of the
+    checkpoint that produced a ``DONE`` or ``CACHED`` value) and
+    ``completed_at``.  :meth:`wait` on a pending handle acquires and
+    releases the latch, so any number of waiters wake, with the timeout
+    semantics of an event's ``wait``.
 
     Single flight: a request the front end queued after a result-cache
     miss *leads* its ``(checkpoint, digest)`` flight (``_flight``) until
@@ -266,8 +276,7 @@ class PredictionRequest:
         # from submit until completion (None when the digest came from the
         # memo): featurization encodes the token, a fleet ships the bytes.
         self.token = self.token_bytes = None
-        self.priority = (priority if type(priority) is RequestPriority
-                         else RequestPriority(priority))
+        self.priority = priority
         self.deadline_ms = deadline_ms  # per-request age cap (ms), or None
         self.status = status
         self.value = value
@@ -310,11 +319,8 @@ class PredictionRequest:
         self.checkpoint = checkpoint
         self.completed_at = time.perf_counter()
         self.status = status
-        trace = self.trace
-        if trace is not None and trace._tracer is not None:
-            # Finalize only where a tracer is attached (the client-facing
-            # transport); worker-side contexts just export their stages.
-            trace.finalize(self.completed_at, status=status.value)
+        if self.trace is not None:
+            self.trace.finalize(self.completed_at, status=status.value)
         self._done = True
         self._latch.release()
         return True
@@ -464,11 +470,7 @@ class ServingCore:
         for db in self._dbs.values():
             for table in db.tables.values():
                 _ = table.stats  # computed once, cached on the table
-        # One lock guards the result cache, the digest memo, the routes,
-        # the breaker table and the counters.  Featurization and inference
-        # run outside it; the featurization cache and breaker states are
-        # touched only by the processing thread.
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # see the module's "Thread-safety"
         self._result_cache = OrderedDict()
         self._digest_memo = OrderedDict()  # (id(plan), db) -> (plan, digest)
         self._feat_cache = FeaturizationCache()
@@ -489,9 +491,6 @@ class ServingCore:
     @property
     def dbs(self):
         return self._dbs
-
-    def has_db(self, db_name):
-        return db_name in self._dbs
 
     def count(self, name, n=1):
         with self._lock:
@@ -600,16 +599,13 @@ class ServingCore:
         Counts the request, resolves the route, finds the plan's digest and
         probes the result cache (counting a hit) in one lock hold for a
         plan object seen before; its token and bytes are then ``None``.  A
-        first-seen plan is tokenized and hashed outside the lock, so
-        first-seen plans from concurrent clients don't serialize behind
-        each other's O(plan) walks, and takes the lock once more; the
-        token and its marshal bytes are returned for the request to keep,
-        so the plan is never walked again.  Memo keys carry the database
-        name: the digest hashes the database's fingerprint, so one plan
-        object submitted against two databases gets two digests (two
-        result-cache keys).  Returns all ``None`` when no deployment serves
-        ``db_name``, and a ``None`` value on a cache miss (the miss is
-        counted at prediction time).
+        first-seen plan is tokenized and hashed outside the lock (so
+        concurrent clients don't serialize behind each other's O(plan)
+        walks) and the lock taken once more; its token and marshal bytes
+        are returned for the request to keep.  Memo keys carry the
+        database name: the digest hashes the database's fingerprint.
+        Returns all ``None`` when no deployment serves ``db_name``, and a
+        ``None`` value on a cache miss (counted at prediction time).
         """
         memo_key = (id(plan), db_name)
         with self._lock:
@@ -663,19 +659,25 @@ class ServingCore:
     # ------------------------------------------------------------------
     def complete(self, requests, outcomes):
         """Deliver one ``(status, result, served_by, checkpoint)`` outcome
-        to each request (``result``: the value, or a ``FAILED`` outcome's
-        typed error).  A ``DONE`` value is cached under ``(checkpoint,
-        digest)`` before its handle completes, so a client resubmitting
-        the moment the handle resolves hits; each ``DONE``/``CACHED``
-        delivery that completed its handle then feeds the tap
-        (:meth:`observe`).  Callers count.  (One pass with a lock hold
-        per ``DONE`` value: a separate store pass would cost every
+        to each pending request (``result``: the value, or a ``FAILED``
+        outcome's typed error).  Each caller owns the handles it passes
+        (taken from a queue, a batch entry or a leader under the
+        transport lock), so each delivery is counted here once, under its
+        status's ``stats()`` key, before its handle completes: a client
+        that sees every handle resolved reads every delivery counted.  A
+        ``DONE`` value is cached under ``(checkpoint, digest)`` in the
+        same lock hold, so a client resubmitting the moment the handle
+        resolves hits; each ``DONE``/``CACHED`` delivery that completed
+        its handle then feeds the tap (:meth:`observe`).  (One pass with a
+        lock hold per delivery: a separate store pass would cost every
         delivery a second scan.)"""
         observed = self._observer is not None
+        counts = self._counts
         for request, (status, result, served_by, checkpoint) in zip(
                 requests, outcomes):
-            if status is _DONE:
-                with self._lock:
+            with self._lock:
+                counts[_COUNTED[status]] += 1
+                if status is _DONE:
                     self._cache_put_locked((checkpoint, request.digest),
                                            result)
             if status is _FAILED:
@@ -700,13 +702,16 @@ class ServingCore:
     # Batch processing (hardened model path)
     # ------------------------------------------------------------------
     def process_batch(self, batch):
-        """Serve one micro-batch of :class:`PredictionRequest` objects.
+        """Serve one micro-batch: yields ``(requests, outcomes)`` per
+        finished group, one :meth:`complete` outcome per request.
 
         Groups by resolved deployment (not by database: every database
         routed to one deployment shares one model call), enforces
         deadlines, retries with backoff, bisects poisoned groups, degrades
-        behind the circuit breaker — and completes every request in
-        ``batch`` exactly once.
+        behind the circuit breaker — and yields exactly one outcome for
+        every request in ``batch``: ``DONE``, ``DEGRADED`` or ``FAILED``
+        (unroutable, deadline expired, retries exhausted, fallback
+        raised).  The caller delivers each group as it is yielded.
         """
         self.maybe_swap()
         perfstats.increment("serve.batch.count")
@@ -719,34 +724,35 @@ class ServingCore:
         for request in batch:
             by_route.setdefault(routes.get(request.db_name), []).append(
                 request)
-        unroutable = by_route.pop(None, ())
-        if unroutable:
-            with self._lock:
-                self._counts["failed"] += len(unroutable)
-            for request in unroutable:
-                request._finish(RequestStatus.FAILED, error=RoutingError(
-                    f"no deployment serves {request.db_name!r}"))
+        answered = []  # (outcome time, requests, outcomes) per group
         for route, requests in by_route.items():
-            self._process_group(route, requests)
-        finished = time.perf_counter()
-        REGISTRY.observe("serve.batch_ms", (finished - started) * 1e3)
-        for request in batch:
-            if request.completed_at is not None and request.status in (
-                    _DONE, _DEGRADED):
-                REGISTRY.observe(
-                    "serve.latency_ms",
-                    (request.completed_at - request.submitted_at) * 1e3)
+            for group, outcomes in self._process_group(route, requests):
+                answered.append((time.perf_counter(), group, outcomes))
+                yield group, outcomes
+        REGISTRY.observe("serve.batch_ms",
+                         (time.perf_counter() - started) * 1e3)
+        for at, group, outcomes in answered:
+            for request, outcome in zip(group, outcomes):
+                if outcome[0] is _DONE or outcome[0] is _DEGRADED:
+                    REGISTRY.observe("serve.latency_ms",
+                                     (at - request.submitted_at) * 1e3)
 
     def _process_group(self, route, requests):
+        """Yield the outcome groups of one route's requests."""
+        if route is None:
+            yield requests, [(_FAILED, RoutingError(
+                f"no deployment serves {request.db_name!r}"), None, None)
+                for request in requests]
+            return
         # Every request here missed the result cache at submit.
         perfstats.increment("serve.cache.miss", len(requests))
         breaker = self._breaker_for(route.checkpoint_key)
         if not breaker.allows_model_path(self.config.breaker_reset_ms / 1e3):
             # Breaker open: the model path is known-bad; answer from the
             # analytical baseline without touching it.
-            self._finish_degraded(route, requests)
+            yield self._degraded(route, requests)
             return
-        self._predict_group(route, breaker, requests)
+        yield from self._predict_group(route, breaker, requests)
 
     def _breaker_for(self, checkpoint_key):
         with self._lock:  # stats() reads the table from client threads
@@ -754,8 +760,11 @@ class ServingCore:
 
     def _predict_group(self, route, breaker, requests):
         """Retry with backoff; on persistent failure bisect until the
-        poisoned request is isolated; enforce per-request deadlines."""
-        requests = self._enforce_deadlines(requests)
+        poisoned request is isolated; enforce per-request deadlines.
+        Yields each outcome group as it finishes."""
+        requests, expired = self._enforce_deadlines(requests)
+        if expired:
+            yield expired
         if not requests:
             return
         last_error = None
@@ -777,7 +786,9 @@ class ServingCore:
                     if request.trace is not None:
                         request.trace.add_stage("backoff", backoff_start,
                                                 backoff_end, self.proc_label)
-                requests = self._enforce_deadlines(requests)
+                requests, expired = self._enforce_deadlines(requests)
+                if expired:
+                    yield expired
                 if not requests:
                     return
             try:
@@ -787,10 +798,9 @@ class ServingCore:
                 last_error = exc
                 continue
             breaker.record_success()
-            self.count("completed", len(requests))
             served_by, key = route.served_by, route.checkpoint_key
-            self.complete(requests, [(_DONE, float(value), served_by, key)
-                                     for value in values])
+            yield requests, [(_DONE, float(value), served_by, key)
+                             for value in values]
             return
         if len(requests) > 1:
             # Poisoned-batch bisection: the halves retry independently, so
@@ -802,18 +812,16 @@ class ServingCore:
                 if request.trace is not None:
                     request.trace.annotate("bisect")
             mid = len(requests) // 2
-            self._predict_group(route, breaker, requests[:mid])
-            self._predict_group(route, breaker, requests[mid:])
+            yield from self._predict_group(route, breaker, requests[:mid])
+            yield from self._predict_group(route, breaker, requests[mid:])
             return
         # A single request exhausted its retries: it fails alone — and the
         # breaker counts it; past the threshold the deployment degrades.
         breaker.record_failure(self.config.breaker_threshold)
         if breaker.state == "open":
-            self._finish_degraded(route, requests)
-            return
-        with self._lock:
-            self._counts["failed"] += 1
-        requests[0]._finish(RequestStatus.FAILED, error=last_error)
+            yield self._degraded(route, requests)
+        else:
+            yield requests, [(_FAILED, last_error, None, None)]
 
     def _attempt(self, requests, model):
         """One model-path attempt over a group (featurize + predict).
@@ -862,7 +870,9 @@ class ServingCore:
         return values
 
     def _enforce_deadlines(self, requests):
-        """Fail requests whose age exceeds their deadline; return the rest.
+        """Split off requests whose age exceeds their deadline: ``(alive,
+        expired)``, where ``expired`` is their ``FAILED`` outcome group
+        (``None`` when none expired).
 
         The deadline is the request's own ``deadline_ms`` (it crosses the
         fleet pipe with the request).  Expiry is checked *before*
@@ -870,7 +880,7 @@ class ServingCore:
         work.
         """
         if not any(request.deadline_ms is not None for request in requests):
-            return requests
+            return requests, None
         now = time.perf_counter()
         alive, expired = [], []
         for request in requests:
@@ -880,22 +890,21 @@ class ServingCore:
                 expired.append(request)
             else:
                 alive.append(request)
-        if expired:
-            perfstats.increment("serve.fault.deadline", len(expired))
-            with self._lock:
-                self._counts["failed"] += len(expired)
-                self._counts["deadline_expired"] += len(expired)
-            for request in expired:
-                if request.trace is not None:
-                    request.trace.annotate("deadline")
-                request._finish(RequestStatus.FAILED,
-                                error=DeadlineExceededError(
-                                    f"request exceeded its "
-                                    f"{request.deadline_ms:.0f} ms deadline"))
-        return alive
+        if not expired:
+            return alive, None
+        perfstats.increment("serve.fault.deadline", len(expired))
+        with self._lock:
+            self._counts["deadline_expired"] += len(expired)
+        for request in expired:
+            if request.trace is not None:
+                request.trace.annotate("deadline")
+        return alive, (expired, [(_FAILED, DeadlineExceededError(
+            f"request exceeded its {request.deadline_ms:.0f} ms deadline"),
+            None, None) for request in expired])
 
-    def _finish_degraded(self, route, requests):
-        """Answer requests from the analytical cost model, flagged DEGRADED.
+    def _degraded(self, route, requests):
+        """The analytical cost model's outcome group for ``requests``,
+        flagged ``DEGRADED`` (``FAILED`` where even the fallback raises).
 
         Each request is answered by its own database's analytical model
         (a group may span databases).  Degraded values never enter the
@@ -904,8 +913,7 @@ class ServingCore:
         """
         served_by = ("analytical", route.deployment.name)
         perfstats.increment("serve.degraded.count", len(requests))
-        with self._lock:
-            self._counts["degraded"] += len(requests)
+        outcomes = []
         for request in requests:
             if request.trace is not None:
                 request.trace.annotate("degraded")
@@ -913,13 +921,10 @@ class ServingCore:
                 value = self.analytical_for(request.db_name).predict_plan(
                     request.plan)
             except Exception as exc:  # noqa: BLE001 — even fallbacks fail
-                with self._lock:
-                    self._counts["degraded"] -= 1
-                    self._counts["failed"] += 1
-                request._finish(RequestStatus.FAILED, error=exc)
-                continue
-            request._finish(RequestStatus.DEGRADED, value=value,
-                            served_by=served_by)
+                outcomes.append((_FAILED, exc, None, None))
+            else:
+                outcomes.append((_DEGRADED, value, served_by, None))
+        return requests, outcomes
 
     def analytical_for(self, db_name):
         """The database's analytical fallback model, created on first use
@@ -941,20 +946,7 @@ class ServingCore:
             sizes = sum(size * count
                         for size, count in self._batch_sizes.items())
             return {
-                "requests": self._counts["requests"],
-                "completed": self._counts["completed"],
-                "cached": self._counts["cached"],
-                "degraded": self._counts["degraded"],
-                "brownouts": self._counts["brownouts"],
-                "shed": self._counts["shed"],
-                "failed": self._counts["failed"],
-                "swaps": self._counts["swaps"],
-                "retries": self._counts["retries"],
-                "bisects": self._counts["bisects"],
-                "batcher_crashes": self._counts["batcher_crashes"],
-                "requeued": self._counts["requeued"],
-                "deadline_expired": self._counts["deadline_expired"],
-                "hydrate_failures": self._counts["hydrate_failures"],
+                **{key: self._counts[key] for key in _STATS_COUNTERS},
                 "batches": batches,
                 "batch_size_hist": dict(sorted(self._batch_sizes.items())),
                 "mean_batch_size": (sizes / batches) if batches else 0.0,

@@ -12,24 +12,24 @@ front-end/worker split with the batching boundary at the router.
   work-conserving: the moment some worker has room (fewer than two
   batches in flight) it ships everything queued, up to
   ``max_batch_size``, so a lone request goes at once and batches grow
-  while every worker is busy.  A batch is one pipe message
-  carrying each request's digest (workers never re-hash), deadline,
-  priority and submit time, and its plan as a token, not a plan object:
-  the marshal-v2 bytes of :func:`~repro.featurization.plan_token` that
-  the digest hashed at submit, plus the root's ``est_cost``.  Pickling
-  bytes is a copy where pickling a plan tree walks every node; the worker
-  ``marshal.loads`` each token and featurizes the tuple directly, and
-  rebuilds a plan object (:func:`~repro.featurization.plan_from_token`)
-  only for DeepDB annotation and the analytical fallback.  The worker
-  runs :meth:`~repro.serving.core.ServingCore.process_batch` on the batch
-  and answers with one result message.  The router delivers it through
-  :meth:`~repro.serving.core.ServingCore.complete`, as the server
-  delivers a batch: ``DONE`` values enter the router's result cache,
-  keyed by the checkpoint the worker reports, before the handles
-  complete, and an attached observation tap sees every ``DONE``/``CACHED``
-  delivery.  Duplicates of a queued or in-flight plan follow its request
-  at the front end (single flight, see :mod:`repro.serving.server`), so
-  a worker never sees a repeat, and it runs without a result cache.
+  while every worker is busy.  A batch is one pipe message carrying each
+  request's digest (workers never re-hash), deadline and submit time, and
+  its plan as a token, not a plan object: the marshal-v2 bytes of
+  :func:`~repro.featurization.plan_token` that the digest hashed at
+  submit, plus the root's ``est_cost``.  The worker decodes each item
+  into a plain record (workers build no :class:`~repro.serving.core.
+  PredictionRequest`: no latch, no lock), featurizes the token directly
+  and ships the outcomes :meth:`~repro.serving.core.ServingCore.
+  process_batch` yields as one result message.  The router delivers them
+  through :meth:`~repro.serving.core.ServingCore.complete`, the server's
+  one completion path: ``DONE`` values enter the router's result cache
+  before the handles complete, the observation tap sees every
+  ``DONE``/``CACHED`` delivery, and ``stats()`` counts each delivery
+  once, whatever hedges and re-sends ran.  ``worker_stats`` rows carry
+  execution counters only (retries, bisects, deadlines, hydration).
+  Duplicates of a queued or in-flight plan follow its request at the
+  front end (single flight, see :mod:`repro.serving.server`), so a
+  worker never sees a repeat, and it runs without a result cache.
 * **Warm once, fork many.**  The router builds every database's catalog
   statistics and hydrates its models through
   :meth:`~repro.serving.registry.ModelRegistry.load_mmap` (one mapped file
@@ -91,8 +91,7 @@ from ..obs.metrics import REGISTRY, snapshot_delta
 from ..obs.trace import TraceContext
 from ..robustness import faults
 from .core import (_FAILED, DeadlineExceededError, DegradedResponseError,
-                   PredictionRequest, RequestShedError, ServerClosedError,
-                   ServingCore)
+                   RequestShedError, ServerClosedError, ServingCore)
 from .registry import HydrationError, ModelRegistry, RoutingError
 from .server import PredictorServer
 
@@ -111,12 +110,13 @@ _HEDGED_DONE_BOUND = 4096
 # What a "corrupt" action at fleet.pipe.send writes: a length-prefixed
 # frame whose payload no unpickler accepts.
 _GARBAGE_FRAME = b"\x00not a pickle"
-# Worker core counters the fleet's stats() sums across workers.  Not
-# "swaps": a promote changes the router's routes once, and each worker
-# re-resolving the same change is not another swap.  Not "cached": only
-# the router holds a result cache.
-_SUMMED = ("completed", "degraded", "failed", "retries", "bisects",
-           "batcher_crashes", "deadline_expired", "hydrate_failures")
+# Worker execution counters the fleet's stats() sums.  Deliveries are
+# counted once, by the router's ServingCore.complete: a hedged or re-sent
+# batch runs on several workers.  Not "swaps": each worker re-resolving
+# one promote is not another swap.  A worker's stats row carries these,
+# its swaps, batch sizes and breakers (plus gc, CPU, fault and metrics).
+_SUMMED = ("retries", "bisects", "deadline_expired", "hydrate_failures")
+_WORKER_ROW = _SUMMED + ("swaps", "batches", "batch_size_hist", "breakers")
 
 _ERROR_TYPES = {error.__name__: error for error in (
     RoutingError, HydrationError, DeadlineExceededError,
@@ -155,9 +155,11 @@ def _pipe_send(conn, message):
     conn.send(message)
 
 
-class _WireRequest(PredictionRequest):
-    """A request as a fleet worker receives it: the plan's token, decoded
-    from the batch's marshal bytes, and the root's ``est_cost``.
+class _WireRequest:
+    """A request as a fleet worker receives it: a plain record of what
+    :meth:`~repro.serving.core.ServingCore.process_batch` reads, the plan
+    as its token (decoded from the batch's marshal bytes) and the root's
+    ``est_cost``, plus the ``outcome`` the worker ships back.
 
     Featurization encodes the token directly.  A plan object is rebuilt
     with :func:`~repro.featurization.plan_from_token` only when something
@@ -165,23 +167,29 @@ class _WireRequest(PredictionRequest):
     rebuilds its own from the token inside ``featurize_records``.
     """
 
-    __slots__ = ("est_cost", "_plan")
+    __slots__ = ("db_name", "token", "est_cost", "digest", "submitted_at",
+                 "deadline_ms", "trace", "retries", "outcome", "_plan")
 
-    def __init__(self, db_name, token, est_cost, **kwargs):
-        self._plan = None
-        super().__init__(db_name, None, **kwargs)
-        self.token = token
+    def __init__(self, db_name, data, est_cost, digest, submitted_at,
+                 deadline_ms, traced):
+        self.db_name = db_name
+        self.token = marshal.loads(data)
         self.est_cost = est_cost
+        self.digest = digest
+        # The router's submit time: deadlines and latency count pipe time
+        # (perf_counter is system-wide on this platform).
+        self.submitted_at, self.deadline_ms = submitted_at, deadline_ms
+        # A bare context (no tracer here): its stages ship back with the
+        # result and the router merges them.
+        self.trace = TraceContext("", 0) if traced else None
+        self.retries = 0
+        self.outcome = self._plan = None
 
     @property
     def plan(self):
-        if self._plan is None and self.token is not None:
+        if self._plan is None:
             self._plan = plan_from_token(self.token, self.est_cost)
         return self._plan
-
-    @plan.setter
-    def plan(self, plan):
-        self._plan = plan
 
 
 def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
@@ -207,12 +215,10 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
     The first call freezes the heap inherited from the router
     (``gc.freeze()``): the worker's collections never scan those objects,
     so they neither cost CPU per plan nor copy the router's pages on
-    write.  Each stats answer reports how many objects are frozen
-    (``gc_frozen``), counted once, at the first: the count walks every
-    frozen object (~12 ms for 600k), and nothing is frozen later.  Each
-    also reports the worker's CPU seconds so far (``cpu_s``,
-    ``time.process_time()``), so CPU over a window is a difference of two
-    answers.
+    write.  A stats answer is the worker's execution row (``_WORKER_ROW``)
+    plus ``gc_frozen`` (counted once, at the first answer: the count walks
+    every frozen object, ~12 ms for 600k) and ``cpu_s`` (its
+    ``time.process_time()``: CPU over a window is a difference of two).
     """
     gc.freeze()
     frozen = None
@@ -244,7 +250,8 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
         elif kind == "ping":
             reply = ("pong",)
         else:  # "stats" or "stop": the stop answer is the final stats
-            payload = core.stats()
+            stats = core.stats()
+            payload = {key: stats[key] for key in _WORKER_ROW}
             if frozen is None:
                 frozen = gc.get_freeze_count()
             payload["gc_frozen"] = frozen
@@ -268,21 +275,11 @@ def _fleet_worker_main(conn, index, registry_root, mapped, dbs, config,
 
 
 def _serve_batch(core, message):
-    """Run one shipped micro-batch; returns the ``done`` reply."""
+    """Run one shipped micro-batch; returns the ``done`` reply: per
+    request, in batch order, its outcome (a ``FAILED`` error encoded as
+    ``(class name, message)``), retries and exported trace stages."""
     _, batch_id, send_ts, items = message
-    requests = []
-    for (db_name, data, est_cost, digest, submitted_at, deadline_ms,
-         priority, traced) in items:
-        # The router's submit timestamp: deadlines and latency count pipe
-        # time (perf_counter is system-wide on this platform).
-        request = _WireRequest(db_name, marshal.loads(data), est_cost,
-                               priority=priority, deadline_ms=deadline_ms,
-                               digest=digest, submitted_at=submitted_at)
-        if traced:
-            # A bare context (no tracer here): the stages ship back with
-            # the result and the router merges them.
-            request.trace = TraceContext("", 0)
-        requests.append(request)
+    requests = [_WireRequest(*item) for item in items]
     # Decoding the batch into requests is part of receiving it (as
     # unpickling its frame is): the "worker.recv" stage ends here.
     recv_ts = time.perf_counter()
@@ -293,20 +290,22 @@ def _serve_batch(core, message):
     # liveness plane SIGKILLs the process; "delay" holds the batch.
     faults.check("fleet.worker.hang")
     try:
-        core.process_batch(requests)
+        for group, outcomes in core.process_batch(requests):
+            for request, outcome in zip(group, outcomes):
+                request.outcome = outcome
     except Exception as exc:  # noqa: BLE001 — fail the batch, keep serving
         for request in requests:
-            if not request.done():
-                request._finish(_FAILED, error=exc)
+            if request.outcome is None:
+                request.outcome = (_FAILED, exc, None, None)
     results = []
     for request in requests:
-        error, trace = request.error, request.trace
-        results.append((
-            request.status,
-            (request.value if error is None
-             else (type(error).__name__, str(error))),
-            request.served_by, request.checkpoint, request.retries,
-            None if trace is None else trace.export_remote()))
+        status, result, served_by, checkpoint = request.outcome
+        if status is _FAILED:
+            result = (type(result).__name__, str(result))
+        trace = request.trace
+        results.append((status, result, served_by, checkpoint,
+                        request.retries,
+                        None if trace is None else trace.export_remote()))
     return ("done", batch_id, results)
 
 
@@ -325,8 +324,7 @@ def _wire_items(requests):
         if data is None:
             data = marshal.dumps(plan_token(r.plan), 2)
         items.append((r.db_name, data, r.plan.est_cost, r.digest,
-                      r.submitted_at, r.deadline_ms, r.priority.value,
-                      r.trace is not None))
+                      r.submitted_at, r.deadline_ms, r.trace is not None))
     return items
 
 
@@ -820,7 +818,7 @@ class PredictorFleet(PredictorServer):
     # Introspection
     # ------------------------------------------------------------------
     def _collect_worker_stats(self, timeout_s):
-        """Latest per-worker core stats (live query; cached after stop).
+        """Latest per-worker stats rows (live query; cached after stop).
 
         Hang-safe: a worker that does not answer within ``timeout_s`` is
         reported as an ``{"unresponsive": True}`` row instead of blocking
@@ -849,8 +847,9 @@ class PredictorFleet(PredictorServer):
                 for slot in self._slots]
 
     def stats(self, timeout_s=2.0):
-        """The front end's :meth:`PredictorServer.stats` with every
-        worker's core counters folded in, plus fleet extras
+        """The front end's :meth:`PredictorServer.stats` (deliveries
+        counted once, by the router) with every worker's execution
+        counters and batch sizes folded in, plus fleet extras
         (restart/hang/hedge counts and per-worker rows — ``unresponsive``
         for workers that did not answer within ``timeout_s``).
 

@@ -41,11 +41,15 @@ Guarantees:
   ``(checkpoint, plan fingerprint)`` answers repeats at submit; keys carry
   the checkpoint, so a hot-swap never serves a stale value.  The cache is
   probed only at submit; a batch predicts every request it holds.  A hit
-  is answered with a handle born complete (no latch, no lock); every
-  other ``DONE``/``CACHED`` delivery goes through :meth:`~repro.serving.
-  core.ServingCore.complete` (cache ``DONE`` values, then complete).
-  Both feed the observation tap through :meth:`~repro.serving.core.
-  ServingCore.observe`, on this server and on a fleet alike.
+  is answered with a handle born complete (no latch, no lock).
+* **One completion path** — the core's batch path completes nothing; it
+  yields each group's outcomes, and every pending handle is completed
+  and counted by :meth:`~repro.serving.core.ServingCore.complete` alone
+  (batch groups as they finish, followers, failures, a fleet's worker
+  results).  ``stats()`` counts each delivery once, on this server and
+  on a fleet alike, and hits and ``complete``'s deliveries feed the
+  observation tap through :meth:`~repro.serving.core.ServingCore.
+  observe`.
 * **Single-flight misses** — with the result cache on, a miss whose
   ``(checkpoint, plan fingerprint)`` is already queued or in flight
   *follows* that request instead of queueing: no batch row, no model
@@ -238,7 +242,7 @@ class PredictorServer:
         :meth:`start` queue up normally.
         """
         core = self.core
-        if not core.has_db(db_name):
+        if db_name not in core.dbs:
             raise KeyError(f"database {db_name!r} is not registered with "
                            f"this {self._name}")
         self._maybe_swap()
@@ -260,10 +264,15 @@ class PredictorServer:
                 None, _FAILED, error=RoutingError(
                     f"no deployment serves {db_name!r} and the registry "
                     "has no default model"))
-        tracer = self._tracer
-        trace = (None if tracer is None else tracer.context_for(
-            digest, next(self._submit_seq), db_name=db_name,
-            priority=priority.name.lower(), submitted_at=submitted_at))
+        # Sampling is decided from the seq first: an unsampled request
+        # pays one next() and one modulo, nothing more.
+        tracer, trace = self._tracer, None
+        if tracer is not None:
+            seq = next(self._submit_seq)
+            if not seq % tracer.sample_every:
+                trace = tracer.context_for(digest, seq, db_name,
+                                           priority.name.lower(),
+                                           submitted_at)
         if value is None:
             deadline = (None if timeout is None
                         else time.monotonic() + timeout)
@@ -412,10 +421,8 @@ class PredictorServer:
 
     def _fail(self, requests, error):
         """Fail ``requests`` typed, and release their followers."""
-        if requests:
-            self.core.count("failed", len(requests))
-        for request in requests:
-            request._finish(_FAILED, error=error)
+        self.core.complete(requests, [(_FAILED, error, None, None)]
+                           * len(requests))
         self._release_followers(requests)
 
     def _release_followers(self, leaders):
@@ -449,7 +456,6 @@ class PredictorServer:
             outcome = (status, (leader.error if status is _FAILED
                                 else leader.value),
                        leader.served_by, leader.checkpoint)
-            self.core.count(status.value, len(followers))
             requests.extend(followers)
             outcomes.extend([outcome] * len(followers))
         self.core.complete(requests, outcomes)
@@ -525,9 +531,11 @@ class PredictorServer:
         return True
 
     def _dispatch(self, batch):
-        """Run one micro-batch on the batcher thread."""
+        """Run one micro-batch on the batcher thread, delivering each
+        group's outcomes as the core yields them."""
         try:
-            self.core.process_batch(batch)
+            for requests, outcomes in self.core.process_batch(batch):
+                self.core.complete(requests, outcomes)
         except Exception as exc:  # noqa: BLE001 — the loop must survive
             # A surprise error outside the hardened group path fails this
             # batch's requests instead of killing the batcher and

@@ -40,7 +40,7 @@ CLEAN = {
                    {"kind": "promoted", "detail": {}}],
     },
     "fleet_chaos": {
-        "chaos": {**AUDIT_CLEAN, "availability": 1.0},
+        "chaos": {**AUDIT_CLEAN, "availability": 1.0, "delivery_gap": 0},
         "counters": {"fleet.hang.detected": 1, "fleet.hang.killed": 1,
                      "fleet.hedge.sent": 10, "fleet.worker.restart": 2},
         "overload": {
@@ -118,6 +118,7 @@ BREAKS = [
      _set(["counters", "fleet.hedge.sent"], 0)),
     ("fleet_chaos", "chaos: worker restarts",
      _set(["counters", "fleet.worker.restart"], 1)),
+    ("fleet_chaos", "chaos: delivery gap", _set(["chaos", "delivery_gap"], -8)),
     ("fleet_chaos", "overload: HIGH availability",
      _set(["overload", "high_availability"], 0.98)),
     ("fleet_chaos", "overload: shed or browned out",

@@ -38,6 +38,7 @@ from repro.datagen import generate_database, random_database_spec
 from repro.featurization import FeatureScalers, TargetScaler, database_digest
 from repro.nn import openblas
 from repro.nn.serialize import load_state
+from repro.obs.trace import TraceContext
 from repro.robustness import faults
 from repro.robustness.faults import FaultSchedule, FaultSpec
 from repro.serving import (DeadlineExceededError, LoadConfig, ModelRegistry,
@@ -468,6 +469,69 @@ class TestFleetBatchWire:
         assert corrupt == (1 if side == "worker" else 0)
 
 
+    def test_worker_batch_builds_no_lock_per_request(self, world, tmp_path,
+                                                     monkeypatch):
+        """A worker serves a wire batch on plain records: no latch and no
+        claim lock per plan.  Each result tuple still carries the value or
+        the encoded error, ``served_by``, checkpoint, retries and the
+        exported trace stages, in batch order."""
+        registry = _registry_with(world, tmp_path)
+        core = serving_core.ServingCore(
+            registry, world["dbs"], mmap=True,
+            config=ServerConfig(result_cache_size=0))
+        db_a = world["db_a"].name
+        plans = [r.plan for r in world["records_a"][:4]]
+        requests = []
+        for index, plan in enumerate(plans):
+            route, digest, _, _, _ = core.lookup(db_a, plan)
+            request = serving_core.PredictionRequest(db_a, plan,
+                                                     digest=digest)
+            if index == 1:
+                request.trace = TraceContext("t" * 16, index)
+            if index == 2:  # long expired when the worker gets it
+                request.deadline_ms = 1.0
+                request.submitted_at -= 1.0
+            requests.append(request)
+        message = ("batch", 7, time.perf_counter(),
+                   fleet_module._wire_items(requests))
+        # One transient inference fault: the live requests retry once.
+        schedule = FaultSchedule([FaultSpec("serve.infer", rate=1.0,
+                                            max_faults=1)], seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fleet worker allocated a lock")
+
+        monkeypatch.setattr(serving_core, "_allocate_lock", refuse)
+        faults.install(schedule)
+        try:
+            kind, batch_id, results = fleet_module._serve_batch(core,
+                                                                message)
+        finally:
+            faults.uninstall()
+        assert (kind, batch_id, len(results)) == ("done", 7, len(plans))
+        expected = world["expected_a"]
+        for index, result in enumerate(results):
+            status, value, served_by, checkpoint, retries, trace = result
+            if index == 2:
+                assert result == (
+                    RequestStatus.FAILED,
+                    ("DeadlineExceededError",
+                     "request exceeded its 1 ms deadline"),
+                    None, None, 0, None)
+                continue
+            assert status is RequestStatus.DONE
+            assert value == float(expected[index])
+            assert (served_by, checkpoint) == (route.served_by,
+                                               route.checkpoint_key)
+            assert retries == 1
+            if index != 1:
+                assert trace is None
+                continue
+            stages, annotations = trace
+            assert [stage[0] for stage in stages] == [
+                "worker.recv", "featurize", "backoff", "featurize", "infer"]
+            assert annotations == ["retry"]
+
 def _report_blas(conn):
     fleet_module.pin_blas_to_one_thread()
     conn.send(openblas().get_threads())
@@ -710,7 +774,7 @@ class TestWarmFork:
             np.testing.assert_array_equal(got_b, world["expected_b"])
         assert stats["worker_restarts"] == 1
         # The replacement served (its counters start at its fork).
-        assert stats["worker_stats"][0]["completed"] > 0
+        assert stats["worker_stats"][0]["batches"] > 0
         assert stats["failed"] == 0
 
     def test_workers_freeze_the_inherited_heap(self, world, tmp_path):
@@ -1115,7 +1179,7 @@ class TestFleetHedging:
             assert stats["hedges"] >= 1
             assert stats["hedge_wins"] + stats["hedge_wasted"] >= 1
             assert stats["outstanding"] == 0
-            assert stats["completed"] >= len(plans)  # both copies ran
+            assert stats["completed"] == len(plans)  # delivered once
             # The fleet is not corrupted: a second round still delivers
             # bit-identical values through the same slots.
             again = fleet.submit_many(plans, db_a.name, block=True)
@@ -1124,6 +1188,57 @@ class TestFleetHedging:
             final = fleet.stats()
         assert final["failed"] == 0 and final["shed"] == 0
         assert final["outstanding"] == 0
+
+
+# ----------------------------------------------------------------------
+# Delivery accounting: stats() counts each delivery once (the thread
+# server's twin is in test_serving.py)
+# ----------------------------------------------------------------------
+class TestDeliveryAccounting:
+    @pytest.mark.parametrize("scenario", ["hedge", "kill"])
+    def test_fleet_counts_each_delivery_once(self, world, tmp_path,
+                                             scenario):
+        """A hedged batch runs on two workers and a SIGKILLed worker's
+        batch is re-sent to its replacement, yet the router counts each
+        delivery once: completed equals the requests, and every request
+        is counted under exactly one outcome."""
+        registry = _registry_with(world, tmp_path)
+        db_a = world["db_a"].name
+        plans = [r.plan for r in world["records_a"]]
+        config = ServerConfig(result_cache_size=0, max_batch_size=256)
+        hedge = scenario == "hedge"
+        # Worker 0 holds its first batch: past the 40 ms hedge threshold,
+        # or until the kill lands.
+        fleet = PredictorFleet(
+            registry, world["dbs"], config, n_workers=2 if hedge else 1,
+            fault_schedule={0: _hold_first_batch(250.0 if hedge
+                                                 else 2000.0)},
+            hang_timeout_ms=None, hedge_after_ms=40.0 if hedge else None)
+        with fleet:
+            handles = fleet.submit_many(plans, db_a, block=True)
+            if not hedge:
+                time.sleep(0.2)
+                assert fleet.kill_worker(0) is not None
+            for handle, want in zip(handles, world["expected_a"]):
+                assert handle.result(60) == float(want)
+            resolved = fleet.stats()
+            # Hedged: wait until the second copy's answer has arrived.
+            deadline = time.monotonic() + 5.0
+            stats = resolved
+            while hedge and not stats["hedge_wasted"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+                stats = fleet.stats()
+        for counted in (resolved, stats):
+            assert counted["completed"] == len(plans)
+            delivered = sum(counted[key] for key in (
+                "completed", "cached", "degraded", "shed", "failed"))
+            assert delivered == counted["requests"] == len(plans)
+            assert counted["outstanding"] == 0
+        if hedge:
+            assert stats["hedges"] >= 1
+        else:
+            assert stats["worker_restarts"] == 1 and stats["requeued"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -584,6 +584,37 @@ class TestPredictorServer:
             stats = server.stats()
         assert stats["result_cache_entries"] <= 4
 
+    def test_each_delivery_counted_once(self, world, registry_a):
+        """Every way a request can resolve (predicted, followed, hit at
+        submit, shed, deadline-expired) is counted once, under its
+        status, by the time every handle has resolved."""
+        registry, _ = registry_a
+        db_a = world["db_a"].name
+        plans = [r.plan for r in world["records_a"]]
+        n, depth = len(plans), len(plans) + 6
+        server = PredictorServer(registry, world["dbs"],
+                                 ServerConfig(queue_depth=depth))
+        # Queued before start: one request already past its deadline, a
+        # leader per plan, then duplicates that follow their leaders until
+        # the queue is full; the rest are shed.
+        handles = [server.submit(plans[0], db_a, deadline_ms=0.0)]
+        handles += server.submit_many(plans * 2, db_a)
+        with server:
+            for handle in handles:
+                assert handle.wait(60)
+            handles += server.submit_many(plans, db_a)  # hits at submit
+            stats = server.stats()
+        followers = depth - 1 - n
+        statuses = Counter(handle.status.value for handle in handles)
+        assert statuses == {"done": n, "cached": followers + n,
+                            "failed": 1, "shed": n - followers}
+        assert stats["coalesced"] == followers
+        counted = {key: stats[key] for key in
+                   ("completed", "cached", "degraded", "shed", "failed")}
+        assert counted == {"completed": n, "cached": followers + n,
+                           "degraded": 0, "shed": n - followers, "failed": 1}
+        assert sum(counted.values()) == stats["requests"] == len(handles)
+
 
 # ----------------------------------------------------------------------
 # The request handle: a one-shot completion latch
