@@ -56,7 +56,8 @@ class EstimatorCache:
 
 
 def featurize_records(records, dbs, cards="exact", estimator_cache=None,
-                      storage_formats=None, feat_cache=None, keys=None):
+                      storage_formats=None, feat_cache=None, keys=None,
+                      catalog=None):
     """Build query graphs for trace records.
 
     ``dbs`` maps database names to :class:`~repro.storage.Database` objects;
@@ -81,6 +82,13 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
     ``cards`` and ``storage_formats``) pass them as ``keys``, so no plan is
     hashed twice; ``keys`` is ignored without a ``feat_cache``, and must
     hold one key per record.
+
+    With a :class:`~repro.featurization.catalog.ConstantCatalog` as
+    ``catalog`` the graphs are *served* graphs: plan nodes only, their
+    constant nodes interned in the catalog (see
+    :func:`~repro.featurization.build_query_graphs`).  A ``feat_cache``
+    used with a catalog must hold nothing else, and be cleared when the
+    catalog resets.
     """
     if cards not in CARD_SOURCES:
         raise ValueError(f"unknown cardinality source {cards!r}")
@@ -144,7 +152,8 @@ def featurize_records(records, dbs, cards="exact", estimator_cache=None,
     if pending:
         # One traversal for the whole call, whatever databases it spans.
         built = build_query_graphs(pending_dbs, pending_plans, card_maps,
-                                   storage_formats=storage_formats)
+                                   storage_formats=storage_formats,
+                                   catalog=catalog)
         for position, graph in zip(pending, built):
             graphs[position] = graph
             if feat_cache is not None:

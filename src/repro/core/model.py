@@ -144,6 +144,17 @@ class ZeroShotModel(Module):
         self.estimator = MLP(hidden_dim, [hidden_dim, hidden_dim // 2], 1,
                              dropout=dropout, rng=rng)
 
+    def param_dtype(self):
+        """Dtype of the first parameter, read off it directly.
+
+        The same parameter :meth:`Module.param_dtype` finds first (the plan
+        encoder's first weight), without walking the module tree on every
+        inference call.  It reads the live array, so a later cast
+        (:meth:`Module.to`, ``TrainingConfig(dtype=...)``) or checkpoint
+        load is seen at once.
+        """
+        return self.encoders[NODE_TYPES[0]].linears[0].weight.data.dtype
+
     def forward(self, batch: GraphBatch) -> Tensor:
         """Predict one (standardized log) runtime per graph in the batch."""
         if not is_grad_enabled():
@@ -212,12 +223,21 @@ class ZeroShotModel(Module):
         ``no_grad`` and by ``predict_runtimes``.  Every MLP reads at least
         two rows (see :func:`_two_rows`), so each ``Linear`` goes straight
         to gemm and a one-plan batch pays no per-layer pad.
+
+        A served batch (see :func:`~repro.featurization.make_batch`) opens
+        with its given rows: the stored states of the constant children its
+        nodes do not compute.  The constant nodes it does compute are
+        stored back once the pass is done.  A node's state depends only on
+        its features and its children's states, summed in edge order, so a
+        given row holds the bits a full graph would recompute.
         """
         perfstats.increment("model.graph_free_inference")
         dtype = self.param_dtype()
         features = batch.features_as(dtype)
         hidden = self.hidden_dim
         n_nodes = batch.n_nodes
+        states = batch.states
+        n_given = 0 if states is None else len(batch.given)
 
         # Row r holds [sum of children's updated states | initial state] of
         # the node at mp position r, so a group's combiner input is one
@@ -233,10 +253,13 @@ class ZeroShotModel(Module):
                     .forward_numpy(_two_rows(features[node_type]),
                                    rows=count)[:count]
 
-        # Groups run in mp order, so each writes one contiguous block of
-        # ``updated`` and its children (finished lower levels) are gathered
-        # through their mp positions.
-        updated = np.empty((n_nodes, hidden), dtype=dtype)
+        # ``updated`` holds the given rows, then the nodes in mp order:
+        # groups run in mp order, so each writes one contiguous block, and
+        # its children (given rows or finished lower levels) are gathered
+        # through their child positions.
+        updated = np.empty((n_given + n_nodes, hidden), dtype=dtype)
+        if n_given:
+            updated[:n_given] = states.states[batch.given]
         start = 0
         for level_groups in batch.levels:
             for group in level_groups:
@@ -249,14 +272,18 @@ class ZeroShotModel(Module):
                                     axis=0, out=combined[start:stop, :hidden])
                 elif children.size:  # one child per parent
                     combined[start:stop, :hidden] = updated[children]
-                updated[start:stop] = self.combiners[group.node_type] \
-                    .forward_numpy(combined[start:max(stop, start + 2)],
-                                   rows=stop - start)[:stop - start]
+                updated[n_given + start:n_given + stop] = \
+                    self.combiners[group.node_type].forward_numpy(
+                        combined[start:max(stop, start + 2)],
+                        rows=stop - start)[:stop - start]
                 start = stop
+        if states is not None:
+            states.store(batch.computed,
+                         updated[n_given + batch.computed_positions])
 
         n_graphs = len(batch.root_positions)
         return self.estimator.forward_numpy(
-            _two_rows(updated[batch.root_positions]),
+            _two_rows(updated[n_given + batch.root_positions]),
             rows=n_graphs)[:n_graphs].reshape(-1)
 
 

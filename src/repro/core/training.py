@@ -183,7 +183,7 @@ def train_model(model, graphs, runtimes_ms, config, feature_scalers=None,
 
 
 def predict_runtimes(model, graphs, feature_scalers, target_scaler,
-                     batch_size=256, batch_cache=None):
+                     batch_size=256, batch_cache=None, states=None):
     """Predicted runtimes in milliseconds (inference mode).
 
     Runs the model's graph-free numpy path (dispatched under ``no_grad``);
@@ -192,19 +192,24 @@ def predict_runtimes(model, graphs, feature_scalers, target_scaler,
     featurized graphs skips batch construction entirely.  Pass
     ``batch_cache=False`` to disable memoization (e.g. for graphs that will
     never be seen again).
+
+    Served graphs (featurized against a catalog) take the model's
+    :class:`~repro.featurization.catalog.ConstantStates` as ``states``:
+    each batch reads the constant rows it holds and stores the ones it
+    computes, so its batches are built fresh (``batch_cache`` unused).
     """
     if not graphs:
         return np.array([])
-    if batch_cache is None:
+    if batch_cache is None and states is None:
         batch_cache = _PREDICT_BATCH_CACHE
     if model.training:  # eval() walks the whole module tree
         model.eval()
     outputs = []
     with no_grad():
-        if batch_cache is False:
+        if batch_cache is False or states is not None:
             for start in range(0, len(graphs), batch_size):
                 batch = make_batch(graphs[start:start + batch_size],
-                                   feature_scalers)
+                                   feature_scalers, states)
                 outputs.append(model(batch).numpy())
         else:
             # get_chunks keys each chunk consistently: a graph list that

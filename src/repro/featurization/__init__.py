@@ -43,6 +43,31 @@ Caching contract (two complementary layers):
 Database mutations are visible to the fingerprint layer only through row
 counts; callers editing values in place must ``clear()`` the caches (same
 rule as the estimator caches).
+
+Serving adds a third layer, the *constant-node catalog*
+(:mod:`repro.featurization.catalog`).  Table, attribute, predicate and
+output nodes hold no plan operator below them, so under a fixed model
+their hidden states are constants of the database.  A
+:class:`~repro.featurization.catalog.ConstantCatalog` (one per serving
+core, a key table per database, one id space) interns each by its
+featurized content, ``(type, raw feature row, child ids)``: a comparison
+keys its literal *feature* (IN length, LIKE complexity), never the
+literal, and a table its storage format.  :func:`build_query_graphs` and
+:func:`~repro.core.featurize_records` given the catalog return *served*
+graphs: plan nodes only, with ``constant_edges`` naming catalog ids.
+Each served model keeps a
+:class:`~repro.featurization.catalog.ConstantStates` of the updated
+states it computed, keyed by catalog id: :func:`make_batch` reads the
+rows it holds and adds the first-seen nodes to the same batch, and the
+forward pass stores them.  Lifetime: the states live as long as their
+route (a promote starts an empty set); the catalog lives as long as its
+core, bounded by ``CATALOG_CAP`` nodes: past it the core resets the
+catalog before the next batch, which starts a new epoch (every
+``ConstantStates`` drops its rows at its next use) and clears the
+featurization cache whose graphs name the old ids.  Interned ids assume
+what the featurization cache assumes: a database's statistics change only
+with its row counts.  Training, scaler fitting and offline evaluation
+keep full graphs.
 """
 
 from .graph import NODE_TYPES, PackedGraph, QueryGraph

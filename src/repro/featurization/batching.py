@@ -51,7 +51,8 @@ class LevelGroup:
 
     node_type: str
     node_indices: np.ndarray       # global indices of the nodes updated here
-    edge_children: np.ndarray      # global indices of their children
+    edge_children: np.ndarray      # global indices of their children (a
+                                   # served batch: their child_positions)
     edge_parent_slots: np.ndarray  # position of each child's parent inside
                                    # ``node_indices`` (non-decreasing)
     child_positions: np.ndarray    # positions of ``edge_children`` in
@@ -76,6 +77,13 @@ class GraphBatch:
     mp_positions: np.ndarray = None    # global id -> row in the concatenated
                                        # per-group combiner outputs
     root_positions: np.ndarray = None  # mp position of each graph's root
+    # Served batches only (see make_batch): the ConstantStates read and
+    # written, the catalog ids of the given rows, and the catalog ids and
+    # mp positions of the constant nodes computed here.
+    states: object = None
+    given: np.ndarray = None
+    computed: np.ndarray = None
+    computed_positions: np.ndarray = None
     _feature_cast: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -108,12 +116,34 @@ def _run_bounds(values):
     return np.flatnonzero(new_run)
 
 
-def make_batch(graphs, scalers=None) -> GraphBatch:
-    """Merge graphs into one batch (optionally scaling features)."""
+def make_batch(graphs, scalers=None, states=None) -> GraphBatch:
+    """Merge graphs into one batch (optionally scaling features).
+
+    ``states`` (a :class:`~repro.featurization.catalog.ConstantStates`)
+    batches served graphs, whose constant children are catalog ids: each
+    one it holds becomes a *given* row, read from it by the forward pass;
+    the others join the batch as nodes (with their unheld descendants),
+    computed in the same level-group pass and stored back.  The hidden
+    states the forward pass reads are then ``[given rows | nodes in
+    message-passing order]``, and every ``child_positions`` entry indexes
+    that concatenation.  A served plan node's level counts its plan
+    children only, so plan nodes are lifted above the computed constant
+    nodes; a warm batch holds plan nodes alone, in as few level groups as
+    its plans are deep.  A full graph is the case with no given rows.
+    """
     if not graphs:
         raise ValueError("cannot batch zero graphs")
 
     packs = [graph.packed() for graph in graphs]
+    given = computed = None
+    n_given = 0
+    if states is not None:
+        refs = [p.constant_edges[:, 0] for p in packs]
+        # The computed constant nodes join as one more pack (no root).
+        given, computed, pack = states.resolve(
+            np.concatenate(refs) if len(refs) > 1 else refs[0])
+        packs.append(pack)
+        n_given = len(given)
     offsets = np.zeros(len(packs) + 1, dtype=np.int64)
     np.cumsum([p.n_nodes for p in packs], out=offsets[1:])
     n_nodes = int(offsets[-1])
@@ -148,26 +178,50 @@ def make_batch(graphs, scalers=None) -> GraphBatch:
     # Message-passing order: nodes sorted by their (level, type) key, ties
     # in global-id order (stable sort); groups are the runs of one key and
     # ``mp_positions`` is the inverse permutation.
+    node_levels = np.concatenate([p.levels for p in packs])
+    if states is not None and len(computed):
+        # Served plan nodes' levels count plan children only: lift them
+        # above every constant node computed here.
+        node_levels[:offsets[-2]] += node_levels[offsets[-2]:].max() + 1
     node_keys = np.empty(n_nodes, dtype=np.int64)
-    node_keys[global_of] = (np.concatenate([p.levels for p in packs])
-                            * _N_TYPES + all_codes)
+    node_keys[global_of] = node_levels * _N_TYPES + all_codes
     mp_nodes = np.argsort(node_keys, kind="stable")
     mp_positions = np.empty(n_nodes, dtype=np.int64)
     mp_positions[mp_nodes] = np.arange(n_nodes)
     sorted_keys = node_keys[mp_nodes]
     group_bounds = _run_bounds(sorted_keys)
 
-    # Edges in global ids, sorted once by their parent's mp position
-    # (insertion order within a parent).  A group owns a contiguous mp
-    # range, hence a contiguous edge range, and a parent's slot is its
-    # offset in that range.
-    edges = global_of[np.concatenate(
-        [p.edges + off for p, off in zip(packs, offsets)])]
-    parent_pos = mp_positions[edges[:, 1]]
+    # Edges as (child's row in the hidden states, parent's global id).
+    # Graph edges come first and constant edges after them, so the stable
+    # sort below keeps each parent's children in graph order: plan
+    # children, then constant children.
+    edges = np.concatenate([p.edges for p in packs])
+    edges += np.repeat(offsets[:-1], [p.n_edges for p in packs])[:, None]
+    edges = global_of[edges]
+    child_rows = mp_positions[edges[:, 0]]
+    if n_given:
+        child_rows += n_given
+    parents = edges[:, 1]
+    if states is not None:
+        constant_edges = np.concatenate([p.constant_edges for p in packs])
+        # A catalog id's row: its given row, or its computed node's.
+        row_of = np.empty(len(states.catalog), dtype=np.int64)
+        row_of[given] = np.arange(n_given, dtype=np.int64)
+        computed_positions = mp_positions[global_of[offsets[-2]:]]
+        row_of[computed] = computed_positions + n_given
+        child_rows = np.concatenate((child_rows,
+                                     row_of[constant_edges[:, 0]]))
+        parents = np.concatenate((parents, global_of[
+            constant_edges[:, 1] + np.repeat(
+                offsets[:-1], [len(p.constant_edges) for p in packs])]))
+
+    # Sorted once by their parent's mp position (insertion order within a
+    # parent).  A group owns a contiguous mp range, hence a contiguous edge
+    # range, and a parent's slot is its offset in that range.
+    parent_pos = mp_positions[parents]
     e_order = np.argsort(parent_pos, kind="stable")
     parent_pos = parent_pos[e_order]
-    children = edges[e_order, 0]
-    child_positions = mp_positions[children]
+    child_positions = child_rows[e_order]
     edge_bounds = np.searchsorted(parent_pos, group_bounds)
     parent_slots = parent_pos - np.repeat(group_bounds[:-1],
                                           edge_bounds[1:] - edge_bounds[:-1])
@@ -176,6 +230,9 @@ def make_batch(graphs, scalers=None) -> GraphBatch:
     run_bounds = np.searchsorted(runs, edge_bounds)
     edge_starts = runs[:-1] - np.repeat(edge_bounds[:-1],
                                         run_bounds[1:] - run_bounds[:-1])
+    # The training path reads children by global id (full graphs only).
+    edge_children = (child_positions if states is not None
+                     else edges[e_order, 0])
 
     levels = []
     nb, eb = group_bounds.tolist(), edge_bounds.tolist()
@@ -188,18 +245,23 @@ def make_batch(graphs, scalers=None) -> GraphBatch:
         levels[level].append(LevelGroup(
             node_type=NODE_TYPES[code],
             node_indices=mp_nodes[nb[g]:nb[g + 1]],
-            edge_children=children[lo:hi],
+            edge_children=edge_children[lo:hi],
             edge_parent_slots=parent_slots[lo:hi],
             child_positions=child_positions[lo:hi],
             edge_starts=edge_starts[rb[g]:rb[g + 1]]))
 
     roots_local = np.array([graph.root for graph in graphs], dtype=np.int64)
-    roots = global_of[offsets[:-1] + roots_local]
-    return GraphBatch(features=features, type_offsets=type_offsets,
-                      type_counts=type_counts, init_positions=init_positions,
-                      levels=levels, roots=roots, n_nodes=n_nodes,
-                      mp_positions=mp_positions,
-                      root_positions=mp_positions[roots])
+    roots = global_of[offsets[:len(graphs)] + roots_local]
+    batch = GraphBatch(features=features, type_offsets=type_offsets,
+                       type_counts=type_counts, init_positions=init_positions,
+                       levels=levels, roots=roots, n_nodes=n_nodes,
+                       mp_positions=mp_positions,
+                       root_positions=mp_positions[roots])
+    if states is not None:
+        batch.states, batch.given = states, given
+        batch.computed = computed
+        batch.computed_positions = computed_positions
+    return batch
 
 
 class BatchCache:

@@ -35,6 +35,8 @@ class PackedGraph(NamedTuple):
     features_by_code: dict           # code -> (count, dim) matrix, local order
     edges: np.ndarray                # (E, 2) int64 (child, parent)
     levels: np.ndarray               # (n,) int64 longest-path level
+    constant_edges: np.ndarray = None  # (C, 2) int64 (catalog id, parent)
+                                       # of a served graph; None: full graph
 
 
 class QueryGraph:
@@ -49,19 +51,26 @@ class QueryGraph:
     arrays through :meth:`packed`, and :attr:`n_nodes` / :attr:`n_edges`
     read their lengths, so a graph that is only batched never allocates a
     per-node or per-edge Python object.
+
+    A *served* graph (built against a
+    :class:`~repro.featurization.catalog.ConstantCatalog`) holds its plan
+    nodes only; ``constant_edges`` lists each plan node's constant
+    children as ``(catalog id, parent)`` rows, in child order after the
+    plan children its ``edges`` name.
     """
 
     __slots__ = ("root", "_node_types", "_features", "_edges", "_lazy",
-                 "_packed")
+                 "_packed", "constant_edges")
 
     def __init__(self, node_types=None, features=None, edges=None, root=-1,
-                 lazy=None):
+                 lazy=None, constant_edges=None):
         # ``lazy``: (type_codes, edges, levels, starts, ends, matrices) —
         # array views of one graph of a batch, and the first / one-past-last
         # row of each node type in the batch-wide ``matrices``.
         self.root = root
         self._lazy = lazy
         self._packed = None
+        self.constant_edges = constant_edges
         if lazy is None:
             node_types = [] if node_types is None else node_types
             features = [] if features is None else features
@@ -147,7 +156,8 @@ class QueryGraph:
                 self._packed = PackedGraph(
                     n_nodes=len(type_codes), n_edges=len(edges),
                     type_codes=type_codes, features_by_code=features_by_code,
-                    edges=edges, levels=levels)
+                    edges=edges, levels=levels,
+                    constant_edges=self.constant_edges)
                 return self._packed
             # The graph was mutated: recompute from its lists below.
         type_codes = np.array([TYPE_CODES[t] for t in self.node_types],

@@ -69,7 +69,7 @@ _CARD_SENTINELS = {"exact": _EXACT_CARDS, "optimizer": _OPTIMIZER_CARDS}
 _MAX_ENCODE_BATCH = 512
 
 
-def _encode_batch(items, storage_formats, columns):
+def _encode_batch(items, storage_formats, columns, catalog=None):
     """Traverse many plan tokens, appending raw rows to the batch-wide
     columns.
 
@@ -93,16 +93,71 @@ def _encode_batch(items, storage_formats, columns):
     (``attributes``, the card source, the database's statistics and memos)
     lives in enclosing-scope cells that the plan loop rebinds between
     graphs — this is the featurization hot loop.
+
+    Every constant node (table, attribute, predicate, output: no plan
+    operator below it) goes through one sink, ``constant``.  Without a
+    ``catalog`` it is a node of the graph, as above.  With a
+    :class:`~repro.featurization.catalog.ConstantCatalog` it is interned
+    there by ``(type, raw row, child ids)`` and the builders return its
+    catalog id: graphs then hold plan nodes only, and a plan node's
+    constant children become ``constant_edges`` entries ``(catalog id,
+    parent)``, after its plan children as in the full graph.  A plan
+    node's level then counts its plan children only: the batch places
+    plan nodes above the constant nodes it computes (see
+    :func:`~repro.featurization.make_batch`).  An attribute's id holds
+    for the whole call, not just one graph.
     """
-    plan_rows, pred_rows, table_rows, attr_rows, output_rows = columns
+    plan_rows = columns[_PLAN]
     codes, levels, edges = [], [], []
     codes_append, levels_append = codes.append, levels.append
     edges_append = edges.append
     attributes = {}
     exact = fused = next_card = None
     db = column_stats = table_stats_of = attr_stats = table_stats = None
-    memos = {}  # id(database) -> (attribute memo, table memo)
+    interned = None  # the database's catalog key table
+    # id(database) -> (attribute statistics, table statistics, attribute
+    # ids): with a catalog, an attribute's id holds for the whole call.
+    memos = {}
     storage_format_of = storage_formats.get
+
+    if catalog is None:
+        # Constant nodes are graph nodes: same ids, levels and edge list.
+        constant_edges = edges
+
+        def constant(code, row, children):
+            columns[code].append(row)
+            node = len(levels)
+            level = 0
+            for child in children:
+                if levels[child] >= level:
+                    level = levels[child] + 1
+            codes_append(code)
+            levels_append(level)
+            for child in children:
+                edges_append(child)
+                edges_append(node)
+            return node
+    else:
+        constant_levels, constant_edges = catalog.levels, []
+        catalog_codes, catalog_rows = catalog.codes, catalog.rows
+        catalog_children = catalog.children
+
+        def constant(code, row, children):
+            key = (code, row, children)
+            node = interned.get(key)
+            if node is None:
+                node = len(catalog_codes)
+                level = 0
+                for child in children:
+                    if constant_levels[child] >= level:
+                        level = constant_levels[child] + 1
+                catalog_codes.append(code)
+                constant_levels.append(level)
+                catalog_rows.append(row)
+                catalog_children.append(children)
+                interned[key] = node
+            return node
+    constant_edges_append = constant_edges.append
 
     def attribute_node(table, column):
         key = (table, column)
@@ -114,11 +169,7 @@ def _encode_batch(items, storage_formats, columns):
                 raw = (stats.width, stats.correlation, stats.ndistinct,
                        stats.null_frac, DTYPE_INDEX[stats.dtype])
                 attr_stats[key] = raw
-            attr_rows.append(raw)
-            node = len(levels)
-            codes_append(_ATTRIBUTE)
-            levels_append(0)
-            attributes[key] = node
+            node = attributes[key] = constant(_ATTRIBUTE, raw, ())
         return node
 
     def table_node(table):
@@ -131,11 +182,7 @@ def _encode_batch(items, storage_formats, columns):
             stats = table_stats_of(table)
             raw = (stats.reltuples, stats.relpages)
             table_stats[table] = raw
-        table_rows.append((raw[0], raw[1], fmt_index))
-        node = len(levels)
-        codes_append(_TABLE)
-        levels_append(0)
-        return node
+        return constant(_TABLE, (raw[0], raw[1], fmt_index), ())
 
     def predicate_node(token):
         kind = token[0]
@@ -150,44 +197,22 @@ def _encode_batch(items, storage_formats, columns):
                 literal_feature = like_pattern_complexity(literal)
             else:
                 literal_feature = 1.0
-            pred_rows.append((literal_feature, op_index))
-            node = len(levels)
-            codes_append(_PREDICATE)
-            levels_append(levels[attr] + 1)
-            edges_append(attr)
-            edges_append(node)
-            return node
+            return constant(_PREDICATE, (literal_feature, op_index), (attr,))
         if kind == "B":  # ("B", op, children)
             _, op, child_tokens = token
-            children = [predicate_node(child) for child in child_tokens]
-            pred_rows.append((float(len(child_tokens)), _PRED_INDEX[op]))
-            node = len(levels)
-            level = 0
-            for child in children:
-                if levels[child] > level:
-                    level = levels[child]
-            codes_append(_PREDICATE)
-            levels_append(level + 1)
-            for child in children:
-                edges_append(child)
-                edges_append(node)
-            return node
+            children = tuple([predicate_node(child)
+                              for child in child_tokens])
+            return constant(_PREDICATE,
+                            (float(len(child_tokens)), _PRED_INDEX[op]),
+                            children)
         raise TypeError(f"unknown predicate token {kind!r}")
 
     def join_predicate_node(join):
         child_table, child_column, parent_table, parent_column = join
         child_attr = attribute_node(child_table, child_column)
         parent_attr = attribute_node(parent_table, parent_column)
-        pred_rows.append((1.0, _EQ_INDEX))
-        node = len(levels)
-        level = max(levels[child_attr], levels[parent_attr])
-        codes_append(_PREDICATE)
-        levels_append(level + 1)
-        edges_append(child_attr)
-        edges_append(node)
-        edges_append(parent_attr)
-        edges_append(node)
-        return node
+        return constant(_PREDICATE, (1.0, _EQ_INDEX),
+                        (child_attr, parent_attr))
 
     def output_node(aggregate):
         func, table, column = aggregate
@@ -197,14 +222,7 @@ def _encode_batch(items, storage_formats, columns):
         agg_index = AGG_INDEX.get(func)
         if agg_index is None:
             raise ValueError(f"unknown aggregation {func!r}")
-        output_rows.append(agg_index)
-        node = len(levels)
-        codes_append(_OUTPUT)
-        levels_append(0 if attr is None else levels[attr] + 1)
-        if attr is not None:
-            edges_append(attr)
-            edges_append(node)
-        return node
+        return constant(_OUTPUT, agg_index, () if attr is None else (attr,))
 
     def plan_node(token):
         """Encode one plan node's subtree; returns ``(node id, its output
@@ -219,20 +237,22 @@ def _encode_batch(items, storage_formats, columns):
             children.append(child_id)
             if card > 1.0:
                 card_prod *= card
+        # Constant children follow the plan children, as in Fig. 3.
+        constants = []
         if op_name in _SCAN_OPS:
-            children.append(table_node(table))
+            constants.append(table_node(table))
             if predicate is not None:
-                children.append(predicate_node(predicate))
+                constants.append(predicate_node(predicate))
         elif op_name in _JOIN_OPS and join is not None:
-            children.append(join_predicate_node(join))
+            constants.append(join_predicate_node(join))
         elif op_name in _AGG_OPS:
             for aggregate in aggregates:
-                children.append(output_node(aggregate))
+                constants.append(output_node(aggregate))
             for table, column in group_by:
-                children.append(attribute_node(table, column))
+                constants.append(attribute_node(table, column))
         elif op_name == "Sort":
             for table, column in sort_keys:
-                children.append(attribute_node(table, column))
+                constants.append(attribute_node(table, column))
 
         # Post-order: a card list yields this node's value after its
         # children consumed theirs.
@@ -242,15 +262,22 @@ def _encode_batch(items, storage_formats, columns):
         plan_rows.append((card_out, card_prod, width, workers,
                           OPERATOR_INDEX[op_name]))
         plan_id = len(levels)
-        level = 0
+        level = -1
         for child in children:
             if levels[child] > level:
                 level = levels[child]
+        if catalog is None:
+            for child in constants:
+                if levels[child] > level:
+                    level = levels[child]
         codes_append(_PLAN)
-        levels_append(level + 1 if children else 0)
+        levels_append(level + 1)
         for child in children:
             edges_append(child)
             edges_append(plan_id)
+        for child in constants:
+            constant_edges_append(child)
+            constant_edges_append(plan_id)
         return plan_id, card_out
 
     metas = []
@@ -262,8 +289,13 @@ def _encode_batch(items, storage_formats, columns):
             if graph_db is not db:
                 db = graph_db
                 column_stats, table_stats_of = db.column_stats, db.table_stats
-                attr_stats, table_stats = memos.setdefault(id(db), ({}, {}))
-            attributes = {}
+                attr_stats, table_stats, db_attributes = memos.setdefault(
+                    id(db), ({}, {}, {}))
+                if catalog is not None:
+                    interned = catalog.table(db)
+                    attributes = db_attributes
+            if catalog is None:
+                attributes = {}  # shared within one graph only
             exact = cards is _EXACT_CARDS
             fused = exact or cards is _OPTIMIZER_CARDS
             if not fused:
@@ -271,12 +303,12 @@ def _encode_batch(items, storage_formats, columns):
             starts = ends
             node_start = len(levels)
             root = plan_node(token)[0]
-            ends = (len(plan_rows), len(pred_rows), len(table_rows),
-                    len(attr_rows), len(output_rows))
-            # (first node, end of the flat edge list, local root, per-type
-            # feature rows [starts, ends)) of this graph.
-            metas.append((node_start, len(edges), root - node_start, starts,
-                          ends))
+            ends = tuple([len(rows) for rows in columns])
+            # (first node, end of the flat edge list, end of the flat
+            # constant-edge list, local root, per-type feature rows
+            # [starts, ends)) of this graph.
+            metas.append((node_start, len(edges), len(constant_edges),
+                          root - node_start, starts, ends))
     finally:
         # The recursive builders reach themselves through their closure
         # cells.  Clearing those cells breaks the cycle, so the closures and
@@ -284,7 +316,8 @@ def _encode_batch(items, storage_formats, columns):
         # by reference counting on return instead of waiting for the
         # cyclic collector.
         del plan_node, predicate_node
-    return metas, codes, levels, edges
+    return metas, codes, levels, edges, (
+        None if catalog is None else constant_edges)
 
 
 def _as_token(plan):
@@ -325,7 +358,8 @@ def _assemble_matrices(columns):
     return matrices
 
 
-def build_query_graphs(db, plans, card_maps, storage_formats=None):
+def build_query_graphs(db, plans, card_maps, storage_formats=None,
+                       catalog=None):
     """Encode many annotated plans in one vectorized pass.
 
     ``db`` is the plans' :class:`~repro.storage.Database`, or a list or
@@ -349,6 +383,12 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
     Equivalent to calling :func:`build_query_graph` per plan, but feature
     matrices for the whole batch are assembled column-wise at once, so the
     per-plan cost is the structural traversal only.
+
+    With a :class:`~repro.featurization.catalog.ConstantCatalog`, each
+    graph holds its plan nodes only: its constant nodes are interned in
+    the catalog and named by the graph's ``constant_edges`` (see
+    ``_encode_batch``).  Such graphs are batched with a
+    :class:`~repro.featurization.catalog.ConstantStates` of that catalog.
     """
     storage_formats = storage_formats or {}
     plans = list(plans)
@@ -370,7 +410,7 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
                            else card_maps[start:stop])
             graphs.extend(build_query_graphs(
                 dbs[start:stop], plans[start:stop], chunk_cards,
-                storage_formats=storage_formats))
+                storage_formats=storage_formats, catalog=catalog))
         return graphs
     if isinstance(card_maps, str):
         sentinel = _CARD_SENTINELS[card_maps]
@@ -380,18 +420,25 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
         items = ((plan_db, _as_token(plan), _card_list(plan, cards))
                  for plan_db, plan, cards in zip(dbs, plans, card_maps))
     columns = ([], [], [], [], [])
-    metas, codes, levels, edges = _encode_batch(items, storage_formats,
-                                                columns)
+    metas, codes, levels, edges, constant_edges = _encode_batch(
+        items, storage_formats, columns, catalog)
     matrices = _assemble_matrices(columns)
     # Batch-wide arrays; every graph keeps views into them.  Edges count
-    # from their graph's first node: subtract it once for the whole batch.
+    # from their graph's first node: subtract it once for the whole batch
+    # (from a constant edge's parent only: its child is a catalog id).
     codes = np.array(codes, dtype=np.int64)
     levels = np.array(levels, dtype=np.int64)
     edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
     node_bounds = [meta[0] for meta in metas] + [len(codes)]
+    node_starts = np.array(node_bounds[:-1], dtype=np.int64)
     edge_bounds = [0] + [meta[1] >> 1 for meta in metas]
-    edges -= np.repeat(np.array(node_bounds[:-1], dtype=np.int64),
-                       np.diff(edge_bounds))[:, None]
+    edges -= np.repeat(node_starts, np.diff(edge_bounds))[:, None]
+    if constant_edges is not None:
+        constant_edges = np.array(constant_edges,
+                                  dtype=np.int64).reshape(-1, 2)
+        constant_bounds = [0] + [meta[2] >> 1 for meta in metas]
+        constant_edges[:, 1] -= np.repeat(node_starts,
+                                          np.diff(constant_bounds))
     # Structural invariants (child < parent, single parentless root) hold
     # by construction — children are created before their parent and every
     # non-root node is edged to a parent at creation — so no per-graph
@@ -399,13 +446,16 @@ def build_query_graphs(db, plans, card_maps, storage_formats=None):
     # equivalence tests assert bit-identity with the validated reference
     # builder.
     graphs = []
-    for index, (node_start, _, root, starts, ends) in enumerate(metas):
+    for index, (node_start, _, _, root, starts, ends) in enumerate(metas):
         node_end, edge_start, edge_end = (node_bounds[index + 1],
                                           edge_bounds[index],
                                           edge_bounds[index + 1])
         graphs.append(QueryGraph(root=root, lazy=(
             codes[node_start:node_end], edges[edge_start:edge_end],
-            levels[node_start:node_end], starts, ends, matrices)))
+            levels[node_start:node_end], starts, ends, matrices),
+            constant_edges=None if constant_edges is None else
+            constant_edges[constant_bounds[index]:
+                           constant_bounds[index + 1]]))
     perfstats.increment("featurize.vectorized", len(graphs))
     return graphs
 

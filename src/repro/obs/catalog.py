@@ -1,7 +1,8 @@
 """Canonical catalog of serving-plane counters and metrics.
 
 One source of truth for every ``serve.* / fleet.* / controller.* /
-fault.* / store.*`` counter the serving stack fires.  The README's
+fault.* / store.*`` counter the serving stack fires, and for the
+serving-side ``featurize.catalog.reset``.  The README's
 counter table is generated from this module (``python -m
 repro.obs.catalog --markdown``) and a tier-1 test cross-checks the
 catalog against the names *actually fired* in the source tree — so docs,
@@ -58,6 +59,15 @@ COUNTERS = [
     ("serve.degraded.open", "circuit breakers opened"),
     ("serve.degraded.half_open", "breaker half-open probe attempts"),
     ("serve.degraded.close", "breakers closed after a successful probe"),
+    ("serve.constant_nodes.reused",
+     "distinct constant nodes (table, attribute, predicate, output) a "
+     "batch read from its route's stored hidden states"),
+    ("serve.constant_nodes.computed",
+     "distinct constant nodes a batch computed and stored for its route "
+     "(first seen under that model, or after a catalog reset)"),
+    ("featurize.catalog.reset",
+     "constant-node catalogs reset at their cap, with every route's "
+     "stored states and the cached graphs naming their ids"),
     # -- fleet router / workers -----------------------------------------
     ("fleet.worker.spawn", "worker processes spawned"),
     ("fleet.worker.restart", "worker processes restarted after exit/kill"),

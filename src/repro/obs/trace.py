@@ -6,7 +6,7 @@ it and the context is finalized into :class:`Span` records when the
 request completes.  Three properties drive the design:
 
 **Deterministic structure.**  The trace id is derived from
-``(plan fingerprint, request seq)`` and span ids from
+``(plan fingerprint, request seq)`` and span ids spell out
 ``(trace id, stage name, occurrence index)``, so a replayed run (same
 corpus, same seeds, same fault schedule) produces the *same ids,
 parentage and annotations* — only the timestamps differ.  That makes
@@ -59,9 +59,10 @@ def trace_id_for(digest, seq):
 
 
 def _span_id(trace_id, name, occurrence):
-    h = blake2b(f"{trace_id}/{name}/{occurrence}".encode("utf-8"),
-                digest_size=6)
-    return h.hexdigest()
+    """``trace/name/occurrence``: deterministic, and distinct for distinct
+    triples (a trace id has a fixed length and the occurrence is the part
+    after the last ``/``), with no hash to compute."""
+    return f"{trace_id}/{name}/{occurrence}"
 
 
 class Span:

@@ -30,6 +30,18 @@ admitted miss builds a pending one.  Every ``DONE``/``CACHED`` delivery,
 hits included, feeds the observation tap through one helper,
 :meth:`ServingCore.observe`.  Fleet workers run without a result cache.
 
+Served graphs hold plan operators only.  The core interns every
+constant node (table, attribute, predicate, output) of the databases it
+serves in one :class:`~repro.featurization.catalog.ConstantCatalog`, and
+each route keeps the hidden states its model gave them
+(:class:`~repro.featurization.catalog.ConstantStates`), so a batch
+computes only its plan nodes and the constant nodes its route has not
+seen; a swap starts the new route's states empty.  Before a batch the core
+checks the catalog's cap (``CATALOG_CAP``): past it, the catalog resets
+with the cached graphs that name its ids, and every route's states drop
+theirs at their next batch.  Values stay bit-identical to the full-graph
+``predict_runtimes(featurize_records(...))``.
+
 The unit of model work is the *deployment*, not the database: a
 micro-batch is grouped by resolved route, and each group costs one
 ``featurize_records`` call (which splits per database internally) and one
@@ -40,8 +52,9 @@ batch) and reused as the featurization-cache key.
 
 Thread-safety: one internal lock guards the result cache, the digest memo,
 the routes, the breaker table and the counters.  Featurization and
-inference run outside it.  The featurization cache and each breaker's
-state are touched only by the processing thread (the batcher thread, or a
+inference run outside it.  The featurization cache, the constant-node
+catalog, every route's states and each breaker's state are touched only
+by the processing thread (the batcher thread, or a
 fleet worker's main loop).  Brownout also reaches the analytical fallbacks
 from client threads; ``setdefault`` keeps their creation race-free.
 """
@@ -61,6 +74,7 @@ from ..obs.metrics import REGISTRY
 from ..core.api import EstimatorCache, featurize_records
 from ..core.training import predict_runtimes
 from ..featurization import FeaturizationCache, database_digest, plan_token
+from ..featurization.catalog import ConstantCatalog, ConstantStates
 from ..featurization.fingerprint import token_digest
 from ..optimizer.cost_model import AnalyticalCostModel
 from ..robustness import faults
@@ -394,16 +408,20 @@ class ServerConfig:
 
 
 class _Route:
-    """A database's resolved deployment with the loaded model."""
+    """A database's resolved deployment with the loaded model, and the
+    hidden states of the catalog's constant nodes under that model (kept
+    for the route's lifetime: a swap starts an empty set)."""
 
-    __slots__ = ("deployment", "model", "checkpoint_key", "served_by")
+    __slots__ = ("deployment", "model", "checkpoint_key", "served_by",
+                 "states")
 
-    def __init__(self, deployment, model):
+    def __init__(self, deployment, model, catalog):
         self.deployment = deployment
         self.model = model
         # Plain attributes, not properties: every cache hit reads both.
         self.checkpoint_key = deployment.checkpoint_key
         self.served_by = (deployment.name, deployment.version)
+        self.states = ConstantStates(catalog)
 
 
 class _Breaker:
@@ -474,6 +492,9 @@ class ServingCore:
         self._result_cache = OrderedDict()
         self._digest_memo = OrderedDict()  # (id(plan), db) -> (plan, digest)
         self._feat_cache = FeaturizationCache()
+        # Constant nodes of every served database (processing thread only);
+        # the featurization cache holds graphs that name its ids.
+        self._catalog = ConstantCatalog()
         self._estimator_cache = estimator_cache or EstimatorCache()
         self._counts = Counter()
         self._batch_sizes = Counter()
@@ -586,7 +607,7 @@ class ServingCore:
                 with self._lock:
                     self._counts["hydrate_failures"] += 1
                 continue
-            return _Route(deployment, model)
+            return _Route(deployment, model, self._catalog)
         return None
 
     # ------------------------------------------------------------------
@@ -792,7 +813,7 @@ class ServingCore:
                 if not requests:
                     return
             try:
-                values = self._attempt(requests, route.model)
+                values = self._attempt(requests, route)
             except Exception as exc:  # noqa: BLE001 — injected or real
                 perfstats.increment("serve.fault.model_path")
                 last_error = exc
@@ -823,7 +844,7 @@ class ServingCore:
         else:
             yield requests, [(_FAILED, last_error, None, None)]
 
-    def _attempt(self, requests, model):
+    def _attempt(self, requests, route):
         """One model-path attempt over a group (featurize + predict).
 
         The group may span databases: ``featurize_records`` splits per
@@ -847,21 +868,28 @@ class ServingCore:
                    for request in requests]
         if traced:
             feat_start = time.perf_counter()
+        catalog = self._catalog
+        if catalog.full():
+            # The cached graphs name the catalog's ids; every route's
+            # states drop theirs at their next batch (new epoch).
+            catalog.reset()
+            self._feat_cache.clear()
         graphs = featurize_records(
             records, self._dbs, cards=self.config.cards,
             estimator_cache=self._estimator_cache,
-            feat_cache=self._feat_cache, keys=digests)
+            feat_cache=self._feat_cache, keys=digests, catalog=catalog)
         if traced:
             feat_end = time.perf_counter()
             for request in traced:
                 request.trace.add_stage("featurize", feat_start, feat_end,
                                         self.proc_label)
         faults.check("serve.infer", keys=digests)
-        # No batch cache: it hits only when a run of the very same graphs
-        # repeats in order, and a micro-batch's mix of plans does not.
+        # Served graphs hold plan nodes only; the route's states give the
+        # constant rows (computing and keeping the first-seen ones).
+        model = route.model
         values = predict_runtimes(
             model.model, graphs, model.feature_scalers,
-            model.target_scaler, batch_cache=False)
+            model.target_scaler, states=route.states)
         if traced:
             infer_end = time.perf_counter()
             for request in traced:

@@ -7,7 +7,7 @@ import pytest
 from repro.core import (EstimatorCache, TrainingConfig, ZeroShotCostModel,
                         ZeroShotModel, featurize_records)
 from repro.datagen import generate_database, random_database_spec
-from repro.core.training import predict_runtimes
+from repro.core.training import predict_runtimes, train_model
 from repro.featurization import (FEATURE_DIMS, FeatureScalers, QueryGraph,
                                  TargetScaler, make_batch)
 from repro.nn import no_grad, q_error
@@ -163,6 +163,36 @@ class TestFastPathEquivalence:
         out32 = model32(batch).numpy()
         assert out32.dtype == np.float32
         np.testing.assert_allclose(out32, out64, rtol=1e-3, atol=1e-3)
+
+    def test_param_dtype_reads_the_live_parameter(self, monkeypatch):
+        """``param_dtype`` reads the first parameter without walking the
+        module tree, and follows a later cast, a checkpoint load and a
+        training dtype."""
+        from repro.nn import Module
+        batch = self._batch()
+        model = ZeroShotModel(hidden_dim=8, seed=4).eval()
+        assert model.param_dtype() == Module.param_dtype(model)
+        model.to(np.float32)
+        assert model.param_dtype() == Module.param_dtype(model) == np.float32
+        clone = ZeroShotModel(hidden_dim=8, seed=5)  # float64 construction
+        clone.load_state_dict(model.state_dict())
+        assert clone.param_dtype() == np.float32
+        trained = ZeroShotModel(hidden_dim=8, seed=6).to(np.float32)
+        train_model(trained, [tiny_graph(0), tiny_graph(1), tiny_graph(2)],
+                    np.array([1.0, 2.0, 3.0]),
+                    TrainingConfig(hidden_dim=8, epochs=1, dtype="float64"))
+        assert trained.param_dtype() == np.float64
+
+        def no_walk(self):
+            raise AssertionError("parameters() walked during inference")
+
+        monkeypatch.setattr(Module, "parameters", no_walk)
+        for candidate, dtype in ((model, np.float32), (clone, np.float32),
+                                 (trained.eval(), np.float64)):
+            assert candidate.forward_inference(batch).dtype == dtype
+        model.encoders["plan"].linears[0].weight.data = \
+            model.encoders["plan"].linears[0].weight.data.astype(np.float64)
+        assert model.param_dtype() == np.float64
 
     def test_message_passing_gradcheck(self):
         """Central-difference check of the block-assembly forward w.r.t.
