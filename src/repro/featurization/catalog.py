@@ -41,10 +41,10 @@ from .zero_shot import _assemble_matrices
 
 __all__ = ["CATALOG_CAP", "ConstantCatalog", "ConstantStates"]
 
-# Nodes a catalog holds before its owner resets it.  Four unseen benchmark
-# databases under fresh traffic intern ~0.9 nodes per plan, mostly distinct
-# boolean predicates; the states of a full catalog take 8 MB per model at
-# 64 float32 hidden units.
+# Nodes a catalog holds before its owner resets it.  A 12 s perfbench
+# serve_fresh run (fresh plans over four unseen databases) interns ~9,900,
+# mostly distinct boolean predicates; the states of a full catalog take
+# 8 MB per model at 64 float32 hidden units.
 CATALOG_CAP = 1 << 15
 
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
